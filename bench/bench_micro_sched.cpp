@@ -191,9 +191,9 @@ int main() {
       }
     }
   }
-  // The event-driven (preemptive-path) loop: a batch-formation window and
-  // interactive arrivals route the same stream through PreemptiveEngine,
-  // exercising AvailableSlots/hold/continuation bookkeeping.
+  // The same stream with the preemptive knobs' bookkeeping on: a
+  // batch-formation window and interactive arrivals exercise the engine's
+  // hold and priority-class paths.
   if (run_point(10000, 8, /*event_path=*/true, "event.r10000.s8") != 0) {
     return 1;
   }

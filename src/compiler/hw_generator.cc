@@ -113,11 +113,21 @@ Result<DesignPoint> HardwareGenerator::Generate(
            prog.tuple_ops.size() + prog.batch_ops.size());
 
   // --- Design space exploration over thread counts ------------------------
+  const uint32_t first_threads =
+      options_.force_threads ? options_.force_threads : 1;
   const uint32_t max_threads =
       options_.force_threads
           ? options_.force_threads
           : std::min<uint32_t>(std::max<uint32_t>(prog.merge_coef, 1),
                                total_acs);
+
+  // BRAM use grows with the thread count, so a model whose per-thread data
+  // overflows BRAM at the first candidate fits no candidate: fail before
+  // scheduling anything (a large program's schedules take minutes).
+  if (per_thread_data_bytes * first_threads > fpga_.bram_bytes) {
+    return Status::ResourceExhausted(
+        "no design point fits the FPGA (model too large for BRAM?)");
+  }
 
   Scheduler batch_scheduler(SchedulerConfig{
       .num_acs = std::max<uint32_t>(1, total_acs / 4),
@@ -128,8 +138,7 @@ Result<DesignPoint> HardwareGenerator::Generate(
                         batch_scheduler.Run(prog.epoch_ops));
 
   std::vector<DesignPoint> candidates;
-  for (uint32_t t = options_.force_threads ? options_.force_threads : 1;
-       t <= max_threads; t *= 2) {
+  for (uint32_t t = first_threads; t <= max_threads; t *= 2) {
     DesignPoint d;
     d.num_threads = t;
     d.acs_per_thread = std::max<uint32_t>(1, total_acs / t);
@@ -143,16 +152,16 @@ Result<DesignPoint> HardwareGenerator::Generate(
     d.dsps_used = d.total_aus * fpga_.dsps_per_au;
     d.luts_used = d.total_aus * luts_per_au;
 
+    // BRAM: per-thread data, then page buffers with the remainder.
+    const uint64_t compute_bram = per_thread_data_bytes * t;
+    if (compute_bram > fpga_.bram_bytes) break;  // model does not fit
+
     Scheduler tuple_scheduler(SchedulerConfig{
         .num_acs = d.acs_per_thread, .selective_simd = !options_.mimd_only});
     DANA_ASSIGN_OR_RETURN(d.tuple_schedule,
                           tuple_scheduler.Run(prog.tuple_ops));
     d.batch_schedule = batch_schedule;
     d.epoch_schedule = epoch_schedule;
-
-    // BRAM: per-thread data, then page buffers with the remainder.
-    const uint64_t compute_bram = per_thread_data_bytes * t;
-    if (compute_bram > fpga_.bram_bytes) break;  // model does not fit
     const uint64_t pb_bram = std::min<uint64_t>(
         fpga_.bram_bytes - compute_bram,
         static_cast<uint64_t>(fpga_.bram_bytes *

@@ -191,8 +191,7 @@ class DanaBatchExecution : public BatchExecution {
         // than the pool is never fully resident and always re-sweeps (the
         // repeat walk moves the clock hand).
         const bool undisturbed =
-            owner_->options_.memoize_slices && swept_pool_ == pool &&
-            pool->version() == swept_version_ &&
+            swept_pool_ == pool && pool->version() == swept_version_ &&
             pool->resident_frames(tid) == norm_pages_;
         if (undisturbed) {
           last_left_ = 1.0;  // fully resident, by the guard above

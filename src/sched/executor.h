@@ -315,15 +315,6 @@ class DanaQueryExecutor : public QueryExecutor {
     /// Functional epochs actually simulated before linear extrapolation
     /// (see DanaSystem::Options); 2 captures cold I/O + steady state.
     uint32_t functional_epoch_cap = 2;
-    /// Skip the physical pool sweep of a slice whose slot is provably
-    /// undisturbed since this execution's previous slice (same slot, pool
-    /// version unchanged, table fully resident): the repeat sweep would be
-    /// all hits and leave every frame exactly as it stands, so only the
-    /// pool's hit/miss counters and last_table() would move. Priced costs,
-    /// schedules, and eviction state are bit-for-bit identical either way;
-    /// false re-runs every sweep (the reference behaviour, kept for
-    /// equivalence testing).
-    bool memoize_slices = true;
     /// Telemetry sink (not owned; null = off). Begin() counts each
     /// dispatch's pricing regime (exec.charges.cold/warm/partial) and
     /// MeasureEndpoint counts actual simulator runs

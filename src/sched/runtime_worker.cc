@@ -75,6 +75,9 @@ class WorkerProxyExecution : public BatchExecution {
   bool residency_modeled() const override {
     return inner_->residency_modeled();
   }
+  double os_warm_fraction() const override {
+    return inner_->os_warm_fraction();
+  }
 
   dana::Result<SliceCost> NextSlice(uint32_t max_epochs) override {
     return RunOnSlot<dana::Result<SliceCost>>(

@@ -94,21 +94,15 @@ T RunOnSlot(SlotWorkerPool* workers, uint32_t slot, std::function<T()> fn) {
 /// Executor adapter that routes every execution-state-mutating call onto
 /// the owning slot's worker thread and blocks for the result, leaving
 /// decision-time reads (estimates, warm fractions) on the calling thread.
-/// This is how the preemptive engine and the closed-loop driver run in
-/// threaded mode: the event loop keeps making decisions in oracle order
-/// while each slot's pricing, slices, and resume re-pricing execute on
-/// that slot's thread. Because every forwarded call is awaited before the
+/// This is how the scheduler's engine runs in threaded mode: the event
+/// loop keeps making decisions in oracle order while each slot's pricing,
+/// slices, and resume re-pricing execute on that slot's thread. Because every forwarded call is awaited before the
 /// loop proceeds, the schedule is identical to the simulated oracle's by
 /// construction — the parity contract `runtime_mode` promises.
 class WorkerProxyExecutor : public QueryExecutor {
  public:
   WorkerProxyExecutor(QueryExecutor* inner, SlotWorkerPool* workers)
       : inner_(inner), workers_(workers) {}
-
-  dana::Result<BatchCost> Dispatch(const QueryBatch& batch) override {
-    return RunOnSlot<dana::Result<BatchCost>>(
-        workers_, batch.slot, [this, &batch] { return inner_->Dispatch(batch); });
-  }
 
   dana::Result<std::unique_ptr<BatchExecution>> Begin(
       const QueryBatch& batch) override;

@@ -5,13 +5,14 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
 #include <set>
+#include <span>
 #include <utility>
 
+#include "common/intern.h"
 #include "common/stats.h"
 #include "sched/runtime_worker.h"
 
@@ -201,63 +202,46 @@ namespace {
 /// (closed-loop mode); entries are indices, never pointers, so growth is
 /// safe.
 ///
-/// Two interchangeable implementations produce identical pick sequences:
-///
-/// - Indexed (SchedulerOptions::indexed_queues, the default): an intrusive
-///   doubly-linked list over request indices keeps admission order (O(1)
-///   push/unlink, O(1) FCFS head), per-algorithm FIFO deques serve
-///   round-robin candidates and batch coalescing with integer id compares,
-///   and pure SJF keeps a multiset ordered by (estimate, request index) —
-///   O(log n) extraction. The multiset key is exact, not approximate: the
-///   reference scan compares raw SimTime estimates with strict less-than
-///   and takes the first minimum in admission order, and admission order
-///   equals request-index order (pushes arrive in index order; Restore
-///   re-inserts at the index position), so min-(estimate, index) is the
-///   same element. Aged and affinity SJF stay linear scans in both modes:
-///   their effective estimate mixes in per-candidate float subtraction
-///   whose rounding an ordered key cannot reproduce bit-for-bit.
-///
-/// - Reference (indexed_queues = false): the historical vector with O(n)
-///   scan-and-erase, kept as the equivalence oracle for the sched_perf
-///   suite.
+/// An intrusive doubly-linked list over request indices keeps admission
+/// order (O(1) push/unlink, O(1) FCFS head), per-algorithm FIFO deques
+/// serve round-robin candidates and batch coalescing with integer id
+/// compares, and pure SJF keeps a multiset ordered by (estimate, request
+/// index) — O(log n) extraction. The multiset key is exact: SJF takes the
+/// first strict minimum estimate in admission order, and admission order
+/// equals request-index order (pushes arrive in index order; Restore
+/// re-inserts at the index position), so min-(estimate, index) is that
+/// element. Aged and affinity SJF are linear scans in admission order:
+/// their effective estimate mixes in per-candidate float subtraction whose
+/// rounding an ordered key cannot reproduce bit-for-bit.
 class PendingQueue {
  public:
-  /// `warmth(workload)`, when set, is the best residency any currently-free
-  /// slot offers that workload — the affinity signal. Null keeps the
-  /// affinity-blind picks bit-for-bit.
-  using WarmthFn = std::function<double(const std::string&)>;
-  /// Residency-aware SJF estimate in seconds: the expected service of
-  /// `workload` dispatched at `warmth` residency, interpolated the way a
-  /// dispatch is charged (QueryExecutor::EstimateAtWarmth). Only consulted
-  /// when a warmth function is supplied (affinity on).
-  using EstimateAtFn = std::function<double(const std::string&, double)>;
+  /// Residency-aware SJF estimate in seconds of workload `wid`: its
+  /// expected service dispatched at the best residency any free slot
+  /// offers, interpolated the way a dispatch is charged
+  /// (QueryExecutor::EstimateAtWarmth). Null unless affinity SJF is on.
+  using AffinityEstimateFn = std::function<double(uint32_t wid)>;
 
   PendingQueue(const SchedulerOptions& options,
                const std::vector<QueryRequest>& requests,
                const std::vector<uint32_t>& wids,
                const std::vector<dana::SimTime>& estimates_by_id,
                std::vector<uint32_t> class_order,
-               EstimateAtFn estimate_at = nullptr)
+               AffinityEstimateFn affinity_estimate)
       : policy_(options.policy),
         aging_weight_(options.sjf_aging_weight),
-        indexed_(options.indexed_queues),
         requests_(requests),
         wids_(wids),
         estimates_by_id_(estimates_by_id),
         class_order_(std::move(class_order)),
-        estimate_at_(std::move(estimate_at)) {
-    use_sjf_set_ = indexed_ && policy_ == Policy::kSjf &&
-                   aging_weight_ == 0.0 && estimate_at_ == nullptr;
+        affinity_estimate_(std::move(affinity_estimate)) {
+    use_sjf_set_ = policy_ == Policy::kSjf && aging_weight_ == 0.0 &&
+                   affinity_estimate_ == nullptr;
   }
 
-  bool empty() const { return indexed_ ? count_ == 0 : pending_.empty(); }
-  size_t size() const { return indexed_ ? count_ : pending_.size(); }
+  bool empty() const { return count_ == 0; }
+  size_t size() const { return count_; }
 
   void Push(size_t request_index) {
-    if (!indexed_) {
-      pending_.push_back(request_index);
-      return;
-    }
     EnsureCapacity(request_index);
     LinkBefore(kNone, request_index);  // pushes arrive in index order
     const uint32_t w = wids_[request_index];
@@ -269,12 +253,6 @@ class PendingQueue {
   /// Re-inserts a request popped but never dispatched (a released batch
   /// hold) at its admission-order position.
   void Restore(size_t request_index) {
-    if (!indexed_) {
-      pending_.insert(
-          std::lower_bound(pending_.begin(), pending_.end(), request_index),
-          request_index);
-      return;
-    }
     EnsureCapacity(request_index);
     // Find the list successor: first queued index greater than the
     // restored one. Restored indices are recent pops, so the backward walk
@@ -295,116 +273,22 @@ class PendingQueue {
 
   /// Removes and returns the next request index under the policy. `now` is
   /// the dispatch time, used by SJF aging to credit queue wait.
-  size_t Pop(dana::SimTime now, const WarmthFn& warmth = nullptr) {
-    if (indexed_) {
-      const size_t pick = PickIndexed(now, warmth);
-      Remove(pick);
-      return pick;
-    }
-    size_t at = 0;
-    switch (policy_) {
-      case Policy::kFcfs:
-        // Arrival order == queue order. Affinity does not reorder FCFS (or
-        // RR): chasing warmth in the queue trades older arrivals' wait for
-        // placement and loses on mean latency; those policies get their
-        // affinity purely from the slot choice after the pop.
-        break;
-      case Policy::kSjf: {
-        if (warmth && estimate_at_) {
-          // Affinity SJF: order by the residency-aware estimate — the
-          // executor's own cold/warm interpolation at the best free slot's
-          // warmth, the same way the dispatch will be charged — instead of
-          // a weight-tuned discount; aging credit still applies on top.
-          auto effective = [&](size_t i) {
-            const QueryRequest& r = requests_[pending_[i]];
-            return estimate_at_(r.workload_id, warmth(r.workload_id)) -
-                   aging_weight_ * (now - r.arrival).seconds();
-          };
-          double best = effective(0);
-          for (size_t i = 1; i < pending_.size(); ++i) {
-            const double cand = effective(i);
-            if (cand < best) {
-              best = cand;
-              at = i;
-            }
-          }
-        } else if (aging_weight_ == 0.0) {
-          // Pure SJF: identical comparison to the unaged scheduler so a
-          // zero weight reproduces its schedules bit-for-bit.
-          for (size_t i = 1; i < pending_.size(); ++i) {
-            const dana::SimTime best = estimates_by_id_[wids_[pending_[at]]];
-            const dana::SimTime cand = estimates_by_id_[wids_[pending_[i]]];
-            if (cand < best) at = i;
-          }
-        } else {
-          // Aged SJF: every second of queue wait forgives `weight` seconds
-          // of estimate, so a long job's effective estimate eventually
-          // drops below the stream of short ones and it cannot starve.
-          auto effective = [&](size_t i) {
-            const QueryRequest& r = requests_[pending_[i]];
-            return estimates_by_id_[wids_[pending_[i]]].seconds() -
-                   aging_weight_ * (now - r.arrival).seconds();
-          };
-          double best = effective(0);
-          for (size_t i = 1; i < pending_.size(); ++i) {
-            const double cand = effective(i);
-            if (cand < best) {
-              best = cand;
-              at = i;
-            }
-          }
-        }
-        break;
-      }
-      case Policy::kRoundRobin: {
-        // Advance the cursor to the next class with queued work; take that
-        // class's earliest arrival.
-        for (size_t step = 0; step < class_order_.size(); ++step) {
-          const uint32_t cls =
-              class_order_[(rr_cursor_ + step) % class_order_.size()];
-          for (size_t i = 0; i < pending_.size(); ++i) {
-            if (wids_[pending_[i]] == cls) {
-              rr_cursor_ = (rr_cursor_ + step + 1) % class_order_.size();
-              at = i;
-              goto found;
-            }
-          }
-        }
-      found:
-        break;
-      }
-    }
-    const size_t request_index = pending_[at];
-    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(at));
-    return request_index;
+  size_t Pop(dana::SimTime now) {
+    const size_t pick = Pick(now);
+    Remove(pick);
+    return pick;
   }
 
   /// Removes up to `limit` further queued requests of workload `cls` (in
   /// admission order) and appends their indices to `out` — the co-resident
   /// queries a batched dispatch coalesces with the head query.
   void TakeSameClass(uint32_t cls, size_t limit, std::vector<size_t>* out) {
-    if (indexed_) {
-      if (cls >= per_class_.size()) return;
-      auto& q = per_class_[cls];
-      size_t taken = 0;
-      while (taken < limit && !q.empty()) {
-        const size_t idx = q.front();
-        out->push_back(idx);
-        Remove(idx);  // pops the deque front via its fast path
-        ++taken;
-      }
-      return;
-    }
-    size_t taken = 0;
-    size_t i = 0;
-    while (i < pending_.size() && taken < limit) {
-      if (wids_[pending_[i]] == cls) {
-        out->push_back(pending_[i]);
-        pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-        ++taken;
-      } else {
-        ++i;
-      }
+    if (cls >= per_class_.size()) return;
+    auto& q = per_class_[cls];
+    for (size_t taken = 0; taken < limit && !q.empty(); ++taken) {
+      const size_t idx = q.front();
+      out->push_back(idx);
+      Remove(idx);  // pops the deque front via its fast path
     }
   }
 
@@ -440,7 +324,7 @@ class PendingQueue {
     }
   }
 
-  /// Removes `idx` from every indexed structure.
+  /// Removes `idx` from every index.
   void Remove(size_t idx) {
     const size_t p = prev_[idx], n = next_[idx];
     if (p == kNone) {
@@ -467,71 +351,55 @@ class PendingQueue {
     --count_;
   }
 
-  /// The indexed pick: same element as the reference scan for every mode.
-  size_t PickIndexed(dana::SimTime now, const WarmthFn& warmth) const {
-    size_t pick = head_;
+  size_t Pick(dana::SimTime now) const {
     switch (policy_) {
       case Policy::kFcfs:
-        break;
-      case Policy::kSjf: {
-        if (warmth && estimate_at_) {
-          // Affinity SJF keeps the reference linear scan (in admission
-          // order, identical arithmetic, first strict minimum wins): the
-          // per-candidate warmth subtraction cannot be re-keyed exactly.
-          double best = 0.0;
-          bool first = true;
-          for (size_t i = head_; i != kNone; i = next_[i]) {
-            const QueryRequest& r = requests_[i];
-            const double cand =
-                estimate_at_(r.workload_id, warmth(r.workload_id)) -
-                aging_weight_ * (now - r.arrival).seconds();
-            if (first || cand < best) {
-              best = cand;
-              pick = i;
-              first = false;
-            }
-          }
-        } else if (aging_weight_ == 0.0) {
-          if (use_sjf_set_) {
-            // Pure SJF: min (estimate, index) is exactly the reference
-            // first-minimum (see the class comment).
-            pick = sjf_.begin()->second;
-          } else {
-            for (size_t i = head_; i != kNone; i = next_[i]) {
-              if (estimates_by_id_[wids_[i]] <
-                  estimates_by_id_[wids_[pick]]) {
-                pick = i;
-              }
-            }
-          }
-        } else {
-          // Aged SJF: reference linear scan (same rounding, same ties).
-          double best = 0.0;
-          bool first = true;
-          for (size_t i = head_; i != kNone; i = next_[i]) {
-            const double cand =
-                estimates_by_id_[wids_[i]].seconds() -
-                aging_weight_ * (now - requests_[i].arrival).seconds();
-            if (first || cand < best) {
-              best = cand;
-              pick = i;
-              first = false;
-            }
-          }
-        }
-        break;
-      }
-      case Policy::kRoundRobin: {
+        // Arrival order == queue order. Affinity does not reorder FCFS (or
+        // RR): chasing warmth in the queue trades older arrivals' wait for
+        // placement and loses on mean latency; those policies get their
+        // affinity purely from the slot choice after the pop.
+        return head_;
+      case Policy::kSjf:
+        if (use_sjf_set_) return sjf_.begin()->second;
+        // Aged SJF credits every second of queue wait with `weight`
+        // seconds of estimate, so a long job's effective estimate
+        // eventually drops below the stream of short ones and it cannot
+        // starve. Affinity SJF orders by the executor's own cold/warm
+        // interpolation at the best free slot's warmth — the way the
+        // dispatch will be charged — with the aging credit on top. First
+        // strict minimum in admission order wins.
+        return ScanMinimum([&](size_t i) {
+          const double estimate = affinity_estimate_ != nullptr
+                                      ? affinity_estimate_(wids_[i])
+                                      : estimates_by_id_[wids_[i]].seconds();
+          return estimate -
+                 aging_weight_ * (now - requests_[i].arrival).seconds();
+        });
+      case Policy::kRoundRobin:
+        // Advance the cursor to the next class with queued work; take that
+        // class's earliest arrival.
         for (size_t step = 0; step < class_order_.size(); ++step) {
           const uint32_t cls =
               class_order_[(rr_cursor_ + step) % class_order_.size()];
           if (cls < per_class_.size() && !per_class_[cls].empty()) {
             rr_cursor_ = (rr_cursor_ + step + 1) % class_order_.size();
-            pick = per_class_[cls].front();
-            break;
+            return per_class_[cls].front();
           }
         }
-        break;
+        return head_;
+    }
+    return head_;
+  }
+
+  template <typename EffectiveFn>
+  size_t ScanMinimum(EffectiveFn effective) const {
+    size_t pick = head_;
+    double best = effective(head_);
+    for (size_t i = next_[head_]; i != kNone; i = next_[i]) {
+      const double cand = effective(i);
+      if (cand < best) {
+        best = cand;
+        pick = i;
       }
     }
     return pick;
@@ -539,19 +407,14 @@ class PendingQueue {
 
   Policy policy_;
   double aging_weight_;
-  bool indexed_;
   bool use_sjf_set_ = false;
   const std::vector<QueryRequest>& requests_;
   const std::vector<uint32_t>& wids_;
   const std::vector<dana::SimTime>& estimates_by_id_;
   std::vector<uint32_t> class_order_;
   mutable size_t rr_cursor_ = 0;
-  EstimateAtFn estimate_at_;
+  AffinityEstimateFn affinity_estimate_;
 
-  // Reference structure.
-  std::vector<size_t> pending_;
-
-  // Indexed structures.
   size_t head_ = kNone, tail_ = kNone;
   std::vector<size_t> next_, prev_;
   size_t count_ = 0;
@@ -559,13 +422,12 @@ class PendingQueue {
   std::multiset<std::pair<dana::SimTime, size_t>> sjf_;
 };
 
-/// Simulated compile-cache charging shared by both scheduling engines,
-/// id-indexed: `ready_[wid]` records when that workload's design becomes
-/// available. The first dispatch of a workload is a miss and pays the full
-/// compile latency; a dispatch while that compile is still in flight on
-/// another slot waits out the residual; later dispatches pay nothing. A
-/// batch compiles its design once — the head pays the miss, riders are
-/// hits.
+/// Simulated compile-cache charging, id-indexed: `ready_[wid]` records
+/// when that workload's design becomes available. The first dispatch of a
+/// workload is a miss and pays the full compile latency; a dispatch while
+/// that compile is still in flight on another slot waits out the
+/// residual; later dispatches pay nothing. A batch compiles its design
+/// once — the head pays the miss, riders are hits.
 struct CompileCharge {
   dana::SimTime wait;
   bool head_miss = false;
@@ -595,225 +457,6 @@ class CompileReadyTable {
   std::vector<dana::SimTime> ready_;
 };
 
-/// One Dispatch call's outcome: which request indices rode the batch and
-/// when the batch completes (= the slot's new free time).
-struct DispatchOutcome {
-  std::vector<size_t> members;
-  dana::SimTime completion;
-};
-
-/// Shared dispatch machinery of the open and closed-loop run-to-completion
-/// paths: pops the policy's head query (affinity-aware when enabled), picks
-/// the slot — earliest-free, or the warmest free one under affinity —
-/// coalesces up to max_batch-1 co-resident queries of the same algorithm,
-/// charges compile + batched service, and records one QueryStat per member
-/// (all complete together).
-class DispatchEngine {
- public:
-  DispatchEngine(const SchedulerOptions& options, QueryExecutor* executor,
-                 const std::vector<QueryRequest>& requests,
-                 const std::vector<uint32_t>& wids, ScheduleReport* report)
-      : options_(options),
-        executor_(executor),
-        requests_(requests),
-        wids_(wids),
-        report_(report),
-        slot_free_(options.slots, dana::SimTime::Zero()) {}
-
-  /// Earliest-free slot; lowest index breaks ties, deterministically.
-  /// `busy` (optional) masks slots with an uncommitted in-flight dispatch
-  /// (threaded same-tick overlap); at a shared tick the masked pick equals
-  /// the unmasked one, because every in-flight slot's committed free time
-  /// will exceed the tick while some unmasked slot's is at or before it.
-  uint32_t NextSlot(const std::vector<uint8_t>* busy = nullptr) const {
-    uint32_t slot = kNoSlot;
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (busy != nullptr && (*busy)[s]) continue;
-      if (slot == kNoSlot || slot_free_[s] < slot_free_[slot]) slot = s;
-    }
-    return slot;
-  }
-
-  /// True when a non-busy slot is free at `now` — a further same-tick
-  /// decision can be issued without waiting for in-flight commits.
-  bool HasFreeSlotAt(dana::SimTime now,
-                     const std::vector<uint8_t>& busy) const {
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (!busy[s] && slot_free_[s] <= now) return true;
-    }
-    return false;
-  }
-
-  dana::SimTime slot_free(uint32_t slot) const { return slot_free_[slot]; }
-
-  /// The policy half of a dispatch: queue pop, batch coalescing, and slot
-  /// choice — everything decided before the executor prices the batch.
-  /// Splitting it from Commit lets the threaded runtime run the pricing on
-  /// the slot's worker while the decision loop continues.
-  struct Decision {
-    std::vector<size_t> members;
-    uint32_t slot = 0;
-    QueryBatch batch;
-  };
-
-  Decision Decide(PendingQueue& pending, dana::SimTime now,
-                  const std::vector<uint8_t>* busy = nullptr) {
-    // Affinity dispatch sees every slot already free at the dispatch time
-    // (the earliest-free slot always qualifies: `now` is at or past its
-    // free time); a candidate's warmth is the best any of them offers.
-    std::vector<uint32_t> available;
-    PendingQueue::WarmthFn warmth = nullptr;
-    if (options_.affinity_weight > 0.0) {
-      for (uint32_t s = 0; s < options_.slots; ++s) {
-        if (busy != nullptr && (*busy)[s]) continue;
-        if (slot_free_[s] <= now) available.push_back(s);
-      }
-      warmth = [&](const std::string& workload_id) {
-        double best = 0.0;
-        for (uint32_t s : available) {
-          best = std::max(best, executor_->WarmFraction(workload_id, s));
-        }
-        return best;
-      };
-    }
-
-    Decision d;
-    d.members.push_back(pending.Pop(now, warmth));
-    const QueryRequest& head = requests_[d.members[0]];
-    const uint32_t head_wid = wids_[d.members[0]];
-
-    // Slot choice: warmest free slot for the head's table under affinity
-    // (ties by earliest free time then lowest index — the affinity-blind
-    // order), earliest-free otherwise.
-    uint32_t slot = NextSlot(busy);
-    if (options_.affinity_weight > 0.0) {
-      double best_warm = -1.0;
-      for (uint32_t s : available) {
-        const double w = executor_->WarmFraction(head.workload_id, s);
-        if (w > best_warm ||
-            (w == best_warm && slot_free_[s] < slot_free_[slot])) {
-          best_warm = w;
-          slot = s;
-        }
-      }
-    }
-    if (options_.max_batch > 1) {
-      pending.TakeSameClass(head_wid, options_.max_batch - 1, &d.members);
-    }
-
-    d.slot = slot;
-    d.batch.workload_id = head.workload_id;
-    d.batch.slot = slot;
-    for (size_t m : d.members) d.batch.query_ids.push_back(requests_[m].id);
-    return d;
-  }
-
-  /// The accounting half: compile charging, per-member stats, slot free
-  /// time, makespan, trace spans. Threaded mode calls this in decision
-  /// (ticket) order, which keeps every sum and span bit-identical to the
-  /// simulated loop.
-  dana::Result<DispatchOutcome> Commit(Decision d, dana::SimTime now,
-                                       const BatchCost& cost) {
-    const QueryRequest& head = requests_[d.members[0]];
-    const uint32_t head_wid = wids_[d.members[0]];
-    const uint32_t slot = d.slot;
-    std::vector<size_t>& members = d.members;
-
-    const CompileCharge charge =
-        compile_ready_.Charge(head_wid, now, cost.compile);
-    const dana::SimTime compile_wait = charge.wait;
-    const bool head_miss = charge.head_miss;
-
-    const dana::SimTime completion = now + compile_wait + cost.service;
-    for (size_t j = 0; j < members.size(); ++j) {
-      const QueryRequest& req = requests_[members[j]];
-      QueryStat stat;
-      stat.id = req.id;
-      stat.workload_id = req.workload_id;
-      stat.query_class = req.query_class;
-      stat.slot = slot;
-      stat.arrival = req.arrival;
-      stat.start = now;
-      stat.compile = compile_wait;
-      stat.compile_hit = !(head_miss && j == 0);
-      stat.service = cost.service;
-      stat.batch_size = static_cast<uint32_t>(members.size());
-      stat.shared_service = cost.shared;
-      stat.private_service = cost.per_query;
-      stat.warm_fraction = cost.warm_fraction;
-      stat.os_warm_fraction = cost.os_warm_fraction;
-      stat.residency_modeled = cost.residency_modeled;
-      stat.completion = completion;
-      if (stat.compile_hit) {
-        ++report_->compile_hits;
-      } else {
-        ++report_->compile_misses;
-      }
-      report_->queries.push_back(std::move(stat));
-    }
-    ++report_->batches;
-    report_->shared_service += cost.shared;
-    report_->private_service +=
-        cost.per_query * static_cast<double>(members.size());
-    slot_free_[slot] = completion;
-    report_->makespan = dana::SimTime::Max(report_->makespan, completion);
-    if (options_.tracer != nullptr) {
-      if (compile_wait > dana::SimTime::Zero()) {
-        options_.tracer->Span(slot, "compile " + head.workload_id, "compile",
-                              now, now + compile_wait,
-                              {{"hit", !head_miss}});
-      }
-      options_.tracer->Span(
-          slot, "run " + head.workload_id, "dispatch", now + compile_wait,
-          completion,
-          {{"queries", static_cast<uint64_t>(members.size())},
-           {"warm_fraction", cost.warm_fraction}});
-    }
-    return DispatchOutcome{std::move(members), completion};
-  }
-
-  /// The inline (simulated) dispatch: decide, price, commit in one step.
-  dana::Result<DispatchOutcome> Dispatch(PendingQueue& pending,
-                                         dana::SimTime now) {
-    Decision d = Decide(pending, now);
-    DANA_ASSIGN_OR_RETURN(BatchCost cost, executor_->Dispatch(d.batch));
-    return Commit(std::move(d), now, cost);
-  }
-
- private:
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-
-  const SchedulerOptions& options_;
-  QueryExecutor* executor_;
-  const std::vector<QueryRequest>& requests_;
-  const std::vector<uint32_t>& wids_;
-  ScheduleReport* report_;
-  std::vector<dana::SimTime> slot_free_;
-  CompileReadyTable compile_ready_;
-};
-
-/// Residency-aware SJF estimate with a fallback to the precomputed static
-/// estimate when the executor cannot price the warmth. Non-null only when
-/// affinity SJF is on; the returned closure borrows `ids` and
-/// `estimates_by_id`, which must outlive it.
-PendingQueue::EstimateAtFn MakeEstimateAtFn(
-    const SchedulerOptions& options, QueryExecutor* executor,
-    const dana::Interner& ids,
-    const std::vector<dana::SimTime>& estimates_by_id) {
-  if (options.policy != Policy::kSjf || options.affinity_weight <= 0.0) {
-    return nullptr;
-  }
-  return [executor, &ids, &estimates_by_id](const std::string& id,
-                                            double warmth) {
-    auto est = executor->EstimateAtWarmth(id, warmth);
-    if (est.ok()) return est->seconds();
-    const uint32_t w = ids.Find(id);
-    return w != dana::Interner::kInvalidId && w < estimates_by_id.size()
-               ? estimates_by_id[w].seconds()
-               : 0.0;
-  };
-}
-
 /// Class rotation order for round-robin: first appearance in `wids`.
 std::vector<uint32_t> FirstAppearanceOrder(const std::vector<uint32_t>& wids,
                                            uint32_t num_ids) {
@@ -828,47 +471,74 @@ std::vector<uint32_t> FirstAppearanceOrder(const std::vector<uint32_t>& wids,
   return order;
 }
 
-// ---------------------------------------------------------------------------
-// Preemptive (epoch-sliced, event-driven) scheduling path
-// ---------------------------------------------------------------------------
+/// SJF orders by a-priori estimates: resolve them once per workload, in
+/// the order `order` first names each interned id, so admission decisions
+/// are O(queue), not O(executor). Empty unless the policy is SJF.
+dana::Result<std::vector<dana::SimTime>> ResolveEstimates(
+    Policy policy, QueryExecutor* executor, const dana::Interner& ids,
+    const std::vector<uint32_t>& order) {
+  std::vector<dana::SimTime> estimates;
+  if (policy != Policy::kSjf) return estimates;
+  estimates.resize(ids.size());
+  std::vector<uint8_t> resolved(ids.size(), 0);
+  for (uint32_t w : order) {
+    if (resolved[w]) continue;
+    DANA_ASSIGN_OR_RETURN(estimates[w], executor->Estimate(ids.Name(w)));
+    resolved[w] = 1;
+  }
+  return estimates;
+}
 
-/// Event-driven engine for the preemptive features: priority classes,
-/// epoch-boundary preemption of batch runs, and the batch-formation
-/// window. Active executions advance through the executor's slice ABI
-/// (QueryExecutor::Begin); all costs are peeked deterministically, so the
-/// planned completion of a run is exact unless a preemption truncates it.
-class PreemptiveEngine {
+/// Closed-loop feed (Scheduler::RunClosedLoop): every session submits its
+/// script's next query `think_time` after its previous one completed.
+struct SessionScripts {
+  const std::vector<std::vector<std::string>>* sessions = nullptr;
+  const std::vector<QueryClass>* classes = nullptr;  ///< empty = all batch
+  dana::SimTime think_time;
+};
+
+/// The scheduler's event-driven engine. Executions advance through the
+/// executor's slice ABI (QueryExecutor::Begin); all costs are peeked
+/// deterministically, so the planned completion of a run is exact unless a
+/// preemption truncates it. With the preemption quantum and the batch
+/// window at zero every run is a single slice from dispatch to completion;
+/// the knobs add priority classes, epoch-boundary preemption of batch
+/// runs, and batch-formation holds on freed slots.
+class EventEngine {
  public:
-  PreemptiveEngine(const SchedulerOptions& options, QueryExecutor* executor,
-                   const std::vector<QueryRequest>& requests,
-                   const std::vector<uint32_t>& wids,
-                   const std::vector<dana::SimTime>& estimates_by_id,
-                   PendingQueue::EstimateAtFn estimate_at,
-                   std::vector<uint32_t> class_order, ScheduleReport* report)
+  EventEngine(const SchedulerOptions& options, QueryExecutor* executor,
+              std::vector<QueryRequest>& requests, std::vector<uint32_t>& wids,
+              const dana::Interner& ids,
+              const std::vector<dana::SimTime>& estimates_by_id,
+              std::vector<uint32_t> class_order, ScheduleReport* report)
       : options_(options),
         executor_(executor),
         requests_(requests),
         wids_(wids),
+        ids_(ids),
+        estimates_by_id_(estimates_by_id),
         report_(report),
+        windowed_(options.batch_window > dana::SimTime::Zero() &&
+                  options.max_batch > 1),
+        preemptive_(options.preemption_quantum_epochs > 0 ||
+                    options.batch_window > dana::SimTime::Zero()),
         interactive_(options, requests, wids, estimates_by_id, class_order,
-                     estimate_at),
+                     AffinityEstimator()),
         batch_(options, requests, wids, estimates_by_id,
-               std::move(class_order), std::move(estimate_at)),
+               std::move(class_order), AffinityEstimator()),
         active_(options.slots),
         holds_(options.slots),
-        free_since_(options.slots, dana::SimTime::Zero()) {
-    if (options_.indexed_queues) {
-      // Every slot starts free: seed the intrusive free list in ascending
-      // slot order.
-      free_next_.assign(options_.slots, kNoSlot);
-      free_prev_.assign(options_.slots, kNoSlot);
-      in_free_.assign(options_.slots, 1);
-      for (uint32_t s = 0; s < options_.slots; ++s) {
-        free_next_[s] = s + 1 < options_.slots ? s + 1 : kNoSlot;
-        free_prev_[s] = s > 0 ? s - 1 : kNoSlot;
-      }
-      free_head_ = options_.slots > 0 ? 0 : kNoSlot;
+        free_since_(options.slots, dana::SimTime::Zero()),
+        free_next_(options.slots),
+        free_prev_(options.slots),
+        in_free_(options.slots, 1) {
+    // Every slot starts free: link the list in ascending slot order.
+    for (uint32_t s = 0; s < options_.slots; ++s) {
+      free_next_[s] = s + 1 < options_.slots ? s + 1 : kNoSlot;
+      free_prev_[s] = s > 0 ? s - 1 : kNoSlot;
     }
+    free_head_ = 0;
+    free_tail_ = options_.slots - 1;
   }
 
   dana::Status Run() {
@@ -892,29 +562,19 @@ class PreemptiveEngine {
   }
 
   /// Switches the engine to closed-loop feeding: instead of a pre-built
-  /// request stream, each session's next query materializes into
-  /// `requests`/`wids` (the same vectors the engine was constructed over,
-  /// handed back mutably here) when its predecessor's *completion event*
-  /// plus the think time falls due. Submissions are admitted in
-  /// (submit time, session index) order and ids number them in that order,
-  /// matching the run-to-completion closed loop, so the two paths agree
-  /// whenever no preemption fires. Every session submits its first query
-  /// at time zero. `session_classes` may be empty (all batch).
-  void EnableClosedLoop(std::vector<QueryRequest>* requests,
-                        std::vector<uint32_t>* wids, const dana::Interner* ids,
-                        const std::vector<std::vector<std::string>>* sessions,
-                        const std::vector<QueryClass>* session_classes,
-                        dana::SimTime think_time) {
+  /// request stream, each session's next query materializes into the
+  /// request vector when its predecessor's *completion event* plus the
+  /// think time falls due. Submissions are admitted in (submit time,
+  /// session index) order and ids number them in that order. Every session
+  /// submits its first query at time zero.
+  void EnableClosedLoop(const SessionScripts& scripts) {
     closed_.emplace();
-    closed_->requests = requests;
-    closed_->wids = wids;
-    closed_->ids = ids;
-    closed_->sessions = sessions;
-    closed_->session_classes = session_classes;
-    closed_->think_time = think_time;
-    closed_->next.assign(sessions->size(), 0);
-    for (size_t s = 0; s < sessions->size(); ++s) {
-      if (!(*sessions)[s].empty()) closed_->due.emplace(dana::SimTime::Zero(), s);
+    closed_->scripts = scripts;
+    closed_->next.assign(scripts.sessions->size(), 0);
+    for (size_t s = 0; s < scripts.sessions->size(); ++s) {
+      if (!(*scripts.sessions)[s].empty()) {
+        closed_->due.emplace(dana::SimTime::Zero(), s);
+      }
     }
   }
 
@@ -922,10 +582,12 @@ class PreemptiveEngine {
   /// One preempted (or in-flight) run's cross-slice state.
   struct RunState {
     std::unique_ptr<BatchExecution> exec;
-    std::vector<size_t> members;   ///< request indices
-    std::vector<size_t> stat_idx;  ///< indices into report_->queries
+    /// The batch's stats are report_->queries[first_stat, first_stat +
+    /// num_stats), appended together at dispatch, head first.
+    size_t first_stat = 0;
+    uint32_t num_stats = 0;
     QueryClass cls = QueryClass::kBatch;
-    dana::SimTime service_acc;     ///< summed slice occupancy so far
+    dana::SimTime service_acc;  ///< summed slice occupancy so far
     dana::SimTime shared_acc;
     dana::SimTime per_query_acc;
     uint32_t preemptions = 0;
@@ -949,6 +611,30 @@ class PreemptiveEngine {
     dana::SimTime expires;
   };
 
+  PendingQueue::AffinityEstimateFn AffinityEstimator() {
+    if (options_.policy != Policy::kSjf || options_.affinity_weight <= 0.0) {
+      return nullptr;
+    }
+    return [this](uint32_t wid) { return AffinityEstimate(wid); };
+  }
+
+  /// Residency-aware SJF estimate at the best free slot's warmth, falling
+  /// back to the static estimate when the executor cannot price warmth.
+  double AffinityEstimate(uint32_t wid) {
+    const std::string& id = ids_.Name(wid);
+    auto est = executor_->EstimateAtWarmth(id, BestFreeWarmth(id));
+    return est.ok() ? est->seconds() : estimates_by_id_[wid].seconds();
+  }
+
+  /// The affinity signal: the best residency any free slot offers.
+  double BestFreeWarmth(const std::string& workload_id) const {
+    double best = 0.0;
+    for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
+      best = std::max(best, executor_->WarmFraction(workload_id, s));
+    }
+    return best;
+  }
+
   bool SlotFree(uint32_t s) const {
     return !active_[s].has_value() && !holds_[s].active;
   }
@@ -956,15 +642,14 @@ class PreemptiveEngine {
   /// Re-derives slot `s`'s membership in the free-slot list from its
   /// actual state. Idempotent; called after every active_/holds_ mutation,
   /// so the list is correct by construction instead of by transition
-  /// bookkeeping. No-op in reference mode (AvailableSlots scans).
+  /// bookkeeping. The list stays in ascending slot order.
   void SyncSlot(uint32_t s) {
-    if (!options_.indexed_queues) return;
     const bool want = SlotFree(s);
     if (want == static_cast<bool>(in_free_[s])) return;
     if (want) {
-      // Insert in ascending slot order: walk to the first free slot above
-      // `s` (the list is at most `slots` long; typically the walk is
-      // short because low slots free and occupy most often).
+      // Insert before the first free slot above `s` (the list is at most
+      // `slots` long; low slots free and occupy most often, so the walk
+      // is typically short).
       uint32_t succ = free_head_;
       while (succ != kNoSlot && succ < s) succ = free_next_[succ];
       const uint32_t pred = succ == kNoSlot ? free_tail_ : free_prev_[succ];
@@ -997,32 +682,16 @@ class PreemptiveEngine {
     in_free_[s] = want;
   }
 
-  std::vector<uint32_t> AvailableSlots() const {
-    std::vector<uint32_t> out;
-    if (options_.indexed_queues) {
-      for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
-        out.push_back(s);
-      }
-      return out;
-    }
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      if (SlotFree(s)) out.push_back(s);
-    }
-    return out;
-  }
-
-  /// Mirrors the run-to-completion slot rule: among free slots, the one
-  /// free the longest (lowest index on ties); under affinity, the warmest
-  /// (ties by the blind rule).
-  uint32_t ChooseSlot(const std::vector<uint32_t>& available,
-                      const std::string& workload) const {
-    uint32_t slot = available[0];
-    for (uint32_t s : available) {
+  /// Among free slots, the one free the longest (lowest index on ties);
+  /// under affinity, the warmest (ties by the blind rule).
+  uint32_t ChooseSlot(const std::string& workload) const {
+    uint32_t slot = free_head_;
+    for (uint32_t s = free_next_[slot]; s != kNoSlot; s = free_next_[s]) {
       if (free_since_[s] < free_since_[slot]) slot = s;
     }
     if (options_.affinity_weight > 0.0) {
       double best_warm = -1.0;
-      for (uint32_t s : available) {
+      for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
         const double w = executor_->WarmFraction(workload, s);
         if (w > best_warm ||
             (w == best_warm && free_since_[s] < free_since_[slot])) {
@@ -1034,16 +703,16 @@ class PreemptiveEngine {
     return slot;
   }
 
-  PendingQueue::WarmthFn MakeWarmthFn(
-      const std::vector<uint32_t>& available) const {
-    if (options_.affinity_weight <= 0.0) return nullptr;
-    return [this, &available](const std::string& workload_id) {
-      double best = 0.0;
-      for (uint32_t s : available) {
-        best = std::max(best, executor_->WarmFraction(workload_id, s));
-      }
-      return best;
-    };
+  /// Pops `queue`'s head under the policy plus up to max_batch - 1 queued
+  /// queries of the same algorithm to ride its pass, into a reused buffer.
+  const std::vector<size_t>& PopBatch(PendingQueue& queue, dana::SimTime now) {
+    members_.clear();
+    members_.push_back(queue.Pop(now));
+    if (options_.max_batch > 1) {
+      queue.TakeSameClass(wids_[members_[0]], options_.max_batch - 1,
+                          &members_);
+    }
+    return members_;
   }
 
   /// Dispatches the highest-priority available work onto a free slot at
@@ -1051,43 +720,37 @@ class PreemptiveEngine {
   /// fresh batch work (which may instead open a formation hold). Returns
   /// false when nothing could start.
   dana::Result<bool> TryDispatchOne(dana::SimTime now) {
-    std::vector<uint32_t> available = AvailableSlots();
-    if (available.empty() && !interactive_.empty()) {
+    if (interactive_.empty() && continuations_.empty() && batch_.empty()) {
+      return false;
+    }
+    if (free_head_ == kNoSlot && !interactive_.empty()) {
       // Interactive work outranks batch formation: with every free slot
-      // held, seize one — its members return to the batch queue (never
-      // dispatched, nothing charged) and the slot serves the interactive
-      // query. Holds on other slots keep their windows.
-      for (uint32_t s = 0; s < options_.slots && available.empty(); ++s) {
+      // held, seize the lowest one — its members return to the batch
+      // queue (never dispatched, nothing charged) and the slot serves the
+      // interactive query. Holds on other slots keep their windows.
+      for (uint32_t s = 0; s < options_.slots; ++s) {
         if (!holds_[s].active) continue;
         for (size_t m : holds_[s].members) batch_.Restore(m);
         holds_[s].members.clear();
         holds_[s].active = false;
         SyncSlot(s);
-        available.push_back(s);
+        break;
       }
     }
-    if (available.empty()) return false;
-    const PendingQueue::WarmthFn warmth = MakeWarmthFn(available);
+    if (free_head_ == kNoSlot) return false;
 
     if (!interactive_.empty()) {
-      std::vector<size_t> members;
-      members.push_back(interactive_.Pop(now, warmth));
-      const QueryRequest& head = requests_[members[0]];
-      if (options_.max_batch > 1) {
-        interactive_.TakeSameClass(wids_[members[0]], options_.max_batch - 1,
-                                   &members);
-      }
-      const uint32_t slot = ChooseSlot(available, head.workload_id);
-      return DispatchBatch(std::move(members), QueryClass::kInteractive, slot,
-                           now);
+      const std::vector<size_t>& members = PopBatch(interactive_, now);
+      const uint32_t slot = ChooseSlot(requests_[members[0]].workload_id);
+      return DispatchBatch(members, slot, now);
     }
 
     if (!continuations_.empty()) {
       // Resume the preempted remainder with the earliest original arrival.
       size_t pick = 0;
       auto key = [&](size_t c) {
-        const QueryRequest& r = requests_[continuations_[c].members[0]];
-        return std::make_pair(r.arrival, r.id);
+        const QueryStat& head = report_->queries[continuations_[c].first_stat];
+        return std::make_pair(head.arrival, head.id);
       };
       for (size_t c = 1; c < continuations_.size(); ++c) {
         if (key(c) < key(pick)) pick = c;
@@ -1095,61 +758,49 @@ class PreemptiveEngine {
       RunState run = std::move(continuations_[pick]);
       continuations_.erase(continuations_.begin() +
                            static_cast<ptrdiff_t>(pick));
-      const uint32_t slot =
-          ChooseSlot(available, run.exec->batch().workload_id);
+      const uint32_t slot = ChooseSlot(run.exec->batch().workload_id);
       return ResumeDispatch(std::move(run), slot, now);
     }
 
-    if (!batch_.empty()) {
-      std::vector<size_t> members;
-      members.push_back(batch_.Pop(now, warmth));
-      const QueryRequest& head = requests_[members[0]];
-      if (options_.max_batch > 1) {
-        batch_.TakeSameClass(wids_[members[0]], options_.max_batch - 1,
-                             &members);
-      }
-      const uint32_t slot = ChooseSlot(available, head.workload_id);
-      if (options_.batch_window > dana::SimTime::Zero() &&
-          options_.max_batch > 1 &&
-          members.size() < options_.max_batch &&
-          next_arrival_ < requests_.size()) {
-        // Hold the slot open: future same-algorithm arrivals join until
-        // the batch fills or the window expires.
-        holds_[slot].active = true;
-        holds_[slot].members = std::move(members);
-        holds_[slot].expires = now + options_.batch_window;
-        SyncSlot(slot);
-        return true;
-      }
-      return DispatchBatch(std::move(members), QueryClass::kBatch, slot, now);
+    const std::vector<size_t>& members = PopBatch(batch_, now);
+    const uint32_t slot = ChooseSlot(requests_[members[0]].workload_id);
+    if (windowed_ && members.size() < options_.max_batch &&
+        next_arrival_ < requests_.size()) {
+      // Hold the slot open: future same-algorithm arrivals join until the
+      // batch fills or the window expires.
+      holds_[slot].active = true;
+      holds_[slot].members = members;
+      holds_[slot].expires = now + options_.batch_window;
+      SyncSlot(slot);
+      return true;
     }
-    return false;
+    return DispatchBatch(members, slot, now);
   }
 
-  dana::Result<bool> DispatchBatch(std::vector<size_t> members, QueryClass cls,
+  /// Starts `members` (head first) as one batched run on free slot `slot`:
+  /// compile charging, the planned completion, and one stat per member.
+  dana::Result<bool> DispatchBatch(const std::vector<size_t>& members,
                                    uint32_t slot, dana::SimTime now) {
     const QueryRequest& head = requests_[members[0]];
-    const uint32_t head_wid = wids_[members[0]];
-    QueryBatch batch;
-    batch.workload_id = head.workload_id;
-    batch.slot = slot;
-    for (size_t m : members) batch.query_ids.push_back(requests_[m].id);
+    batch_buffer_.workload_id = head.workload_id;
+    batch_buffer_.slot = slot;
+    batch_buffer_.query_ids.clear();
+    for (size_t m : members) batch_buffer_.query_ids.push_back(requests_[m].id);
     DANA_ASSIGN_OR_RETURN(std::unique_ptr<BatchExecution> exec,
-                          executor_->Begin(batch));
+                          executor_->Begin(batch_buffer_));
 
     const CompileCharge charge =
-        compile_ready_.Charge(head_wid, now, exec->compile_cost());
-    const dana::SimTime compile_wait = charge.wait;
-    const bool head_miss = charge.head_miss;
+        compile_ready_.Charge(wids_[members[0]], now, exec->compile_cost());
 
     Active a;
-    a.run.cls = cls;
-    a.run.members = std::move(members);
-    a.curve_origin = now + compile_wait;
+    a.run.cls = head.query_class;
+    a.curve_origin = now + charge.wait;
     DANA_ASSIGN_OR_RETURN(dana::SimTime remaining, exec->PeekService(0));
     a.completion = a.curve_origin + remaining;
-    for (size_t j = 0; j < a.run.members.size(); ++j) {
-      const QueryRequest& req = requests_[a.run.members[j]];
+    a.run.first_stat = report_->queries.size();
+    a.run.num_stats = static_cast<uint32_t>(members.size());
+    for (size_t j = 0; j < members.size(); ++j) {
+      const QueryRequest& req = requests_[members[j]];
       QueryStat stat;
       stat.id = req.id;
       stat.workload_id = req.workload_id;
@@ -1157,9 +808,9 @@ class PreemptiveEngine {
       stat.slot = slot;
       stat.arrival = req.arrival;
       stat.start = now;
-      stat.compile = compile_wait;
-      stat.compile_hit = !(head_miss && j == 0);
-      stat.batch_size = static_cast<uint32_t>(a.run.members.size());
+      stat.compile = charge.wait;
+      stat.compile_hit = !(charge.head_miss && j == 0);
+      stat.batch_size = static_cast<uint32_t>(members.size());
       stat.warm_fraction = exec->warm_fraction();
       stat.os_warm_fraction = exec->os_warm_fraction();
       stat.residency_modeled = exec->residency_modeled();
@@ -1168,21 +819,25 @@ class PreemptiveEngine {
       } else {
         ++report_->compile_misses;
       }
-      a.run.stat_idx.push_back(report_->queries.size());
       report_->queries.push_back(std::move(stat));
     }
     ++report_->batches;
-    if (options_.tracer != nullptr && compile_wait > dana::SimTime::Zero()) {
-      options_.tracer->Span(slot, "compile " + head.workload_id, "compile",
-                            now, a.curve_origin, {{"hit", !head_miss}});
-    }
     if (options_.tracer != nullptr) {
+      if (charge.wait > dana::SimTime::Zero()) {
+        options_.tracer->Span(slot, "compile " + head.workload_id, "compile",
+                              now, a.curve_origin,
+                              {{"hit", !charge.head_miss}});
+      }
       options_.tracer->Instant(
           slot, "dispatch " + head.workload_id, "dispatch", now,
-          {{"queries", static_cast<uint64_t>(a.run.members.size())},
-           {"class", std::string(QueryClassName(cls))}});
+          {{"queries", static_cast<uint64_t>(members.size())},
+           {"class", std::string(QueryClassName(head.query_class))}});
     }
     a.run.exec = std::move(exec);
+    // Nothing can cut a run short without a preemptive knob: take its one
+    // slice now, so the executor runs and the report totals accumulate in
+    // dispatch order.
+    if (!preemptive_) DANA_RETURN_NOT_OK(FinishRun(a.run));
     active_[slot] = std::move(a);
     SyncSlot(slot);
     return true;
@@ -1196,7 +851,7 @@ class PreemptiveEngine {
     DANA_ASSIGN_OR_RETURN(dana::SimTime remaining, run.exec->PeekService(0));
     a.completion = now + remaining;
     a.run = std::move(run);
-    for (size_t idx : a.run.stat_idx) report_->queries[idx].slot = slot;
+    for (QueryStat& stat : Stats(a.run)) stat.slot = slot;
     obs::Count(options_.metrics, "sched.resumes");
     if (options_.tracer != nullptr) {
       options_.tracer->Instant(
@@ -1207,6 +862,11 @@ class PreemptiveEngine {
     active_[slot] = std::move(a);
     SyncSlot(slot);
     return true;
+  }
+
+  /// The report rows of `run`'s members.
+  std::span<QueryStat> Stats(const RunState& run) {
+    return {report_->queries.data() + run.first_stat, run.num_stats};
   }
 
   /// A candidate victim's first usable quantum boundary, found by FindArm.
@@ -1370,6 +1030,7 @@ class PreemptiveEngine {
         ++freed;
       }
     }
+    if (options_.preemption_quantum_epochs == 0) return Status::OK();
     for (uint32_t s = 0; s < options_.slots; ++s) {
       if (!active_[s].has_value()) continue;
       Active& a = *active_[s];
@@ -1393,12 +1054,8 @@ class PreemptiveEngine {
     active_[slot].reset();
     free_since_[slot] = now;
     SyncSlot(slot);
-    DANA_ASSIGN_OR_RETURN(SliceCost slice, a.run.exec->NextSlice(0));
-    a.run.service_acc += slice.service;
-    a.run.shared_acc += slice.shared;
-    a.run.per_query_acc += slice.per_query;
-    for (size_t idx : a.run.stat_idx) {
-      QueryStat& stat = report_->queries[idx];
+    if (!a.run.exec->finished()) DANA_RETURN_NOT_OK(FinishRun(a.run));
+    for (QueryStat& stat : Stats(a.run)) {
       stat.slot = slot;
       stat.completion = a.completion;
       stat.service = a.run.service_acc;
@@ -1407,20 +1064,15 @@ class PreemptiveEngine {
       stat.preemptions = a.run.preemptions;
       stat.preempt_overhead = a.run.preempt_overhead_acc;
     }
-    report_->shared_service += a.run.shared_acc;
-    report_->private_service +=
-        a.run.per_query_acc * static_cast<double>(a.run.members.size());
     report_->makespan = dana::SimTime::Max(report_->makespan, a.completion);
     if (closed_.has_value()) {
       // Think-time feedback: each member's session schedules its next
-      // submission off this completion. This is exactly the dependency the
-      // run-to-completion closed loop could not express under preemption —
-      // the completion is only known now, at the event, after any
-      // boundary checkpoints truncated or resumed the run.
-      for (size_t m : a.run.members) {
-        const size_t s = closed_->owner[m];
-        if (closed_->next[s] < (*closed_->sessions)[s].size()) {
-          closed_->due.emplace(a.completion + closed_->think_time, s);
+      // submission off this completion — known only now, at the event,
+      // after any boundary checkpoints truncated or resumed the run.
+      for (const QueryStat& stat : Stats(a.run)) {
+        const size_t s = closed_->owner[stat.id];
+        if (closed_->next[s] < (*closed_->scripts.sessions)[s].size()) {
+          closed_->due.emplace(a.completion + closed_->scripts.think_time, s);
         }
       }
     }
@@ -1429,10 +1081,23 @@ class PreemptiveEngine {
       options_.tracer->Span(
           slot, "run " + a.run.exec->batch().workload_id, "slice",
           a.curve_origin, a.completion,
-          {{"queries", static_cast<uint64_t>(a.run.members.size())},
+          {{"queries", static_cast<uint64_t>(a.run.num_stats)},
            {"epochs_run", static_cast<uint64_t>(a.run.exec->epochs_run())},
            {"final", true}});
     }
+    return Status::OK();
+  }
+
+  /// Runs `run`'s remaining epochs as its final slice and adds the run's
+  /// service attribution to the report totals.
+  dana::Status FinishRun(RunState& run) {
+    DANA_ASSIGN_OR_RETURN(SliceCost slice, run.exec->NextSlice(0));
+    run.service_acc += slice.service;
+    run.shared_acc += slice.shared;
+    run.per_query_acc += slice.per_query;
+    report_->shared_service += run.shared_acc;
+    report_->private_service +=
+        run.per_query_acc * static_cast<double>(run.num_stats);
     return Status::OK();
   }
 
@@ -1460,7 +1125,7 @@ class PreemptiveEngine {
       const std::string& id = a.run.exec->batch().workload_id;
       options_.tracer->Span(
           slot, "run " + id, "slice", a.curve_origin, boundary,
-          {{"queries", static_cast<uint64_t>(a.run.members.size())},
+          {{"queries", static_cast<uint64_t>(a.run.num_stats)},
            {"epochs_run", static_cast<uint64_t>(a.run.exec->epochs_run())},
            {"final", false}});
       options_.tracer->Instant(slot, "checkpoint " + id, "preempt", boundary);
@@ -1472,16 +1137,20 @@ class PreemptiveEngine {
   }
 
   dana::Status ProcessHoldExpiries(dana::SimTime now) {
+    if (!windowed_) return Status::OK();
     for (uint32_t s = 0; s < options_.slots; ++s) {
       if (!holds_[s].active || holds_[s].expires > now) continue;
-      std::vector<size_t> members = std::move(holds_[s].members);
-      holds_[s].active = false;
-      SyncSlot(s);
-      DANA_RETURN_NOT_OK(
-          DispatchBatch(std::move(members), QueryClass::kBatch, s, now)
-              .status());
+      DANA_RETURN_NOT_OK(ReleaseHold(s, now));
     }
     return Status::OK();
+  }
+
+  /// Dispatches slot `s`'s held batch as gathered so far.
+  dana::Status ReleaseHold(uint32_t s, dana::SimTime now) {
+    const std::vector<size_t> members = std::move(holds_[s].members);
+    holds_[s].active = false;
+    SyncSlot(s);
+    return DispatchBatch(members, s, now).status();
   }
 
   dana::Status AdmitArrivals(dana::SimTime now) {
@@ -1490,20 +1159,19 @@ class PreemptiveEngine {
       // (submit time, session index) order — the heap's order. The clock
       // only ever advances to the earliest pending event (NextEventTime
       // includes the heap top), so appended arrivals keep the stream's
-      // nondecreasing-arrival invariant that the admission walk below and
-      // the batch-window hold rely on.
+      // nondecreasing-arrival invariant the admission walk below relies on.
+      const SessionScripts& scripts = closed_->scripts;
       while (!closed_->due.empty() && closed_->due.top().first <= now) {
         const auto [submit, s] = closed_->due.top();
         closed_->due.pop();
         QueryRequest req;
-        req.id = closed_->next_id++;
-        req.workload_id = (*closed_->sessions)[s][closed_->next[s]];
+        req.id = requests_.size();
+        req.workload_id = (*scripts.sessions)[s][closed_->next[s]];
         req.arrival = submit;
-        req.query_class = closed_->session_classes->empty()
-                              ? QueryClass::kBatch
-                              : (*closed_->session_classes)[s];
-        closed_->wids->push_back(closed_->ids->Find(req.workload_id));
-        closed_->requests->push_back(std::move(req));
+        req.query_class = scripts.classes->empty() ? QueryClass::kBatch
+                                                   : (*scripts.classes)[s];
+        wids_.push_back(ids_.Find(req.workload_id));
+        requests_.push_back(std::move(req));
         closed_->owner.push_back(s);
         ++closed_->next[s];
       }
@@ -1511,44 +1179,53 @@ class PreemptiveEngine {
     while (next_arrival_ < requests_.size() &&
            requests_[next_arrival_].arrival <= now) {
       const size_t idx = next_arrival_++;
-      const QueryRequest& req = requests_[idx];
-      if (req.query_class == QueryClass::kInteractive) {
+      if (preemptive_ &&
+          requests_[idx].query_class == QueryClass::kInteractive) {
         // Queued here; the dispatch phase serves it from a free slot and
         // seizes a batch-formation hold only when every free slot is held
         // (TryDispatchOne), so holds survive while idle capacity exists.
         interactive_.Push(idx);
         continue;
       }
-      // Batch arrival: join an open formation hold for its algorithm if
-      // one has room (lowest slot first); dispatch the hold the moment it
-      // fills.
-      bool joined = false;
-      for (uint32_t s = 0; s < options_.slots && !joined; ++s) {
-        if (!holds_[s].active) continue;
-        if (wids_[holds_[s].members[0]] != wids_[idx]) continue;
-        holds_[s].members.push_back(idx);
-        joined = true;
-        if (holds_[s].members.size() >= options_.max_batch) {
-          std::vector<size_t> members = std::move(holds_[s].members);
-          holds_[s].active = false;
-          SyncSlot(s);
-          DANA_RETURN_NOT_OK(
-              DispatchBatch(std::move(members), QueryClass::kBatch, s, now)
-                  .status());
-        }
-      }
+      DANA_ASSIGN_OR_RETURN(bool joined, JoinHold(idx, now));
       if (!joined) batch_.Push(idx);
     }
     return Status::OK();
+  }
+
+  /// Batch arrival `idx` joins an open formation hold for its algorithm if
+  /// one exists (lowest slot first); the hold dispatches the moment it
+  /// fills. False when no hold took it.
+  dana::Result<bool> JoinHold(size_t idx, dana::SimTime now) {
+    if (!windowed_) return false;
+    for (uint32_t s = 0; s < options_.slots; ++s) {
+      if (!holds_[s].active) continue;
+      if (wids_[holds_[s].members[0]] != wids_[idx]) continue;
+      holds_[s].members.push_back(idx);
+      if (holds_[s].members.size() >= options_.max_batch) {
+        DANA_RETURN_NOT_OK(ReleaseHold(s, now));
+      }
+      return true;
+    }
+    return false;
   }
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   const SchedulerOptions& options_;
   QueryExecutor* executor_;
-  const std::vector<QueryRequest>& requests_;
-  const std::vector<uint32_t>& wids_;
+  std::vector<QueryRequest>& requests_;
+  std::vector<uint32_t>& wids_;
+  const dana::Interner& ids_;
+  const std::vector<dana::SimTime>& estimates_by_id_;
   ScheduleReport* report_;
+  /// Batch-formation holds are possible (window > 0 and batching on).
+  const bool windowed_;
+  /// A preemptive knob (quantum or window) is armed. Only then do
+  /// interactive queries queue ahead of batch work; otherwise the class is
+  /// recorded for SLO reporting but every query shares one queue, and
+  /// every run takes its single slice at dispatch.
+  const bool preemptive_;
   PendingQueue interactive_;
   PendingQueue batch_;
   std::vector<std::optional<Active>> active_;
@@ -1557,34 +1234,68 @@ class PreemptiveEngine {
   std::vector<RunState> continuations_;
   CompileReadyTable compile_ready_;
   size_t next_arrival_ = 0;
+  /// Reused per-dispatch buffers: the popped batch's request indices and
+  /// the QueryBatch handed to the executor.
+  std::vector<size_t> members_;
+  QueryBatch batch_buffer_;
 
   /// Closed-loop feeder state (EnableClosedLoop); nullopt on the open
   /// stream. `due` is a min-heap of (submit time, session): a session
   /// appears at most once, pushed when its previous query's completion
   /// event fires.
   struct ClosedLoop {
-    std::vector<QueryRequest>* requests = nullptr;
-    std::vector<uint32_t>* wids = nullptr;
-    const dana::Interner* ids = nullptr;
-    const std::vector<std::vector<std::string>>* sessions = nullptr;
-    const std::vector<QueryClass>* session_classes = nullptr;
-    dana::SimTime think_time;
+    SessionScripts scripts;
     std::vector<size_t> next;   ///< per-session script cursor
-    std::vector<size_t> owner;  ///< request index -> session index
+    /// Request id -> session index (closed-loop ids number the request
+    /// vector: each submission's id is its index).
+    std::vector<size_t> owner;
     std::priority_queue<std::pair<dana::SimTime, size_t>,
                         std::vector<std::pair<dana::SimTime, size_t>>,
                         std::greater<std::pair<dana::SimTime, size_t>>>
         due;
-    uint64_t next_id = 0;
   };
   std::optional<ClosedLoop> closed_;
-  // Intrusive free-slot list (indexed mode): doubly linked over slot
-  // indices, kept in ascending order so AvailableSlots() enumerates slots
-  // in the same order the reference scan does.
+  // Intrusive free-slot list: doubly linked over slot indices in ascending
+  // order, so slot choice and warmth reads see free slots in index order.
   uint32_t free_head_ = kNoSlot, free_tail_ = kNoSlot;
   std::vector<uint32_t> free_next_, free_prev_;
   std::vector<uint8_t> in_free_;
 };
+
+/// Runs one request stream (or closed-loop feed) through the engine and
+/// publishes the report's metrics. `requests`/`wids` may grow in closed
+/// loop; `expected` sizes the report.
+dana::Result<ScheduleReport> RunEngine(
+    const SchedulerOptions& options, QueryExecutor* executor,
+    std::vector<QueryRequest>& requests, std::vector<uint32_t>& wids,
+    const dana::Interner& ids, const std::vector<dana::SimTime>& estimates,
+    std::vector<uint32_t> class_order, const SessionScripts* closed,
+    size_t expected) {
+  ScheduleReport report;
+  report.policy = options.policy;
+  report.slots = options.slots;
+  report.queries.reserve(expected);
+
+  // Threaded runtime: every execution-state call runs on the owning
+  // slot's worker thread through the proxy, awaited in oracle order, so
+  // the schedule is unchanged (see RuntimeMode::kThreaded). The pool
+  // outlives the proxy and the engine; its destructor joins.
+  std::unique_ptr<SlotWorkerPool> workers;
+  std::unique_ptr<WorkerProxyExecutor> proxy;
+  if (options.runtime_mode == RuntimeMode::kThreaded) {
+    executor->PrepareSlots(options.slots);
+    workers = std::make_unique<SlotWorkerPool>(options.slots);
+    proxy = std::make_unique<WorkerProxyExecutor>(executor, workers.get());
+    executor = proxy.get();
+  }
+
+  EventEngine engine(options, executor, requests, wids, ids, estimates,
+                     std::move(class_order), &report);
+  if (closed != nullptr) engine.EnableClosedLoop(*closed);
+  DANA_RETURN_NOT_OK(engine.Run());
+  PublishReportMetrics(report, options.metrics);
+  return report;
+}
 
 }  // namespace
 
@@ -1595,7 +1306,7 @@ Result<ScheduleReport> Scheduler::Run(std::vector<QueryRequest> requests) {
                      return a.id < b.id;
                    });
 
-  // Intern every workload id once at admission: the engines key their
+  // Intern every workload id once at admission: the engine keys its
   // estimate tables, compile charging, and per-class queues by these dense
   // ids, so nothing on the per-event path hashes or compares strings.
   dana::Interner ids;
@@ -1603,96 +1314,12 @@ Result<ScheduleReport> Scheduler::Run(std::vector<QueryRequest> requests) {
   wids.reserve(requests.size());
   for (const QueryRequest& r : requests) wids.push_back(ids.Intern(r.workload_id));
 
-  // SJF orders by a-priori estimates; resolve them once per workload (in
-  // first-appearance order, matching the historical resolution order) so
-  // admission decisions are O(queue), not O(executor).
-  std::vector<dana::SimTime> estimates_by_id;
-  if (options_.policy == Policy::kSjf) {
-    estimates_by_id.resize(ids.size());
-    std::vector<uint8_t> resolved(ids.size(), 0);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const uint32_t w = wids[i];
-      if (resolved[w]) continue;
-      DANA_ASSIGN_OR_RETURN(estimates_by_id[w],
-                            executor_->Estimate(requests[i].workload_id));
-      resolved[w] = 1;
-    }
-  }
-
-  if (options_.preemption_quantum_epochs != 0 ||
-      options_.batch_window > dana::SimTime::Zero()) {
-    return RunPreemptive(std::move(requests), ids, wids, estimates_by_id);
-  }
-
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    return RunThreadedRtc(std::move(requests), ids, wids, estimates_by_id);
-  }
-
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(requests.size());
-
-  PendingQueue pending(options_, requests, wids, estimates_by_id,
-                       FirstAppearanceOrder(wids, ids.size()),
-                       MakeEstimateAtFn(options_, executor_, ids,
-                                        estimates_by_id));
-  DispatchEngine engine(options_, executor_, requests, wids, &report);
-  size_t next_arrival = 0;
-  // Monotone dispatch clock: a query admitted during an idle advance must
-  // not start before its arrival just because another slot's free time is
-  // still in the past.
-  dana::SimTime clock;
-
-  while (next_arrival < requests.size() || !pending.empty()) {
-    const uint32_t slot = engine.NextSlot();
-    dana::SimTime now = dana::SimTime::Max(engine.slot_free(slot), clock);
-    if (pending.empty()) {
-      // Idle until the next request arrives.
-      now = dana::SimTime::Max(now, requests[next_arrival].arrival);
-    }
-    while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival <= now) {
-      pending.Push(next_arrival++);
-    }
-    DANA_RETURN_NOT_OK(engine.Dispatch(pending, now).status());
-    clock = now;
-  }
-  PublishReportMetrics(report, options_.metrics);
-  return report;
-}
-
-Result<ScheduleReport> Scheduler::RunPreemptive(
-    std::vector<QueryRequest> requests, const dana::Interner& ids,
-    const std::vector<uint32_t>& wids,
-    const std::vector<dana::SimTime>& estimates_by_id) {
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(requests.size());
-
-  // Threaded runtime: every execution-state call runs on the owning
-  // slot's worker thread through the proxy, awaited in oracle order, so
-  // the event-driven schedule is unchanged (see RuntimeMode::kThreaded).
-  // The pool outlives the proxy and the engine; its destructor joins.
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  QueryExecutor* exec = executor_;
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    executor_->PrepareSlots(options_.slots);
-    workers = std::make_unique<SlotWorkerPool>(options_.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor_, workers.get());
-    exec = proxy.get();
-  }
-
-  PreemptiveEngine engine(options_, exec, requests, wids,
-                          estimates_by_id,
-                          MakeEstimateAtFn(options_, exec, ids,
-                                           estimates_by_id),
-                          FirstAppearanceOrder(wids, ids.size()), &report);
-  DANA_RETURN_NOT_OK(engine.Run());
-  PublishReportMetrics(report, options_.metrics);
-  return report;
+  DANA_ASSIGN_OR_RETURN(
+      std::vector<dana::SimTime> estimates,
+      ResolveEstimates(options_.policy, executor_, ids, wids));
+  const size_t expected = requests.size();
+  return RunEngine(options_, executor_, requests, wids, ids, estimates,
+                   FirstAppearanceOrder(wids, ids.size()), nullptr, expected);
 }
 
 Result<ScheduleReport> Scheduler::RunClosedLoop(
@@ -1705,336 +1332,52 @@ Result<ScheduleReport> Scheduler::RunClosedLoop(
         std::to_string(session_classes.size()) + " classes for " +
         std::to_string(sessions.size()) + " sessions)");
   }
-  // Remaining limitation (ROADMAP "Closed-loop preemption", batch-window
-  // half): a formation hold defers the completions closed-loop sessions
-  // submit from, and the hold logic keys off the *open-stream* arrival
-  // horizon (next_arrival_), which a think-time feeder cannot pre-compute.
-  // Preemption itself composes now — the event-driven engine materializes
-  // each submission at its predecessor's completion event — so only this
-  // knob still gets an actionable rejection naming the option to drop.
+  // A formation hold defers the completions closed-loop sessions submit
+  // from, and the hold logic keys off the *open-stream* arrival horizon,
+  // which a think-time feeder cannot pre-compute — so this knob gets an
+  // actionable rejection naming the option to drop.
   if (options_.batch_window > dana::SimTime::Zero()) {
     return Status::InvalidArgument(
         "batch_window is an open-stream feature: a held slot defers the "
         "completions closed-loop sessions submit from; set the window to "
         "zero (see ROADMAP closed-loop preemption follow-up)");
   }
-  if (options_.preemption_quantum_epochs != 0) {
-    return RunClosedLoopPreemptive(sessions, think_time, session_classes);
-  }
-  size_t total = 0;
-  for (const auto& script : sessions) total += script.size();
 
   // Intern every script id up front (the whole catalog is known before the
   // first submission) in interleaved first-submission order — session 0's
   // first query, session 1's first, ... — which is also the RR class
-  // rotation order.
+  // rotation order. SJF estimates resolve script by script.
   dana::Interner ids;
-  std::vector<uint32_t> submit_order_wids;
+  std::vector<uint32_t> submit_order;
   for (size_t j = 0;; ++j) {
     bool any = false;
     for (const auto& script : sessions) {
       if (j < script.size()) {
-        submit_order_wids.push_back(ids.Intern(script[j]));
+        submit_order.push_back(ids.Intern(script[j]));
         any = true;
       }
     }
     if (!any) break;
   }
-
-  std::vector<dana::SimTime> estimates_by_id;
-  if (options_.policy == Policy::kSjf) {
-    estimates_by_id.resize(ids.size());
-    std::vector<uint8_t> resolved(ids.size(), 0);
-    // Historical resolution order: script by script.
-    for (const auto& script : sessions) {
-      for (const std::string& id : script) {
-        const uint32_t w = ids.Find(id);
-        if (resolved[w]) continue;
-        DANA_ASSIGN_OR_RETURN(estimates_by_id[w], executor_->Estimate(id));
-        resolved[w] = 1;
-      }
-    }
+  std::vector<uint32_t> script_order;
+  script_order.reserve(submit_order.size());
+  for (const auto& script : sessions) {
+    for (const std::string& id : script) script_order.push_back(ids.Find(id));
   }
+  DANA_ASSIGN_OR_RETURN(
+      std::vector<dana::SimTime> estimates,
+      ResolveEstimates(options_.policy, executor_, ids, script_order));
 
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(total);
-
-  // Per-session state. A session has at most one query in the system: the
-  // next submission time is known as soon as the previous query dispatches
-  // (its completion is computed then), so submissions never block on
-  // unknown events.
-  struct Session {
-    size_t next = 0;                ///< next script position to submit
-    dana::SimTime submit;           ///< when that query enters the queue
-    bool outstanding = false;       ///< submitted but not yet dispatched
-  };
-  std::vector<Session> state(sessions.size());
-
-  std::vector<QueryRequest> requests;
-  requests.reserve(total);
-  std::vector<uint32_t> wids;  ///< parallel to requests (grows with it)
-  wids.reserve(total);
-  std::vector<size_t> owner;  ///< request index -> session index
-  owner.reserve(total);
-
-  // Threaded runtime for the closed loop: proxy every dispatch onto its
-  // slot's worker, awaited per call (submissions depend on completions, so
-  // there is no same-tick overlap to exploit here).
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  QueryExecutor* exec = executor_;
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    executor_->PrepareSlots(options_.slots);
-    workers = std::make_unique<SlotWorkerPool>(options_.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor_, workers.get());
-    exec = proxy.get();
-  }
-
-  PendingQueue pending(options_, requests, wids, estimates_by_id,
-                       FirstAppearanceOrder(submit_order_wids, ids.size()),
-                       MakeEstimateAtFn(options_, exec, ids,
-                                        estimates_by_id));
-  DispatchEngine engine(options_, exec, requests, wids, &report);
-  uint64_t next_id = 0;
-  // Monotone dispatch clock (see Run): keeps a second idle slot from
-  // dispatching a session's submission before its submit time.
-  dana::SimTime clock;
-
-  auto earliest_submission = [&](dana::SimTime* when) {
-    bool any = false;
-    for (size_t s = 0; s < state.size(); ++s) {
-      if (state[s].next >= sessions[s].size() || state[s].outstanding) {
-        continue;
-      }
-      if (!any || state[s].submit < *when) *when = state[s].submit;
-      any = true;
-    }
-    return any;
-  };
-
-  while (true) {
-    const uint32_t slot = engine.NextSlot();
-    dana::SimTime now = dana::SimTime::Max(engine.slot_free(slot), clock);
-    if (pending.empty()) {
-      dana::SimTime next_submit;
-      if (!earliest_submission(&next_submit)) break;  // all sessions drained
-      now = dana::SimTime::Max(now, next_submit);
-    }
-    // Admit every session whose next submission is due, in (submit time,
-    // session index) order so the queue stays arrival-ordered.
-    std::vector<size_t> ready;
-    for (size_t s = 0; s < state.size(); ++s) {
-      if (state[s].next < sessions[s].size() && !state[s].outstanding &&
-          state[s].submit <= now) {
-        ready.push_back(s);
-      }
-    }
-    std::stable_sort(ready.begin(), ready.end(), [&](size_t a, size_t b) {
-      return state[a].submit < state[b].submit;
-    });
-    for (size_t s : ready) {
-      QueryRequest req;
-      req.id = next_id++;
-      req.workload_id = sessions[s][state[s].next];
-      req.arrival = state[s].submit;
-      req.query_class = session_classes.empty() ? QueryClass::kBatch
-                                                : session_classes[s];
-      wids.push_back(ids.Find(req.workload_id));
-      requests.push_back(std::move(req));
-      owner.push_back(s);
-      pending.Push(requests.size() - 1);
-      ++state[s].next;
-      state[s].outstanding = true;
-    }
-    DANA_ASSIGN_OR_RETURN(DispatchOutcome outcome,
-                          engine.Dispatch(pending, now));
-    clock = now;
-    for (size_t m : outcome.members) {
-      Session& s = state[owner[m]];
-      s.outstanding = false;
-      s.submit = outcome.completion + think_time;
-    }
-  }
-  PublishReportMetrics(report, options_.metrics);
-  return report;
-}
-
-Result<ScheduleReport> Scheduler::RunClosedLoopPreemptive(
-    const std::vector<std::vector<std::string>>& sessions,
-    dana::SimTime think_time,
-    const std::vector<QueryClass>& session_classes) {
-  size_t total = 0;
-  for (const auto& script : sessions) total += script.size();
-
-  // Same interning and estimate-resolution orders as the run-to-completion
-  // closed loop (interleaved first-submission interning, script-by-script
-  // estimates), so the two paths price and rotate classes identically and
-  // agree bit for bit whenever no preemption actually fires.
-  dana::Interner ids;
-  std::vector<uint32_t> submit_order_wids;
-  for (size_t j = 0;; ++j) {
-    bool any = false;
-    for (const auto& script : sessions) {
-      if (j < script.size()) {
-        submit_order_wids.push_back(ids.Intern(script[j]));
-        any = true;
-      }
-    }
-    if (!any) break;
-  }
-
-  std::vector<dana::SimTime> estimates_by_id;
-  if (options_.policy == Policy::kSjf) {
-    estimates_by_id.resize(ids.size());
-    std::vector<uint8_t> resolved(ids.size(), 0);
-    for (const auto& script : sessions) {
-      for (const std::string& id : script) {
-        const uint32_t w = ids.Find(id);
-        if (resolved[w]) continue;
-        DANA_ASSIGN_OR_RETURN(estimates_by_id[w], executor_->Estimate(id));
-        resolved[w] = 1;
-      }
-    }
-  }
-
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(total);
-
-  // The engine borrows these vectors by reference and the feeder appends
-  // to them through EnableClosedLoop; entries are always addressed by
-  // index, so growth is safe (same contract as PendingQueue's).
+  // The engine appends each submission to these as it materializes;
+  // entries are always addressed by index, so growth is safe.
   std::vector<QueryRequest> requests;
   std::vector<uint32_t> wids;
-  requests.reserve(total);
-  wids.reserve(total);
-
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  QueryExecutor* exec = executor_;
-  if (options_.runtime_mode == RuntimeMode::kThreaded) {
-    executor_->PrepareSlots(options_.slots);
-    workers = std::make_unique<SlotWorkerPool>(options_.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor_, workers.get());
-    exec = proxy.get();
-  }
-
-  PreemptiveEngine engine(options_, exec, requests, wids, estimates_by_id,
-                          MakeEstimateAtFn(options_, exec, ids,
-                                           estimates_by_id),
-                          FirstAppearanceOrder(submit_order_wids, ids.size()),
-                          &report);
-  engine.EnableClosedLoop(&requests, &wids, &ids, &sessions, &session_classes,
-                          think_time);
-  DANA_RETURN_NOT_OK(engine.Run());
-  PublishReportMetrics(report, options_.metrics);
-  return report;
-}
-
-Result<ScheduleReport> Scheduler::RunThreadedRtc(
-    std::vector<QueryRequest> requests, const dana::Interner& ids,
-    const std::vector<uint32_t>& wids,
-    const std::vector<dana::SimTime>& estimates_by_id) {
-  ScheduleReport report;
-  report.policy = options_.policy;
-  report.slots = options_.slots;
-  report.queries.reserve(requests.size());
-
-  executor_->PrepareSlots(options_.slots);
-  SlotWorkerPool workers(options_.slots);
-
-  PendingQueue pending(options_, requests, wids, estimates_by_id,
-                       FirstAppearanceOrder(wids, ids.size()),
-                       MakeEstimateAtFn(options_, executor_, ids,
-                                        estimates_by_id));
-  DispatchEngine engine(options_, executor_, requests, wids, &report);
-
-  // The overlap protocol. Decisions (queue pops, slot choice) stay on this
-  // thread in oracle order; each decision's executor pricing ships to its
-  // slot's worker as a ticket. Further decisions are issued only while
-  // they land on the *current* tick with a free (non-busy) slot — at a
-  // shared tick the oracle's decision inputs are independent of the
-  // in-flight pricings: busy slots are excluded from slot choice and
-  // warmth reads in both modes (their committed free times exceed the
-  // tick, costs being strictly positive), and per-slot executor state is
-  // partitioned by slot. Anything that would advance time instead commits
-  // the head ticket — Charge, stats, slot free time, makespan, spans — in
-  // ticket order, reproducing the simulated report bit for bit (including
-  // float summation order).
-  struct Ticket {
-    DispatchEngine::Decision decision;
-    dana::SimTime now;
-    std::shared_ptr<WaitCell<dana::Result<BatchCost>>> cell;
-  };
-  std::deque<Ticket> inflight;
-  std::vector<uint8_t> busy(options_.slots, 0);
-
-  size_t next_arrival = 0;
-  dana::SimTime clock;
-
-  auto admit = [&](dana::SimTime now) {
-    while (next_arrival < requests.size() &&
-           requests[next_arrival].arrival <= now) {
-      pending.Push(next_arrival++);
-    }
-  };
-  auto issue = [&](dana::SimTime now) {
-    Ticket t;
-    t.decision = engine.Decide(pending, now, &busy);
-    t.now = now;
-    t.cell = std::make_shared<WaitCell<dana::Result<BatchCost>>>();
-    busy[t.decision.slot] = 1;
-    QueryExecutor* exec = executor_;
-    workers.Post(t.decision.slot,
-                 [exec, batch = t.decision.batch, cell = t.cell] {
-                   cell->Set(exec->Dispatch(batch));
-                 });
-    inflight.push_back(std::move(t));
-    clock = now;
-  };
-  auto commit_head = [&]() -> dana::Status {
-    Ticket t = std::move(inflight.front());
-    inflight.pop_front();
-    dana::Result<BatchCost> cost = t.cell->Take();
-    busy[t.decision.slot] = 0;
-    if (!cost.ok()) return cost.status();
-    return engine.Commit(std::move(t.decision), t.now, *cost).status();
-  };
-
-  while (true) {
-    const bool work_left =
-        next_arrival < requests.size() || !pending.empty();
-    if (!work_left && inflight.empty()) break;
-    bool issued = false;
-    if (work_left) {
-      if (inflight.empty()) {
-        // Everything committed: this iteration is exactly the simulated
-        // loop's, including idle advances to the next arrival.
-        const uint32_t slot = engine.NextSlot();
-        dana::SimTime now = dana::SimTime::Max(engine.slot_free(slot), clock);
-        if (pending.empty()) {
-          now = dana::SimTime::Max(now, requests[next_arrival].arrival);
-        }
-        admit(now);
-        issue(now);
-        issued = true;
-      } else if (engine.HasFreeSlotAt(clock, busy)) {
-        admit(clock);
-        if (!pending.empty()) {
-          issue(clock);
-          issued = true;
-        }
-      }
-    }
-    if (!issued) {
-      DANA_RETURN_NOT_OK(commit_head());
-    }
-  }
-  PublishReportMetrics(report, options_.metrics);
-  return report;
+  requests.reserve(submit_order.size());
+  wids.reserve(submit_order.size());
+  const SessionScripts scripts{&sessions, &session_classes, think_time};
+  return RunEngine(options_, executor_, requests, wids, ids, estimates,
+                   FirstAppearanceOrder(submit_order, ids.size()), &scripts,
+                   submit_order.size());
 }
 
 }  // namespace dana::sched

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/intern.h"
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "obs/metrics.h"
@@ -158,16 +157,13 @@ enum class RuntimeMode : uint8_t {
   /// Each slot is a real worker thread pulling work items off its own
   /// mutex/condvar admission queue (SlotWorkerPool). Scheduling decisions
   /// still serialize in oracle order on the coordinating thread — time is
-  /// virtual either way — but pricing, slices, and compiles execute on the
-  /// slots' threads: same-tick dispatches to distinct slots overlap on the
-  /// run-to-completion path, and cold compile/measurement stampedes
-  /// collapse through the fill-once caches. Per-query stats, dispatch
-  /// order, service charges, and warm-hit rates are identical to the
-  /// simulated oracle by construction (the sched_runtime parity suite
-  /// asserts it); only real wall-clock time differs, which no report field
-  /// measures. Assumes executors charge strictly positive batch costs
-  /// (true of DanaQueryExecutor) — a zero-cost dispatch could re-free its
-  /// slot at the same tick, which the overlap path conservatively forbids.
+  /// virtual either way — but every execution-state call (Begin, slices,
+  /// checkpoint/resume re-pricing) runs on the owning slot's thread through
+  /// a WorkerProxyExecutor and is awaited before the engine proceeds. Per-
+  /// query stats, dispatch order, service charges, warm-hit rates, and the
+  /// metric snapshot are identical to the simulated oracle by construction
+  /// (the sched_runtime parity suite asserts it); only real wall-clock time
+  /// differs, which no report field measures.
   kThreaded,
 };
 
@@ -195,10 +191,9 @@ struct SchedulerOptions {
   /// the same cold/warm interpolation a dispatch is charged — so the
   /// discount is self-consistent instead of weight-tuned.
   double affinity_weight = 0.0;
-  /// Epoch-sliced preemption. 0 (the default) keeps run-to-completion
-  /// dispatch: the schedule is the affinity scheduler's bit for bit. > 0
-  /// arms preemption: when an interactive query waits on a fully occupied
-  /// machine, the longest-remaining batch-class run is checkpointed at its
+  /// Epoch-sliced preemption. 0 (the default) runs every dispatch to
+  /// completion as one slice. > 0 arms preemption: when an interactive
+  /// query waits on a fully occupied machine, the longest-remaining batch-class run is checkpointed at its
   /// next epoch boundary — the next multiple of this many epochs of the
   /// run's *global* epoch count, so a resumed run keeps its original
   /// boundary phase instead of restarting the count from re-dispatch —
@@ -216,8 +211,7 @@ struct SchedulerOptions {
   /// dispatch up to this long while further same-algorithm arrivals join
   /// the batch, trading the head query's wait for batch amortization.
   /// Interactive arrivals seize held slots immediately. Zero (the
-  /// default) dispatches the moment a slot frees, reproducing the
-  /// windowless schedule bit-for-bit.
+  /// default) dispatches the moment a slot frees.
   dana::SimTime batch_window = dana::SimTime::Zero();
   /// Telemetry sinks (not owned; both null by default = observability off
   /// at near-zero cost — every publish site is a pointer null-check).
@@ -228,18 +222,6 @@ struct SchedulerOptions {
   /// dispatch/slice/checkpoint/resume spans for chrome://tracing.
   obs::MetricRegistry* metrics = nullptr;
   obs::SlotTracer* tracer = nullptr;
-  /// Queue-structure implementation toggle. true (the default) uses the
-  /// indexed hot-path structures: an intrusive admission-order list with
-  /// per-algorithm FIFO indices (O(1) FCFS pops, O(k) batch coalescing,
-  /// integer round-robin rotation), an ordered candidate set for pure SJF
-  /// (O(log n) extraction), and an incrementally maintained free-slot list
-  /// in the preemptive engine. false falls back to the reference O(n)
-  /// scan-and-erase structures the suite history pinned. Both produce
-  /// bit-for-bit identical schedules — every tie-break is preserved
-  /// exactly, and the sched_perf suite asserts equivalence on all three
-  /// policies, run-to-completion and preemptive — so the flag exists only
-  /// to keep the reference path runnable for that comparison.
-  bool indexed_queues = true;
   /// Execution substrate (see RuntimeMode). kSimulated is the oracle;
   /// kThreaded runs one worker thread per slot with identical schedules.
   RuntimeMode runtime_mode = RuntimeMode::kSimulated;
@@ -271,15 +253,15 @@ void PublishReportMetrics(const ScheduleReport& report,
 /// dispatched while the first compile is still in flight on another slot
 /// waits for it to finish.
 ///
-/// With `preemption_quantum_epochs` or `batch_window` nonzero the run uses
-/// the preemptive event-driven path: executions advance through the
-/// executor's epoch-slice ABI (QueryExecutor::Begin), interactive queries
-/// dispatch ahead of batch work and preempt it at epoch boundaries, and
-/// freed slots may briefly hold for batch formation. With both knobs zero
-/// the run-to-completion path is taken and the schedule is bit-for-bit the
-/// PR 3 scheduler's (pinned by the sched_golden suite). Determinism: ties
-/// break by arrival then request id (and by slot index), so the same
-/// request stream always produces the same schedule.
+/// One event-driven engine runs every configuration. Executions advance
+/// through the executor's epoch-slice ABI (QueryExecutor::Begin): with
+/// `preemption_quantum_epochs` and `batch_window` at zero each dispatch is
+/// a single slice from start to completion; nonzero knobs let interactive
+/// queries dispatch ahead of batch work and preempt it at epoch
+/// boundaries, and let freed slots briefly hold for batch formation.
+/// Determinism: ties break by arrival then request id (and by slot index),
+/// so the same request stream always produces the same schedule — pinned
+/// by the sched_golden suite and the tests/golden/sched_corpus scenarios.
 class Scheduler {
  public:
   Scheduler(SchedulerOptions options, QueryExecutor* executor);
@@ -299,14 +281,11 @@ class Scheduler {
   /// empty defaults every session to kBatch. Sized, it must have one entry
   /// per session.
   ///
-  /// Preemption composes: with `preemption_quantum_epochs` nonzero the
-  /// sessions run through the event-driven preemptive engine, which
-  /// materializes each think-time submission at its predecessor's
-  /// *completion event* — so submissions whose times depend on in-flight
-  /// (possibly preempted) completions are admitted correctly, and
-  /// interactive-class sessions preempt batch-class runs exactly as in the
-  /// open-stream path. With the knob zero the run-to-completion closed
-  /// loop is taken, bit for bit the PR 4 schedule.
+  /// The engine materializes each think-time submission at its
+  /// predecessor's *completion event*, so preemption composes: submissions
+  /// whose times depend on in-flight (possibly preempted) completions are
+  /// admitted correctly, and interactive-class sessions preempt batch-class
+  /// runs exactly as in the open-stream path.
   ///
   /// Limitation: the batch-formation window remains an open-stream
   /// feature — a formation hold defers completions that closed-loop
@@ -318,30 +297,6 @@ class Scheduler {
       const std::vector<QueryClass>& session_classes = {});
 
  private:
-  /// `ids` interns every workload in the stream (dense ids assigned at
-  /// admission), `wids[i]` is requests[i]'s interned id, and
-  /// `estimates_by_id` holds the SJF a-priori estimates indexed by id
-  /// (empty unless the policy is SJF).
-  dana::Result<ScheduleReport> RunPreemptive(
-      std::vector<QueryRequest> requests, const dana::Interner& ids,
-      const std::vector<uint32_t>& wids,
-      const std::vector<dana::SimTime>& estimates_by_id);
-
-  /// Closed-loop sessions through the event-driven preemptive engine:
-  /// think-time submissions materialize at completion events.
-  dana::Result<ScheduleReport> RunClosedLoopPreemptive(
-      const std::vector<std::vector<std::string>>& sessions,
-      dana::SimTime think_time,
-      const std::vector<QueryClass>& session_classes);
-
-  /// Open-stream run-to-completion loop in threaded mode: slot workers
-  /// price same-tick dispatches concurrently, commits land in decision
-  /// (ticket) order so the report is bit-identical to the simulated loop.
-  dana::Result<ScheduleReport> RunThreadedRtc(
-      std::vector<QueryRequest> requests, const dana::Interner& ids,
-      const std::vector<uint32_t>& wids,
-      const std::vector<dana::SimTime>& estimates_by_id);
-
   SchedulerOptions options_;
   QueryExecutor* executor_;
 };

@@ -272,6 +272,8 @@ TEST(MetricRegistryTest, GoldenSnapshotForAFixedSchedule) {
   EXPECT_DOUBLE_EQ(counters->Find("sched.compile.misses")->AsNumber(), 2.0);
   EXPECT_DOUBLE_EQ(counters->Find("sched.compile.hits")->AsNumber(), 4.0);
   EXPECT_DOUBLE_EQ(counters->Find("sched.preemptions")->AsNumber(), 0.0);
+  // Every run goes through the one engine: unpreempted, one slice a batch.
+  EXPECT_DOUBLE_EQ(counters->Find("sched.slices")->AsNumber(), 6.0);
   // Serial service: 6 * 0.5 shared + 4 * 1 + 2 * 10 private + 2 * 0.25
   // compile = 27.5 s busy from first arrival at t=0 -> makespan 27.5 s.
   EXPECT_DOUBLE_EQ(gauges->Find("sched.makespan_s")->AsNumber(), 27.5);

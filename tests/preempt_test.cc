@@ -9,10 +9,9 @@
 //  - the executor slice ABI: DanaQueryExecutor's slice costs telescope to
 //    the unsegmented Dispatch charge, and Resume re-prices the remainder
 //    from the new slot's residency;
-//  - the scheduler's preemptive path: priority classes, epoch-boundary
-//    preemption with a bounded interactive latency, the batching window,
-//    and bit-identity of the knobs-off path with the run-to-completion
-//    scheduler.
+//  - the scheduler's preemptive knobs: priority classes, epoch-boundary
+//    preemption with a bounded interactive latency, and the batching
+//    window.
 
 #include <gtest/gtest.h>
 
@@ -774,49 +773,6 @@ TEST(PreemptionTest, NoInteractiveWaitersMeansNoPreemptions) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->preemptions, 0u);
   EXPECT_DOUBLE_EQ(report->preemption_overhead.seconds(), 0.0);
-}
-
-TEST(PreemptionTest, EventDrivenPathWithNothingToPreemptMatchesLegacy) {
-  // An all-batch stream under the event-driven path (quantum armed but no
-  // interactive query ever waits) must reproduce the run-to-completion
-  // schedule bit for bit: the preemptive machinery may not perturb
-  // dispatch order, slot choice, or timing when it never fires.
-  SlicedExecutor sliced;
-  sliced.Set("x", 4, 1.0, 0.5, 6);
-  sliced.Set("y", 8, 0.5, 0.25, 6);
-  sched::DriverOptions opts;
-  opts.num_queries = 60;
-  opts.arrival_rate_qps = 0.4;
-  sched::WorkloadDriver driver({"x", "y"}, opts);
-  auto stream = driver.Generate();
-  ASSERT_TRUE(stream.ok());
-  for (sched::Policy policy :
-       {sched::Policy::kFcfs, sched::Policy::kSjf,
-        sched::Policy::kRoundRobin}) {
-    auto off = sched::Scheduler({.slots = 2,
-                                 .policy = policy,
-                                 .max_batch = 2},
-                                &sliced)
-                   .Run(*stream);
-    auto on = sched::Scheduler({.slots = 2,
-                                .policy = policy,
-                                .max_batch = 2,
-                                .preemption_quantum_epochs = 3,
-                                .context_switch_cost =
-                                    dana::SimTime::Seconds(9)},
-                               &sliced)
-                  .Run(*stream);
-    ASSERT_TRUE(off.ok() && on.ok());
-    ASSERT_EQ(off->queries.size(), on->queries.size());
-    for (size_t i = 0; i < off->queries.size(); ++i) {
-      EXPECT_EQ(off->queries[i].id, on->queries[i].id);
-      EXPECT_EQ(off->queries[i].slot, on->queries[i].slot);
-      EXPECT_EQ(off->queries[i].start.nanos(), on->queries[i].start.nanos());
-      EXPECT_EQ(off->queries[i].completion.nanos(),
-                on->queries[i].completion.nanos());
-    }
-    EXPECT_EQ(on->preemptions, 0u);
-  }
 }
 
 TEST(PreemptionTest, PreemptiveScheduleIsDeterministic) {

@@ -15,6 +15,7 @@
 //    ledger decays co-located tables proportionally — where they disagree
 //    the executor charges the physical answer;
 //  - the legacy flag (physical_pools = false) reproducing ledger pricing;
+//  - the pool version() bumps slice memoization keys its skip on;
 //  - bit-for-bit determinism across repeat runs (CI runs this label twice
 //    and diffs the logs).
 
@@ -31,6 +32,8 @@
 #include "sched/executor.h"
 #include "storage/buffer_pool.h"
 #include "storage/residency.h"
+#include "storage/schema.h"
+#include "storage/table.h"
 
 namespace dana::sched {
 namespace {
@@ -332,6 +335,46 @@ TEST(MultiEpochSliceTest, FittingTableSecondSweepIsANoOp) {
             one_pass.resident_frames("sn_linear"));
   EXPECT_EQ(pool->stats().misses, one_pass.stats().misses);
   EXPECT_DOUBLE_EQ(executor.WarmFraction("sn_linear", 0), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// OS-tier mutations vs slice memoization: version() is the contract
+// ---------------------------------------------------------------------------
+
+TEST(SliceMemoizationVersionTest, OsTierMutationsBumpPoolVersion) {
+  // The memo's "undisturbed pool" check is two version() reads bracketing
+  // the sweep, so an OS-tier reshape the sweep did not see must bump the
+  // counter — otherwise slice memoization serves a sweep priced against a
+  // tier layout that no longer exists. A genuinely idempotent re-mark
+  // (clock's admit-until-full set, already holding every page) must NOT
+  // bump it: that is exactly the repeat the memo exists to skip.
+  storage::PageLayout layout;
+  layout.page_size = 8 * 1024;
+  storage::Table table("t", storage::Schema::Dense(100), layout);
+  std::vector<double> row(101, 1.0);
+  while (table.num_pages() < 6) {
+    ASSERT_TRUE(table.AppendRow(row).ok());
+  }
+
+  for (storage::EvictionKind kind :
+       {storage::EvictionKind::kClock, storage::EvictionKind::kLru,
+        storage::EvictionKind::kPromotional}) {
+    auto pool = storage::BufferPool::SizedInFrames(
+        4, 8 * 1024, storage::DiskModel{}, kind, /*os_frames=*/8);
+    const uint64_t fresh = pool.version();
+    pool.MarkOsCached(table);
+    const uint64_t marked = pool.version();
+    EXPECT_GT(marked, fresh) << storage::EvictionKindName(kind);
+    pool.MarkOsCached(table);
+    if (kind == storage::EvictionKind::kClock) {
+      // Every page already admitted: nothing changed, nothing bumped.
+      EXPECT_EQ(pool.version(), marked) << storage::EvictionKindName(kind);
+    } else {
+      // The evicting tiers re-reference every page, which reorders the
+      // replacement queues — future victims differ, so it must count.
+      EXPECT_GT(pool.version(), marked) << storage::EvictionKindName(kind);
+    }
+  }
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 // snapshot. Wall-clock time is the only thing allowed to differ, and no
 // report field measures it. The suite runs identical seeds through both
 // modes across the full matrix (three policies x run-to-completion /
-// preemptive x 1/4/8 slots), through the closed-loop paths (including the
-// newly composed closed-loop preemption), and against the real
-// DanaQueryExecutor whose fill-once caches the threaded mode leans on.
+// preemptive x 1/4/8 slots), through the closed loop (with and without
+// preemption), and against the real DanaQueryExecutor whose fill-once
+// caches the threaded mode leans on.
 //
 // The second half stress-tests the concurrency primitives the threaded
 // path introduced: the CompileCache / FillOnceMap fill-once/wait contract
@@ -44,12 +44,10 @@
 namespace dana::sched {
 namespace {
 
-/// Deterministic synthetic epoch-sliced costs (the sched_perf shape): one
-/// epoch of `id` occupies shared_s + size * per_query_s seconds over
-/// `epochs` epochs. Every map is written during single-threaded setup and
-/// only read afterwards, so concurrent slot workers share it safely; all
-/// costs are strictly positive, the contract the threaded overlap path
-/// assumes (RuntimeMode::kThreaded).
+/// Deterministic synthetic epoch-sliced costs (the sched_corpus stub
+/// shape): one epoch of `id` occupies shared_s + size * per_query_s seconds
+/// over `epochs` epochs. Every map is written during single-threaded setup
+/// and only read afterwards, so concurrent slot workers share it safely.
 class RuntimeExecutor : public QueryExecutor {
  public:
   void Set(const std::string& id, uint32_t epochs, double epoch_shared_s,
@@ -158,7 +156,7 @@ class RuntimeExecutor : public QueryExecutor {
   std::set<std::string> modeled_;
 };
 
-/// The sched_perf catalog: two short interactive-ish algorithms, two mid,
+/// The corpus stub catalog: two short interactive-ish algorithms, two mid,
 /// two long trainings, with pre-pinned warmth so affinity placement has
 /// something to read from the first dispatch.
 RuntimeExecutor MakeExecutor() {
@@ -225,10 +223,11 @@ RunOutcome RunClosedLoopWith(SchedulerOptions opts, RuntimeMode mode,
   return {std::move(*report), registry.ToJson().Dump()};
 }
 
-/// Field-for-field report agreement (no metrics): what two runs must share
-/// when they make identical scheduling decisions, even across engines that
-/// emit different live telemetry.
-void ExpectReportParity(const RunOutcome& oracle, const RunOutcome& threaded,
+/// The oracle-parity contract: everything the report states — not just
+/// aggregates — must match the simulated run, and so must the full metric
+/// snapshot. Wall-clock time is the only permitted difference, and no
+/// compared field measures it.
+void ExpectOracleParity(const RunOutcome& oracle, const RunOutcome& threaded,
                         const std::string& what) {
   ASSERT_EQ(oracle.report.queries.size(), threaded.report.queries.size())
       << what;
@@ -248,6 +247,8 @@ void ExpectReportParity(const RunOutcome& oracle, const RunOutcome& threaded,
     EXPECT_EQ(a.preemptions, b.preemptions) << what << " query " << a.id;
     EXPECT_DOUBLE_EQ(a.warm_fraction, b.warm_fraction)
         << what << " query " << a.id;
+    EXPECT_DOUBLE_EQ(a.os_warm_fraction, b.os_warm_fraction)
+        << what << " query " << a.id;
   }
   EXPECT_EQ(oracle.report.makespan.nanos(), threaded.report.makespan.nanos())
       << what;
@@ -256,15 +257,6 @@ void ExpectReportParity(const RunOutcome& oracle, const RunOutcome& threaded,
       << what;
   EXPECT_EQ(oracle.report.batches, threaded.report.batches) << what;
   EXPECT_EQ(oracle.report.preemptions, threaded.report.preemptions) << what;
-}
-
-/// The oracle-parity contract: everything the report states — not just
-/// aggregates — must match the simulated run, and so must the full metric
-/// snapshot (same engine, so same telemetry set). Wall-clock time is the
-/// only permitted difference, and no compared field measures it.
-void ExpectOracleParity(const RunOutcome& oracle, const RunOutcome& threaded,
-                        const std::string& what) {
-  ExpectReportParity(oracle, threaded, what);
   // One string carries every counter, gauge, and histogram percentile.
   EXPECT_EQ(oracle.metrics_json, threaded.metrics_json) << what;
 }
@@ -273,7 +265,7 @@ const uint32_t kWidths[] = {1, 4, 8};
 const Policy kPolicies[] = {Policy::kFcfs, Policy::kSjf, Policy::kRoundRobin};
 
 // ---------------------------------------------------------------------------
-// Run-to-completion parity: the same-tick overlap path
+// Run-to-completion parity: zero quantum, zero window
 // ---------------------------------------------------------------------------
 
 TEST(ThreadedParityTest, RunToCompletionAllPoliciesAndWidths) {
@@ -281,18 +273,27 @@ TEST(ThreadedParityTest, RunToCompletionAllPoliciesAndWidths) {
   for (uint32_t slots : kWidths) {
     for (Policy policy : kPolicies) {
       SchedulerOptions opts{.slots = slots, .policy = policy, .max_batch = 3};
-      ExpectOracleParity(RunWith(opts, RuntimeMode::kSimulated, stream),
-                         RunWith(opts, RuntimeMode::kThreaded, stream),
-                         std::string("rtc/") + PolicyName(policy) + "/x" +
-                             std::to_string(slots));
+      const RunOutcome oracle = RunWith(opts, RuntimeMode::kSimulated, stream);
+      const std::string what =
+          std::string("rtc/") + PolicyName(policy) + "/x" +
+          std::to_string(slots);
+      ExpectOracleParity(oracle, RunWith(opts, RuntimeMode::kThreaded, stream),
+                         what);
+      // Both modes run the one engine, which slices every run: with
+      // nothing preempted, one slice per batch.
+      EXPECT_NE(oracle.metrics_json.find(
+                    "\"sched.slices\":" +
+                    std::to_string(oracle.report.batches)),
+                std::string::npos)
+          << what;
     }
   }
 }
 
 TEST(ThreadedParityTest, RunToCompletionAffinityAndAging) {
-  // Affinity reads slot warmth at decision time while other slots may be
-  // pricing in flight; the busy-mask must keep those reads on free slots
-  // only, exactly as the simulated oracle sees them.
+  // Affinity reads slot warmth on the coordinating thread at decision
+  // time; the proxied slices must leave exactly the pool state the
+  // simulated oracle reads.
   const auto stream = Stream(0xBEEF, 40, 0.35);
   for (uint32_t slots : kWidths) {
     SchedulerOptions opts{.slots = slots,
@@ -393,28 +394,6 @@ TEST(ThreadedParityTest, ClosedLoopPreemptive) {
   }
 }
 
-TEST(ClosedLoopPreemptionTest, QuantumWithoutInteractiveMatchesRtcPath) {
-  // With every session batch-class, an armed quantum never fires: the
-  // event-driven closed loop must reproduce the run-to-completion closed
-  // loop field for field (same interning, estimate-resolution, and id
-  // orders by construction).
-  for (Policy policy : kPolicies) {
-    SchedulerOptions rtc{.slots = 2, .policy = policy, .max_batch = 2};
-    SchedulerOptions preemptive = rtc;
-    preemptive.preemption_quantum_epochs = 2;
-    preemptive.context_switch_cost = dana::SimTime::Millis(200);
-    auto a = RunClosedLoopWith(rtc, RuntimeMode::kSimulated, kSessions,
-                               dana::SimTime::Seconds(0.5));
-    auto b = RunClosedLoopWith(preemptive, RuntimeMode::kSimulated, kSessions,
-                               dana::SimTime::Seconds(0.5));
-    EXPECT_EQ(b.report.preemptions, 0u);
-    // Report-level only: the event engine legitimately emits its own live
-    // slice telemetry (sched.slices) the run-to-completion path lacks.
-    ExpectReportParity(a, b, std::string("closed-quantum-noop/") +
-                                 PolicyName(policy));
-  }
-}
-
 TEST(ClosedLoopPreemptionTest, InteractiveSessionPreemptsBatchTraining) {
   // One slot, a long batch training session against an interactive
   // lookup session: the composed closed-loop preemption must checkpoint
@@ -476,9 +455,9 @@ TEST(ClosedLoopPreemptionTest, BatchWindowIsStillRejected) {
 
 TEST(ThreadedParityTest, DanaExecutorRunToCompletion) {
   // The real executor's cold paths (compile cache, endpoint measurement)
-  // are fill-once; same-tick overlapped dispatches must price exactly what
-  // the simulated oracle priced, and physical per-slot pools must end in
-  // the same state regardless of which thread swept them.
+  // are fill-once; proxied dispatches must price exactly what the
+  // simulated oracle priced, and physical per-slot pools must end in the
+  // same state regardless of which thread swept them.
   DriverOptions dopts;
   dopts.seed = 0xDA7A;
   dopts.num_queries = 12;

@@ -104,9 +104,14 @@ void PrintHelp(std::FILE* out) {
       "                            pages re-read cheaper than disk; needs\n"
       "                            lru or promotional). The warm column\n"
       "                            then splits into pool/os shares.\n"
-      "                            Priority classes & preemption:\n"
-      "                            --interactive R tags the R hottest\n"
-      "                            catalog ranks latency-sensitive; with\n"
+      "                            Priority classes & preemption: one\n"
+      "                            event-driven engine runs every\n"
+      "                            configuration; with --quantum and\n"
+      "                            --window-ms at 0 each dispatch runs to\n"
+      "                            completion. --interactive R tags the R\n"
+      "                            hottest catalog ranks latency-sensitive\n"
+      "                            (a class that jumps the batch queue only\n"
+      "                            once a knob below is set); with\n"
       "                            --quantum E an interactive query waiting\n"
       "                            on a full machine preempts the longest\n"
       "                            batch run at its next E-epoch boundary\n"
@@ -383,8 +388,8 @@ int CmdSched(int argc, char** argv) {
     return 2;
   }
   if (closed_loop && window_ms > 0) {
-    // --quantum composes with --closed-loop now (the event-driven engine
-    // materializes think-time submissions at completion events); only the
+    // --quantum composes with --closed-loop (the engine materializes
+    // think-time submissions at completion events); only the
     // batch-formation window remains open-stream.
     std::fprintf(stderr, "--window-ms is an open-stream feature; drop "
                          "--closed-loop\n");
