@@ -12,8 +12,8 @@ namespace dana {
 /// (assigned in first-intern order, starting at 0) so hot paths can key
 /// flat arrays and hash integers instead of hashing and comparing strings
 /// per event. Ids are stable for the interner's lifetime; `Name` returns
-/// the canonical spelling. Used by the scheduler (workload ids), the
-/// buffer pool (table names), and the residency ledger.
+/// the canonical spelling. Used by the scheduler (workload ids) and the
+/// buffer pool (table names).
 class Interner {
  public:
   static constexpr uint32_t kInvalidId = UINT32_MAX;

@@ -96,9 +96,9 @@ class WorkloadInstance {
   /// fraction directly.
   void PrepareCache(CacheState state, uint32_t slot = 0);
 
-  /// This table's page count over one slot pool's frame count: the
-  /// size-ratio input of storage::CacheResidencyModel::OnRun. <= 1 means a
-  /// run leaves the table fully resident. Because each pool is sized to
+  /// This table's page count over one slot pool's frame count. <= 1 means
+  /// a run leaves the table fully resident; a larger table keeps only its
+  /// trailing pool-sized window. Because each pool is sized to
   /// 8 GB / scale, the ratio reduces to paper-scale table bytes over the
   /// paper's 8 GB shared_buffers — a scale-free quantity, comparable
   /// across workloads generated at different scales.

@@ -123,7 +123,7 @@ class DanaBatchExecution : public BatchExecution {
   DanaBatchExecution(DanaQueryExecutor* owner, QueryBatch batch,
                      DanaQueryExecutor::EpochProfile profile,
                      double warm_fraction, double os_warm_fraction,
-                     bool modeled, double size_ratio, uint64_t norm_pages)
+                     uint64_t norm_pages)
       : BatchExecution(std::move(batch)),
         owner_(owner),
         profile_(profile),
@@ -131,15 +131,13 @@ class DanaBatchExecution : public BatchExecution {
         os_warm_at_begin_(os_warm_fraction),
         last_left_(warm_fraction),
         last_os_left_(os_warm_fraction),
-        modeled_(modeled),
-        size_ratio_(size_ratio),
         norm_pages_(norm_pages) {}
 
   uint32_t total_epochs() const override { return profile_.epochs; }
   uint32_t epochs_run() const override { return done_; }
   dana::SimTime compile_cost() const override { return profile_.compile; }
   double warm_fraction() const override { return warm_at_begin_; }
-  bool residency_modeled() const override { return modeled_; }
+  bool residency_modeled() const override { return true; }
   double os_warm_fraction() const override { return os_warm_at_begin_; }
 
   dana::Result<SliceCost> NextSlice(uint32_t max_epochs) override {
@@ -159,64 +157,41 @@ class DanaBatchExecution : public BatchExecution {
     // Each epoch sweeps the table once, so a k-epoch slice applies
     // min(k, 2) sweeps, not one: for a table that outsizes the pool the
     // second pass keeps pressing installs into co-located tables (clock
-    // second chances spare some of their frames on the first pass only),
-    // and the ledger predictor decays them the same way. Two passes reach
-    // the repeat-pressure regime; later passes refine co-located decay
-    // negligibly while costing O(pages) each, hence the cap. For a
-    // pool-fitting table the second sweep is an all-hit no-op in both the
-    // pool and the ledger, so single-epoch slices and fitting-table
-    // schedules are unchanged. The physical pool takes the sweeps for real
-    // (install + clock eviction); the logical ledger is updated in
-    // parallel as the predictor it is cross-checked against.
-    if (modeled_) {
+    // second chances spare some of their frames on the first pass only).
+    // Two passes reach the repeat-pressure regime; later passes refine
+    // co-located decay negligibly while costing O(pages) each, hence the
+    // cap. For a pool-fitting table the second sweep is an all-hit no-op,
+    // so single-epoch slices and fitting-table schedules are unchanged.
+    // The slot's physical pool takes the sweeps for real (install + clock
+    // eviction).
+    storage::BufferPool* pool = owner_->slot_pools_.pool(batch_.slot);
+    const uint32_t tid = pool->InternTable(batch_.workload_id);
+    // Memoized repeat sweep: if nothing installed into (or cleared) this
+    // pool since our previous slice swept it and the table is still fully
+    // resident, the sweep would be all hits — every frame already holds
+    // what it would hold after, with its reference bit already set — so
+    // the O(pages) walk is skipped. Only the pool's hit/miss counters and
+    // last_table() diverge from the unskipped run; nothing the scheduler
+    // or pricing reads does. A table larger than the pool is never fully
+    // resident and always re-sweeps (the repeat walk moves the clock hand).
+    const bool undisturbed = swept_pool_ == pool &&
+                             pool->version() == swept_version_ &&
+                             pool->resident_frames(tid) == norm_pages_;
+    if (undisturbed) {
+      last_left_ = 1.0;     // fully resident, by the guard above
+      last_os_left_ = 0.0;  // the tiers are exclusive
+      obs::Count(owner_->options_.metrics, "exec.slices.memoized");
+    } else {
       const uint32_t sweeps = std::min<uint32_t>(n, 2);
-      const double os_ratio = owner_->OsLedgerRatio();
-      {
-        dana::MutexLock lock(owner_->state_mu_);
-        for (uint32_t i = 0; i < sweeps; ++i) {
-          owner_->residency_.OnRun(batch_.slot, batch_.workload_id,
-                                   size_ratio_, os_ratio);
-        }
+      for (uint32_t i = 0; i < sweeps; ++i) {
+        pool->ScanTable(tid, norm_pages_);
       }
-      if (owner_->options_.physical_pools) {
-        storage::BufferPool* pool = owner_->slot_pools_.pool(batch_.slot);
-        const uint32_t tid = pool->InternTable(batch_.workload_id);
-        // Memoized repeat sweep: if nothing installed into (or cleared)
-        // this pool since our previous slice swept it and the table is
-        // still fully resident, the sweep would be all hits — every frame
-        // already holds what it would hold after, with its reference bit
-        // already set — so the O(pages) walk is skipped. Only the pool's
-        // hit/miss counters and last_table() diverge from the unskipped
-        // run; nothing the scheduler or pricing reads does. A table larger
-        // than the pool is never fully resident and always re-sweeps (the
-        // repeat walk moves the clock hand).
-        const bool undisturbed =
-            swept_pool_ == pool && pool->version() == swept_version_ &&
-            pool->resident_frames(tid) == norm_pages_;
-        if (undisturbed) {
-          last_left_ = 1.0;  // fully resident, by the guard above
-          last_os_left_ = 0.0;  // the tiers are exclusive
-          obs::Count(owner_->options_.metrics, "exec.slices.memoized");
-        } else {
-          for (uint32_t i = 0; i < sweeps; ++i) {
-            pool->ScanTable(tid, norm_pages_);
-          }
-          swept_pool_ = pool;
-          swept_version_ = pool->version();
-          last_left_ =
-              owner_->PhysicalWarmFraction(batch_.workload_id, batch_.slot);
-          last_os_left_ = owner_->PhysicalOsWarmFraction(
-              batch_.workload_id, batch_.slot, last_left_);
-        }
-      } else {
-        last_left_ =
-            storage::CacheResidencyModel::PostRunResidency(size_ratio_);
-        if (os_ratio > 0.0) {
-          dana::MutexLock lock(owner_->state_mu_);
-          last_os_left_ = owner_->residency_.OsResidentFraction(
-              batch_.slot, batch_.workload_id);
-        }
-      }
+      swept_pool_ = pool;
+      swept_version_ = pool->version();
+      last_left_ =
+          owner_->PhysicalWarmFraction(batch_.workload_id, batch_.slot);
+      last_os_left_ = owner_->PhysicalOsWarmFraction(
+          batch_.workload_id, batch_.slot, last_left_);
     }
     return s;
   }
@@ -241,31 +216,13 @@ class DanaBatchExecution : public BatchExecution {
   }
 
   dana::Status Resume(uint32_t slot) override {
-    if (!modeled_) {
-      // Static-cache regime: every slot charges the same fixed state.
-      batch_.slot = slot;
-      return Status::OK();
-    }
-    // Residency of the resume slot — physical pools measure it, the
-    // legacy ledger predicts it.
-    double warm;
-    double os_warm = 0.0;
-    if (owner_->options_.physical_pools) {
-      warm = owner_->PhysicalWarmFraction(batch_.workload_id, slot);
-      os_warm =
-          owner_->PhysicalOsWarmFraction(batch_.workload_id, slot, warm);
-    } else {
-      dana::MutexLock lock(owner_->state_mu_);
-      warm = owner_->residency_.ResidentFraction(slot, batch_.workload_id);
-      if (owner_->OsLedgerRatio() > 0.0) {
-        os_warm =
-            owner_->residency_.OsResidentFraction(slot, batch_.workload_id);
-      }
-    }
+    // Residency of the resume slot, measured from its pool.
+    const double warm = owner_->PhysicalWarmFraction(batch_.workload_id, slot);
+    const double os_warm =
+        owner_->PhysicalOsWarmFraction(batch_.workload_id, slot, warm);
     // Undisturbed same-slot resume: the table is exactly as resident (in
     // both tiers) as the last slice left it (last_left_/last_os_left_
-    // captured that, measured or modeled), so the original cost curve
-    // continues bit for bit.
+    // captured that), so the original cost curve continues bit for bit.
     const double left_behind = done_ > 0 ? last_left_ : warm_at_begin_;
     const double os_left = done_ > 0 ? last_os_left_ : os_warm_at_begin_;
     if (slot == batch_.slot && warm == left_behind && os_warm == os_left) {
@@ -320,8 +277,6 @@ class DanaBatchExecution : public BatchExecution {
   /// OS-tier share the last slice left behind, the tier-1 companion to
   /// last_left_ (always 0 without an OS tier).
   double last_os_left_;
-  bool modeled_;
-  double size_ratio_;
   uint64_t norm_pages_;
   uint32_t done_ = 0;
   uint32_t base_ = 0;  ///< absolute epoch index the current segment starts at
@@ -525,36 +480,13 @@ Result<std::unique_ptr<BatchExecution>> DanaQueryExecutor::Begin(
   }
   DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance,
                         Instance(batch.workload_id));
-  if (!options_.model_residency) {
-    // Legacy fixed-cache regime: every run is prepared to options_.cache
-    // and slot history does not exist.
-    DANA_ASSIGN_OR_RETURN(const EpochProfile* p,
-                          MeasureEndpoint(batch, options_.cache));
-    const double warm =
-        options_.cache == runtime::CacheState::kWarm ? 1.0 : 0.0;
-    obs::Count(options_.metrics, warm >= 1.0 ? "exec.charges.warm"
-                                             : "exec.charges.cold");
-    return std::unique_ptr<BatchExecution>(new DanaBatchExecution(
-        this, batch, *p, warm, /*os_warm_fraction=*/0.0, /*modeled=*/false,
-        instance->PoolSizeRatio(),
-        instance->NormalizedPages(options_.pool_frames)));
-  }
-  // Residency regime: price this slot's actual cache state — measured
-  // from the shared physical pool, or predicted by the ledger in legacy
-  // mode. With an OS tier, the working set splits three ways: pool-warm,
-  // os-warm (demoted pages still in the modeled kernel cache) and cold.
-  double warm;
-  double os_warm = 0.0;
-  if (options_.physical_pools) {
-    warm = PhysicalWarmFraction(batch.workload_id, batch.slot);
-    os_warm = PhysicalOsWarmFraction(batch.workload_id, batch.slot, warm);
-  } else {
-    dana::MutexLock lock(state_mu_);
-    warm = residency_.ResidentFraction(batch.slot, batch.workload_id);
-    if (OsLedgerRatio() > 0.0) {
-      os_warm = residency_.OsResidentFraction(batch.slot, batch.workload_id);
-    }
-  }
+  // Price this slot's actual cache state, measured from its shared
+  // physical pool. With an OS tier, the working set splits three ways:
+  // pool-warm, os-warm (demoted pages still in the modeled kernel cache)
+  // and cold.
+  const double warm = PhysicalWarmFraction(batch.workload_id, batch.slot);
+  const double os_warm =
+      PhysicalOsWarmFraction(batch.workload_id, batch.slot, warm);
   obs::Count(options_.metrics,
              warm >= 1.0 ? "exec.charges.warm"
              : (warm <= 0.0 && os_warm <= 0.0)
@@ -563,8 +495,7 @@ Result<std::unique_ptr<BatchExecution>> DanaQueryExecutor::Begin(
   DANA_ASSIGN_OR_RETURN(EpochProfile profile,
                         ProfileAt(batch, warm, os_warm));
   return std::unique_ptr<BatchExecution>(new DanaBatchExecution(
-      this, batch, profile, warm, os_warm, /*modeled=*/true,
-      instance->PoolSizeRatio(),
+      this, batch, profile, warm, os_warm,
       instance->NormalizedPages(options_.pool_frames)));
 }
 
@@ -592,23 +523,13 @@ double DanaQueryExecutor::PhysicalOsWarmFraction(const std::string& id,
 
 double DanaQueryExecutor::WarmFraction(const std::string& workload_id,
                                        uint32_t slot) {
-  if (!options_.model_residency) {
-    return options_.cache == runtime::CacheState::kWarm ? 1.0 : 0.0;
-  }
   // Placement heuristic: an os-warm page is cheaper than cold but dearer
   // than pool-warm, so it counts at half weight. Without an OS tier this
-  // is exactly the pool residency, as before.
-  if (options_.physical_pools) {
-    const double w = PhysicalWarmFraction(workload_id, slot);
-    if (options_.os_frames == 0) return w;
-    return std::min(
-        1.0, w + 0.5 * PhysicalOsWarmFraction(workload_id, slot, w));
-  }
-  dana::MutexLock lock(state_mu_);
-  const double w = residency_.ResidentFraction(slot, workload_id);
-  if (OsLedgerRatio() <= 0.0) return w;
-  return std::min(
-      1.0, w + 0.5 * residency_.OsResidentFraction(slot, workload_id));
+  // is exactly the pool residency.
+  const double w = PhysicalWarmFraction(workload_id, slot);
+  if (options_.os_frames == 0) return w;
+  return std::min(1.0,
+                  w + 0.5 * PhysicalOsWarmFraction(workload_id, slot, w));
 }
 
 Result<dana::SimTime> DanaQueryExecutor::Estimate(

@@ -18,7 +18,6 @@
 #include "runtime/systems.h"
 #include "sched/compile_cache.h"
 #include "storage/buffer_pool.h"
-#include "storage/residency.h"
 
 namespace dana::ml {
 struct Workload;
@@ -126,8 +125,8 @@ class BatchExecution {
 
   /// Advances up to `max_epochs` further epochs (0 = all remaining) and
   /// returns this slice's cost. Residency-modeling executors sweep their
-  /// pool and ledger once per epoch run, capped at two passes per slice
-  /// (cache state is near-stationary after the second pass).
+  /// pool once per epoch run, capped at two passes per slice (cache state
+  /// is near-stationary after the second pass).
   virtual dana::Result<SliceCost> NextSlice(uint32_t max_epochs) = 0;
 
   /// Slot occupancy of the next `epochs` epochs (0 = all remaining)
@@ -235,7 +234,7 @@ class QueryExecutor {
 /// reference it. Each slot trains against its own buffer pool from the
 /// instance's pool group (per-slot execution contexts).
 ///
-/// Cache realism: by default the executor keeps one *physical* shared
+/// Cache realism: the executor keeps one *physical* shared
 /// storage::BufferPool per slot (sized in frames, shared across that
 /// slot's tables in scale-normalized units — WorkloadInstance::
 /// NormalizedPages) and prices every run from what is actually resident:
@@ -247,12 +246,8 @@ class QueryExecutor {
 /// execution sweeps the slot's shared pool (ScanTable), so the pool's
 /// resident_frames()/last_table()/eviction order are the ground truth:
 /// DAnA's Striders read RDBMS pages straight out of the buffer pool, so
-/// placement cost comes from measured occupancy, not a model of it. The
-/// logical storage::CacheResidencyModel ledger is still maintained in
-/// parallel as a cross-checked *predictor* (PredictedWarmFraction); where
-/// clock-sweep eviction order makes the two disagree, the physical answer
-/// is charged. `Options::physical_pools = false` restores the PR 3/PR 4
-/// ledger-priced executor bit for bit. A preempted run's table stays
+/// placement cost comes from measured occupancy, not a model of it. This
+/// is the executor's only pricing path. A preempted run's table stays
 /// resident until an intervening sweep evicts it — resuming on the same
 /// slot is warm, resuming elsewhere is cold — and WarmFraction() exposes
 /// the pool so affinity dispatch can route resumed work back to its warm
@@ -261,11 +256,11 @@ class QueryExecutor {
 /// Concurrency: safe for the threaded runtime's slot workers. Shared
 /// cross-slot state is partitioned into fill-once caches (the compile
 /// cache and the measured endpoint profiles — concurrent cold requests
-/// share one fill) and a state mutex (workload instances, registry memo,
-/// the logical residency ledger). Per-slot pool state is intentionally
-/// unguarded: slot i's pool is only ever touched by the execution running
-/// on slot i (or by the scheduler while the slot is idle), the same
-/// partition the scheduler's dispatch discipline guarantees. Callers
+/// share one fill) and a state mutex (workload instances, registry memo).
+/// Per-slot pool state is intentionally unguarded: slot i's pool is only
+/// ever touched by the execution running on slot i (or by the scheduler
+/// while the slot is idle), the same partition the scheduler's dispatch
+/// discipline guarantees. Callers
 /// running real threads must PrepareSlots() first so the pool group never
 /// grows mid-run.
 class DanaQueryExecutor : public QueryExecutor {
@@ -277,22 +272,12 @@ class DanaQueryExecutor : public QueryExecutor {
     /// milliseconds" — large enough that cache hits visibly matter, small
     /// against multi-second training runs.
     dana::SimTime compile_latency = dana::SimTime::Millis(400);
-    /// false reproduces the PR 2 executor bit-for-bit: every run is
-    /// silently re-prepared to `cache` and placement is costless. true
-    /// (the default) charges each slot its tracked residency instead.
-    bool model_residency = true;
-    /// Residency ground truth (only meaningful with `model_residency`).
-    /// true (the default): each slot owns one shared physical BufferPool;
-    /// warm fractions are measured per-table frame counts. false: the
-    /// legacy mode — warm fractions come from the logical
-    /// CacheResidencyModel ledger, reproducing the PR 3/PR 4 executor
-    /// bit for bit.
-    bool physical_pools = true;
-    /// Frames in each slot's shared residency pool. Scale-normalized
-    /// units: a workload's sweep touches PoolSizeRatio() * pool_frames
-    /// logical pages, so this is pure resolution — warm fractions quantize
-    /// to 1/pages — not a byte budget. 4096 keeps quantization below
-    /// 0.1% for every Table 3 ratio while a sweep stays cheap.
+    /// Frames in each slot's shared residency pool, the pool every
+    /// dispatch is priced from. Scale-normalized units: a workload's sweep
+    /// touches PoolSizeRatio() * pool_frames logical pages, so this is
+    /// pure resolution — warm fractions quantize to 1/pages — not a byte
+    /// budget. 4096 keeps quantization below 0.1% for every Table 3 ratio
+    /// while a sweep stays cheap.
     uint64_t pool_frames = 4096;
     /// Replacement policy of each slot's shared pool (and of its OS tier
     /// when one is configured). kClock is the pinned legacy hierarchy —
@@ -309,9 +294,6 @@ class DanaQueryExecutor : public QueryExecutor {
     /// dispatches are priced across three measured endpoints
     /// (pool-warm / os-warm / cold).
     uint64_t os_frames = 0;
-    /// Buffer-pool state every query trains under when `model_residency`
-    /// is false (the legacy fixed-cache regime).
-    runtime::CacheState cache = runtime::CacheState::kWarm;
     /// Functional epochs actually simulated before linear extrapolation
     /// (see DanaSystem::Options); 2 captures cold I/O + steady state.
     uint32_t functional_epoch_cap = 2;
@@ -350,38 +332,17 @@ class DanaQueryExecutor : public QueryExecutor {
   void PrepareSlots(uint32_t slots) override { slot_pools_.Resize(slots); }
 
   const CompileCache& compile_cache() const { return compile_cache_; }
-  /// The logical ledger — with physical pools on this is the cross-checked
-  /// *predictor*, not what dispatches are charged (see
-  /// PredictedWarmFraction); with them off it is the pricing source.
-  const storage::CacheResidencyModel& residency() const { return residency_; }
-  /// What the logical ledger predicts `workload_id`'s residency on `slot`
-  /// to be. With physical pools on, WarmFraction() (the charged value) can
-  /// disagree — proportional decay vs the clock sweep's hand-order
-  /// evictions — and the divergence suite pins that the physical answer
-  /// wins.
-  double PredictedWarmFraction(const std::string& workload_id, uint32_t slot)
-      const {
-    dana::MutexLock lock(state_mu_);
-    return residency_.ResidentFraction(slot, workload_id);
-  }
-  /// Slot `slot`'s shared physical residency pool (created on demand).
-  /// Ground truth for placement when `Options::physical_pools` is on:
-  /// per-table resident frames, last_table(), and eviction order are
-  /// readable directly.
+  /// Slot `slot`'s shared physical residency pool (created on demand) —
+  /// the ground truth for placement: per-table resident frames,
+  /// last_table(), and eviction order are readable directly.
   storage::BufferPool* slot_pool(uint32_t slot) {
     return slot_pools_.pool(slot);
   }
-  /// Forgets all slot residency (fresh cold slots) — both the physical
-  /// pools and the logical ledger — while keeping measured service
-  /// endpoints and compiled designs. Sweeps call this between
-  /// configurations so every run starts from the same cold machine.
-  void ResetResidency() {
-    {
-      dana::MutexLock lock(state_mu_);
-      residency_.Reset();
-    }
-    slot_pools_.ClearAll();
-  }
+  /// Forgets all slot residency (fresh cold slot pools) while keeping
+  /// measured service endpoints and compiled designs. Sweeps call this
+  /// between configurations so every run starts from the same cold
+  /// machine.
+  void ResetResidency() { slot_pools_.ClearAll(); }
   /// Snapshots the executor's caches into `metrics` as gauges: the compile
   /// cache under `compile_cache.` and the per-slot shared pools under
   /// `pool.` (rollup + per-slot breakdown). Call after a run — gauges are
@@ -417,14 +378,6 @@ class DanaQueryExecutor : public QueryExecutor {
   /// 0 without a configured OS tier.
   double PhysicalOsWarmFraction(const std::string& id, uint32_t slot,
                                 double pool_warm);
-  /// OS-tier capacity over pool capacity — the `os_ratio` the ledger
-  /// predictor is taught (0 = no tier).
-  double OsLedgerRatio() const {
-    return options_.os_frames == 0
-               ? 0.0
-               : static_cast<double>(options_.os_frames) /
-                     static_cast<double>(options_.pool_frames);
-  }
   /// Measured (or memoized) epoch profile at a cache endpoint.
   dana::Result<const EpochProfile*> MeasureEndpoint(const QueryBatch& batch,
                                                     runtime::CacheState cache);
@@ -442,11 +395,6 @@ class DanaQueryExecutor : public QueryExecutor {
   runtime::CpuCostModel cost_model_;
   runtime::DanaSystem system_;
   CompileCache compile_cache_;
-  /// Logical per-slot ledger: the predictor the physical pools are
-  /// cross-checked against (and the pricing source in legacy mode).
-  /// The unlocked residency() accessor only binds a reference for post-run
-  /// single-threaded readers; every dereference happens under state_mu_.
-  storage::CacheResidencyModel residency_ GUARDED_BY(state_mu_);
   /// One shared physical pool per slot, sized in `Options::pool_frames`
   /// scale-normalized frames: every workload's sweep passes through its
   /// slot's pool, so cross-table eviction is measured, not modeled.
@@ -466,10 +414,9 @@ class DanaQueryExecutor : public QueryExecutor {
   /// into the static registry, valid for the process lifetime.
   std::unordered_map<std::string, const ml::Workload*> workload_cache_
       GUARDED_BY(state_mu_);
-  /// Guards the executor's cross-slot mutable state: instances_,
-  /// workload_cache_, and the logical residency_ ledger. Per-slot pool
-  /// state needs no lock — slot i's pool is touched only by slot i's
-  /// worker (BufferPoolGroup's contract).
+  /// Guards the executor's cross-slot mutable state: instances_ and
+  /// workload_cache_. Per-slot pool state needs no lock — slot i's pool is
+  /// touched only by slot i's worker (BufferPoolGroup's contract).
   mutable dana::Mutex state_mu_;
   /// Serializes actual simulator measurement runs (MeasureEndpoint fills):
   /// WorkloadInstance execution contexts grow per-slot pools on demand and

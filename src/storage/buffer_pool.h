@@ -200,9 +200,8 @@ class BufferPool {
   uint64_t resident_frames() const { return resident_frames_; }
   /// Frames currently holding pages of `table` — the per-table partition
   /// of resident_frames(). This is the physical residency signal the
-  /// scheduler's executor prices placement from when a slot's tables share
-  /// one pool; storage::CacheResidencyModel remains as the logical
-  /// predictor it is cross-checked against.
+  /// scheduler's executor prices every dispatch from when a slot's tables
+  /// share one pool.
   uint64_t resident_frames(uint32_t table_id) const {
     return table_id < per_table_frames_.size() ? per_table_frames_[table_id]
                                                : 0;

@@ -1,27 +1,22 @@
 // Physical shared-pool residency suite (ctest label: sched_pool).
 //
-// PR 3 priced placement from a logical per-slot ledger
-// (storage::CacheResidencyModel) because per-workload tables are generated
-// at different scales and could not share one physical pool. The executor
-// now owns one scale-normalized shared storage::BufferPool per slot — each
-// workload's sweep covers WorkloadInstance::NormalizedPages logical pages,
-// so tables meet in consistent paper-scale units — and the pool's
-// per-table frame accounting is the ground truth dispatches are charged
-// from. This suite pins:
+// The executor owns one scale-normalized shared storage::BufferPool per
+// slot — each workload's sweep covers WorkloadInstance::NormalizedPages
+// logical pages, so tables generated at different scales meet in
+// consistent paper-scale units — and the pool's per-table frame accounting
+// is the only source dispatches are charged from. This suite pins:
 //  - the normalization (paper-ratio-preserving, scale-free);
-//  - agreement between pool and ledger on undisturbed sequences (the
-//    ledger stays on as a cross-checked predictor);
-//  - the divergence: clock-sweep eviction takes frames in hand order, the
-//    ledger decays co-located tables proportionally — where they disagree
-//    the executor charges the physical answer;
-//  - the legacy flag (physical_pools = false) reproducing ledger pricing;
+//  - the closed-form end state of a table swept alone (a pool-sized
+//    window of it stays resident);
+//  - co-located tables: clock-sweep eviction takes frames in hand order,
+//    and the executor charges exactly what the pool holds;
 //  - the pool version() bumps slice memoization keys its skip on;
 //  - bit-for-bit determinism across repeat runs (CI runs this label twice
 //    and diffs the logs).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +26,6 @@
 #include "runtime/systems.h"
 #include "sched/executor.h"
 #include "storage/buffer_pool.h"
-#include "storage/residency.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 
@@ -108,30 +102,39 @@ TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
   EXPECT_LT(warm->service.nanos(), cold->service.nanos());
   // Other slots' pools are independent — still cold.
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 1), 0.0);
-  // ResetResidency clears the physical pools along with the ledger.
+  // ResetResidency clears the physical pools.
   executor.ResetResidency();
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 0.0);
   EXPECT_EQ(executor.slot_pool(0)->resident_frames(), 0u);
 }
 
-TEST(PhysicalPoolTest, LedgerPredictorAgreesOnUndisturbedSequences) {
-  // With one table sweeping a slot, clock eviction and proportional decay
-  // describe the same physics: the pool and the ledger must agree (up to
-  // the pool's 1-frame quantization) — the predictor is trustworthy until
-  // co-located tables diverge it.
+TEST(PhysicalPoolTest, TableSweptAloneKeepsAPoolSizedWindow) {
+  // With one table sweeping a slot, the end state has a closed form: the
+  // whole table when it fits, otherwise its trailing pool-sized window —
+  // min(1, frames / pages) residency, up to the pool's 1-frame
+  // quantization — and repeats keep it there.
+  const ml::Workload* w = ml::FindWorkload("se_logistic");
+  ASSERT_NE(w, nullptr);
+  auto instance = runtime::WorkloadInstance::Create(*w);
+  ASSERT_TRUE(instance.ok());
+  const double pages =
+      static_cast<double>((*instance)->NormalizedPages(4096));
+  ASSERT_GT(pages, 4096.0);  // oversized: the window, not the whole table
+  const double window = std::min(1.0, 4096.0 / pages);
   DanaQueryExecutor executor;
   for (int repeat = 0; repeat < 3; ++repeat) {
-    ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("se_lrmf", 0, 0)).ok());
-    EXPECT_NEAR(executor.WarmFraction("se_lrmf", 0),
-                executor.PredictedWarmFraction("se_lrmf", 0), 1e-3);
+    ASSERT_TRUE(
+        executor.Dispatch(QueryBatch::Single("se_logistic", 0, 0)).ok());
+    EXPECT_NEAR(executor.WarmFraction("se_logistic", 0), window,
+                1.0 / pages);
   }
 }
 
 /// Drives the three-table divergence on one slot and returns the executor:
 /// small (sn_lrmf) then mid (sn_linear) fill the pool partially; big
 /// (se_lrmf)'s sweep needs more than the free space, and the clock hand
-/// takes the *small* table's frames first while the ledger spreads the
-/// loss proportionally over both.
+/// takes the *small* table's frames first — a proportional model would
+/// spread the loss evenly over both.
 void DriveDivergence(DanaQueryExecutor& executor) {
   for (const char* id : {"sn_lrmf", "sn_linear", "se_lrmf"}) {
     auto cost = executor.Dispatch(QueryBatch::Single(id, 0, 0));
@@ -139,49 +142,20 @@ void DriveDivergence(DanaQueryExecutor& executor) {
   }
 }
 
-TEST(DivergenceTest, ExecutorChargesThePoolWhereTheLedgerIsWrong) {
+TEST(DivergenceTest, ExecutorChargesTheClockHandOrder) {
   DanaQueryExecutor executor;
   DriveDivergence(executor);
 
-  // The ledger decayed sn_lrmf and sn_linear by the same factor; the clock
-  // hand evicted sn_lrmf's frames first. Both cannot be right.
+  // Hand order: the first-installed table lost strictly more.
   const double pool_small = executor.WarmFraction("sn_lrmf", 0);
   const double pool_mid = executor.WarmFraction("sn_linear", 0);
-  const double ledger_small = executor.PredictedWarmFraction("sn_lrmf", 0);
-  const double ledger_mid = executor.PredictedWarmFraction("sn_linear", 0);
-  // Proportional decay: equal survival factors.
-  EXPECT_NEAR(ledger_small, ledger_mid, 1e-9);
-  EXPECT_GT(ledger_small, 0.0);
-  // Hand order: the first-installed table lost strictly more.
   EXPECT_LT(pool_small, pool_mid);
-  EXPECT_GT(std::abs(pool_small - ledger_small), 0.05);
-  EXPECT_GT(std::abs(pool_mid - ledger_mid), 0.05);
 
-  // The executor charges the physical answer, not the prediction: the next
-  // dispatch's warm_fraction is the pool's, and its service interpolates
-  // from that fraction (colder than the ledger claims for sn_lrmf).
+  // The executor charges the physical answer: the next dispatch's
+  // warm_fraction is the pool's, and its service interpolates from it.
   auto exec = executor.Begin(QueryBatch::Single("sn_linear", 1, 0));
   ASSERT_TRUE(exec.ok());
   EXPECT_DOUBLE_EQ((*exec)->warm_fraction(), pool_mid);
-  EXPECT_NE((*exec)->warm_fraction(), ledger_mid);
-}
-
-TEST(DivergenceTest, LegacyFlagReproducesLedgerPricing) {
-  // physical_pools = false is the PR 3/PR 4 executor: charges come from
-  // the ledger, so the same sequence prices the divergent step differently.
-  DanaQueryExecutor::Options legacy;
-  legacy.physical_pools = false;
-  DanaQueryExecutor ledger_priced(legacy);
-  DriveDivergence(ledger_priced);
-  EXPECT_DOUBLE_EQ(ledger_priced.WarmFraction("sn_lrmf", 0),
-                   ledger_priced.PredictedWarmFraction("sn_lrmf", 0));
-  EXPECT_DOUBLE_EQ(ledger_priced.WarmFraction("sn_linear", 0),
-                   ledger_priced.PredictedWarmFraction("sn_linear", 0));
-
-  DanaQueryExecutor physical;
-  DriveDivergence(physical);
-  EXPECT_NE(physical.WarmFraction("sn_lrmf", 0),
-            ledger_priced.WarmFraction("sn_lrmf", 0));
 }
 
 TEST(DivergenceTest, RepeatRunsAreBitForBit) {
@@ -205,9 +179,7 @@ TEST(DivergenceTest, RepeatRunsAreBitForBit) {
 
 /// Property: over any random dispatch sequence, (1) every charged
 /// warm_fraction equals the slot pool's resident share at dispatch time,
-/// (2) per-table frames partition each pool, and (3) the ledger predictor
-/// stays a valid fraction — it may disagree with the pool (that is the
-/// point) but never leaves [0, 1].
+/// and (2) per-table frames partition each pool.
 TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
   const std::vector<std::string> ids = {"sn_lrmf", "sn_linear", "se_lrmf"};
   DanaQueryExecutor executor;
@@ -226,11 +198,6 @@ TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
       for (const std::string& t : ids) per_table += pool->resident_frames(t);
       EXPECT_EQ(per_table, pool->resident_frames());
       EXPECT_LE(pool->resident_frames(), pool->num_frames());
-      for (const std::string& t : ids) {
-        const double predicted = executor.PredictedWarmFraction(t, s);
-        EXPECT_GE(predicted, 0.0);
-        EXPECT_LE(predicted, 1.0);
-      }
     }
   }
 }
@@ -247,8 +214,8 @@ TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
 /// to charge a single sweep per slice regardless of the epoch count,
 /// understating that churn; it now sweeps min(epochs, 2) times — pass two
 /// is the steady state, so two passes capture the wraparound without
-/// paying the full epoch budget — in both the physical pool and the ledger
-/// predictor. This pins the fix by replaying the exact sweep sequences on
+/// paying the full epoch budget. This pins the fix by replaying the exact
+/// sweep sequences on
 /// bare pools: the executor's end state must match the two-pass replay and
 /// must NOT match the old one-pass behavior.
 TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
@@ -304,11 +271,6 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   EXPECT_NE(pool->stats().misses, one_pass.stats().misses);
   EXPECT_EQ(pool->resident_frames("se_logistic"),
             one_pass.resident_frames("se_logistic"));
-
-  // The predictor saw the same two passes: scanning the oversized table
-  // leaves it at the post-run share on both sides of the cross-check.
-  EXPECT_NEAR(executor.WarmFraction("se_logistic", 0),
-              executor.PredictedWarmFraction("se_logistic", 0), 1e-3);
 }
 
 /// Fitting tables must be unaffected by the cap: their second pass is a

@@ -877,7 +877,7 @@ TEST(AffinityTest, WeightZeroNeverConsultsWarmthBitForBit) {
 }
 
 /// Executor with no residency model: it reports a static warm fraction
-/// (the fixed-cache regime), which says nothing about placement.
+/// (a fixed-cache cost model), which says nothing about placement.
 class StaticCacheExecutor : public QueryExecutor {
  public:
   Result<BatchCost> Dispatch(const QueryBatch& batch) override {
@@ -943,30 +943,6 @@ TEST(ColdStartTest, FreshSlotPaysColdThenWarmRepeat) {
   // ResetResidency returns every slot to cold.
   executor.ResetResidency();
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 0.0);
-}
-
-TEST(ColdStartTest, LegacyRegimeReproducesPr2FixedWarmCosts) {
-  // model_residency = false is the PR 2 executor: every run silently
-  // re-prepared to warm, so slot history never changes the charge.
-  DanaQueryExecutor::Options legacy;
-  legacy.model_residency = false;
-  DanaQueryExecutor executor(legacy);
-  auto a = executor.Dispatch(QueryBatch::Single("wlan", 0, 0));
-  auto b = executor.Dispatch(QueryBatch::Single("wlan", 1, 0));
-  auto c = executor.Dispatch(QueryBatch::Single("wlan", 2, 1));
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  EXPECT_DOUBLE_EQ(a->service.nanos(), b->service.nanos());
-  EXPECT_DOUBLE_EQ(a->service.nanos(), c->service.nanos());
-  EXPECT_DOUBLE_EQ(a->warm_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 1.0);
-
-  // The residency executor's warm repeat charges exactly the legacy (warm)
-  // service: the steady state agrees, only cold starts differ.
-  DanaQueryExecutor modeled;
-  ASSERT_TRUE(modeled.Dispatch(QueryBatch::Single("wlan", 0, 0)).ok());
-  auto warm_repeat = modeled.Dispatch(QueryBatch::Single("wlan", 1, 0));
-  ASSERT_TRUE(warm_repeat.ok());
-  EXPECT_DOUBLE_EQ(warm_repeat->service.nanos(), a->service.nanos());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/page.h"
-#include "storage/residency.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 
@@ -643,8 +642,7 @@ TEST(SharedPoolTest, ScanLeavesTrailingWindowOfOversizedTable) {
 
 TEST(SharedPoolTest, CrossTableEvictionFollowsClockHandOrder) {
   // a and b fill the pool; c's installs must come out of whatever the
-  // clock hand reaches first — the physical behaviour the logical ledger
-  // (proportional decay) only approximates.
+  // clock hand reaches first, not proportionally from both.
   BufferPool pool = BufferPool::SizedInFrames(10, 8 * 1024, DiskModel{});
   pool.ScanTable("a", 3);
   pool.ScanTable("b", 3);
@@ -721,77 +719,6 @@ TEST(PrewarmEdgeCaseTest, PrewarmIntoPressureEvictsOtherTables) {
   EXPECT_EQ(pool.resident_frames("warmed"), 3u);
   EXPECT_EQ(pool.resident_frames("other"), 1u);
   EXPECT_EQ(pool.resident_frames(), 4u);
-}
-
-// ---------------------------------------------------------------------------
-// CacheResidencyModel (logical per-slot cross-table ledger)
-// ---------------------------------------------------------------------------
-
-TEST(CacheResidencyModelTest, FreshSlotsAreCold) {
-  CacheResidencyModel model;
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "t"), 0.0);
-  EXPECT_TRUE(model.ResidentTables(0).empty());
-  EXPECT_DOUBLE_EQ(model.PoolShareTotal(0), 0.0);
-}
-
-TEST(CacheResidencyModelTest, RunLeavesTableAsResidentAsPoolAllows) {
-  CacheResidencyModel model;
-  model.OnRun(0, "small", /*size_ratio=*/0.25);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "small"), 1.0);
-  model.OnRun(0, "huge", /*size_ratio=*/4.0);
-  // A 4x-oversized table keeps only its trailing pool-sized window.
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "huge"), 0.25);
-  // Slots are independent.
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(1, "small"), 0.0);
-}
-
-TEST(CacheResidencyModelTest, OtherTablesEvictOnlyUnderInstallPressure) {
-  CacheResidencyModel model;
-  model.OnRun(0, "a", 0.5);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "a"), 1.0);
-  // b's installs fit in the free half of the pool: a is untouched.
-  model.OnRun(0, "b", 0.5);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "a"), 1.0);
-  EXPECT_DOUBLE_EQ(model.PoolShareTotal(0), 1.0);
-  // A fully-warm repeat of b installs nothing and must not decay a.
-  model.OnRun(0, "b", 0.5);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "a"), 1.0);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "b"), 1.0);
-  // d needs half the (now full) pool: a and b each give up half.
-  model.OnRun(0, "d", 0.5);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "a"), 0.5);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "b"), 0.5);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "d"), 1.0);
-  // A pool-sized scan sweeps everything else out.
-  model.OnRun(0, "c", 1.0);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "a"), 0.0);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "b"), 0.0);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "d"), 0.0);
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "c"), 1.0);
-  model.Reset();
-  EXPECT_DOUBLE_EQ(model.ResidentFraction(0, "c"), 0.0);
-}
-
-/// Property: after any interleaving of runs, every slot's pool shares sum
-/// to at most one pool and every residency stays within [0, 1].
-TEST(CacheResidencyModelTest, PropertyPoolShareNeverOverflows) {
-  const std::vector<std::pair<std::string, double>> tables = {
-      {"tiny", 0.02}, {"half", 0.5}, {"fit", 1.0}, {"big", 2.5}, {"huge", 6.0}};
-  CacheResidencyModel model;
-  dana::Rng rng(0xC0FFEE);
-  for (int step = 0; step < 5000; ++step) {
-    const auto& [id, ratio] = tables[rng.UniformInt(tables.size())];
-    const uint32_t slot = static_cast<uint32_t>(rng.UniformInt(4));
-    model.OnRun(slot, id, ratio);
-    for (uint32_t s = 0; s < 4; ++s) {
-      ASSERT_LE(model.PoolShareTotal(s), 1.0 + 1e-9);
-      for (const auto& [tid, tratio] : tables) {
-        const double f = model.ResidentFraction(s, tid);
-        ASSERT_GE(f, 0.0);
-        ASSERT_LE(f, 1.0);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -94,8 +94,7 @@ void PrintHelp(std::FILE* out) {
       "                            repeats warm until another table's sweep\n"
       "                            evicts the frames; the phys-warm column\n"
       "                            reports the mean measured residency at\n"
-      "                            dispatch. --pool-frames 0 selects the\n"
-      "                            legacy logical-ledger pricing.\n"
+      "                            dispatch.\n"
       "                            Memory hierarchy: --eviction picks the\n"
       "                            pools' replacement policy (clock is the\n"
       "                            pinned legacy behaviour); --os-frames F\n"
@@ -403,16 +402,16 @@ int CmdSched(int argc, char** argv) {
     std::fprintf(stderr, "--runtime must be simulated or threaded\n");
     return 2;
   }
-  // Shared physical residency pools: frames per slot pool; 0 falls back to
-  // the legacy logical-ledger pricing (the PR 3 executor). Each slot's
+  // Shared physical residency pools: frames per slot pool, at least one
+  // (a non-numeric argument parses to 0 and is rejected). Each slot's
   // pool eagerly allocates its frame table, so the ceiling must be a
   // count a process can actually hold (2^20 frames ~ 60 MB of frame
   // metadata per slot); resolution gains above the 4096 default are
   // already below 0.1% quantization.
   const long long pool_frames =
       std::atoll(Flag(argc, argv, "--pool-frames", "4096"));
-  if (pool_frames < 0 || pool_frames > (1ll << 20)) {
-    std::fprintf(stderr, "--pool-frames must be in 0..2^20\n");
+  if (pool_frames < 1 || pool_frames > (1ll << 20)) {
+    std::fprintf(stderr, "--pool-frames must be in 1..2^20\n");
     return 2;
   }
   // Tiered hierarchy: replacement policy of the slot pools and an optional
@@ -489,10 +488,7 @@ int CmdSched(int argc, char** argv) {
   obs::SlotTracer tracer;
 
   sched::DanaQueryExecutor::Options executor_opts;
-  executor_opts.physical_pools = pool_frames > 0;
-  if (pool_frames > 0) {
-    executor_opts.pool_frames = static_cast<uint64_t>(pool_frames);
-  }
+  executor_opts.pool_frames = static_cast<uint64_t>(pool_frames);
   executor_opts.eviction = *eviction;
   executor_opts.os_frames = static_cast<uint64_t>(os_frames);
   executor_opts.metrics = want_obs ? &registry : nullptr;
@@ -580,13 +576,11 @@ int CmdSched(int argc, char** argv) {
                                 : TablePrinter::Fmt(fraction, 2);
   };
   const bool preemptive = quantum > 0 || window_ms > 0;
-  // With physical pools on, the mean warm fraction is *measured* per-slot
-  // pool residency at dispatch ("phys warm"); with --pool-frames 0 it is
-  // the logical ledger's prediction. With an OS tier the column splits
-  // into the pool share and the os-tier share (exclusive tiers).
+  // The mean warm fraction is *measured* per-slot pool residency at
+  // dispatch ("phys warm"). With an OS tier the column splits into the
+  // pool share and the os-tier share (exclusive tiers).
   const bool tiered = os_frames > 0;
-  const char* warm_column =
-      tiered ? "pool/os warm" : (pool_frames > 0 ? "phys warm" : "mean warm");
+  const char* warm_column = tiered ? "pool/os warm" : "phys warm";
   std::vector<std::string> columns = {
       "policy", "throughput (q/h)", "mean lat", "p50", "p95", "p99",
       "mean wait", "makespan", "mean batch", "warm hits", warm_column,
