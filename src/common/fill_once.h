@@ -16,7 +16,7 @@ namespace dana {
 /// ZNS caches use for their zone-map results: a lookup either returns the
 /// ready entry immediately or — when the key is cold — elects exactly one
 /// caller to run the filler while every concurrent requester of the same
-/// key blocks on a wait handle until the fill lands. N slot workers asking
+/// key blocks on a wait handle until the fill lands. N threads asking
 /// for the same cold artifact therefore never duplicate the work.
 ///
 /// Failure semantics: a failed fill is NOT cached. The waiters that joined

@@ -2,11 +2,10 @@
 
 /// Clang thread-safety-analysis attribute macros (the `-Wthread-safety`
 /// static checker): annotating which mutex guards which data turns the
-/// repo's two dynamic determinism contracts — byte-identical snapshots and
-/// simulator-oracle parity in the threaded runtime — into build-time
-/// guarantees about lock discipline. Under any compiler (or clang build)
-/// without the attributes, every macro expands to nothing, so the
-/// annotations cost nothing outside the `static-analysis` CI leg.
+/// lock discipline behind the repo's byte-identical snapshots into a
+/// build-time guarantee. Under any compiler (or clang build) without the
+/// attributes, every macro expands to nothing, so the annotations cost
+/// nothing outside the `static-analysis` CI leg.
 ///
 /// Apply them through `common/mutex.h`'s annotated wrappers: libstdc++'s
 /// std::mutex/std::lock_guard carry no capability attributes, so guarding

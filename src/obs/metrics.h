@@ -21,12 +21,11 @@ namespace dana::obs {
 /// accumulated"). Values are doubles so time totals (seconds) and plain
 /// counts share one type; integral counts stay exactly representable.
 ///
-/// Thread-safe: Increment is a relaxed atomic add, so concurrent slot
-/// workers in the threaded runtime can publish without a lock. Totals are
-/// order-independent for the integral counts the scheduler emits; float
-/// accumulation order can differ across threaded runs, which is why the
-/// runtime parity suite compares counter totals, not serialized bytes,
-/// for time-valued counters.
+/// Thread-safe: Increment is a relaxed atomic add, so concurrent
+/// publishers need no lock. Totals are order-independent for integral
+/// counts; float accumulation order follows the interleaving, so
+/// time-valued counters published from several threads are only
+/// reproducible up to rounding.
 class Counter {
  public:
   void Increment(double by = 1.0) {
@@ -134,7 +133,7 @@ class MetricRegistry {
 
 /// Null-safe helpers: the idiomatic publish call at an instrumentation
 /// site. All compile to a pointer test when `r` is null, and are safe to
-/// call from concurrent slot workers when `r` is set.
+/// call from several threads when `r` is set.
 inline void Count(MetricRegistry* r, const std::string& name,
                   double by = 1.0) {
   if (r != nullptr) r->counter(name)->Increment(by);

@@ -21,8 +21,8 @@ namespace dana::sched {
 /// The cache owns the designs; returned pointers stay valid for the cache's
 /// lifetime.
 ///
-/// Thread-safe with fill-once/wait semantics: when N slot workers request
-/// the same cold key concurrently, exactly one runs the builder while the
+/// Thread-safe with fill-once/wait semantics: when N threads request the
+/// same cold key concurrently, exactly one runs the builder while the
 /// others block on the entry's wait handle and then share the result —
 /// the design is never compiled twice. The builder call that fills counts
 /// one miss (failed builds included, matching the single-threaded

@@ -370,7 +370,7 @@ DanaQueryExecutor::MeasureEndpoint(const QueryBatch& batch,
                                    static_cast<uint8_t>(cache));
   // Fill-once/wait: a cold key elects exactly one caller to run the
   // measurement while concurrent requesters block for the result, so N
-  // slot workers hitting the same cold (workload, batch, endpoint) never
+  // concurrent callers hitting the same cold (workload, batch, endpoint) never
   // duplicate a simulator run.
   return measured_.GetOrFill(key, [&]() -> Result<EpochProfile> {
     // Serialize the actual simulator runs across *different* keys too:

@@ -205,10 +205,10 @@ class QueryExecutor {
     return 0.0;
   }
 
-  /// Pre-sizes any per-slot state for `slots` concurrent slots. The
-  /// threaded runtime calls this once before spawning its slot workers so
+  /// Pre-sizes any per-slot state for `slots` concurrent slots, so
   /// lazily-grown per-slot containers (e.g. a pool group's vector) never
-  /// reallocate under concurrent access. Default: no per-slot state.
+  /// grow mid-run. A caller that drives slots from several threads calls
+  /// this once before starting them. Default: no per-slot state.
   virtual void PrepareSlots(uint32_t slots) { (void)slots; }
 
  private:
@@ -253,16 +253,16 @@ class QueryExecutor {
 /// the pool so affinity dispatch can route resumed work back to its warm
 /// slot.
 ///
-/// Concurrency: safe for the threaded runtime's slot workers. Shared
-/// cross-slot state is partitioned into fill-once caches (the compile
-/// cache and the measured endpoint profiles — concurrent cold requests
-/// share one fill) and a state mutex (workload instances, registry memo).
-/// Per-slot pool state is intentionally unguarded: slot i's pool is only
-/// ever touched by the execution running on slot i (or by the scheduler
-/// while the slot is idle), the same partition the scheduler's dispatch
-/// discipline guarantees. Callers
-/// running real threads must PrepareSlots() first so the pool group never
-/// grows mid-run.
+/// Concurrency: safe to call from several threads; per-slot pool state
+/// must be partitioned by slot. Shared cross-slot state is partitioned
+/// into fill-once caches (the compile cache and the measured endpoint
+/// profiles — concurrent cold requests share one fill) and a state mutex
+/// (workload instances, registry memo). Per-slot pool state is
+/// intentionally unguarded: slot i's pool may only be touched by the
+/// execution running on slot i (or by the scheduler while the slot is
+/// idle), the partition the scheduler's dispatch discipline guarantees.
+/// Callers driving slots from several threads must call PrepareSlots()
+/// first so the pool group never grows mid-run.
 class DanaQueryExecutor : public QueryExecutor {
  public:
   struct Options {
@@ -403,7 +403,7 @@ class DanaQueryExecutor : public QueryExecutor {
       GUARDED_BY(state_mu_);
   /// Measured epoch profiles, keyed by (workload, batch size, cache
   /// endpoint). The cold table-load path: measuring an endpoint actually
-  /// runs the cycle-level simulator, so concurrent slot workers asking for
+  /// runs the cycle-level simulator, so concurrent callers asking for
   /// the same cold key share one fill (fill-once/wait) and never duplicate
   /// a run.
   dana::FillOnceMap<std::tuple<std::string, uint32_t, uint8_t>, EpochProfile>
@@ -416,7 +416,7 @@ class DanaQueryExecutor : public QueryExecutor {
       GUARDED_BY(state_mu_);
   /// Guards the executor's cross-slot mutable state: instances_ and
   /// workload_cache_. Per-slot pool state needs no lock — slot i's pool is
-  /// touched only by slot i's worker (BufferPoolGroup's contract).
+  /// touched only by slot i's execution (BufferPoolGroup's contract).
   mutable dana::Mutex state_mu_;
   /// Serializes actual simulator measurement runs (MeasureEndpoint fills):
   /// WorkloadInstance execution contexts grow per-slot pools on demand and

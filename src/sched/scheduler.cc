@@ -14,7 +14,6 @@
 
 #include "common/intern.h"
 #include "common/stats.h"
-#include "sched/runtime_worker.h"
 
 namespace dana::sched {
 
@@ -1275,19 +1274,6 @@ dana::Result<ScheduleReport> RunEngine(
   report.policy = options.policy;
   report.slots = options.slots;
   report.queries.reserve(expected);
-
-  // Threaded runtime: every execution-state call runs on the owning
-  // slot's worker thread through the proxy, awaited in oracle order, so
-  // the schedule is unchanged (see RuntimeMode::kThreaded). The pool
-  // outlives the proxy and the engine; its destructor joins.
-  std::unique_ptr<SlotWorkerPool> workers;
-  std::unique_ptr<WorkerProxyExecutor> proxy;
-  if (options.runtime_mode == RuntimeMode::kThreaded) {
-    executor->PrepareSlots(options.slots);
-    workers = std::make_unique<SlotWorkerPool>(options.slots);
-    proxy = std::make_unique<WorkerProxyExecutor>(executor, workers.get());
-    executor = proxy.get();
-  }
 
   EventEngine engine(options, executor, requests, wids, ids, estimates,
                      std::move(class_order), &report);

@@ -148,25 +148,6 @@ struct ScheduleReport {
   ///@}
 };
 
-/// How dispatched work physically executes.
-enum class RuntimeMode : uint8_t {
-  /// Single-threaded discrete-event simulation (the default): one virtual
-  /// clock, executor calls inline. This is the oracle the threaded mode is
-  /// verified against.
-  kSimulated,
-  /// Each slot is a real worker thread pulling work items off its own
-  /// mutex/condvar admission queue (SlotWorkerPool). Scheduling decisions
-  /// still serialize in oracle order on the coordinating thread — time is
-  /// virtual either way — but every execution-state call (Begin, slices,
-  /// checkpoint/resume re-pricing) runs on the owning slot's thread through
-  /// a WorkerProxyExecutor and is awaited before the engine proceeds. Per-
-  /// query stats, dispatch order, service charges, warm-hit rates, and the
-  /// metric snapshot are identical to the simulated oracle by construction
-  /// (the sched_runtime parity suite asserts it); only real wall-clock time
-  /// differs, which no report field measures.
-  kThreaded,
-};
-
 struct SchedulerOptions {
   uint32_t slots = 1;
   Policy policy = Policy::kFcfs;
@@ -222,9 +203,6 @@ struct SchedulerOptions {
   /// dispatch/slice/checkpoint/resume spans for chrome://tracing.
   obs::MetricRegistry* metrics = nullptr;
   obs::SlotTracer* tracer = nullptr;
-  /// Execution substrate (see RuntimeMode). kSimulated is the oracle;
-  /// kThreaded runs one worker thread per slot with identical schedules.
-  RuntimeMode runtime_mode = RuntimeMode::kSimulated;
 };
 
 /// Publishes `report`'s aggregate statistics into `metrics` as the

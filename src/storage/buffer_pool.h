@@ -337,11 +337,12 @@ class BufferPool {
 /// Resize and the lazily-growing pool(i) serialize on an internal mutex,
 /// and returned BufferPool pointers are stable (pools are heap-allocated
 /// and never destroyed before the group). Each *pool* itself is
-/// externally synchronized: in the threaded runtime, slot i's pool is
-/// touched only by slot i's worker (or by the coordinator while that slot
-/// is idle), which is the partition the scheduler guarantees. Callers
-/// should still PrepareSlots/Resize up front so steady-state pool(i)
-/// calls are pure reads.
+/// externally synchronized: per-slot pool state must be partitioned by
+/// slot — slot i's pool touched only by the execution running on slot i
+/// (or by the scheduler while that slot is idle), the partition the
+/// scheduler's dispatch discipline guarantees. Callers driving slots from
+/// several threads should PrepareSlots/Resize up front so steady-state
+/// pool(i) calls are pure reads.
 class BufferPoolGroup {
  public:
   /// Sizing template applied to every pool in the group; `Resize` creates

@@ -10,8 +10,8 @@
 //    the unsegmented Dispatch charge, and Resume re-prices the remainder
 //    from the new slot's residency;
 //  - the scheduler's preemptive knobs: priority classes, epoch-boundary
-//    preemption with a bounded interactive latency, and the batching
-//    window.
+//    preemption with a bounded interactive latency (open stream and
+//    closed-loop sessions), and the batching window.
 
 #include <gtest/gtest.h>
 
@@ -846,6 +846,71 @@ TEST(PreemptionTest, ClosedLoopRejectsPreemptiveKnobs) {
 
   sched::Scheduler plain({.slots = 1, .policy = sched::Policy::kFcfs}, &exec);
   EXPECT_TRUE(plain.RunClosedLoop({{"a"}}, dana::SimTime::Zero()).ok());
+}
+
+/// Closed-loop catalog: a one-epoch interactive lookup and a 12-epoch
+/// batch training (3 s per epoch at batch size 1) with pinned warmth.
+SlicedExecutor ClosedLoopExecutor() {
+  SlicedExecutor e;
+  e.Set("lookup", 1, 1.5, 0.5, 2.0, 0.2);
+  e.Set("train", 12, 2.0, 1.0, 26.0, 1.0);
+  e.SetWarm("train", 0, 0.6);
+  return e;
+}
+
+TEST(ClosedLoopPreemptionTest, InteractiveSessionPreemptsBatchTraining) {
+  // One slot, a long batch training session against an interactive
+  // lookup session: closed-loop preemption must checkpoint the training
+  // at epoch boundaries so the interactive queries get in.
+  const std::vector<std::vector<std::string>> sessions = {
+      {"train", "train"},
+      {"lookup", "lookup", "lookup"},
+  };
+  const std::vector<sched::QueryClass> classes = {
+      sched::QueryClass::kBatch, sched::QueryClass::kInteractive};
+  SlicedExecutor exec = ClosedLoopExecutor();
+  sched::Scheduler scheduler(
+      {.slots = 1,
+       .policy = sched::Policy::kFcfs,
+       .preemption_quantum_epochs = 2,
+       .context_switch_cost = dana::SimTime::Millis(100)},
+      &exec);
+  auto report =
+      scheduler.RunClosedLoop(sessions, dana::SimTime::Seconds(1), classes);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->queries.size(), 5u);
+  EXPECT_EQ(report->ClassQueries(sched::QueryClass::kInteractive), 3u);
+  EXPECT_GE(report->preemptions, 1u);
+  // Preempting works: no interactive query waits out a full training run
+  // (12 epochs x 3s); it rides in at the next armed epoch boundary.
+  for (const sched::QueryStat& q : report->queries) {
+    if (q.query_class == sched::QueryClass::kInteractive) {
+      EXPECT_LT(q.Wait().seconds(), 12.0 * 3.0) << "query " << q.id;
+    }
+  }
+}
+
+TEST(ClosedLoopPreemptionTest, BatchWindowIsStillRejected) {
+  // The batch-formation window is the one open-stream-only knob; its
+  // rejection must be actionable (InvalidArgument naming the option),
+  // while the quantum composes with sessions.
+  SlicedExecutor exec = ClosedLoopExecutor();
+  sched::Scheduler windowed({.slots = 1,
+                             .policy = sched::Policy::kFcfs,
+                             .max_batch = 2,
+                             .batch_window = dana::SimTime::Seconds(1)},
+                            &exec);
+  const Status err =
+      windowed.RunClosedLoop({{"lookup"}}, dana::SimTime::Zero()).status();
+  EXPECT_TRUE(err.IsInvalidArgument());
+  EXPECT_NE(err.ToString().find("batch_window"), std::string::npos);
+
+  sched::Scheduler quantum({.slots = 1,
+                            .policy = sched::Policy::kFcfs,
+                            .preemption_quantum_epochs = 1},
+                           &exec);
+  EXPECT_TRUE(
+      quantum.RunClosedLoop({{"lookup"}}, dana::SimTime::Zero()).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -23,13 +23,16 @@
 //   dana --help
 //       Detailed verb and option listing.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table_printer.h"
@@ -75,7 +78,7 @@ void PrintHelp(std::FILE* out) {
       "        [--interactive R] [--quantum E] [--ctx-ms MS] [--window-ms MS]\n"
       "        [--pool-frames F] [--eviction clock|lru|promotional]\n"
       "        [--os-frames F] [--metrics-json FILE] [--trace-out FILE]\n"
-      "        [--metrics-table] [--runtime simulated|threaded]\n"
+      "        [--metrics-table]\n"
       "                            schedule a multi-query request stream\n"
       "                            onto N simulated accelerator slots;\n"
       "                            --batch K coalesces up to K same-algorithm\n"
@@ -125,9 +128,6 @@ void PrintHelp(std::FILE* out) {
       "                            writes a Chrome trace_event slot timeline\n"
       "                            (chrome://tracing / Perfetto),\n"
       "                            --metrics-table prints the snapshot.\n"
-      "                            --runtime threaded executes each slot on\n"
-      "                            a real worker thread (same schedule as\n"
-      "                            the simulated oracle, bit for bit)\n"
       "  help | --help | -h        this message\n",
       out);
 }
@@ -150,6 +150,32 @@ bool HasFlag(int argc, char** argv, const char* name) {
     if (std::strcmp(argv[i], name) == 0) return true;
   }
   return false;
+}
+
+/// Rejects `verb`'s arguments unless each is one of its flags and every
+/// flag in `valued` is followed by a value (Flag() alone would silently
+/// ignore a misspelled flag). Returns 0 when well formed; otherwise names
+/// the offending flag on stderr and returns 2.
+int CheckFlags(const char* verb, int argc, char** argv,
+               std::initializer_list<std::string_view> valued,
+               std::initializer_list<std::string_view> switches) {
+  auto in = [](std::initializer_list<std::string_view> set,
+               std::string_view arg) {
+    return std::find(set.begin(), set.end(), arg) != set.end();
+  };
+  for (int i = 2; i < argc; ++i) {
+    if (in(switches, argv[i])) continue;
+    if (!in(valued, argv[i])) {
+      std::fprintf(stderr, "dana %s: unknown flag '%s'\n", verb, argv[i]);
+      return 2;
+    }
+    if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      std::fprintf(stderr, "dana %s: %s needs a value\n", verb, argv[i]);
+      return 2;
+    }
+    ++i;
+  }
+  return 0;
 }
 
 int CmdWorkloads() {
@@ -323,6 +349,16 @@ int CmdStriderWalk(int argc, char** argv) {
 }
 
 int CmdSched(int argc, char** argv) {
+  if (int rc = CheckFlags(
+          "sched", argc, argv,
+          {"--policy", "--slots", "--queries", "--rate", "--dist", "--theta",
+           "--seed", "--group", "--batch", "--aging", "--affinity",
+           "--think-ms", "--sessions", "--interactive", "--quantum",
+           "--ctx-ms", "--window-ms", "--pool-frames", "--eviction",
+           "--os-frames", "--metrics-json", "--trace-out"},
+          {"--closed-loop", "--metrics-table"})) {
+    return rc;
+  }
   // Workload catalog (popularity rank = catalog order).
   const std::string group = Flag(argc, argv, "--group", "public");
   std::vector<ml::Workload> workloads;
@@ -392,14 +428,6 @@ int CmdSched(int argc, char** argv) {
     // batch-formation window remains open-stream.
     std::fprintf(stderr, "--window-ms is an open-stream feature; drop "
                          "--closed-loop\n");
-    return 2;
-  }
-  const std::string runtime_name = Flag(argc, argv, "--runtime", "simulated");
-  sched::RuntimeMode runtime_mode = sched::RuntimeMode::kSimulated;
-  if (runtime_name == "threaded") {
-    runtime_mode = sched::RuntimeMode::kThreaded;
-  } else if (runtime_name != "simulated") {
-    std::fprintf(stderr, "--runtime must be simulated or threaded\n");
     return 2;
   }
   // Shared physical residency pools: frames per slot pool, at least one
@@ -606,8 +634,7 @@ int CmdSched(int argc, char** argv) {
          .context_switch_cost = dana::SimTime::Millis(ctx_ms),
          .batch_window = dana::SimTime::Millis(window_ms),
          .metrics = want_obs ? &registry : nullptr,
-         .tracer = trace_out != nullptr ? &tracer : nullptr,
-         .runtime_mode = runtime_mode},
+         .tracer = trace_out != nullptr ? &tracer : nullptr},
         &executor);
     auto report =
         closed_loop
