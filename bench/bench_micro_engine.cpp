@@ -1,77 +1,177 @@
-// Microbenchmarks: backend compilation (lowering + list scheduling) and
-// functional fp32 execution throughput of the engine evaluator.
+// Engine-layer microbenchmark: host throughput of the backend's two
+// per-program steps (lowering and list scheduling) and of the functional
+// fp32 engine evaluator, the simulator's hottest loop.
+//
+// The gated scoreboard is tuples_per_s.d{54,2000,8000}: logistic regression
+// at merge_coef 64, one seeded 64-tuple batch evaluated repeatedly. A rep
+// evaluates about 2^24 scalar ops; reps repeat until the point has 5 reps
+// or ~0.5 s of wall time, and the best rep wins (max over reps is the
+// standard microbenchmark noise filter; the trained model itself is
+// deterministic). Lowering and scheduling times are recorded as info.
+//
+// Emits BENCH_micro_engine.json; the CI bench-telemetry job compares it
+// against bench/baselines/BENCH_micro_engine.json. Each gated metric carries
+// a 0.75 tolerance: wall-clock throughput on shared runners jitters far
+// more than simulated metrics, and a structural slowdown of the evaluator
+// (4x or more) still trips the gate. The sweep is already CI-sized, so
+// DANA_BENCH_FAST does not change its shape.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <vector>
 
+#include "bench_harness.h"
+#include "common/table_printer.h"
 #include "compiler/scalar_program.h"
 #include "compiler/scheduler.h"
 #include "engine/evaluator.h"
 #include "hdfg/translator.h"
 #include "ml/algorithms.h"
+#include "ml/datasets.h"
+#include "obs/stats_writer.h"
 
 namespace {
 
 using namespace dana;
 
-compiler::ScalarProgram LowerAlgo(uint32_t dims) {
+constexpr uint32_t kMergeCoef = 64;
+constexpr uint64_t kOpsPerRep = uint64_t{1} << 24;
+
+double Elapsed(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       since)
+      .count();
+}
+
+Result<hdfg::Graph> Translate(uint32_t dims) {
   ml::AlgoParams p;
   p.dims = dims;
-  p.merge_coef = 16;
-  auto algo =
-      std::move(ml::BuildAlgo(ml::AlgoKind::kLogisticRegression, p))
-          .ValueOrDie();
-  auto graph = std::move(hdfg::Translator::Translate(*algo)).ValueOrDie();
-  return std::move(compiler::LowerGraph(graph)).ValueOrDie();
+  p.merge_coef = kMergeCoef;
+  DANA_ASSIGN_OR_RETURN(auto algo,
+                        ml::BuildAlgo(ml::AlgoKind::kLogisticRegression, p));
+  return hdfg::Translator::Translate(*algo);
 }
 
-void BM_LowerLogistic(benchmark::State& state) {
-  ml::AlgoParams p;
-  p.dims = static_cast<uint32_t>(state.range(0));
-  p.merge_coef = 16;
-  auto algo =
-      std::move(ml::BuildAlgo(ml::AlgoKind::kLogisticRegression, p))
-          .ValueOrDie();
-  auto graph = std::move(hdfg::Translator::Translate(*algo)).ValueOrDie();
-  for (auto _ : state) {
-    auto prog = compiler::LowerGraph(graph);
-    benchmark::DoNotOptimize(prog);
-  }
+/// "d<dims>", the metric-name suffix of one sweep point.
+std::string PointLabel(uint32_t dims) {
+  char label[16];
+  std::snprintf(label, sizeof(label), "d%u", dims);
+  return label;
 }
-BENCHMARK(BM_LowerLogistic)->Arg(54)->Arg(520)->Arg(2000);
 
-void BM_ScheduleLogistic(benchmark::State& state) {
-  auto prog = LowerAlgo(static_cast<uint32_t>(state.range(0)));
-  compiler::SchedulerConfig cfg;
-  cfg.num_acs = 16;
-  compiler::Scheduler sched(cfg);
-  for (auto _ : state) {
-    auto s = sched.Run(prog.tuple_ops);
-    benchmark::DoNotOptimize(s);
+/// Best-of-reps wall time of `body` (one rep per call), at most 5 reps or
+/// ~0.5 s per point.
+template <typename Body>
+Result<double> BestRep(Body body) {
+  double best = 0.0;
+  int reps = 0;
+  const auto start = std::chrono::steady_clock::now();
+  while (reps < 5 && Elapsed(start) < 0.5) {
+    const auto rep_start = std::chrono::steady_clock::now();
+    DANA_RETURN_NOT_OK(body());
+    const double wall = Elapsed(rep_start);
+    if (reps == 0 || wall < best) best = wall;
+    ++reps;
   }
-  state.counters["ops"] = static_cast<double>(prog.tuple_ops.size());
+  return best;
 }
-BENCHMARK(BM_ScheduleLogistic)->Arg(54)->Arg(520)->Arg(2000);
-
-void BM_EvaluatorTupleThroughput(benchmark::State& state) {
-  const uint32_t dims = static_cast<uint32_t>(state.range(0));
-  auto prog = LowerAlgo(dims);
-  engine::ScalarEvaluator evaluator(prog);
-  std::vector<engine::TupleData> batch(16);
-  for (auto& t : batch) {
-    t.inputs = {std::vector<float>(dims, 0.01f)};
-    t.outputs = {{1.0f}};
-  }
-  uint64_t tuples = 0;
-  for (auto _ : state) {
-    auto st = evaluator.EvalBatch(batch);
-    benchmark::DoNotOptimize(st);
-    tuples += batch.size();
-  }
-  state.counters["tuples/s"] = benchmark::Counter(
-      static_cast<double>(tuples), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EvaluatorTupleThroughput)->Arg(54)->Arg(2000);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  bench::Harness::PrintHeader(
+      "Engine layer throughput: lowering, list scheduling, fp32 evaluator",
+      "host-time scoreboard for the engine layer");
+
+  obs::StatsWriter stats("micro_engine");
+  stats.SetConfig("algo", "logistic");
+  stats.SetConfig("merge_coef", static_cast<double>(kMergeCoef));
+  stats.SetConfig("eval_dims", "54,2000,8000");
+  stats.SetConfig("compile_dims", "54,520,2000");
+  stats.SetConfig("ops_per_rep", static_cast<double>(kOpsPerRep));
+
+  auto fail = [](const char* what, const Status& st) {
+    std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
+    return 1;
+  };
+
+  TablePrinter compile_table(
+      {"dims", "tuple ops", "lower (ms)", "schedule (ms)"});
+  for (uint32_t dims : {54u, 520u, 2000u}) {
+    auto graph = Translate(dims);
+    if (!graph.ok()) return fail("translate", graph.status());
+    auto prog = compiler::LowerGraph(*graph);
+    if (!prog.ok()) return fail("lower", prog.status());
+    auto lower_s =
+        BestRep([&] { return compiler::LowerGraph(*graph).status(); });
+    if (!lower_s.ok()) return fail("lower", lower_s.status());
+    compiler::SchedulerConfig cfg;
+    cfg.num_acs = 16;
+    const compiler::Scheduler sched(cfg);
+    auto schedule_s =
+        BestRep([&] { return sched.Run(prog->tuple_ops).status(); });
+    if (!schedule_s.ok()) return fail("schedule", schedule_s.status());
+
+    const std::string d = PointLabel(dims);
+    compile_table.AddRow({std::to_string(dims),
+                          std::to_string(prog->tuple_ops.size()),
+                          TablePrinter::Fmt(*lower_s * 1e3, 3),
+                          TablePrinter::Fmt(*schedule_s * 1e3, 3)});
+    stats.Add("lower_s." + d, *lower_s, obs::Direction::kInfo);
+    stats.Add("schedule_s." + d, *schedule_s, obs::Direction::kInfo);
+  }
+
+  TablePrinter eval_table(
+      {"dims", "ops / tuple", "batches / rep", "best wall (s)", "tuples/s"});
+  for (uint32_t dims : {54u, 2000u, 8000u}) {
+    auto graph = Translate(dims);
+    if (!graph.ok()) return fail("translate", graph.status());
+    auto prog = compiler::LowerGraph(*graph);
+    if (!prog.ok()) return fail("lower", prog.status());
+
+    ml::DatasetSpec spec;
+    spec.kind = ml::AlgoKind::kLogisticRegression;
+    spec.dims = dims;
+    spec.tuples = kMergeCoef;
+    const ml::Dataset data = ml::GenerateDataset(spec);
+    std::vector<engine::TupleData> batch(kMergeCoef);
+    for (size_t t = 0; t < batch.size(); ++t) {
+      const std::vector<double>& row = data.rows[t];
+      batch[t].inputs = {std::vector<float>(row.begin(), row.begin() + dims)};
+      batch[t].outputs = {{static_cast<float>(row[dims])}};
+    }
+
+    const uint64_t ops_per_batch =
+        kMergeCoef * prog->tuple_ops.size() + prog->batch_ops.size();
+    const uint64_t batches =
+        std::max<uint64_t>(1, kOpsPerRep / ops_per_batch);
+    engine::ScalarEvaluator evaluator(*prog);
+    auto wall = BestRep([&]() -> Status {
+      for (uint64_t b = 0; b < batches; ++b) {
+        DANA_RETURN_NOT_OK(evaluator.EvalBatch(batch));
+      }
+      return Status::OK();
+    });
+    if (!wall.ok()) return fail("evaluate", wall.status());
+    const double tuples_per_s =
+        static_cast<double>(batches * kMergeCoef) / *wall;
+
+    const std::string d = PointLabel(dims);
+    eval_table.AddRow({std::to_string(dims),
+                       std::to_string(prog->tuple_ops.size()),
+                       std::to_string(batches), TablePrinter::Fmt(*wall, 4),
+                       TablePrinter::Fmt(tuples_per_s, 0)});
+    stats.Add("tuples_per_s." + d, tuples_per_s,
+              obs::Direction::kHigherIsBetter, 0.75);
+    stats.Add("eval_wall_s." + d, *wall, obs::Direction::kInfo);
+  }
+
+  compile_table.Print();
+  eval_table.Print();
+
+  auto st = bench::Harness::EmitBenchJson(stats);
+  if (!st.ok()) return fail("bench json", st);
+  return 0;
+}

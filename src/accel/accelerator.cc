@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "compiler/hw_generator.h"
 #include "hdfg/graph.h"
@@ -79,8 +80,11 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
   // segment finds it already on the fabric.
   if (done_before == 0) report.fpga_cycles += access.ConfigCycles();
 
-  std::vector<engine::TupleData> batch;
-  batch.reserve(batch_size);
+  // One batch of decode buffers for the whole run: tuple k of a batch is
+  // decoded into batch[k] in place, so after the first batch no tuple
+  // allocates.
+  std::vector<engine::TupleData> batch(batch_size);
+  size_t batch_fill = 0;
 
   for (uint32_t epoch = 0; epoch < segment_budget; ++epoch) {
     const dana::SimTime io_before = pool->stats().io_time;
@@ -90,11 +94,12 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
     uint64_t tuples_this_epoch = 0;
 
     auto flush_batch = [&]() -> Status {
-      if (batch.empty()) return Status::OK();
-      DANA_RETURN_NOT_OK(evaluator.EvalBatch(batch));
+      if (batch_fill == 0) return Status::OK();
+      DANA_RETURN_NOT_OK(
+          evaluator.EvalBatch(std::span(batch.data(), batch_fill)));
       // Timing: each thread runs ceil(batch/threads) rule instances
       // back-to-back, then the tree bus merges and the model updates.
-      const uint64_t rule_runs = (batch.size() + threads - 1) / threads;
+      const uint64_t rule_runs = (batch_fill + threads - 1) / threads;
       engine_cycles +=
           batch_q *
           (rule_runs * std::max<uint64_t>(design.tuple_schedule.EffectiveMakespan(
@@ -106,7 +111,7 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
                                  design.tree_bus_lanes) +
            design.batch_schedule.makespan);
       ++batches;
-      batch.clear();
+      batch_fill = 0;
       return Status::OK();
     };
 
@@ -117,12 +122,11 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
           access.WalkPage({frame, table.layout().page_size}));
       strider_cycles += extraction.strider_cycles;
       report.strider_instructions += extraction.tuples.size();
-      for (auto& payload : extraction.tuples) {
-        engine::TupleData tuple;
-        DANA_RETURN_NOT_OK(DecodeTuple(payload, &tuple));
-        batch.push_back(std::move(tuple));
+      for (const auto& payload : extraction.tuples) {
+        DANA_RETURN_NOT_OK(DecodeTuple(payload, &batch[batch_fill]));
+        ++batch_fill;
         ++tuples_this_epoch;
-        if (batch.size() >= batch_size) {
+        if (batch_fill >= batch_size) {
           DANA_RETURN_NOT_OK(flush_batch());
         }
       }

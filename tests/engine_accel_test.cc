@@ -146,6 +146,112 @@ INSTANTIATE_TEST_SUITE_P(
                       ml::AlgoKind::kLogisticRegression, ml::AlgoKind::kSvm,
                       ml::AlgoKind::kLowRankMF));
 
+// ---------------------------------------------------------------------------
+// Bit-exact fp32 goldens. Each constant is the FNV-1a digest of the model
+// bytes (plus the convergence flag) after two epochs over a few batches of
+// seeded data, recorded from the one-op-at-a-time evaluator. Any evaluator
+// that reorders, fuses or reassociates an fp32 op changes a digest. The
+// dims are even, but their ReduceTree levels go odd (54 -> 27 -> 13 ...),
+// and a partial last batch exercises short merges.
+// ---------------------------------------------------------------------------
+
+struct GoldenCase {
+  ml::AlgoKind kind;
+  uint32_t dims;
+  uint32_t coef;
+  uint64_t digest;
+};
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << ml::AlgoKindName(c.kind) << " dims " << c.dims << " merge_coef "
+      << c.coef;
+}
+
+class EvaluatorGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(EvaluatorGolden, ModelDigestIsBitExact) {
+  const GoldenCase& c = GetParam();
+  ml::AlgoParams p = Params(c.dims, c.coef, c.kind);
+  // A convergence test adds the per-epoch region (LRMF's merged gradient
+  // is a matrix, whose column norms are not one scalar condition).
+  if (c.kind != ml::AlgoKind::kLowRankMF) p.convergence_norm = 0.5;
+  auto prog = Lower(c.kind, p);
+
+  ml::DatasetSpec spec;
+  spec.kind = c.kind;
+  spec.dims = c.dims;
+  spec.rank = p.rank;
+  spec.tuples = 3 * c.coef + 5;
+  spec.seed = 7;
+  const ml::Dataset data = ml::GenerateDataset(spec);
+
+  ScalarEvaluator ev(prog);
+  ASSERT_TRUE(ev.SetModel(0, ml::InitialModel(c.kind, p)).ok());
+  uint64_t h = 0xcbf29ce484222325ull;
+  std::vector<TupleData> batch;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (size_t r = 0; r < data.rows.size(); ++r) {
+      batch.push_back(MakeTuple(prog, data.rows[r]));
+      if (batch.size() == c.coef || r + 1 == data.rows.size()) {
+        ASSERT_TRUE(ev.EvalBatch(batch).ok());
+        batch.clear();
+      }
+    }
+    auto stop = ev.EvalConvergence();
+    ASSERT_TRUE(stop.ok());
+    const uint8_t flag = *stop ? 1 : 0;
+    h = Fnv1a(h, &flag, 1);
+  }
+  const std::vector<float>& model = ev.Model(0);
+  h = Fnv1a(h, model.data(), model.size() * sizeof(float));
+  EXPECT_EQ(h, c.digest) << "got 0x" << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algos, EvaluatorGolden,
+    ::testing::Values(
+        GoldenCase{ml::AlgoKind::kLinearRegression, 54, 1,
+                   0x3738ff50985fcec1ull},
+        GoldenCase{ml::AlgoKind::kLinearRegression, 54, 64,
+                   0xaf219878bf0ec8b6ull},
+        GoldenCase{ml::AlgoKind::kLinearRegression, 450, 1,
+                   0xde0dc2c5ac20472bull},
+        GoldenCase{ml::AlgoKind::kLinearRegression, 450, 64,
+                   0x782e3dfaf74daecull},
+        GoldenCase{ml::AlgoKind::kLogisticRegression, 54, 1,
+                   0x6cc17d93e7516071ull},
+        GoldenCase{ml::AlgoKind::kLogisticRegression, 54, 64,
+                   0x88779d9eeae39a0dull},
+        GoldenCase{ml::AlgoKind::kLogisticRegression, 450, 1,
+                   0xaea0c124b49c9c5bull},
+        GoldenCase{ml::AlgoKind::kLogisticRegression, 450, 64,
+                   0x1d584957a7995a17ull},
+        GoldenCase{ml::AlgoKind::kSvm, 54, 1,
+                   0x68818ba430b952ebull},
+        GoldenCase{ml::AlgoKind::kSvm, 54, 64,
+                   0x894d1b1567898ec5ull},
+        GoldenCase{ml::AlgoKind::kSvm, 450, 1,
+                   0xd2dcf2900427ee67ull},
+        GoldenCase{ml::AlgoKind::kSvm, 450, 64,
+                   0xec29cda6d63c86b2ull},
+        GoldenCase{ml::AlgoKind::kLowRankMF, 54, 1,
+                   0xaf560de3d93ad1d5ull},
+        GoldenCase{ml::AlgoKind::kLowRankMF, 54, 64,
+                   0x14ecf90f4ea0e0c2ull},
+        GoldenCase{ml::AlgoKind::kLowRankMF, 450, 1,
+                   0xb99258bf8de61986ull},
+        GoldenCase{ml::AlgoKind::kLowRankMF, 450, 64,
+                   0xb90859609454c3f9ull}));
+
 TEST(EvaluatorTest, ModelWritesAreStaged) {
   // The update mo' = mo - g must read the pre-update mo everywhere even
   // though writes and reads interleave element-wise.
@@ -159,6 +265,42 @@ TEST(EvaluatorTest, ModelWritesAreStaged) {
   t.outputs = {{0}};
   ASSERT_TRUE(ev.EvalBatch({&t, 1}).ok());
   EXPECT_EQ(ev.Model(0), init);  // zero gradient: unchanged
+}
+
+TEST(EvaluatorTest, DependentOpsRunInProgramOrder) {
+  // t%i = t%(i-1) + 1: one ALU op, consecutive destinations and constant
+  // strides, yet every op reads the previous op's result. Such a chain
+  // must not run as one strip, whose lanes would read stale values.
+  constexpr uint32_t kN = 64;
+  auto model = std::make_shared<dsl::Var>();
+  model->kind = dsl::VarKind::kModel;
+  model->name = "mo";
+  model->dims = {kN};
+  ScalarProgram prog;
+  prog.model_vars = {model};
+  compiler::ValueRef first;
+  first.kind = compiler::ValueRef::Kind::kModel;
+  prog.tuple_ops.push_back(
+      {engine::AluOp::kAdd, first, compiler::ValueRef::Const(1)});
+  compiler::ModelWrite write;
+  write.elems.push_back(
+      compiler::ValueRef::Sub(compiler::ValueRegion::kTuple, 0));
+  for (uint32_t i = 1; i < kN; ++i) {
+    prog.tuple_ops.push_back(
+        {engine::AluOp::kAdd,
+         compiler::ValueRef::Sub(compiler::ValueRegion::kTuple, i - 1),
+         compiler::ValueRef::Const(1)});
+    write.elems.push_back(
+        compiler::ValueRef::Sub(compiler::ValueRegion::kTuple, i));
+  }
+  prog.model_writes.push_back(std::move(write));
+
+  ScalarEvaluator ev(prog);
+  const TupleData t;
+  ASSERT_TRUE(ev.EvalBatch({&t, 1}).ok());
+  std::vector<float> want(kN);
+  for (uint32_t i = 0; i < kN; ++i) want[i] = static_cast<float>(i + 1);
+  EXPECT_EQ(ev.Model(0), want);
 }
 
 TEST(EvaluatorTest, RejectsWrongModelSize) {
@@ -177,6 +319,29 @@ TEST(EvaluatorTest, RejectsMismatchedTuple) {
   TupleData t;  // no inputs
   EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
   EXPECT_TRUE(ev.EvalBatch({}).IsInvalidArgument());
+
+  // Right variable count, wrong element count: short and long inputs and
+  // outputs against the 4-element input and the scalar output.
+  t.inputs = {{1, 2}};
+  t.outputs = {{1}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  t.inputs = {{1, 2, 3, 4, 5}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  t.inputs = {{1, 2, 3, 4}};
+  t.outputs = {{}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+  t.outputs = {{1, 2}};
+  EXPECT_TRUE(ev.EvalBatch({&t, 1}).IsInvalidArgument());
+
+  // One bad tuple rejects the whole batch before any op runs.
+  TupleData good;
+  good.inputs = {{1, 2, 3, 4}};
+  good.outputs = {{1}};
+  const TupleData mixed[] = {good, t};
+  EXPECT_TRUE(ev.EvalBatch(mixed).IsInvalidArgument());
+  EXPECT_EQ(ev.ops_executed(), 0u);
+  EXPECT_EQ(ev.Model(0), std::vector<float>(4, 0.0f));
+  EXPECT_TRUE(ev.EvalBatch({&good, 1}).ok());
 }
 
 TEST(EvaluatorTest, CountsExecutedOps) {
