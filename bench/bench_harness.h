@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -85,5 +86,30 @@ class Harness {
   std::map<std::string, std::unique_ptr<compiler::CompiledUdf>> compiled_;
   obs::StatsWriter* stats_ = nullptr;
 };
+
+/// Best-of-reps wall time, in seconds, of `body` (one rep per call, a
+/// callable returning dana::Status): reps repeat until there are 5 or about
+/// 0.5 s of wall time has passed, and the fastest rep wins (the min over
+/// reps is the standard microbenchmark noise filter). The first failing
+/// rep's status is returned instead. The micro_* host-time scoreboards
+/// time their points with this.
+template <typename Body>
+dana::Result<double> BestRep(Body body) {
+  using Clock = std::chrono::steady_clock;
+  auto elapsed = [](Clock::time_point since) {
+    return std::chrono::duration<double>(Clock::now() - since).count();
+  };
+  double best = 0.0;
+  int reps = 0;
+  const auto start = Clock::now();
+  while (reps < 5 && elapsed(start) < 0.5) {
+    const auto rep_start = Clock::now();
+    DANA_RETURN_NOT_OK(body());
+    const double wall = elapsed(rep_start);
+    if (reps == 0 || wall < best) best = wall;
+    ++reps;
+  }
+  return best;
+}
 
 }  // namespace dana::bench

@@ -17,7 +17,6 @@
 // DANA_BENCH_FAST does not change its shape.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,12 +38,6 @@ using namespace dana;
 constexpr uint32_t kMergeCoef = 64;
 constexpr uint64_t kOpsPerRep = uint64_t{1} << 24;
 
-double Elapsed(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
 Result<hdfg::Graph> Translate(uint32_t dims) {
   ml::AlgoParams p;
   p.dims = dims;
@@ -59,23 +52,6 @@ std::string PointLabel(uint32_t dims) {
   char label[16];
   std::snprintf(label, sizeof(label), "d%u", dims);
   return label;
-}
-
-/// Best-of-reps wall time of `body` (one rep per call), at most 5 reps or
-/// ~0.5 s per point.
-template <typename Body>
-Result<double> BestRep(Body body) {
-  double best = 0.0;
-  int reps = 0;
-  const auto start = std::chrono::steady_clock::now();
-  while (reps < 5 && Elapsed(start) < 0.5) {
-    const auto rep_start = std::chrono::steady_clock::now();
-    DANA_RETURN_NOT_OK(body());
-    const double wall = Elapsed(rep_start);
-    if (reps == 0 || wall < best) best = wall;
-    ++reps;
-  }
-  return best;
 }
 
 }  // namespace
@@ -105,13 +81,13 @@ int main() {
     auto prog = compiler::LowerGraph(*graph);
     if (!prog.ok()) return fail("lower", prog.status());
     auto lower_s =
-        BestRep([&] { return compiler::LowerGraph(*graph).status(); });
+        bench::BestRep([&] { return compiler::LowerGraph(*graph).status(); });
     if (!lower_s.ok()) return fail("lower", lower_s.status());
     compiler::SchedulerConfig cfg;
     cfg.num_acs = 16;
     const compiler::Scheduler sched(cfg);
     auto schedule_s =
-        BestRep([&] { return sched.Run(prog->tuple_ops).status(); });
+        bench::BestRep([&] { return sched.Run(prog->tuple_ops).status(); });
     if (!schedule_s.ok()) return fail("schedule", schedule_s.status());
 
     const std::string d = PointLabel(dims);
@@ -148,7 +124,7 @@ int main() {
     const uint64_t batches =
         std::max<uint64_t>(1, kOpsPerRep / ops_per_batch);
     engine::ScalarEvaluator evaluator(*prog);
-    auto wall = BestRep([&]() -> Status {
+    auto wall = bench::BestRep([&]() -> Status {
       for (uint64_t b = 0; b < batches; ++b) {
         DANA_RETURN_NOT_OK(evaluator.EvalBatch(batch));
       }

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -98,9 +99,24 @@ void BufferPool::DemoteToOs(const Key& key) {
   }
 }
 
-void BufferPool::BumpOsCount(uint32_t table_id) {
-  if (table_id >= os_per_table_.size()) os_per_table_.resize(table_id + 1, 0);
-  ++os_per_table_[table_id];
+bool BufferPool::OsCached(const Key& key) const {
+  if (key.table_id >= os_cached_.size()) return false;
+  const std::vector<uint64_t>& bits = os_cached_[key.table_id];
+  const uint64_t word = key.page_no / 64;
+  return word < bits.size() && ((bits[word] >> (key.page_no % 64)) & 1) != 0;
+}
+
+void BufferPool::AdmitOsCached(const Key& key) {
+  if (key.table_id >= os_cached_.size()) {
+    os_cached_.resize(key.table_id + 1);
+    os_per_table_.resize(key.table_id + 1, 0);
+  }
+  std::vector<uint64_t>& bits = os_cached_[key.table_id];
+  const uint64_t word = key.page_no / 64;
+  if (word >= bits.size()) bits.resize(word + 1, 0);
+  bits[word] |= uint64_t{1} << (key.page_no % 64);
+  ++os_cached_count_;
+  ++os_per_table_[key.table_id];
 }
 
 Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
@@ -118,11 +134,11 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   const uint32_t tid = InternTable(table.name());
   const Key key{tid, page_no};
   last_table_id_ = tid;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
+  const uint32_t hit = index_.Find(key);
+  if (hit != PageIndex::kAbsent) {
     ++stats_.hits;
-    Frame& frame = frames_[it->second];
-    PoolOnAccess(it->second);
+    Frame& frame = frames_[hit];
+    PoolOnAccess(hit);
     // A residency probe (TouchPage) may have installed this page without
     // an image; a data-consuming fetch materializes it now, for free (the
     // page is resident — only the simulator's host copy was elided).
@@ -140,7 +156,7 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   // device and pay a kernel memory copy instead; SSD-tier pages pay the
   // capacity device's bandwidth.
   if (eviction_ == EvictionKind::kClock) {
-    if (os_cached_.find(key) != os_cached_.end()) {
+    if (OsCached(key)) {
       ++stats_.os_hits;
       stats_.io_time += dana::SimTime::Seconds(
           static_cast<double>(page_size_) / disk_.os_cache_bw);
@@ -151,9 +167,8 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
                                  disk_.seq_read_bw) +
           disk_.request_latency /
               static_cast<double>(disk_.readahead_pages);
-      if (os_cached_.size() < os_cache_pages_) {
-        os_cached_.insert(key);
-        BumpOsCount(tid);
+      if (os_cached_count_ < os_cache_pages_) {
+        AdmitOsCached(key);
         ++version_;
       }
     }
@@ -185,10 +200,10 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
 bool BufferPool::TouchPage(uint32_t table_id, uint64_t page_no) {
   const Key key{table_id, page_no};
   last_table_id_ = table_id;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
+  const uint32_t hit = index_.Find(key);
+  if (hit != PageIndex::kAbsent) {
     ++stats_.hits;
-    PoolOnAccess(it->second);
+    PoolOnAccess(hit);
     return true;
   }
   // A data-less install: occupancy and eviction behave exactly like
@@ -224,7 +239,7 @@ uint64_t BufferPool::tier_resident_frames(size_t tier) const {
     case kPoolTier:
       return resident_frames_;
     case kOsTier:
-      return eviction_ == EvictionKind::kClock ? os_cached_.size()
+      return eviction_ == EvictionKind::kClock ? os_cached_count_
                                                : os_tier_.resident();
     case kSsdTier:
       return ssd_tier_.resident();
@@ -267,7 +282,7 @@ size_t BufferPool::AllocFrame() {
   const size_t idx = PoolPickVictim();
   Frame& f = frames_[idx];
   const Key victim{f.table_id, f.page_no};
-  map_.erase(victim);
+  index_.Erase(victim);
   f.valid = false;
   --resident_frames_;
   --per_table_frames_[f.table_id];
@@ -294,7 +309,7 @@ void BufferPool::Install(size_t idx, uint32_t table_id, uint64_t page_no,
     per_table_frames_.resize(table_id + 1, 0);
   }
   ++per_table_frames_[table_id];
-  map_[Key{table_id, page_no}] = idx;
+  index_.Set(Key{table_id, page_no}, static_cast<uint32_t>(idx));
   ++version_;
 }
 
@@ -306,7 +321,7 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
   const uint32_t tid = InternTable(table.name());
   last_table_id_ = tid;
   for (uint64_t p = 0; p < n; ++p) {
-    if (map_.find(Key{tid, p}) != map_.end()) continue;
+    if (index_.Contains(Key{tid, p})) continue;
     const size_t idx = AllocFrame();
     Install(idx, tid, p, table.PageData(p));
   }
@@ -318,9 +333,10 @@ void BufferPool::MarkOsCached(const Table& table) {
   bool changed = false;
   if (eviction_ == EvictionKind::kClock) {
     for (uint64_t p = 0; p < table.num_pages(); ++p) {
-      if (os_cached_.size() >= os_cache_pages_) break;
-      if (os_cached_.insert(Key{tid, p}).second) {
-        BumpOsCount(tid);
+      if (os_cached_count_ >= os_cache_pages_) break;
+      const Key key{tid, p};
+      if (!OsCached(key)) {
+        AdmitOsCached(key);
         changed = true;
       }
     }
@@ -329,7 +345,7 @@ void BufferPool::MarkOsCached(const Table& table) {
       const Key key{tid, p};
       // Exclusive tiers: pages the pool already holds stay out of the OS
       // tier; the rest stream in, displacing victims down the cascade.
-      if (map_.find(key) != map_.end()) continue;
+      if (index_.Contains(key)) continue;
       PageKey displaced;
       if (os_tier_.Insert(key, &displaced)) {
         ++stats_.os_evictions;
@@ -352,7 +368,7 @@ double BufferPool::ResidentFraction(const Table& table) const {
   if (tid == dana::Interner::kInvalidId) return 0.0;
   uint64_t resident = 0;
   for (uint64_t p = 0; p < table.num_pages(); ++p) {
-    if (map_.find(Key{tid, p}) != map_.end()) ++resident;
+    if (index_.Contains(Key{tid, p})) ++resident;
   }
   return static_cast<double>(resident) /
          static_cast<double>(table.num_pages());
@@ -360,8 +376,11 @@ double BufferPool::ResidentFraction(const Table& table) const {
 
 void BufferPool::Clear() {
   for (auto& f : frames_) f.valid = false;
-  map_.clear();
-  os_cached_.clear();
+  index_.Clear();
+  for (std::vector<uint64_t>& bits : os_cached_) {
+    std::fill(bits.begin(), bits.end(), 0);
+  }
+  os_cached_count_ = 0;
   os_per_table_.assign(os_per_table_.size(), 0);
   os_tier_.Clear();
   ssd_tier_.Clear();

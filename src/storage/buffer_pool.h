@@ -4,8 +4,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/intern.h"
@@ -49,8 +47,8 @@ struct BufferPoolStats {
 ///   tier 0: buffer pool frames (this class's frames_), victim selection
 ///           delegated to an EvictionPolicy (clock / lru / promotional);
 ///   tier 1: modeled kernel page cache — under clock this is the legacy
-///           admit-until-full `os_cached_` set (bit-compatible with the
-///           seed pools); under lru/promotional it is an evicting,
+///           admit-until-full `os_cached_` page set (bit-compatible with
+///           the seed pools); under lru/promotional it is an evicting,
 ///           *exclusive* PageTier that pool victims demote into;
 ///   tier 2: optional SSD-style capacity tier (lru/promotional only) that
 ///           OS-tier victims cascade into before dropping to disk.
@@ -69,12 +67,15 @@ struct BufferPoolStats {
 /// accounting (resident_frames(table), tier_resident_frames(tier, table)).
 ///
 /// Internally table names are interned into dense per-pool ids (InternTable)
-/// and every frame, page key, and per-table counter is integer-keyed — a
-/// touch hashes two integers, never a string. The string-facing APIs remain
-/// as thin shims that intern (mutating calls) or look up (const calls) the
-/// name once per call; per-page loops like ScanTable pay the string exactly
-/// once per sweep. Ids are stable for the pool's lifetime — Clear() drops
-/// pages, not the name table — so callers may cache them across runs.
+/// and every frame, page key, and per-table counter is integer-keyed. Every
+/// tier finds pages through a direct-mapped PageIndex (one array per table,
+/// indexed by page number), so a touch indexes two arrays and hashes
+/// nothing; the index grows to the highest page number touched per table.
+/// The string-facing APIs remain as thin shims that intern (mutating calls)
+/// or look up (const calls) the name once per call; per-page loops like
+/// ScanTable pay the string exactly once per sweep. Ids are stable for the
+/// pool's lifetime — Clear() drops pages, not the name table — so callers
+/// may cache them across runs.
 class BufferPool {
  public:
   /// Tier indices for the per-tier accessors and `tier<j>.*` gauges.
@@ -267,7 +268,6 @@ class BufferPool {
   /// Page identity: interned table id + page number (shared with the
   /// lower tiers).
   using Key = PageKey;
-  using KeyHash = PageKeyHash;
 
   /// Returns a frame to install into: the next never-filled frame while
   /// the pool is filling (no policy involved — matches the seed, whose
@@ -292,14 +292,17 @@ class BufferPool {
   /// victim into the SSD tier (lru/promotional only).
   void DemoteToOs(const Key& key);
 
-  /// Grows/increments the legacy clock-mode per-table OS-set count.
-  void BumpOsCount(uint32_t table_id);
+  /// Clock mode only: whether the legacy OS set holds `key`, and its
+  /// admission (the caller checks membership and capacity first).
+  bool OsCached(const Key& key) const;
+  void AdmitOsCached(const Key& key);
 
   uint32_t page_size_;
   DiskModel disk_;
   EvictionKind eviction_ = EvictionKind::kClock;
   std::vector<Frame> frames_;
-  std::unordered_map<Key, size_t, KeyHash> map_;
+  /// (table id, page) -> index into frames_.
+  PageIndex index_;
   /// Next never-filled frame; only consulted while resident < capacity.
   size_t fill_cursor_ = 0;
   // Pool-tier policy: exactly one is non-null, selected by eviction_.
@@ -314,9 +317,11 @@ class BufferPool {
   std::vector<uint64_t> per_table_frames_;
   uint32_t last_table_id_ = dana::Interner::kInvalidId;
   uint64_t version_ = 0;
-  /// Clock mode only: the legacy admit-until-full OS page-cache set and
-  /// its per-table partition (bit-compatible with the seed pools).
-  std::unordered_set<Key, KeyHash> os_cached_;
+  /// Clock mode only: the legacy admit-until-full OS page-cache set
+  /// (bit-compatible with the seed pools) as one bitmap per table indexed
+  /// by page number, its size, and its per-table partition.
+  std::vector<std::vector<uint64_t>> os_cached_;
+  uint64_t os_cached_count_ = 0;
   std::vector<uint64_t> os_per_table_;
   uint64_t os_cache_pages_ = UINT64_MAX;
   /// lru/promotional: the evicting OS and SSD tiers (exclusive of the

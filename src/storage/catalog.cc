@@ -1,7 +1,5 @@
 #include "storage/catalog.h"
 
-#include <algorithm>
-
 namespace dana::storage {
 
 Status Catalog::RegisterTable(std::unique_ptr<Table> table) {
@@ -36,7 +34,6 @@ std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
   for (const auto& [name, _] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
   return names;
 }
 
@@ -62,7 +59,6 @@ std::vector<std::string> Catalog::UdfNames() const {
   std::vector<std::string> names;
   names.reserve(udf_metadata_.size());
   for (const auto& [name, _] : udf_metadata_) names.push_back(name);
-  std::sort(names.begin(), names.end());
   return names;
 }
 

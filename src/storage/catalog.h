@@ -1,10 +1,10 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -21,11 +21,11 @@ namespace dana::storage {
 /// an opaque blob keyed by UDF name so that the storage layer stays
 /// independent of the compiler layer.
 ///
-/// Lookups are hash-based with heterogeneous string_view keys (C++20
-/// transparent hashing): GetTable/HasTable probe without constructing a
-/// std::string or walking an ordered tree's string compares. Name listings
-/// (TableNames/UdfNames) sort on demand — the historical sorted contract —
-/// since listing is reporting, not a hot path.
+/// Both registries are name-ordered maps with a transparent comparator:
+/// GetTable/HasTable probe with a string_view without constructing a
+/// std::string, and the name listings (TableNames/UdfNames) come out sorted
+/// — the historical contract — by iteration alone. A catalog holds a
+/// handful of tables and is consulted once per query, never per page.
 class Catalog {
  public:
   /// Registers `table` under its name. Fails on duplicate names.
@@ -56,24 +56,8 @@ class Catalog {
   std::vector<std::string> UdfNames() const;
 
  private:
-  /// Transparent hash/equality: probe with a string_view, store a string.
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct NameEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
-
-  std::unordered_map<std::string, std::unique_ptr<Table>, NameHash, NameEq>
-      tables_;
-  std::unordered_map<std::string, std::string, NameHash, NameEq>
-      udf_metadata_;
+  std::map<std::string, std::unique_ptr<Table>, std::less<>> tables_;
+  std::map<std::string, std::string, std::less<>> udf_metadata_;
 };
 
 }  // namespace dana::storage

@@ -98,29 +98,25 @@ size_t PageTier::PolicyPickVictim() {
 }
 
 bool PageTier::Touch(const PageKey& key) {
-  if (!enabled()) return false;
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  PolicyOnAccess(it->second);
+  const uint32_t slot = index_.Find(key);
+  if (slot == PageIndex::kAbsent) return false;
+  PolicyOnAccess(slot);
   return true;
 }
 
 bool PageTier::Erase(const PageKey& key) {
-  if (!enabled()) return false;
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  const size_t slot = it->second;
-  map_.erase(it);
-  if (key.table_id < per_table_.size()) --per_table_[key.table_id];
+  const uint32_t slot = index_.Erase(key);
+  if (slot == PageIndex::kAbsent) return false;
+  --per_table_[key.table_id];
   free_slots_.push_back(slot);
   return true;
 }
 
 bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
   if (!enabled()) return false;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    PolicyOnAccess(it->second);
+  const uint32_t present = index_.Find(key);
+  if (present != PageIndex::kAbsent) {
+    PolicyOnAccess(present);
     return false;
   }
   bool displaced = false;
@@ -131,14 +127,14 @@ bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
   } else {
     slot = PolicyPickVictim();
     const PageKey victim = slot_keys_[slot];
-    map_.erase(victim);
-    if (victim.table_id < per_table_.size()) --per_table_[victim.table_id];
+    index_.Erase(victim);
+    --per_table_[victim.table_id];
     ++evictions_;
     if (evicted != nullptr) *evicted = victim;
     displaced = true;
   }
   slot_keys_[slot] = key;
-  map_[key] = slot;
+  index_.Set(key, static_cast<uint32_t>(slot));
   if (key.table_id >= per_table_.size()) {
     per_table_.resize(key.table_id + 1, 0);
   }
@@ -149,7 +145,7 @@ bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
 
 void PageTier::Clear() {
   if (!enabled()) return;
-  map_.clear();
+  index_.Clear();
   per_table_.assign(per_table_.size(), 0);
   free_slots_.clear();
   for (size_t i = slot_keys_.size(); i > 0; --i) free_slots_.push_back(i - 1);

@@ -1,11 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -212,28 +212,78 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionKind kind,
                                                    size_t capacity);
 
-/// Page identity within a pool/tier: interned table id + page number. Two
-/// integers — tier maps never hash or compare a string on the touch path.
+/// Page identity within a pool/tier: interned table id + page number. Both
+/// are dense small integers, so tiers index by them directly (PageIndex)
+/// and never hash or compare a string on the touch path.
 struct PageKey {
   uint32_t table_id;
   uint64_t page_no;
   bool operator==(const PageKey&) const = default;
 };
-struct PageKeyHash {
-  size_t operator()(const PageKey& k) const {
-    // Fibonacci mixing of the two fields; page numbers are sequential,
-    // so the multiply is what spreads neighbouring pages across buckets.
-    return static_cast<size_t>(
-        (k.page_no * 0x9E3779B97F4A7C15ull) ^
-        (static_cast<uint64_t>(k.table_id) * 0xC2B2AE3D27D4EB4Full));
+
+/// Direct-mapped page index of one pool or tier: (table_id, page_no) ->
+/// slot, stored as one array per table indexed by page number, with
+/// kAbsent marking an unmapped page. Interned table ids and page numbers
+/// are dense, so a lookup is two bounds checks and a load. A table's array
+/// grows on demand to the highest page number stored and keeps its size
+/// across Clear(), so memory is proportional to the largest page number
+/// touched per table, not to the number of resident pages.
+class PageIndex {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  /// Slot holding `key`, or kAbsent.
+  uint32_t Find(const PageKey& key) const {
+    if (key.table_id >= tables_.size()) return kAbsent;
+    const std::vector<uint32_t>& pages = tables_[key.table_id];
+    return key.page_no < pages.size() ? pages[key.page_no] : kAbsent;
   }
+  bool Contains(const PageKey& key) const { return Find(key) != kAbsent; }
+
+  /// Maps `key` to `slot` (< kAbsent), replacing any previous mapping.
+  void Set(const PageKey& key, uint32_t slot) {
+    if (key.table_id >= tables_.size()) tables_.resize(key.table_id + 1);
+    std::vector<uint32_t>& pages = tables_[key.table_id];
+    if (key.page_no >= pages.size()) pages.resize(key.page_no + 1, kAbsent);
+    uint32_t& entry = pages[key.page_no];
+    if (entry == kAbsent) ++size_;
+    entry = slot;
+  }
+
+  /// Unmaps `key`; returns the slot it held, or kAbsent.
+  uint32_t Erase(const PageKey& key) {
+    if (key.table_id >= tables_.size()) return kAbsent;
+    std::vector<uint32_t>& pages = tables_[key.table_id];
+    if (key.page_no >= pages.size()) return kAbsent;
+    const uint32_t slot = pages[key.page_no];
+    if (slot != kAbsent) {
+      pages[key.page_no] = kAbsent;
+      --size_;
+    }
+    return slot;
+  }
+
+  /// Number of mapped pages.
+  uint64_t size() const { return size_; }
+
+  void Clear() {
+    for (std::vector<uint32_t>& pages : tables_) {
+      std::fill(pages.begin(), pages.end(), kAbsent);
+    }
+    size_ = 0;
+  }
+
+ private:
+  std::vector<std::vector<uint32_t>> tables_;
+  uint64_t size_ = 0;
 };
 
 /// A key-addressed cache tier below the buffer pool: the modeled kernel
 /// page cache or an SSD-style capacity tier. It holds page *identities*
 /// only (no frames, no data — tier hits are priced by the pool's DiskModel)
 /// and delegates victim selection to an EvictionPolicy over its dense slot
-/// indices. Unlike the seed's `os_cached_` set, a full tier evicts: a
+/// indices, found through a PageIndex. Unlike clock's admit-until-full OS
+/// set (BufferPool's `os_cached_` bitmap), a full tier evicts: a
 /// post-saturation insert displaces a victim and reports it so the owner
 /// can cascade the demotion down to the next tier.
 class PageTier {
@@ -244,15 +294,13 @@ class PageTier {
 
   bool enabled() const { return capacity_ > 0; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t resident() const { return map_.size(); }
+  uint64_t resident() const { return index_.size(); }
   uint64_t resident(uint32_t table_id) const {
     return table_id < per_table_.size() ? per_table_[table_id] : 0;
   }
   uint64_t evictions() const { return evictions_; }
 
-  bool Contains(const PageKey& key) const {
-    return map_.find(key) != map_.end();
-  }
+  bool Contains(const PageKey& key) const { return index_.Contains(key); }
 
   /// Re-references `key` (policy OnAccess). Returns true if present.
   bool Touch(const PageKey& key);
@@ -281,7 +329,7 @@ class PageTier {
   std::unique_ptr<ClockEvictionPolicy> clock_;
   std::unique_ptr<LruEvictionPolicy> lru_;
   std::unique_ptr<PromotionalEvictionPolicy> promotional_;
-  std::unordered_map<PageKey, size_t, PageKeyHash> map_;
+  PageIndex index_;
   std::vector<PageKey> slot_keys_;
   std::vector<size_t> free_slots_;
   std::vector<uint64_t> per_table_;

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/eviction_policy.h"
+#include "storage/page_layout.h"
+#include "storage/schema.h"
+#include "storage/table.h"
 
 namespace dana::storage {
 namespace {
@@ -284,6 +291,155 @@ TEST(TieredPoolTest, ClearResetsEveryTier) {
   for (uint64_t p = 0; p < 8; ++p) EXPECT_FALSE(pool.TouchPage(tid, p));
   EXPECT_EQ(pool.tier_resident_frames(BufferPool::kOsTier), 2u);
 }
+
+// ---------------------------------------------------------------------------
+// Frozen pool behaviour: golden digests of a mixed trace
+// ---------------------------------------------------------------------------
+
+/// One pool shape: policy × lower-tier sizes (in frames; 0 disables).
+struct TraceCase {
+  EvictionKind kind;
+  uint64_t os_frames;
+  uint64_t ssd_frames;
+  uint64_t digest;
+};
+
+void PrintTo(const TraceCase& c, std::ostream* os) {
+  *os << EvictionKindName(c.kind) << " os " << c.os_frames << " ssd "
+      << c.ssd_frames;
+}
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+template <typename T>
+uint64_t Fold(uint64_t h, T v) {
+  return Fnv1a(h, &v, sizeof(v));
+}
+
+/// A real heap table of at least `pages` pages (FetchPage copies images).
+std::unique_ptr<Table> MakeTable(const std::string& name, uint64_t pages) {
+  auto table = std::make_unique<Table>(name, Schema::Dense(1000),
+                                       PageLayout{});
+  std::vector<double> row(1001, 0.5);
+  while (table->num_pages() < pages) {
+    row[0] = static_cast<double>(table->num_tuples());
+    EXPECT_TRUE(table->AppendRow(row).ok());
+  }
+  return table;
+}
+
+/// The constants below were recorded from the hashed page index that the
+/// direct-mapped one replaced. Every TouchPage result, every stats field,
+/// every per-tier per-table residency count and every version() bump of a
+/// seeded trace is folded into one FNV-1a digest, so any change to victim
+/// choice, tier demotion/promotion order, clock's OS admission or the
+/// fill cursor moves it.
+class PoolTraceGolden : public ::testing::TestWithParam<TraceCase> {};
+
+TEST_P(PoolTraceGolden, TraceDigestIsFrozen) {
+  const TraceCase& c = GetParam();
+  constexpr uint64_t kFrames = 32;
+  const PageLayout layout;
+  auto pool = BufferPool::SizedInFrames(kFrames, layout.page_size,
+                                        DiskModel{}, c.kind, c.os_frames,
+                                        c.ssd_frames);
+  // Logical tables 0.25x-3x the pool, swept and touched data-free, and
+  // two real tables for the data paths (FetchPage, Prewarm, MarkOsCached).
+  const std::vector<std::pair<const char*, uint64_t>> logical = {
+      {"t0", kFrames / 4}, {"t1", kFrames}, {"t2", 2 * kFrames},
+      {"t3", 3 * kFrames}};
+  std::vector<uint32_t> ids;
+  std::vector<uint64_t> pages;
+  for (const auto& [name, n] : logical) {
+    ids.push_back(pool.InternTable(name));
+    pages.push_back(n);
+  }
+  std::vector<std::unique_ptr<Table>> real;
+  real.push_back(MakeTable("r0", 12));
+  real.push_back(MakeTable("r1", 40));
+  for (const auto& table : real) {
+    ids.push_back(pool.InternTable(table->name()));
+    pages.push_back(table->num_pages());
+  }
+
+  constexpr int kSteps = 1500;
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  auto next = [&x](uint64_t n) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % n;
+  };
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int step = 0; step < kSteps; ++step) {
+    const uint64_t op = step == kSteps / 2 ? 100 : next(100);
+    h = Fold(h, op);
+    if (op < 8) {
+      const size_t t = next(logical.size());
+      pool.ScanTable(ids[t], pages[t]);
+    } else if (op < 70) {
+      const size_t t = next(ids.size());
+      h = Fold(h, pool.TouchPage(ids[t], next(pages[t])));
+    } else if (op < 88) {
+      const Table& table = *real[next(real.size())];
+      const uint64_t p = next(table.num_pages());
+      auto data = pool.FetchPage(table, p);
+      ASSERT_TRUE(data.ok()) << data.status().ToString();
+      ASSERT_EQ(std::memcmp(*data, table.PageData(p), layout.page_size), 0)
+          << "step " << step;
+    } else if (op < 94) {
+      pool.MarkOsCached(*real[next(real.size())]);
+    } else if (op < 100) {
+      const Table& table = *real[next(real.size())];
+      pool.Prewarm(table, 0.25 * static_cast<double>(1 + next(4)));
+    } else {
+      pool.Clear();
+    }
+    const BufferPoolStats& s = pool.stats();
+    for (uint64_t v : {s.hits, s.misses, s.evictions, s.os_hits, s.os_misses,
+                       s.os_evictions, s.ssd_hits, s.ssd_evictions}) {
+      h = Fold(h, v);
+    }
+    h = Fold(h, s.io_time.nanos());
+    for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier,
+                        BufferPool::kSsdTier}) {
+      h = Fold(h, pool.tier_resident_frames(tier));
+      for (uint32_t id : ids) h = Fold(h, pool.tier_resident_frames(tier, id));
+    }
+    for (const auto& table : real) {
+      h = Fold(h, pool.ResidentFraction(*table));
+    }
+    h = Fnv1a(h, pool.last_table().data(), pool.last_table().size());
+    h = Fold(h, pool.version());
+  }
+  // The trace reaches every enabled tier, not just the pool.
+  EXPECT_GT(pool.stats().evictions, 0u);
+  if (c.os_frames > 0) {
+    EXPECT_GT(pool.stats().os_hits, 0u);
+  }
+  if (c.ssd_frames > 0 && c.kind != EvictionKind::kClock) {
+    EXPECT_GT(pool.stats().ssd_hits, 0u);
+  }
+  EXPECT_EQ(h, c.digest) << "got 0x" << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PoolTraceGolden,
+    ::testing::Values(
+        TraceCase{EvictionKind::kClock, 0, 0, 0xb9d03d91b1c2d538ull},
+        TraceCase{EvictionKind::kClock, 64, 0, 0x9c4176f754bcea92ull},
+        TraceCase{EvictionKind::kClock, 64, 128, 0x9c4176f754bcea92ull},
+        TraceCase{EvictionKind::kLru, 0, 0, 0xe8bfd4349e230a73ull},
+        TraceCase{EvictionKind::kLru, 64, 0, 0xdb613b3f39d2800aull},
+        TraceCase{EvictionKind::kLru, 64, 128, 0xd8d5cefdd332d62full},
+        TraceCase{EvictionKind::kPromotional, 0, 0, 0xef05e14c71c32b43ull},
+        TraceCase{EvictionKind::kPromotional, 64, 0, 0xc587e097ed52b33ull},
+        TraceCase{EvictionKind::kPromotional, 64, 128, 0x4a39f68797a4083cull}));
 
 TEST(EvictionKindTest, ParseRoundTripsAndRejectsUnknown) {
   for (EvictionKind kind : {EvictionKind::kClock, EvictionKind::kLru,

@@ -299,6 +299,10 @@ int CmdStriderAsm(int argc, char** argv) {
 }
 
 int CmdStriderWalk(int argc, char** argv) {
+  if (int rc = CheckFlags("strider-walk", argc, argv,
+                          {"--features", "--rows"}, {"--mysql"})) {
+    return rc;
+  }
   const uint32_t features = static_cast<uint32_t>(
       std::atoi(Flag(argc, argv, "--features", "54")));
   const uint32_t rows =
