@@ -1,13 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace dana {
 
 namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
+int g_log_level = static_cast<int>(LogLevel::kWarning);
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -25,18 +24,17 @@ const char* LevelName(LogLevel level) {
 }  // namespace
 
 void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
+  g_log_level = static_cast<int>(level);
 }
 
 LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
+  return static_cast<LogLevel>(g_log_level);
 }
 
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               g_log_level.load(std::memory_order_relaxed)),
+    : enabled_(static_cast<int>(level) >= g_log_level),
       level_(level) {
   if (enabled_) {
     const char* base = file;

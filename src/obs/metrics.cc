@@ -8,71 +8,56 @@
 
 namespace dana::obs {
 
-// Each readout snapshots the sample vector under the histogram mutex and
-// computes on the copy: readers never hold the lock across arithmetic, and
-// Mean() does not re-enter the (non-recursive) lock through Sum().
-
 double Histogram::Sum() const {
-  const std::vector<double> s = samples();
   double total = 0.0;
-  for (double v : s) total += v;
+  for (double v : samples_) total += v;
   return total;
 }
 
 double Histogram::Mean() const {
-  const std::vector<double> s = samples();
-  if (s.empty()) return std::numeric_limits<double>::quiet_NaN();
-  double total = 0.0;
-  for (double v : s) total += v;
-  return total / static_cast<double>(s.size());
+  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
+  return Sum() / static_cast<double>(samples_.size());
 }
 
 double Histogram::Min() const {
-  const std::vector<double> s = samples();
-  if (s.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return *std::min_element(s.begin(), s.end());
+  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
+  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double Histogram::Max() const {
-  const std::vector<double> s = samples();
-  if (s.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return *std::max_element(s.begin(), s.end());
+  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
+  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double Histogram::Percentile(double p) const {
-  return dana::Percentile(samples(), p);
+  return dana::Percentile(samples_, p);
 }
 
 Counter* MetricRegistry::counter(const std::string& name) {
-  dana::MutexLock lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return slot.get();
 }
 
 Gauge* MetricRegistry::gauge(const std::string& name) {
-  dana::MutexLock lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return slot.get();
 }
 
 Histogram* MetricRegistry::histogram(const std::string& name) {
-  dana::MutexLock lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();
   return slot.get();
 }
 
 void MetricRegistry::Clear() {
-  dana::MutexLock lock(mu_);
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
 }
 
 Json MetricRegistry::ToJson() const {
-  dana::MutexLock lock(mu_);
   Json root = Json::Object();
   Json counters = Json::Object();
   for (const auto& [name, c] : counters_) counters.Set(name, c->value());
@@ -97,7 +82,6 @@ Json MetricRegistry::ToJson() const {
 }
 
 TablePrinter MetricRegistry::ToTable() const {
-  dana::MutexLock lock(mu_);
   TablePrinter table({"metric", "type", "value", "p50", "p95", "p99"});
   for (const auto& [name, c] : counters_) {
     table.AddRow({name, "counter", Json::FormatNumber(c->value())});

@@ -1,22 +1,24 @@
 #include "sched/compile_cache.h"
 
+#include <utility>
+
 namespace dana::sched {
 
 dana::Result<const compiler::CompiledUdf*> CompileCache::GetOrCompile(
     const std::string& key, const Builder& builder) {
-  bool filled_here = false;
-  dana::Result<const compiler::CompiledUdf*> result =
-      cache_.GetOrFill(key, builder, &filled_here);
-  if (filled_here) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else if (result.ok()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+  auto it = cache_.find(key);
+  if (it != cache_.end()) {
+    ++hits_;
+    return &it->second;
   }
-  return result;
+  ++misses_;
+  DANA_ASSIGN_OR_RETURN(compiler::CompiledUdf udf, builder());
+  return &cache_.emplace(key, std::move(udf)).first->second;
 }
 
 const compiler::CompiledUdf* CompileCache::Find(const std::string& key) const {
-  return cache_.Find(key);
+  auto it = cache_.find(key);
+  return it == cache_.end() ? nullptr : &it->second;
 }
 
 }  // namespace dana::sched

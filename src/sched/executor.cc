@@ -1,6 +1,7 @@
 #include "sched/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "ml/workloads.h"
 #include "runtime/cost_model.h"
@@ -330,15 +331,9 @@ DanaQueryExecutor::DanaQueryExecutor(Options options)
 
 Result<runtime::WorkloadInstance*> DanaQueryExecutor::Instance(
     const std::string& id) {
-  dana::MutexLock lock(state_mu_);
-  return InstanceLocked(id);
-}
-
-Result<runtime::WorkloadInstance*> DanaQueryExecutor::InstanceLocked(
-    const std::string& id) {
   auto it = instances_.find(id);
   if (it != instances_.end()) return it->second.get();
-  DANA_ASSIGN_OR_RETURN(const ml::Workload* w, RegistryWorkloadLocked(id));
+  DANA_ASSIGN_OR_RETURN(const ml::Workload* w, RegistryWorkload(id));
   DANA_ASSIGN_OR_RETURN(auto instance, runtime::WorkloadInstance::Create(*w));
   auto* ptr = instance.get();
   instances_[id] = std::move(instance);
@@ -346,12 +341,6 @@ Result<runtime::WorkloadInstance*> DanaQueryExecutor::InstanceLocked(
 }
 
 Result<const ml::Workload*> DanaQueryExecutor::RegistryWorkload(
-    const std::string& id) {
-  dana::MutexLock lock(state_mu_);
-  return RegistryWorkloadLocked(id);
-}
-
-Result<const ml::Workload*> DanaQueryExecutor::RegistryWorkloadLocked(
     const std::string& id) {
   auto it = workload_cache_.find(id);
   if (it == workload_cache_.end()) {
@@ -366,44 +355,36 @@ Result<const ml::Workload*> DanaQueryExecutor::RegistryWorkloadLocked(
 Result<const DanaQueryExecutor::EpochProfile*>
 DanaQueryExecutor::MeasureEndpoint(const QueryBatch& batch,
                                    runtime::CacheState cache) {
-  const auto key = std::make_tuple(batch.workload_id, batch.size(),
-                                   static_cast<uint8_t>(cache));
-  // Fill-once/wait: a cold key elects exactly one caller to run the
-  // measurement while concurrent requesters block for the result, so N
-  // concurrent callers hitting the same cold (workload, batch, endpoint) never
-  // duplicate a simulator run.
-  return measured_.GetOrFill(key, [&]() -> Result<EpochProfile> {
-    // Serialize the actual simulator runs across *different* keys too:
-    // WorkloadInstance execution contexts grow per-slot pools lazily and
-    // DanaSystem::RunCompiled is not re-entrant. Once-per-key, memoized.
-    dana::MutexLock lock(measure_mu_);
-    DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance,
-                          Instance(batch.workload_id));
-    DANA_ASSIGN_OR_RETURN(
-        const compiler::CompiledUdf* udf,
-        compile_cache_.GetOrCompile(
-            batch.workload_id, [&] { return system_.Compile(*instance); }));
-    // Measure the batched pass once on this slot's execution context (its
-    // private pool, created lazily by the instance's pool group); identical
-    // batches on other slots prepare their pools to the same cache state
-    // and therefore take identical time.
-    DANA_ASSIGN_OR_RETURN(
-        runtime::SystemResult result,
-        system_.RunCompiled(*udf, instance, cache, batch.size(), batch.slot));
-    obs::Count(options_.metrics, "exec.endpoint_measurements");
-    EpochProfile p;
-    p.compile = options_.compile_latency;
-    p.first_wall = result.first_epoch.wall;
-    p.steady_wall = result.steady_epoch.wall;
-    p.first_shared = result.first_epoch.shared;
-    p.steady_shared = result.steady_epoch.shared;
-    p.first_pq = result.first_epoch.per_query;
-    p.steady_pq = result.steady_epoch.per_query;
-    p.query_overhead = result.query_overhead;
-    p.epoch_overhead = result.epoch_overhead;
-    p.epochs = std::max<uint32_t>(result.epochs, 1);
-    return p;
-  });
+  auto key = std::make_tuple(batch.workload_id, batch.size(),
+                             static_cast<uint8_t>(cache));
+  auto it = measured_.find(key);
+  if (it != measured_.end()) return &it->second;
+  DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance,
+                        Instance(batch.workload_id));
+  DANA_ASSIGN_OR_RETURN(
+      const compiler::CompiledUdf* udf,
+      compile_cache_.GetOrCompile(
+          batch.workload_id, [&] { return system_.Compile(*instance); }));
+  // Measure the batched pass once on this slot's execution context (its
+  // private pool, created lazily by the instance's pool group); identical
+  // batches on other slots prepare their pools to the same cache state
+  // and therefore take identical time.
+  DANA_ASSIGN_OR_RETURN(
+      runtime::SystemResult result,
+      system_.RunCompiled(*udf, instance, cache, batch.size(), batch.slot));
+  obs::Count(options_.metrics, "exec.endpoint_measurements");
+  EpochProfile p;
+  p.compile = options_.compile_latency;
+  p.first_wall = result.first_epoch.wall;
+  p.steady_wall = result.steady_epoch.wall;
+  p.first_shared = result.first_epoch.shared;
+  p.steady_shared = result.steady_epoch.shared;
+  p.first_pq = result.first_epoch.per_query;
+  p.steady_pq = result.steady_epoch.per_query;
+  p.query_overhead = result.query_overhead;
+  p.epoch_overhead = result.epoch_overhead;
+  p.epochs = std::max<uint32_t>(result.epochs, 1);
+  return &measured_.emplace(std::move(key), p).first->second;
 }
 
 Result<DanaQueryExecutor::EpochProfile> DanaQueryExecutor::ProfileAt(

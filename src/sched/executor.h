@@ -9,11 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/fill_once.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/sim_time.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "runtime/systems.h"
 #include "sched/compile_cache.h"
@@ -205,10 +202,9 @@ class QueryExecutor {
     return 0.0;
   }
 
-  /// Pre-sizes any per-slot state for `slots` concurrent slots, so
-  /// lazily-grown per-slot containers (e.g. a pool group's vector) never
-  /// grow mid-run. A caller that drives slots from several threads calls
-  /// this once before starting them. Default: no per-slot state.
+  /// Pre-sizes any per-slot state for `slots` slots, so lazily-grown
+  /// per-slot containers (e.g. a pool group's vector) never grow mid-run.
+  /// Default: no per-slot state.
   virtual void PrepareSlots(uint32_t slots) { (void)slots; }
 
  private:
@@ -253,16 +249,7 @@ class QueryExecutor {
 /// the pool so affinity dispatch can route resumed work back to its warm
 /// slot.
 ///
-/// Concurrency: safe to call from several threads; per-slot pool state
-/// must be partitioned by slot. Shared cross-slot state is partitioned
-/// into fill-once caches (the compile cache and the measured endpoint
-/// profiles — concurrent cold requests share one fill) and a state mutex
-/// (workload instances, registry memo). Per-slot pool state is
-/// intentionally unguarded: slot i's pool may only be touched by the
-/// execution running on slot i (or by the scheduler while the slot is
-/// idle), the partition the scheduler's dispatch discipline guarantees.
-/// Callers driving slots from several threads must call PrepareSlots()
-/// first so the pool group never grows mid-run.
+/// Single-threaded: the scheduler's event loop calls it inline.
 class DanaQueryExecutor : public QueryExecutor {
  public:
   struct Options {
@@ -359,16 +346,10 @@ class DanaQueryExecutor : public QueryExecutor {
  private:
   friend class DanaBatchExecution;
 
-  dana::Result<runtime::WorkloadInstance*> Instance(const std::string& id)
-      EXCLUDES(state_mu_);
-  dana::Result<runtime::WorkloadInstance*> InstanceLocked(
-      const std::string& id) REQUIRES(state_mu_);
+  dana::Result<runtime::WorkloadInstance*> Instance(const std::string& id);
   /// `id`'s registry entry, memoized (ml::FindWorkload is a linear scan);
   /// NotFound for unknown workloads.
-  dana::Result<const ml::Workload*> RegistryWorkload(const std::string& id)
-      EXCLUDES(state_mu_);
-  dana::Result<const ml::Workload*> RegistryWorkloadLocked(
-      const std::string& id) REQUIRES(state_mu_);
+  dana::Result<const ml::Workload*> RegistryWorkload(const std::string& id);
   /// Measured residency of `id` on `slot`'s shared pool: the table's
   /// resident frames over its normalized footprint. 0 when the workload is
   /// unknown (the later Begin/Estimate reports the error properly).
@@ -399,32 +380,20 @@ class DanaQueryExecutor : public QueryExecutor {
   /// scale-normalized frames: every workload's sweep passes through its
   /// slot's pool, so cross-table eviction is measured, not modeled.
   storage::BufferPoolGroup slot_pools_;
-  std::map<std::string, std::unique_ptr<runtime::WorkloadInstance>> instances_
-      GUARDED_BY(state_mu_);
+  std::map<std::string, std::unique_ptr<runtime::WorkloadInstance>>
+      instances_;
   /// Measured epoch profiles, keyed by (workload, batch size, cache
-  /// endpoint). The cold table-load path: measuring an endpoint actually
-  /// runs the cycle-level simulator, so concurrent callers asking for
-  /// the same cold key share one fill (fill-once/wait) and never duplicate
-  /// a run.
-  dana::FillOnceMap<std::tuple<std::string, uint32_t, uint8_t>, EpochProfile>
+  /// endpoint). Measuring an endpoint runs the cycle-level simulator, so
+  /// each key is measured once; a failed measurement is not stored and
+  /// the next request retries. Returned pointers stay valid (std::map
+  /// nodes never move).
+  std::map<std::tuple<std::string, uint32_t, uint8_t>, EpochProfile>
       measured_;
   /// Registry lookups memoized per name: ml::FindWorkload is a linear scan
   /// with string compares, and Estimate/EstimateAtWarmth run once per
   /// queued candidate per dispatch under affinity SJF. Values are pointers
   /// into the static registry, valid for the process lifetime.
-  std::unordered_map<std::string, const ml::Workload*> workload_cache_
-      GUARDED_BY(state_mu_);
-  /// Guards the executor's cross-slot mutable state: instances_ and
-  /// workload_cache_. Per-slot pool state needs no lock — slot i's pool is
-  /// touched only by slot i's execution (BufferPoolGroup's contract).
-  mutable dana::Mutex state_mu_;
-  /// Serializes actual simulator measurement runs (MeasureEndpoint fills):
-  /// WorkloadInstance execution contexts grow per-slot pools on demand and
-  /// DanaSystem::RunCompiled is not re-entrant. Fills are once-per-key and
-  /// memoized, so the serialization never sits on a steady-state path.
-  /// Ordered before state_mu_ (the filler takes state_mu_ through
-  /// Instance); no path nests them the other way.
-  dana::Mutex measure_mu_ ACQUIRED_BEFORE(state_mu_);
+  std::unordered_map<std::string, const ml::Workload*> workload_cache_;
 };
 
 }  // namespace dana::sched

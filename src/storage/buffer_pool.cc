@@ -418,11 +418,6 @@ BufferPoolGroup::BufferPoolGroup(uint64_t capacity_bytes_per_pool,
 }
 
 void BufferPoolGroup::Resize(size_t n) {
-  dana::MutexLock lock(grow_mu_);
-  ResizeLocked(n);
-}
-
-void BufferPoolGroup::ResizeLocked(size_t n) {
   if (n == 0) n = 1;
   while (pools_.size() < n) {
     pools_.push_back(std::make_unique<BufferPool>(capacity_bytes_, page_size_,
@@ -433,22 +428,11 @@ void BufferPoolGroup::ResizeLocked(size_t n) {
 }
 
 BufferPool* BufferPoolGroup::pool(size_t i) {
-  dana::MutexLock lock(grow_mu_);
-  if (i >= pools_.size()) ResizeLocked(i + 1);
+  if (i >= pools_.size()) Resize(i + 1);
   return pools_[i].get();
 }
 
-// The aggregate walks below take grow_mu_ too: they only guard the pools_
-// vector against a concurrent lazily-growing pool(i) — the pools' own
-// state stays externally synchronized per the class contract. (The
-// annotation pass surfaced these as unlocked iterations.)
-
 BufferPoolStats BufferPoolGroup::Rollup() const {
-  dana::MutexLock lock(grow_mu_);
-  return RollupLocked();
-}
-
-BufferPoolStats BufferPoolGroup::RollupLocked() const {
   BufferPoolStats total;
   for (const auto& p : pools_) {
     const BufferPoolStats& s = p->stats();
@@ -466,18 +450,12 @@ BufferPoolStats BufferPoolGroup::RollupLocked() const {
 }
 
 uint64_t BufferPoolGroup::TotalResidentFrames() const {
-  dana::MutexLock lock(grow_mu_);
-  return TotalResidentFramesLocked();
-}
-
-uint64_t BufferPoolGroup::TotalResidentFramesLocked() const {
   uint64_t total = 0;
   for (const auto& p : pools_) total += p->resident_frames();
   return total;
 }
 
 void BufferPoolGroup::ClearAll() {
-  dana::MutexLock lock(grow_mu_);
   for (const auto& p : pools_) {
     p->Clear();
     p->ResetStats();
@@ -526,8 +504,7 @@ void BufferPool::PublishTo(obs::MetricRegistry* metrics,
 void BufferPoolGroup::PublishTo(obs::MetricRegistry* metrics,
                                 const std::string& prefix) const {
   if (metrics == nullptr) return;
-  dana::MutexLock lock(grow_mu_);
-  const BufferPoolStats rollup = RollupLocked();
+  const BufferPoolStats rollup = Rollup();
   obs::SetGauge(metrics, prefix + ".hits", static_cast<double>(rollup.hits));
   obs::SetGauge(metrics, prefix + ".misses",
                 static_cast<double>(rollup.misses));
@@ -536,7 +513,7 @@ void BufferPoolGroup::PublishTo(obs::MetricRegistry* metrics,
   obs::SetGauge(metrics, prefix + ".hit_rate", rollup.HitRate());
   obs::SetGauge(metrics, prefix + ".io_time_s", rollup.io_time.seconds());
   obs::SetGauge(metrics, prefix + ".resident_frames",
-                static_cast<double>(TotalResidentFramesLocked()));
+                static_cast<double>(TotalResidentFrames()));
   for (size_t i = 0; i < pools_.size(); ++i) {
     pools_[i]->PublishTo(metrics,
                          prefix + ".slot" + std::to_string(i));

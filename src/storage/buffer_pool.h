@@ -7,11 +7,9 @@
 #include <vector>
 
 #include "common/intern.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "storage/disk.h"
 #include "storage/eviction_policy.h"
@@ -338,16 +336,8 @@ class BufferPool {
 /// pool shares one DiskModel — the slots contend for the same simulated
 /// device, they just stop sharing cache residency.
 ///
-/// Concurrency contract: the *group* is safe to grow concurrently —
-/// Resize and the lazily-growing pool(i) serialize on an internal mutex,
-/// and returned BufferPool pointers are stable (pools are heap-allocated
-/// and never destroyed before the group). Each *pool* itself is
-/// externally synchronized: per-slot pool state must be partitioned by
-/// slot — slot i's pool touched only by the execution running on slot i
-/// (or by the scheduler while that slot is idle), the partition the
-/// scheduler's dispatch discipline guarantees. Callers driving slots from
-/// several threads should PrepareSlots/Resize up front so steady-state
-/// pool(i) calls are pure reads.
+/// Single-threaded; returned BufferPool pointers stay valid as the group
+/// grows (pools are heap-allocated and never destroyed before the group).
 class BufferPoolGroup {
  public:
   /// Sizing template applied to every pool in the group; `Resize` creates
@@ -362,17 +352,11 @@ class BufferPoolGroup {
   /// keep their cached state.
   void Resize(size_t n);
 
-  size_t size() const {
-    dana::MutexLock lock(grow_mu_);
-    return pools_.size();
-  }
+  size_t size() const { return pools_.size(); }
 
   /// Pool of slot `i`; grows the group when `i` is past the end.
   BufferPool* pool(size_t i);
-  const BufferPool* pool(size_t i) const {
-    dana::MutexLock lock(grow_mu_);
-    return pools_.at(i).get();
-  }
+  const BufferPool* pool(size_t i) const { return pools_.at(i).get(); }
 
   /// Aggregate hit/miss/eviction/io statistics across all pools.
   BufferPoolStats Rollup() const;
@@ -394,19 +378,13 @@ class BufferPoolGroup {
                  const std::string& prefix = "pool") const;
 
  private:
-  void ResizeLocked(size_t n) REQUIRES(grow_mu_);
-  BufferPoolStats RollupLocked() const REQUIRES(grow_mu_);
-  uint64_t TotalResidentFramesLocked() const REQUIRES(grow_mu_);
-
   uint64_t capacity_bytes_;
   uint32_t page_size_;
   DiskModel disk_;
   uint64_t os_cache_bytes_;
   EvictionKind eviction_;
   uint64_t ssd_cache_bytes_;
-  /// Guards the pools_ vector (growth + indexing), not the pools' state.
-  mutable dana::Mutex grow_mu_;
-  std::vector<std::unique_ptr<BufferPool>> pools_ GUARDED_BY(grow_mu_);
+  std::vector<std::unique_ptr<BufferPool>> pools_;
 };
 
 }  // namespace dana::storage

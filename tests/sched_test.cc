@@ -186,10 +186,23 @@ TEST(CompileCacheTest, FailedBuildIsNotCached) {
     return udf;
   };
   EXPECT_FALSE(cache.GetOrCompile("k", builder).ok());
-  EXPECT_TRUE(cache.GetOrCompile("k", builder).ok());
+  // The failure left nothing behind: no entry, nothing to find.
+  EXPECT_EQ(cache.Find("k"), nullptr);
+  EXPECT_EQ(cache.size(), 0u);
+  // The retry runs the builder again and stores its design; later hits
+  // return the same pointer.
+  auto retried = cache.GetOrCompile("k", builder);
+  ASSERT_TRUE(retried.ok());
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Find("k"), *retried);
+  auto hit = cache.GetOrCompile("k", builder);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(*hit, *retried);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -943,6 +956,27 @@ TEST(ColdStartTest, FreshSlotPaysColdThenWarmRepeat) {
   // ResetResidency returns every slot to cold.
   executor.ResetResidency();
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 0.0);
+}
+
+TEST(EndpointMemoTest, SameEndpointRunsTheSimulatorOnce) {
+  obs::MetricRegistry metrics;
+  DanaQueryExecutor::Options options;
+  options.metrics = &metrics;
+  DanaQueryExecutor executor(options);
+  // Two fresh slots price the same (workload, batch size, cold endpoint):
+  // the first measures it through the simulator, the second reuses the
+  // memoized profile.
+  auto first = executor.Dispatch(QueryBatch::Single("wlan", 0, /*slot=*/0));
+  ASSERT_TRUE(first.ok());
+  auto second = executor.Dispatch(QueryBatch::Single("wlan", 1, /*slot=*/1));
+  ASSERT_TRUE(second.ok());
+  EXPECT_DOUBLE_EQ(first->warm_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(second->warm_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(metrics.counter("exec.endpoint_measurements")->value(),
+                   1.0);
+  EXPECT_EQ(second->service.nanos(), first->service.nanos());
+  EXPECT_EQ(second->shared.nanos(), first->shared.nanos());
+  EXPECT_EQ(second->per_query.nanos(), first->per_query.nanos());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// dana_lint — determinism & concurrency lint for the dana tree.
+// dana_lint — determinism lint for the dana tree.
 //
 // A lexer-lite static checker (no compiler dependency) that enforces the
 // repo's determinism contracts:
