@@ -8,6 +8,11 @@
 //     sched_preempt_tiered, where such sweeps are nearly all of the host
 //     time. Every touch is a pool miss: it probes the page index, consults
 //     the lower tiers (lru/promotional), evicts a victim and installs.
+//   - touches_per_s.lru_colocated: the same LRU pool and OS tier, with
+//     sweeps of a pool-fitting table (half the pool) alternating with
+//     sweeps of the 3x-pool table — the co-located mix of
+//     sched_preempt_tiered. Together the two outsize pool and tier, so
+//     every touch misses both and each sweep evicts the other table.
 //   - fetches_per_s.warm: FetchPage over a prewarmed 64-page table in a
 //     128-frame pool (every fetch hits).
 // Thrashing fetches and the page codec (tuple appends, row encode/decode)
@@ -41,6 +46,7 @@ using namespace dana::storage;
 constexpr uint64_t kPoolFrames = 512;
 constexpr uint64_t kOsFrames = 1024;
 constexpr uint64_t kScanPages = 3 * kPoolFrames;
+constexpr uint64_t kFitPages = kPoolFrames / 2;
 constexpr uint64_t kTouchesPerRep = uint64_t{1} << 21;
 constexpr uint64_t kFetchesPerRep = uint64_t{1} << 20;
 // Thrashing fetches copy a 32 KB page image each.
@@ -84,6 +90,7 @@ int main() {
   stats.SetConfig("pool_frames", static_cast<double>(kPoolFrames));
   stats.SetConfig("os_frames", static_cast<double>(kOsFrames));
   stats.SetConfig("scan_pages", static_cast<double>(kScanPages));
+  stats.SetConfig("fit_pages", static_cast<double>(kFitPages));
   stats.SetConfig("touches_per_rep", static_cast<double>(kTouchesPerRep));
   stats.SetConfig("fetches_per_rep", static_cast<double>(kFetchesPerRep));
 
@@ -117,6 +124,33 @@ int main() {
     stats.Add("touches_per_s." + name, touches_per_s,
               obs::Direction::kHigherIsBetter, 0.75);
     stats.Add("sweep_wall_s." + name, *wall, obs::Direction::kInfo);
+  }
+
+  {
+    auto pool = BufferPool::SizedInFrames(kPoolFrames, layout.page_size,
+                                          DiskModel{}, EvictionKind::kLru,
+                                          kOsFrames);
+    const uint32_t big = pool.InternTable("scan");
+    const uint32_t fit = pool.InternTable("fit");
+    const uint64_t pairs = kTouchesPerRep / (kScanPages + kFitPages);
+    auto wall = bench::BestRep([&]() -> Status {
+      pool.Clear();
+      for (uint64_t s = 0; s < pairs; ++s) {
+        pool.ScanTable(fit, kFitPages);
+        pool.ScanTable(big, kScanPages);
+      }
+      return Status::OK();
+    });
+    if (!wall.ok()) return fail("co-located sweep", wall.status());
+    const uint64_t touches = pairs * (kScanPages + kFitPages);
+    const double touches_per_s = static_cast<double>(touches) / *wall;
+    sweep_table.AddRow({"lru_colocated", std::to_string(touches),
+                        TablePrinter::Fmt(pool.stats().HitRate(), 3),
+                        TablePrinter::Fmt(*wall, 4),
+                        TablePrinter::Fmt(touches_per_s, 0)});
+    stats.Add("touches_per_s.lru_colocated", touches_per_s,
+              obs::Direction::kHigherIsBetter, 0.75);
+    stats.Add("sweep_wall_s.lru_colocated", *wall, obs::Direction::kInfo);
   }
 
   TablePrinter fetch_table({"point", "pool frames", "hit rate", "fetches/s"});

@@ -1,6 +1,7 @@
 #include "compiler/compiler.h"
 
 #include <sstream>
+#include <string>
 
 #include "hdfg/translator.h"
 #include "strider/assembler.h"
@@ -35,6 +36,20 @@ Result<CompiledUdf> UdfCompiler::Compile(const dsl::Algo& algo,
 
   // Front end: DSL -> hDFG (§4.4).
   DANA_ASSIGN_OR_RETURN(out.graph, hdfg::Translator::Translate(algo));
+
+  // Every design point keeps a float4 image of the model per thread in
+  // BRAM, so a model that alone outsizes BRAM fits none: fail before
+  // lowering, which for such a model takes far longer than the check.
+  uint64_t model_elements = 0;
+  for (const auto& var : out.graph.model_vars) {
+    model_elements += hdfg::NumElements(var->dims);
+  }
+  if (4 * model_elements > fpga_.bram_bytes) {
+    return Status::ResourceExhausted(
+        "model of " + std::to_string(model_elements) + " elements needs " +
+        std::to_string(4 * model_elements) + " bytes of BRAM, but " +
+        fpga_.name + " has " + std::to_string(fpga_.bram_bytes));
+  }
 
   // Lowering: hDFG -> scalar sub-node program (§6.2).
   DANA_ASSIGN_OR_RETURN(out.program, LowerGraph(out.graph));

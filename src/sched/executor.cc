@@ -159,12 +159,13 @@ class DanaBatchExecution : public BatchExecution {
     // min(k, 2) sweeps, not one: for a table that outsizes the pool the
     // second pass keeps pressing installs into co-located tables (clock
     // second chances spare some of their frames on the first pass only).
-    // Two passes reach the repeat-pressure regime; later passes refine
-    // co-located decay negligibly while costing O(pages) each, hence the
-    // cap. For a pool-fitting table the second sweep is an all-hit no-op,
-    // so single-epoch slices and fitting-table schedules are unchanged.
-    // The slot's physical pool takes the sweeps for real (install + clock
-    // eviction).
+    // Two passes reach the repeat-pressure regime; later passes only
+    // refine co-located decay. The cap is part of the model, not a host
+    // cost bound: a sweep is applied run by run and is cheap, but a third
+    // pass would change what the pool holds and so the simulated results.
+    // For a pool-fitting table the second sweep is an all-hit no-op, so
+    // single-epoch slices and fitting-table schedules are unchanged. The
+    // slot's physical pool takes the sweeps for real (install + eviction).
     storage::BufferPool* pool = owner_->slot_pools_.pool(batch_.slot);
     const uint32_t tid = pool->InternTable(batch_.workload_id);
     // Memoized repeat sweep: if nothing installed into (or cleared) this

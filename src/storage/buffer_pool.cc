@@ -2,9 +2,24 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
+#include <type_traits>
 
 namespace dana::storage {
+
+namespace {
+
+/// Whether a pool policy's cursor demotes into the evicting OS/SSD tiers:
+/// lru and promotional do; clock keeps the legacy OS set, which touches
+/// skip.
+template <typename Cursor>
+constexpr bool kTiered = !std::is_same_v<Cursor, ClockEvictionPolicy::Cursor>;
+
+/// Longest miss extent, in pages: victims_ holds one extent at a time.
+constexpr uint64_t kMaxExtent = 4096;
+
+}  // namespace
 
 BufferPool::BufferPool(uint64_t capacity_bytes, uint32_t page_size,
                        DiskModel disk, uint64_t os_cache_bytes,
@@ -47,54 +62,29 @@ BufferPool::BufferPool(uint64_t capacity_bytes, uint32_t page_size,
   }
 }
 
-void BufferPool::PoolOnInsert(size_t idx) {
+template <typename Fn>
+decltype(auto) BufferPool::WithCursor(Fn&& fn) {
+  auto open = [&](auto& policy) -> decltype(auto) {
+    typename std::remove_reference_t<decltype(policy)>::Cursor cursor(policy);
+    return fn(cursor);
+  };
   switch (eviction_) {
     case EvictionKind::kClock:
-      pool_clock_->OnInsert(idx);
-      break;
+      return open(*pool_clock_);
     case EvictionKind::kLru:
-      pool_lru_->OnInsert(idx);
-      break;
+      return open(*pool_lru_);
     case EvictionKind::kPromotional:
-      pool_promotional_->OnInsert(idx);
       break;
   }
-}
-
-void BufferPool::PoolOnAccess(size_t idx) {
-  switch (eviction_) {
-    case EvictionKind::kClock:
-      pool_clock_->OnAccess(idx);
-      break;
-    case EvictionKind::kLru:
-      pool_lru_->OnAccess(idx);
-      break;
-    case EvictionKind::kPromotional:
-      pool_promotional_->OnAccess(idx);
-      break;
-  }
-}
-
-size_t BufferPool::PoolPickVictim() {
-  switch (eviction_) {
-    case EvictionKind::kClock:
-      return pool_clock_->PickVictim();
-    case EvictionKind::kLru:
-      return pool_lru_->PickVictim();
-    case EvictionKind::kPromotional:
-      return pool_promotional_->PickVictim();
-  }
-  return 0;
+  return open(*pool_promotional_);
 }
 
 void BufferPool::DemoteToOs(const Key& key) {
-  if (!os_tier_.enabled()) return;
   PageKey displaced;
   if (os_tier_.Insert(key, &displaced)) {
     ++stats_.os_evictions;
-    if (ssd_tier_.enabled()) {
-      PageKey dropped;
-      if (ssd_tier_.Insert(displaced, &dropped)) ++stats_.ssd_evictions;
+    if (ssd_tier_.enabled() && ssd_tier_.Insert(displaced, nullptr)) {
+      ++stats_.ssd_evictions;
     }
   }
 }
@@ -138,14 +128,11 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   if (hit != PageIndex::kAbsent) {
     ++stats_.hits;
     Frame& frame = frames_[hit];
-    PoolOnAccess(hit);
+    WithCursor([hit](auto& pool) { pool.OnAccess(hit); });
     // A residency probe (TouchPage) may have installed this page without
     // an image; a data-consuming fetch materializes it now, for free (the
     // page is resident — only the simulator's host copy was elided).
-    if (!frame.data) {
-      frame.data = std::make_unique<uint8_t[]>(page_size_);
-      std::memcpy(frame.data.get(), table.PageData(page_no), page_size_);
-    }
+    if (!frame.data) return LoadImage(hit, table.PageData(page_no));
     return static_cast<const uint8_t*>(frame.data.get());
   }
 
@@ -192,39 +179,148 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
     }
   }
 
-  const size_t idx = AllocFrame();
-  Install(idx, tid, page_no, table.PageData(page_no));
-  return static_cast<const uint8_t*>(frames_[idx].data.get());
+  const size_t idx = WithCursor([&](auto& pool) {
+    const size_t frame = AllocFrame(pool);
+    Install(pool, frame, key);
+    return frame;
+  });
+  return LoadImage(idx, table.PageData(page_no));
+}
+
+template <typename Cursor>
+uint64_t BufferPool::Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
+                           uint64_t last) {
+  // The swept table's slots, grown once: installs below write them
+  // directly, and evictions only clear entries, so the row never moves.
+  uint32_t* const slots = index_.Row(table_id, last);
+  if (table_id >= per_table_frames_.size()) {
+    per_table_frames_.resize(table_id + 1, 0);
+  }
+  uint64_t hits = 0;
+  uint64_t p = first;
+  while (p < last) {
+    const uint32_t hit = slots[p];
+    if (hit != PageIndex::kAbsent) {
+      ++hits;
+      pool.OnAccess(hit);
+      ++p;
+      continue;
+    }
+    if (resident_frames_ == frames_.size() && !ssd_tier_.enabled()) {
+      p = MissExtent(pool, table_id, p, last, slots);
+      continue;
+    }
+    // A data-less install: occupancy and eviction behave exactly like
+    // FetchPage, but no page image is copied and no I/O time is charged —
+    // the shared slot pools are residency ground truth, not data servers.
+    const Key key{table_id, p};
+    if constexpr (kTiered<Cursor>) {
+      if (os_tier_.Erase(key)) {
+        ++stats_.os_hits;
+      } else {
+        if (os_tier_.enabled()) ++stats_.os_misses;
+        if (ssd_tier_.Erase(key)) ++stats_.ssd_hits;
+      }
+    }
+    const size_t idx = AllocFrame(pool);
+    frames_[idx].data.reset();
+    Install(pool, idx, key);
+    ++p;
+  }
+  stats_.hits += hits;
+  stats_.misses += last - first - hits;
+  return hits;
+}
+
+template <typename Cursor>
+uint64_t BufferPool::MissExtent(Cursor& pool, uint32_t table_id,
+                                uint64_t first, uint64_t last,
+                                uint32_t* slots) {
+  const bool os_on = kTiered<Cursor> && os_tier_.enabled();
+  // The tier does not change until the OS side runs.
+  const std::span<const uint32_t> os_slots = os_tier_.Slots(table_id);
+  auto os_holds = [&os_slots](uint64_t p) {
+    return p < os_slots.size() && os_slots[p] != PageIndex::kAbsent;
+  };
+  const bool os_hit = os_on && os_holds(first);
+  victims_.clear();
+  // Pool side: every page of the extent takes the next victim off the
+  // pool's replacement order, which the cursor walks run by run; the
+  // victims' index row and frame count are looked up once per run of one
+  // table.
+  uint32_t victim_table = dana::Interner::kInvalidId;
+  uint32_t* victim_row = nullptr;
+  uint64_t victim_count = 0;
+  uint64_t p = first;
+  // Capped so victims_ stays small for any table size.
+  uint64_t end = std::min(last, first + kMaxExtent);
+  // Victims known (Cursor::RunAfter) to follow `idx` in slot order.
+  size_t run = 0;
+  size_t idx = 0;
+  for (; p < end && slots[p] == PageIndex::kAbsent; ++p) {
+    if (os_on && os_holds(p) != os_hit) break;
+    if (run > 0) {
+      pool.TakeNext(++idx);
+      --run;
+    } else {
+      idx = pool.PickVictim();
+      pool.OnInsert(idx);
+      run = pool.RunAfter(idx, kRunProbe);
+    }
+    Frame& f = frames_[idx];
+    const Key victim{f.table_id, f.page_no};
+    if (victim.table_id != victim_table) {
+      if (victim_count > 0) per_table_frames_[victim_table] -= victim_count;
+      victim_table = victim.table_id;
+      victim_row = index_.Row(victim_table, 0);
+      victim_count = 0;
+    }
+    victim_row[victim.page_no] = PageIndex::kAbsent;
+    ++victim_count;
+    if (os_on) {
+      victims_.push_back(victim);
+      // A victim the sweep reaches later in this extent would by then be
+      // back in the OS tier: end the extent before it.
+      if (victim.table_id == table_id && victim.page_no > p &&
+          victim.page_no < end) {
+        end = victim.page_no;
+      }
+    }
+    if (f.data) f.data.reset();
+    f.table_id = table_id;
+    f.page_no = p;
+    slots[p] = static_cast<uint32_t>(idx);
+  }
+  const uint64_t k = p - first;
+  if (victim_count > 0) per_table_frames_[victim_table] -= victim_count;
+  per_table_frames_[table_id] += k;
+  stats_.evictions += k;
+  version_ += k;
+  // OS side, in the same order: the victims demote into the slots the
+  // promoted pages leave, or into the tier's replacement order.
+  if (os_on) {
+    if (os_hit) {
+      stats_.os_hits += k;
+      os_tier_.Exchange(table_id, first, victims_);
+    } else {
+      stats_.os_misses += k;
+      stats_.os_evictions += os_tier_.InsertRun(victims_);
+    }
+  }
+  return p;
 }
 
 bool BufferPool::TouchPage(uint32_t table_id, uint64_t page_no) {
-  const Key key{table_id, page_no};
   last_table_id_ = table_id;
-  const uint32_t hit = index_.Find(key);
-  if (hit != PageIndex::kAbsent) {
-    ++stats_.hits;
-    PoolOnAccess(hit);
-    return true;
-  }
-  // A data-less install: occupancy and eviction behave exactly like
-  // FetchPage, but no page image is copied and no I/O time is charged —
-  // the shared slot pools are residency ground truth, not data servers.
-  ++stats_.misses;
-  if (eviction_ != EvictionKind::kClock) {
-    if (os_tier_.Erase(key)) {
-      ++stats_.os_hits;
-    } else {
-      if (os_tier_.enabled()) ++stats_.os_misses;
-      if (ssd_tier_.Erase(key)) ++stats_.ssd_hits;
-    }
-  }
-  const size_t idx = AllocFrame();
-  Install(idx, table_id, page_no, nullptr);
-  return false;
+  return WithCursor([&](auto& pool) {
+    return Sweep(pool, table_id, page_no, page_no + 1) == 1;
+  });
 }
 
 void BufferPool::ScanTable(uint32_t table_id, uint64_t pages) {
-  for (uint64_t p = 0; p < pages; ++p) TouchPage(table_id, p);
+  if (pages == 0) return;
+  last_table_id_ = table_id;
+  WithCursor([&](auto& pool) { Sweep(pool, table_id, 0, pages); });
 }
 
 double BufferPool::ResidentShare(uint32_t table_id, uint64_t pages) const {
@@ -272,45 +368,46 @@ double BufferPool::TierResidentShare(size_t tier, uint32_t table_id,
   return share > 1.0 ? 1.0 : share;
 }
 
-size_t BufferPool::AllocFrame() {
+template <typename Cursor>
+inline size_t BufferPool::AllocFrame(Cursor& pool) {
   // During fill, frames are handed out in index order with no policy
   // involvement. This is the seed clock behaviour bit for bit: evictions
   // immediately reinstall, so occupancy is monotone between Clears and the
-  // invalid frames form a contiguous tail the hand always sat at; after
+  // unfilled frames form a contiguous tail the hand always sat at; after
   // the exact fill the seed hand wrapped to 0, where the policy's starts.
-  if (resident_frames_ < frames_.size()) return fill_cursor_++;
-  const size_t idx = PoolPickVictim();
-  Frame& f = frames_[idx];
+  if (resident_frames_ < frames_.size()) {
+    ++resident_frames_;
+    return fill_cursor_++;
+  }
+  const size_t idx = pool.PickVictim();
+  const Frame& f = frames_[idx];
   const Key victim{f.table_id, f.page_no};
   index_.Erase(victim);
-  f.valid = false;
-  --resident_frames_;
   --per_table_frames_[f.table_id];
   ++stats_.evictions;
-  if (eviction_ != EvictionKind::kClock) DemoteToOs(victim);
+  if constexpr (kTiered<Cursor>) DemoteToOs(victim);
   return idx;
 }
 
-void BufferPool::Install(size_t idx, uint32_t table_id, uint64_t page_no,
-                         const uint8_t* src) {
+template <typename Cursor>
+inline void BufferPool::Install(Cursor& pool, size_t idx, const Key& key) {
   Frame& f = frames_[idx];
-  if (!f.valid) ++resident_frames_;
-  if (src != nullptr) {
-    if (!f.data) f.data = std::make_unique<uint8_t[]>(page_size_);
-    std::memcpy(f.data.get(), src, page_size_);
-  } else {
-    f.data.reset();
+  f.table_id = key.table_id;
+  f.page_no = key.page_no;
+  pool.OnInsert(idx);
+  if (key.table_id >= per_table_frames_.size()) {
+    per_table_frames_.resize(key.table_id + 1, 0);
   }
-  f.table_id = table_id;
-  f.page_no = page_no;
-  f.valid = true;
-  PoolOnInsert(idx);
-  if (table_id >= per_table_frames_.size()) {
-    per_table_frames_.resize(table_id + 1, 0);
-  }
-  ++per_table_frames_[table_id];
-  index_.Set(Key{table_id, page_no}, static_cast<uint32_t>(idx));
+  ++per_table_frames_[key.table_id];
+  index_.Set(key, static_cast<uint32_t>(idx));
   ++version_;
+}
+
+const uint8_t* BufferPool::LoadImage(size_t idx, const uint8_t* src) {
+  Frame& f = frames_[idx];
+  if (!f.data) f.data = std::make_unique<uint8_t[]>(page_size_);
+  std::memcpy(f.data.get(), src, page_size_);
+  return f.data.get();
 }
 
 void BufferPool::Prewarm(const Table& table, double fraction) {
@@ -320,11 +417,15 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
   const uint64_t n = std::min<uint64_t>(want, frames_.size());
   const uint32_t tid = InternTable(table.name());
   last_table_id_ = tid;
-  for (uint64_t p = 0; p < n; ++p) {
-    if (index_.Contains(Key{tid, p})) continue;
-    const size_t idx = AllocFrame();
-    Install(idx, tid, p, table.PageData(p));
-  }
+  WithCursor([&](auto& pool) {
+    for (uint64_t p = 0; p < n; ++p) {
+      const Key key{tid, p};
+      if (index_.Contains(key)) continue;
+      const size_t idx = AllocFrame(pool);
+      Install(pool, idx, key);
+      LoadImage(idx, table.PageData(p));
+    }
+  });
   MarkOsCached(table);
 }
 
@@ -375,7 +476,6 @@ double BufferPool::ResidentFraction(const Table& table) const {
 }
 
 void BufferPool::Clear() {
-  for (auto& f : frames_) f.valid = false;
   index_.Clear();
   for (std::vector<uint64_t>& bits : os_cached_) {
     std::fill(bits.begin(), bits.end(), 0);

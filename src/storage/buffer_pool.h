@@ -74,6 +74,11 @@ struct BufferPoolStats {
 /// ScanTable pay the string exactly once per sweep. Ids are stable for the
 /// pool's lifetime — Clear() drops pages, not the name table — so callers
 /// may cache them across runs.
+///
+/// Sequential sweeps (ScanTable) leave the tiers in a few long runs — one
+/// table's consecutive pages in consecutive replacement positions — and
+/// the next sweep is applied run by run over that state (see ScanTable).
+/// TouchPage is a one-page sweep through the same code.
 class BufferPool {
  public:
   /// Tier indices for the per-tier accessors and `tier<j>.*` gauges.
@@ -142,10 +147,21 @@ class BufferPool {
   }
 
   /// One full sequential sweep of a logical table of `pages` pages through
-  /// the pool via TouchPage — the cache footprint of one training epoch's
-  /// Strider scan. A table larger than the pool ends with its trailing
-  /// pool-sized window resident (clock replacement under a sequential
-  /// scan); co-located tables are evicted only under install pressure.
+  /// the pool — the cache footprint of one training epoch's Strider scan.
+  /// The result is exactly that of TouchPage(table_id, p) for p = 0, 1,
+  /// ..., pages - 1: every counter, residency, version() bump, the final
+  /// replacement order and clock hand. A table larger than the pool ends
+  /// with its trailing pool-sized window resident; co-located tables are
+  /// evicted only under install pressure.
+  ///
+  /// The sweep is applied an extent at a time: a run of pages that all
+  /// miss and that the OS tier all holds or all lacks takes its victims
+  /// off the pool's replacement order in one pass (clock's hand clears a
+  /// run of reference bits at once; LRU splices a recency run), then
+  /// demotes them into the OS tier in one pass, with each index row looked
+  /// up once per run of one table's pages. Hits stay per page but only
+  /// extend the pending recency run. Pools with an SSD tier, and a pool
+  /// still filling, take the per-page path.
   void ScanTable(uint32_t table_id, uint64_t pages);
   void ScanTable(const std::string& table, uint64_t pages) {
     ScanTable(InternTable(table), pages);
@@ -261,30 +277,54 @@ class BufferPool {
     std::unique_ptr<uint8_t[]> data;
     uint32_t table_id = dana::Interner::kInvalidId;
     uint64_t page_no = 0;
-    bool valid = false;
   };
   /// Page identity: interned table id + page number (shared with the
   /// lower tiers).
   using Key = PageKey;
+
+  /// Pool-tier policy dispatch: calls `fn(cursor)` with a cursor (the
+  /// policies' Cursor classes) over the concrete policy eviction_ selects.
+  /// No policy call is virtual, and the policy's replacement state stays
+  /// in registers for the whole call: ScanTable and Prewarm open one
+  /// cursor per call, not per page.
+  template <typename Fn>
+  decltype(auto) WithCursor(Fn&& fn);
+
+  /// Data-less touches of pages [first, last) of `table_id` in order, each
+  /// with TouchPage's semantics; returns the number of pool hits. Misses go
+  /// through MissExtent when the pool is full and has no SSD tier, else
+  /// one page at a time. TouchPage is the one-page sweep.
+  template <typename Cursor>
+  uint64_t Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
+                 uint64_t last);
+
+  /// Pool misses of pages [first, e) of `table_id` that the OS tier either
+  /// all holds or all lacks, with the pool full and the SSD tier off;
+  /// returns e (> first). The pool side runs first, then the victims demote
+  /// in the same order. The extent ends before any page of its own that it
+  /// evicts, so no demotion changes how a later page of it classifies, and
+  /// the result is the per-page one.
+  template <typename Cursor>
+  uint64_t MissExtent(Cursor& pool, uint32_t table_id, uint64_t first,
+                      uint64_t last, uint32_t* slots);
 
   /// Returns a frame to install into: the next never-filled frame while
   /// the pool is filling (no policy involved — matches the seed, whose
   /// clock hand always sat on the first invalid frame), else the policy's
   /// victim, evicted; under lru/promotional the victim demotes into the
   /// OS tier.
-  size_t AllocFrame();
+  template <typename Cursor>
+  size_t AllocFrame(Cursor& pool);
 
-  /// Indexes frame `idx` as (table_id, page_no), copying the page image
-  /// from `src` when given (FetchPage/Prewarm) and leaving the frame
-  /// data-less for residency probes (TouchPage).
-  void Install(size_t idx, uint32_t table_id, uint64_t page_no,
-               const uint8_t* src);
+  /// Indexes frame `idx` as `key` and hands it to the policy. The page
+  /// image is the caller's: FetchPage/Prewarm copy it (LoadImage), touches
+  /// drop it.
+  template <typename Cursor>
+  void Install(Cursor& pool, size_t idx, const Key& key);
 
-  // Pool-tier policy dispatch: switch on eviction_ through concrete
-  // (final) pointers — no virtual calls on the touch path.
-  void PoolOnInsert(size_t idx);
-  void PoolOnAccess(size_t idx);
-  size_t PoolPickVictim();
+  /// Copies a page image from `src` into frame `idx`; returns the frame's
+  /// data.
+  const uint8_t* LoadImage(size_t idx, const uint8_t* src);
 
   /// Demotes an evicted pool page into the OS tier, cascading that tier's
   /// victim into the SSD tier (lru/promotional only).
@@ -326,6 +366,8 @@ class BufferPool {
   /// pool; disabled tiers have capacity 0).
   PageTier os_tier_;
   PageTier ssd_tier_;
+  /// MissExtent's working buffer: the pool victims of the current extent.
+  std::vector<PageKey> victims_;
 };
 
 /// A set of identically-sized buffer pools, one per accelerator slot.

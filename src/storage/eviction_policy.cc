@@ -52,114 +52,24 @@ PageTier::PageTier(EvictionKind kind, uint64_t capacity)
       break;
   }
   slot_keys_.resize(n);
-  free_slots_.reserve(n);
-  // Stacked so the first pops hand out slots 0, 1, 2, ... in order.
-  for (size_t i = n; i > 0; --i) free_slots_.push_back(i - 1);
+  free_slots_.resize(n);
+  Clear();
 }
 
-void PageTier::PolicyOnInsert(size_t slot) {
-  switch (kind_) {
-    case EvictionKind::kClock:
-      clock_->OnInsert(slot);
-      break;
-    case EvictionKind::kLru:
-      lru_->OnInsert(slot);
-      break;
-    case EvictionKind::kPromotional:
-      promotional_->OnInsert(slot);
-      break;
-  }
-}
-
-void PageTier::PolicyOnAccess(size_t slot) {
-  switch (kind_) {
-    case EvictionKind::kClock:
-      clock_->OnAccess(slot);
-      break;
-    case EvictionKind::kLru:
-      lru_->OnAccess(slot);
-      break;
-    case EvictionKind::kPromotional:
-      promotional_->OnAccess(slot);
-      break;
-  }
-}
-
-size_t PageTier::PolicyPickVictim() {
-  switch (kind_) {
-    case EvictionKind::kClock:
-      return clock_->PickVictim();
-    case EvictionKind::kLru:
-      return lru_->PickVictim();
-    case EvictionKind::kPromotional:
-      return promotional_->PickVictim();
-  }
-  return 0;
-}
-
-bool PageTier::Touch(const PageKey& key) {
-  const uint32_t slot = index_.Find(key);
-  if (slot == PageIndex::kAbsent) return false;
-  PolicyOnAccess(slot);
-  return true;
-}
-
-bool PageTier::Erase(const PageKey& key) {
-  const uint32_t slot = index_.Erase(key);
-  if (slot == PageIndex::kAbsent) return false;
-  --per_table_[key.table_id];
-  free_slots_.push_back(slot);
-  return true;
-}
-
-bool PageTier::Insert(const PageKey& key, PageKey* evicted) {
-  if (!enabled()) return false;
-  const uint32_t present = index_.Find(key);
-  if (present != PageIndex::kAbsent) {
-    PolicyOnAccess(present);
-    return false;
-  }
-  bool displaced = false;
-  size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = PolicyPickVictim();
-    const PageKey victim = slot_keys_[slot];
-    index_.Erase(victim);
-    --per_table_[victim.table_id];
-    ++evictions_;
-    if (evicted != nullptr) *evicted = victim;
-    displaced = true;
-  }
-  slot_keys_[slot] = key;
-  index_.Set(key, static_cast<uint32_t>(slot));
-  if (key.table_id >= per_table_.size()) {
-    per_table_.resize(key.table_id + 1, 0);
-  }
-  ++per_table_[key.table_id];
-  PolicyOnInsert(slot);
-  return displaced;
+void PageTier::GrowPerTable(uint32_t table_id) {
+  per_table_.resize(table_id + 1, 0);
 }
 
 void PageTier::Clear() {
   if (!enabled()) return;
   index_.Clear();
   per_table_.assign(per_table_.size(), 0);
-  free_slots_.clear();
-  for (size_t i = slot_keys_.size(); i > 0; --i) free_slots_.push_back(i - 1);
-  switch (kind_) {
-    case EvictionKind::kClock:
-      clock_->Reset();
-      break;
-    case EvictionKind::kLru:
-      lru_->Reset();
-      break;
-    case EvictionKind::kPromotional:
-      promotional_->Reset();
-      break;
+  // Stacked so the first pops hand out slots 0, 1, 2, ... in order.
+  free_count_ = free_slots_.size();
+  for (size_t i = 0; i < free_count_; ++i) {
+    free_slots_[i] = static_cast<uint32_t>(free_count_ - 1 - i);
   }
+  WithPolicy([](auto& policy) { policy.Reset(); });
 }
 
 }  // namespace dana::storage

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -38,6 +41,9 @@ dana::Result<EvictionKind> ParseEvictionKind(std::string_view name);
 /// The three implementations are `final` and tiers dispatch to them through
 /// concrete pointers (switch on kind), so the hot TouchPage/FetchPage path
 /// never pays a virtual call — the interface exists for tests and tooling.
+/// Each also has a Cursor with the same three calls plus RunAfter/TakeNext,
+/// which holds the policy's state in locals across a loop of calls (a
+/// pool's sweep, a tier's run of demotions).
 class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
@@ -54,23 +60,68 @@ class EvictionPolicy {
 /// seed's hand lands after filling an empty pool.
 class ClockEvictionPolicy final : public EvictionPolicy {
  public:
+  /// The hand and the reference bits, held in locals for a loop of calls
+  /// (BufferPool's sweeps) and written back when the cursor goes out of
+  /// scope. The policy itself must not be called while a cursor is live.
+  class Cursor {
+   public:
+    explicit Cursor(ClockEvictionPolicy& clock)
+        : clock_(clock),
+          bits_(clock.referenced_.data()),
+          n_(clock.referenced_.size()),
+          hand_(clock.hand_) {}
+    ~Cursor() { clock_.hand_ = hand_; }
+    Cursor(const Cursor&) = delete;
+    Cursor& operator=(const Cursor&) = delete;
+
+    void OnInsert(size_t idx) { bits_[idx] = 1; }
+    void OnAccess(size_t idx) { bits_[idx] = 1; }
+    /// The hand clears a whole run of referenced slots at once and stops
+    /// on the first unreferenced one, wrapping at most once.
+    size_t PickVictim() {
+      while (true) {
+        const void* found = bits_[hand_] == 0
+                                ? bits_ + hand_
+                                : std::memchr(bits_ + hand_, 0, n_ - hand_);
+        if (found != nullptr) {
+          const size_t idx = static_cast<const uint8_t*>(found) - bits_;
+          std::memset(bits_ + hand_, 0, idx - hand_);
+          hand_ = idx + 1 == n_ ? 0 : idx + 1;
+          return idx;
+        }
+        std::memset(bits_ + hand_, 0, n_ - hand_);
+        hand_ = 0;
+      }
+    }
+    /// How many of the victims after `slot` (just taken: PickVictim, then
+    /// OnInsert) are slot + 1, slot + 2, ... — the unreferenced run the
+    /// hand now stands on — at most `max`. Only slot order is read, so a
+    /// sweep's loop need not wait on PickVictim for each of them.
+    size_t RunAfter(size_t slot, size_t max) const {
+      size_t n = 0;
+      while (n < max && slot + 1 + n < n_ && bits_[slot + 1 + n] == 0) ++n;
+      return n;
+    }
+    /// Takes `slot`, the next victim by RunAfter, and reinserts it.
+    void TakeNext(size_t slot) {
+      bits_[slot] = 1;
+      hand_ = slot + 1 == n_ ? 0 : slot + 1;
+    }
+
+   private:
+    ClockEvictionPolicy& clock_;
+    uint8_t* const bits_;
+    const size_t n_;
+    size_t hand_;
+  };
+
   explicit ClockEvictionPolicy(size_t capacity)
       : referenced_(capacity == 0 ? 1 : capacity, 0) {}
 
   EvictionKind kind() const override { return EvictionKind::kClock; }
   void OnInsert(size_t idx) override { referenced_[idx] = 1; }
   void OnAccess(size_t idx) override { referenced_[idx] = 1; }
-  size_t PickVictim() override {
-    while (true) {
-      const size_t idx = hand_;
-      hand_ = (hand_ + 1) % referenced_.size();
-      if (referenced_[idx]) {
-        referenced_[idx] = 0;
-        continue;
-      }
-      return idx;
-    }
-  }
+  size_t PickVictim() override { return Cursor(*this).PickVictim(); }
   void Reset() override {
     referenced_.assign(referenced_.size(), 0);
     hand_ = 0;
@@ -82,49 +133,136 @@ class ClockEvictionPolicy final : public EvictionPolicy {
 };
 
 /// Strict LRU over an intrusive doubly-linked list of slot indices.
+///
+/// Moves to the front are applied a recency run at a time. A sequential
+/// scan moves slot after slot that sits just ahead (toward the head) of
+/// the one it moved before: it re-references a run of pages it left in
+/// recency order, or it reuses victims off the tail one by one. Such a
+/// move only extends a pending segment [seg_hd_, seg_tl_] of the stored
+/// list, and the segment is spliced to the front in O(1) once a move
+/// breaks the run. The logical list — the segment, then the stored list
+/// without it — is exactly the list the moves one at a time would build,
+/// and PickVictim answers from it.
 class LruEvictionPolicy final : public EvictionPolicy {
  public:
+  /// The list ends and the pending segment, held in locals for a loop of
+  /// calls (BufferPool's sweeps) and written back when the cursor goes out
+  /// of scope. The policy itself must not be called while a cursor is live.
+  class Cursor {
+   public:
+    explicit Cursor(LruEvictionPolicy& lru)
+        : lru_(lru),
+          prev_(lru.prev_.data()),
+          next_(lru.next_.data()),
+          linked_(lru.linked_.data()),
+          head_(lru.head_),
+          tail_(lru.tail_),
+          seg_hd_(lru.seg_hd_),
+          seg_tl_(lru.seg_tl_) {}
+    ~Cursor() {
+      lru_.head_ = head_;
+      lru_.tail_ = tail_;
+      lru_.seg_hd_ = seg_hd_;
+      lru_.seg_tl_ = seg_tl_;
+    }
+    Cursor(const Cursor&) = delete;
+    Cursor& operator=(const Cursor&) = delete;
+
+    void OnInsert(size_t idx) { MoveToFront(idx); }
+    void OnAccess(size_t idx) { MoveToFront(idx); }
+    size_t PickVictim() const {
+      // A segment ending at the stored tail leaves the slot just ahead of
+      // it as the logical tail, unless the segment is the whole list.
+      return seg_tl_ == tail_ && seg_hd_ != head_ ? prev_[seg_hd_] : tail_;
+    }
+    /// How many of the victims after `slot` (just taken: PickVictim, then
+    /// OnInsert) are slot + 1, slot + 2, ... — the stored list running in
+    /// slot order there, as a fill or an in-order reuse leaves it — at most
+    /// `max`. Only slot order is read, so a sweep's loop need not wait on
+    /// PickVictim for each of them.
+    size_t RunAfter(size_t slot, size_t max) const {
+      if (seg_hd_ != slot || seg_tl_ != tail_) return 0;
+      size_t n = 0;
+      while (n < max && prev_[slot + n] == slot + n + 1) ++n;
+      return n;
+    }
+    /// Takes `slot`, the next victim by RunAfter, and reinserts it.
+    void TakeNext(size_t slot) { seg_hd_ = static_cast<uint32_t>(slot); }
+
+   private:
+    void MoveToFront(size_t idx) {
+      // The run goes on: idx is the segment's head or the slot just ahead
+      // of it (only a linked slot can be either).
+      if (seg_hd_ != kNil && (idx == seg_hd_ || idx == prev_[seg_hd_])) {
+        seg_hd_ = static_cast<uint32_t>(idx);
+        return;
+      }
+      StartSegment(static_cast<uint32_t>(idx));
+    }
+    /// A move that breaks the run: splices the pending segment, then
+    /// starts a new one at idx (linking idx at the front if it is new).
+    void StartSegment(uint32_t idx) {
+      Splice();
+      if (!linked_[idx]) {
+        prev_[idx] = kNil;
+        next_[idx] = head_;
+        if (head_ != kNil) prev_[head_] = idx;
+        head_ = idx;
+        if (tail_ == kNil) tail_ = idx;
+        linked_[idx] = 1;
+      }
+      seg_hd_ = seg_tl_ = idx;
+    }
+    /// Moves the pending segment to the front of the stored list.
+    void Splice() {
+      if (seg_hd_ == kNil) return;
+      if (seg_hd_ != head_) {
+        const uint32_t before = prev_[seg_hd_];
+        const uint32_t after = next_[seg_tl_];
+        next_[before] = after;
+        if (after != kNil) {
+          prev_[after] = before;
+        } else {
+          tail_ = before;
+        }
+        prev_[seg_hd_] = kNil;
+        next_[seg_tl_] = head_;
+        prev_[head_] = seg_tl_;
+        head_ = seg_hd_;
+      }
+      seg_hd_ = seg_tl_ = kNil;
+    }
+
+    LruEvictionPolicy& lru_;
+    uint32_t* const prev_;
+    uint32_t* const next_;
+    uint8_t* const linked_;
+    uint32_t head_, tail_, seg_hd_, seg_tl_;
+  };
+
   explicit LruEvictionPolicy(size_t capacity)
       : prev_(capacity, kNil), next_(capacity, kNil), linked_(capacity, 0) {}
 
   EvictionKind kind() const override { return EvictionKind::kLru; }
-  void OnInsert(size_t idx) override { MoveToFront(idx); }
-  void OnAccess(size_t idx) override { MoveToFront(idx); }
-  size_t PickVictim() override { return tail_; }
+  void OnInsert(size_t idx) override { Cursor(*this).OnInsert(idx); }
+  void OnAccess(size_t idx) override { Cursor(*this).OnAccess(idx); }
+  size_t PickVictim() override { return Cursor(*this).PickVictim(); }
   void Reset() override {
     prev_.assign(prev_.size(), kNil);
     next_.assign(next_.size(), kNil);
     linked_.assign(linked_.size(), 0);
-    head_ = tail_ = kNil;
+    head_ = tail_ = seg_hd_ = seg_tl_ = kNil;
   }
 
  private:
-  static constexpr size_t kNil = static_cast<size_t>(-1);
+  static constexpr uint32_t kNil = UINT32_MAX;
 
-  void Unlink(size_t idx) {
-    if (prev_[idx] != kNil) next_[prev_[idx]] = next_[idx];
-    if (next_[idx] != kNil) prev_[next_[idx]] = prev_[idx];
-    if (head_ == idx) head_ = next_[idx];
-    if (tail_ == idx) tail_ = prev_[idx];
-    prev_[idx] = next_[idx] = kNil;
-    linked_[idx] = 0;
-  }
-  void MoveToFront(size_t idx) {
-    if (linked_[idx]) {
-      if (head_ == idx) return;
-      Unlink(idx);
-    }
-    prev_[idx] = kNil;
-    next_[idx] = head_;
-    if (head_ != kNil) prev_[head_] = idx;
-    head_ = idx;
-    if (tail_ == kNil) tail_ = idx;
-    linked_[idx] = 1;
-  }
-
-  std::vector<size_t> prev_, next_;
+  std::vector<uint32_t> prev_, next_;
   std::vector<uint8_t> linked_;
-  size_t head_ = kNil, tail_ = kNil;
+  uint32_t head_ = kNil, tail_ = kNil;
+  /// The pending segment (kNil when none): contiguous in the stored list,
+  /// seg_hd_ nearer its head, logically at the front.
+  uint32_t seg_hd_ = kNil, seg_tl_ = kNil;
 };
 
 /// Promotional eviction à la ZNCache's chunk queues: new pages enter a
@@ -142,6 +280,22 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
         next_(capacity, kNil),
         segment_(capacity, kUnlinked),
         protected_cap_(capacity / 2) {}
+
+  /// Calls straight through to the policy: promotional sweeps stay per
+  /// page, but share the cursor interface of the other policies.
+  class Cursor {
+   public:
+    explicit Cursor(PromotionalEvictionPolicy& policy) : policy_(policy) {}
+    void OnInsert(size_t idx) { policy_.OnInsert(idx); }
+    void OnAccess(size_t idx) { policy_.OnAccess(idx); }
+    size_t PickVictim() { return policy_.PickVictim(); }
+    /// Victims here do not follow slot order: no runs.
+    size_t RunAfter(size_t, size_t) const { return 0; }
+    void TakeNext(size_t slot) { OnInsert(slot); }
+
+   private:
+    PromotionalEvictionPolicy& policy_;
+  };
 
   EvictionKind kind() const override { return EvictionKind::kPromotional; }
   void OnInsert(size_t idx) override {
@@ -212,6 +366,12 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionKind kind,
                                                    size_t capacity);
 
+/// How far a loop taking victims looks ahead at once for a slot-order run
+/// (the policies' Cursor::RunAfter): long enough that the one PickVictim
+/// per probe is rare, short enough that a probe cut off early wastes
+/// little.
+inline constexpr size_t kRunProbe = 256;
+
 /// Page identity within a pool/tier: interned table id + page number. Both
 /// are dense small integers, so tiers index by them directly (PageIndex)
 /// and never hash or compare a string on the touch path.
@@ -227,7 +387,8 @@ struct PageKey {
 /// are dense, so a lookup is two bounds checks and a load. A table's array
 /// grows on demand to the highest page number stored and keeps its size
 /// across Clear(), so memory is proportional to the largest page number
-/// touched per table, not to the number of resident pages.
+/// touched per table, not to the number of resident pages. The owner
+/// counts its pages; the index only maps them.
 class PageIndex {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
@@ -242,12 +403,14 @@ class PageIndex {
 
   /// Maps `key` to `slot` (< kAbsent), replacing any previous mapping.
   void Set(const PageKey& key, uint32_t slot) {
-    if (key.table_id >= tables_.size()) tables_.resize(key.table_id + 1);
-    std::vector<uint32_t>& pages = tables_[key.table_id];
-    if (key.page_no >= pages.size()) pages.resize(key.page_no + 1, kAbsent);
-    uint32_t& entry = pages[key.page_no];
-    if (entry == kAbsent) ++size_;
-    entry = slot;
+    if (key.table_id < tables_.size()) {
+      std::vector<uint32_t>& pages = tables_[key.table_id];
+      if (key.page_no < pages.size()) {
+        pages[key.page_no] = slot;
+        return;
+      }
+    }
+    Row(key.table_id, key.page_no + 1)[key.page_no] = slot;
   }
 
   /// Unmaps `key`; returns the slot it held, or kAbsent.
@@ -256,26 +419,35 @@ class PageIndex {
     std::vector<uint32_t>& pages = tables_[key.table_id];
     if (key.page_no >= pages.size()) return kAbsent;
     const uint32_t slot = pages[key.page_no];
-    if (slot != kAbsent) {
-      pages[key.page_no] = kAbsent;
-      --size_;
-    }
+    pages[key.page_no] = kAbsent;
     return slot;
   }
 
-  /// Number of mapped pages.
-  uint64_t size() const { return size_; }
+  /// The slots of `table_id`'s pages as stored (empty for an unknown
+  /// table); valid until the next Set.
+  std::span<const uint32_t> Slots(uint32_t table_id) const {
+    if (table_id >= tables_.size()) return {};
+    return tables_[table_id];
+  }
+
+  /// The slots of pages [0, pages) of `table_id`, growing its array to at
+  /// least `pages` entries. The pointer stays valid until the array grows
+  /// again: a Set on a page of this table at or past `pages`.
+  uint32_t* Row(uint32_t table_id, uint64_t pages) {
+    if (table_id >= tables_.size()) tables_.resize(table_id + 1);
+    std::vector<uint32_t>& row = tables_[table_id];
+    if (pages > row.size()) row.resize(pages, kAbsent);
+    return row.data();
+  }
 
   void Clear() {
     for (std::vector<uint32_t>& pages : tables_) {
       std::fill(pages.begin(), pages.end(), kAbsent);
     }
-    size_ = 0;
   }
 
  private:
   std::vector<std::vector<uint32_t>> tables_;
-  uint64_t size_ = 0;
 };
 
 /// A key-addressed cache tier below the buffer pool: the modeled kernel
@@ -287,6 +459,30 @@ class PageIndex {
 /// post-saturation insert displaces a victim and reports it so the owner
 /// can cascade the demotion down to the next tier.
 class PageTier {
+  /// Calls `fn` with the concrete policy kind_ selects. (These two come
+  /// first: the inline members below deduce their results through them.)
+  template <typename Fn>
+  decltype(auto) WithPolicy(Fn&& fn) {
+    switch (kind_) {
+      case EvictionKind::kClock:
+        return fn(*clock_);
+      case EvictionKind::kLru:
+        return fn(*lru_);
+      case EvictionKind::kPromotional:
+        break;
+    }
+    return fn(*promotional_);
+  }
+  /// Calls `fn` with a cursor over the concrete policy kind_ selects.
+  template <typename Fn>
+  decltype(auto) WithCursor(Fn&& fn) {
+    return WithPolicy([&](auto& policy) -> decltype(auto) {
+      typename std::remove_reference_t<decltype(policy)>::Cursor cursor(
+          policy);
+      return fn(cursor);
+    });
+  }
+
  public:
   /// A disabled tier: every operation is a no-op returning "absent".
   PageTier() : PageTier(EvictionKind::kClock, 0) {}
@@ -294,33 +490,200 @@ class PageTier {
 
   bool enabled() const { return capacity_ > 0; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t resident() const { return index_.size(); }
+  uint64_t resident() const { return capacity_ - free_count_; }
   uint64_t resident(uint32_t table_id) const {
     return table_id < per_table_.size() ? per_table_[table_id] : 0;
   }
   uint64_t evictions() const { return evictions_; }
 
   bool Contains(const PageKey& key) const { return index_.Contains(key); }
+  /// The tier's slots of `table_id`'s pages (PageIndex::Slots).
+  std::span<const uint32_t> Slots(uint32_t table_id) const {
+    return index_.Slots(table_id);
+  }
 
   /// Re-references `key` (policy OnAccess). Returns true if present.
-  bool Touch(const PageKey& key);
+  bool Touch(const PageKey& key) {
+    const uint32_t slot = index_.Find(key);
+    if (slot == PageIndex::kAbsent) return false;
+    WithPolicy([slot](auto& policy) { policy.OnAccess(slot); });
+    return true;
+  }
 
   /// Removes `key` — a promotion up the hierarchy. Returns true if it was
   /// present.
-  bool Erase(const PageKey& key);
+  bool Erase(const PageKey& key) {
+    const uint32_t slot = index_.Erase(key);
+    if (slot == PageIndex::kAbsent) return false;
+    --per_table_[key.table_id];
+    free_slots_[free_count_++] = slot;
+    return true;
+  }
 
   /// Inserts `key` (a demotion from the tier above). Inserting a present
   /// key is a Touch. When the tier is full a victim is displaced and
   /// written to `*evicted` (when non-null); returns true iff a victim was
   /// displaced — the caller demotes it to the next tier down or drops it.
-  bool Insert(const PageKey& key, PageKey* evicted);
+  bool Insert(const PageKey& key, PageKey* evicted) {
+    if (!enabled()) return false;
+    return WithCursor([&](auto& cursor) {
+      const uint32_t present = index_.Find(key);
+      if (present != PageIndex::kAbsent) {
+        cursor.OnAccess(present);
+        return false;
+      }
+      const bool displaced = free_count_ == 0;
+      const size_t slot = displaced ? Vacate(cursor, evicted) : PopFree();
+      Place(cursor, slot, key);
+      return displaced;
+    });
+  }
+
+  /// Pages [first, first + keys.size()) of `table_id`, all present, leave
+  /// the tier (promotions), and keys[j] takes the slot page first + j left
+  /// — each pair is what Erase and then an Insert popping the freed slot
+  /// would do. A key already present is touched instead, and its slot goes
+  /// free. Rows are looked up once per run of one table's pages.
+  void Exchange(uint32_t table_id, uint64_t first,
+                const std::vector<PageKey>& keys) {
+    if (keys.empty()) return;
+    per_table_[table_id] -= keys.size();
+    WithCursor([&](auto& cursor) {
+      for (size_t j = 0; j < keys.size();) {
+        const uint32_t table = keys[j].table_id;
+        const uint64_t key_first = keys[j].page_no;
+        const size_t n = RunLength(keys, j);
+        // Grow the keys' row first: the promoted pages' row is already
+        // long enough, so fetching it second leaves both valid.
+        uint32_t* const row = index_.Row(table, key_first + n);
+        uint32_t* const leaving = index_.Row(table_id, 0) + first + j;
+        if (table >= per_table_.size()) GrowPerTable(table);
+        for (size_t i = 0; i < n; ++i) {
+          const uint32_t slot = leaving[i];
+          leaving[i] = PageIndex::kAbsent;
+          uint32_t& entry = row[key_first + i];
+          if (entry != PageIndex::kAbsent) {
+            cursor.OnAccess(entry);
+            free_slots_[free_count_++] = slot;
+            continue;
+          }
+          slot_keys_[slot] = keys[j + i];
+          entry = slot;
+          ++per_table_[table];
+          cursor.OnInsert(slot);
+        }
+        j += n;
+      }
+    });
+  }
+
+  /// Insert(key, nullptr) for each of `keys` in order, dropping what they
+  /// displace; returns the number displaced. Keys arrive as runs of one
+  /// table's consecutive pages (a pool's victims), so each run's index row
+  /// is looked up once.
+  uint64_t InsertRun(const std::vector<PageKey>& keys) {
+    if (!enabled()) return 0;
+    return WithCursor([&](auto& cursor) {
+      uint64_t displaced = 0;
+      // The victims come off the tier's own runs: their table's row and
+      // count are looked up once per run too.
+      uint32_t victim_table = UINT32_MAX;
+      uint32_t* victim_row = nullptr;
+      uint64_t victim_count = 0;
+      // Victims known (RunAfter) to follow `last` in slot order.
+      size_t run = 0;
+      size_t last = 0;
+      for (size_t j = 0; j < keys.size();) {
+        const uint32_t table = keys[j].table_id;
+        const uint64_t first = keys[j].page_no;
+        const size_t n = RunLength(keys, j);
+        // Grown once: the victims erased below only clear entries, so
+        // neither this row nor the victims' rows move inside the run.
+        uint32_t* const row = index_.Row(table, first + n);
+        if (table == victim_table) victim_row = row;  // it may have moved
+        if (table >= per_table_.size()) GrowPerTable(table);
+        uint64_t inserted = 0;
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t& entry = row[first + i];
+          if (entry != PageIndex::kAbsent) {
+            cursor.OnAccess(entry);
+            run = 0;
+            continue;
+          }
+          size_t slot;
+          if (free_count_ > 0) {
+            slot = PopFree();
+            cursor.OnInsert(slot);
+            run = 0;
+          } else {
+            if (run > 0) {
+              slot = ++last;
+              cursor.TakeNext(slot);
+              --run;
+            } else {
+              slot = last = cursor.PickVictim();
+              cursor.OnInsert(slot);
+              run = cursor.RunAfter(slot, kRunProbe);
+            }
+            const PageKey victim = slot_keys_[slot];
+            if (victim.table_id != victim_table) {
+              if (victim_count > 0) per_table_[victim_table] -= victim_count;
+              victim_table = victim.table_id;
+              victim_row = index_.Row(victim_table, 0);
+              victim_count = 0;
+            }
+            victim_row[victim.page_no] = PageIndex::kAbsent;
+            ++victim_count;
+            ++displaced;
+          }
+          slot_keys_[slot] = keys[j + i];
+          entry = static_cast<uint32_t>(slot);
+          ++inserted;
+        }
+        per_table_[table] += inserted;
+        j += n;
+      }
+      if (victim_count > 0) per_table_[victim_table] -= victim_count;
+      evictions_ += displaced;
+      return displaced;
+    });
+  }
 
   void Clear();
 
  private:
-  void PolicyOnInsert(size_t slot);
-  void PolicyOnAccess(size_t slot);
-  size_t PolicyPickVictim();
+  size_t PopFree() { return free_slots_[--free_count_]; }
+  /// Length of the run starting at keys[j]: one table's consecutive pages.
+  static size_t RunLength(const std::vector<PageKey>& keys, size_t j) {
+    size_t n = 1;
+    while (j + n < keys.size() && keys[j + n].table_id == keys[j].table_id &&
+           keys[j + n].page_no == keys[j].page_no + n) {
+      ++n;
+    }
+    return n;
+  }
+  /// Evicts the policy's victim (the tier is full) and returns its slot.
+  template <typename Cursor>
+  size_t Vacate(Cursor& cursor, PageKey* evicted) {
+    const size_t slot = cursor.PickVictim();
+    const PageKey victim = slot_keys_[slot];
+    index_.Erase(victim);
+    --per_table_[victim.table_id];
+    ++evictions_;
+    if (evicted != nullptr) *evicted = victim;
+    return slot;
+  }
+  /// Puts `key` into the free or just-vacated `slot`.
+  template <typename Cursor>
+  void Place(Cursor& cursor, size_t slot, const PageKey& key) {
+
+    slot_keys_[slot] = key;
+    index_.Set(key, static_cast<uint32_t>(slot));
+    if (key.table_id >= per_table_.size()) GrowPerTable(key.table_id);
+    ++per_table_[key.table_id];
+    cursor.OnInsert(slot);
+  }
+  void GrowPerTable(uint32_t table_id);
 
   uint64_t capacity_;
   EvictionKind kind_;
@@ -331,7 +694,9 @@ class PageTier {
   std::unique_ptr<PromotionalEvictionPolicy> promotional_;
   PageIndex index_;
   std::vector<PageKey> slot_keys_;
-  std::vector<size_t> free_slots_;
+  /// Stack of free slots: the first free_count_ entries.
+  std::vector<uint32_t> free_slots_;
+  size_t free_count_ = 0;
   std::vector<uint64_t> per_table_;
   uint64_t evictions_ = 0;
 };

@@ -364,12 +364,15 @@ TEST(HwGeneratorTest, MimdAblationShrinksFabric) {
 }
 
 TEST(HwGeneratorTest, ModelTooLargeForBramFails) {
-  ml::AlgoParams p = SmallParams(4000, 4);
-  p.rank = 4000;  // 16M-element model = 64 MB > 44 MB BRAM
-  ScalarProgram prog = Lower(ml::AlgoKind::kLowRankMF, p);
-  HardwareGenerator hw(FpgaSpec{});
-  auto d = hw.Generate(prog, DefaultLayout(), ShapeFor(4000 * 4, 100));
-  EXPECT_TRUE(d.status().IsResourceExhausted());
+  // A 64-element model (256 bytes) plus its tuple and intermediates per
+  // thread overflows a 256-byte BRAM: the generator's own check fires.
+  ScalarProgram prog =
+      Lower(ml::AlgoKind::kLogisticRegression, SmallParams(64, 4));
+  FpgaSpec fpga;
+  fpga.bram_bytes = 256;
+  HardwareGenerator hw(fpga);
+  auto d = hw.Generate(prog, DefaultLayout(), ShapeFor(65 * 4, 100));
+  EXPECT_TRUE(d.status().IsResourceExhausted()) << d.status().ToString();
 }
 
 TEST(HwGeneratorTest, EstimatorMonotonicInBandwidth) {
@@ -422,6 +425,26 @@ TEST(UdfCompilerTest, CompilesAllFourAlgorithms) {
     EXPECT_NE(blob.find("strider program"), std::string::npos);
     EXPECT_NE(blob.find("design:"), std::string::npos);
   }
+}
+
+TEST(UdfCompilerTest, OversizedModelFailsBeforeLowering) {
+  // A 16M-element LRMF model (64 MB) against 44 MB of BRAM. Lowering it
+  // would take seconds; the compiler must refuse it from the hDFG alone.
+  ml::AlgoParams p = SmallParams(4000, 4);
+  p.rank = 4000;
+  auto algo = std::move(ml::BuildAlgo(ml::AlgoKind::kLowRankMF, p))
+                  .ValueOrDie();
+  UdfCompiler compiler{FpgaSpec{}};
+  auto udf = compiler.Compile(*algo, DefaultLayout(), ShapeFor(4000 * 4, 100));
+  ASSERT_TRUE(udf.status().IsResourceExhausted()) << udf.status().ToString();
+  // The message names both sizes: the model's bytes and the BRAM's.
+  const std::string msg = udf.status().ToString();
+  EXPECT_NE(msg.find(std::to_string(4ull * 4000 * 4000)),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find(std::to_string(FpgaSpec{}.bram_bytes)),
+            std::string::npos)
+      << msg;
 }
 
 TEST(UdfCompilerTest, RejectsMismatchedTupleWidth) {

@@ -441,6 +441,177 @@ INSTANTIATE_TEST_SUITE_P(
         TraceCase{EvictionKind::kPromotional, 64, 0, 0xc587e097ed52b33ull},
         TraceCase{EvictionKind::kPromotional, 64, 128, 0x4a39f68797a4083cull}));
 
+// ---------------------------------------------------------------------------
+// Extent sweeps: ScanTable equals a per-page TouchPage loop
+// ---------------------------------------------------------------------------
+
+/// One pool shape: policy x lower-tier sizes in frames (0 disables).
+struct PoolShape {
+  EvictionKind kind;
+  uint64_t os_frames;
+  uint64_t ssd_frames;
+};
+
+void PrintTo(const PoolShape& c, std::ostream* os) {
+  *os << EvictionKindName(c.kind) << " os " << c.os_frames << " ssd "
+      << c.ssd_frames;
+}
+
+/// Everything a caller reads off a pool: every stats field, version(),
+/// and the per-tier residency, in total and per table.
+std::vector<uint64_t> Observe(const BufferPool& pool,
+                              const std::vector<uint32_t>& ids) {
+  const BufferPoolStats& s = pool.stats();
+  std::vector<uint64_t> out = {s.hits,
+                               s.misses,
+                               s.evictions,
+                               s.os_hits,
+                               s.os_misses,
+                               s.os_evictions,
+                               s.ssd_hits,
+                               s.ssd_evictions,
+                               static_cast<uint64_t>(s.io_time.nanos()),
+                               pool.version()};
+  for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier,
+                      BufferPool::kSsdTier}) {
+    out.push_back(pool.tier_resident_frames(tier));
+    for (uint32_t id : ids) out.push_back(pool.tier_resident_frames(tier, id));
+  }
+  return out;
+}
+
+class ExtentSweepTest : public ::testing::TestWithParam<PoolShape> {};
+
+/// Two pools take the same seeded trace: `extent` sweeps with ScanTable,
+/// `per_page` replays each sweep as a TouchPage loop. The trace mixes
+/// sweeps of tables 0.25x-4x the pool (several co-located in it, and some
+/// cut short), random touches and fetches, MarkOsCached, Prewarm and
+/// Clear. Every observable must agree after every op, and a final probe —
+/// a flood of fresh pages, then every page of every table touched in turn
+/// — must find the same replacement order in every tier.
+TEST_P(ExtentSweepTest, ExtentSweepMatchesPerPage) {
+  const PoolShape& c = GetParam();
+  constexpr uint64_t kFrames = 32;
+  const PageLayout layout;
+  std::vector<std::unique_ptr<Table>> real;
+  real.push_back(MakeTable("r0", 12));
+  real.push_back(MakeTable("r1", 40));
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    auto extent = BufferPool::SizedInFrames(kFrames, layout.page_size,
+                                            DiskModel{}, c.kind, c.os_frames,
+                                            c.ssd_frames);
+    auto per_page = BufferPool::SizedInFrames(kFrames, layout.page_size,
+                                              DiskModel{}, c.kind,
+                                              c.os_frames, c.ssd_frames);
+    const std::vector<std::pair<const char*, uint64_t>> logical = {
+        {"t0", kFrames / 4}, {"t1", kFrames},     {"t2", 3 * kFrames / 2},
+        {"t3", 2 * kFrames}, {"t4", 3 * kFrames}, {"t5", 4 * kFrames}};
+    std::vector<uint32_t> ids;
+    std::vector<uint64_t> pages;
+    for (const auto& [name, n] : logical) {
+      ids.push_back(extent.InternTable(name));
+      ASSERT_EQ(per_page.InternTable(name), ids.back());
+      pages.push_back(n);
+    }
+    for (const auto& table : real) {
+      ids.push_back(extent.InternTable(table->name()));
+      ASSERT_EQ(per_page.InternTable(table->name()), ids.back());
+      pages.push_back(table->num_pages());
+    }
+    uint64_t x = 0x2545F4914F6CDD1Dull * seed;
+    auto next = [&x](uint64_t n) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      return (x >> 33) % n;
+    };
+    auto sweep = [&](size_t t, uint64_t n) {
+      extent.ScanTable(ids[t], n);
+      for (uint64_t p = 0; p < n; ++p) per_page.TouchPage(ids[t], p);
+    };
+    for (int step = 0; step < 800; ++step) {
+      const uint64_t op = next(100);
+      if (op < 30) {
+        const size_t t = next(ids.size());
+        sweep(t, next(8) == 0 ? next(4 * kFrames + 1) : pages[t]);
+      } else if (op < 40) {
+        // Co-located epochs: two tables alternate two sweeps each.
+        const size_t a = next(ids.size());
+        const size_t b = next(ids.size());
+        for (int round = 0; round < 2; ++round) {
+          sweep(a, pages[a]);
+          sweep(a, pages[a]);
+          sweep(b, pages[b]);
+          sweep(b, pages[b]);
+        }
+      } else if (op < 65) {
+        const size_t t = next(ids.size());
+        const uint64_t p = next(pages[t]);
+        ASSERT_EQ(extent.TouchPage(ids[t], p), per_page.TouchPage(ids[t], p))
+            << "step " << step;
+      } else if (op < 80) {
+        const Table& table = *real[next(real.size())];
+        const uint64_t p = next(table.num_pages());
+        auto a = extent.FetchPage(table, p);
+        auto b = per_page.FetchPage(table, p);
+        ASSERT_TRUE(a.ok() && b.ok());
+        ASSERT_EQ(std::memcmp(*a, table.PageData(p), layout.page_size), 0);
+      } else if (op < 87) {
+        const Table& table = *real[next(real.size())];
+        extent.MarkOsCached(table);
+        per_page.MarkOsCached(table);
+      } else if (op < 96) {
+        const Table& table = *real[next(real.size())];
+        const double fraction = 0.25 * static_cast<double>(1 + next(4));
+        extent.Prewarm(table, fraction);
+        per_page.Prewarm(table, fraction);
+      } else {
+        extent.Clear();
+        per_page.Clear();
+      }
+      ASSERT_EQ(Observe(extent, ids), Observe(per_page, ids))
+          << "seed " << seed << " step " << step << " op " << op;
+      ASSERT_EQ(extent.last_table(), per_page.last_table())
+          << "seed " << seed << " step " << step;
+    }
+    // The probe: fresh pages push every tier's replacement order through
+    // the hierarchy, then each page's hit/miss and tier counters read it.
+    const uint32_t fresh = extent.InternTable("probe");
+    ASSERT_EQ(per_page.InternTable("probe"), fresh);
+    ids.push_back(fresh);
+    for (uint64_t p = 0; p < kFrames + c.os_frames / 2; ++p) {
+      ASSERT_EQ(extent.TouchPage(fresh, p), per_page.TouchPage(fresh, p));
+    }
+    for (size_t t = 0; t + 1 < ids.size(); ++t) {
+      for (uint64_t p = 0; p < pages[t]; ++p) {
+        ASSERT_EQ(extent.TouchPage(ids[t], p), per_page.TouchPage(ids[t], p))
+            << "seed " << seed << " table " << t << " page " << p;
+        ASSERT_EQ(Observe(extent, ids), Observe(per_page, ids))
+            << "seed " << seed << " table " << t << " page " << p;
+      }
+    }
+    // The trace exercised what it claims to.
+    EXPECT_GT(extent.stats().evictions, 0u);
+    if (c.os_frames > 0 && c.kind != EvictionKind::kClock) {
+      EXPECT_GT(extent.stats().os_hits, 0u);
+      EXPECT_GT(extent.stats().os_evictions, 0u);
+    }
+    if (c.ssd_frames > 0 && c.kind != EvictionKind::kClock) {
+      EXPECT_GT(extent.stats().ssd_hits, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ExtentSweepTest,
+    ::testing::Values(PoolShape{EvictionKind::kClock, 0, 0},
+                      PoolShape{EvictionKind::kClock, 64, 0},
+                      PoolShape{EvictionKind::kClock, 64, 128},
+                      PoolShape{EvictionKind::kLru, 0, 0},
+                      PoolShape{EvictionKind::kLru, 64, 0},
+                      PoolShape{EvictionKind::kLru, 64, 128},
+                      PoolShape{EvictionKind::kPromotional, 0, 0},
+                      PoolShape{EvictionKind::kPromotional, 64, 0},
+                      PoolShape{EvictionKind::kPromotional, 64, 128}));
+
 TEST(EvictionKindTest, ParseRoundTripsAndRejectsUnknown) {
   for (EvictionKind kind : {EvictionKind::kClock, EvictionKind::kLru,
                             EvictionKind::kPromotional}) {
