@@ -491,12 +491,14 @@ class ExtentSweepTest : public ::testing::TestWithParam<PoolShape> {};
 /// — must find the same replacement order in every tier.
 TEST_P(ExtentSweepTest, ExtentSweepMatchesPerPage) {
   const PoolShape& c = GetParam();
-  constexpr uint64_t kFrames = 32;
   const PageLayout layout;
   std::vector<std::unique_ptr<Table>> real;
   real.push_back(MakeTable("r0", 12));
   real.push_back(MakeTable("r1", 40));
-  for (uint64_t seed : {1u, 2u, 3u}) {
+  // Three seeds over 32 frames, and one over 3 frames, where a sweep's
+  // runs wrap the whole pool many times.
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const uint64_t kFrames = seed == 4 ? 3 : 32;
     auto extent = BufferPool::SizedInFrames(kFrames, layout.page_size,
                                             DiskModel{}, c.kind, c.os_frames,
                                             c.ssd_frames);
@@ -504,7 +506,7 @@ TEST_P(ExtentSweepTest, ExtentSweepMatchesPerPage) {
                                               DiskModel{}, c.kind,
                                               c.os_frames, c.ssd_frames);
     const std::vector<std::pair<const char*, uint64_t>> logical = {
-        {"t0", kFrames / 4}, {"t1", kFrames},     {"t2", 3 * kFrames / 2},
+        {"t0", (kFrames + 3) / 4}, {"t1", kFrames}, {"t2", 3 * kFrames / 2},
         {"t3", 2 * kFrames}, {"t4", 3 * kFrames}, {"t5", 4 * kFrames}};
     std::vector<uint32_t> ids;
     std::vector<uint64_t> pages;
