@@ -1,29 +1,39 @@
-// Event-loop microbenchmark: simulator throughput (sim_qps) of the
-// discrete-event scheduler itself, swept over request-count x slot-count.
+// Scheduler microbenchmark: simulator throughput (sim_qps), scheduled
+// queries per wall second, of two kinds of point.
 //
-// The executor is a synthetic constant-cost stub (no cycle-level simulator,
-// no pools), so the wall time measured here is the scheduler's own event
-// loop: queue pushes/pops under each policy, batching coalescing, compile
-// charging, and stat assembly. The arrival rate overloads the machine ~3x
-// so queues grow deep — exactly the regime where the pending-queue and
-// slot-scan data structures dominate. Every policy runs the same seeded
-// stream; sim_qps for a point is scheduled-queries-per-wall-second across
-// all three policies, best of several repetitions (max over reps is the
-// standard microbenchmark noise filter; the simulated output itself is
+// The r<requests>.s<slots> sweep and the event point drive a synthetic
+// constant-cost stub executor (no cycle-level simulator, no pools), so
+// their wall time is the scheduler's own event loop: queue pushes/pops
+// under each policy, batching coalescing, compile charging, and stat
+// assembly. The arrival rate overloads the machine ~3x so queues grow
+// deep — exactly the regime where the pending-queue and slot-scan data
+// structures dominate. Every policy runs the same seeded stream; sim_qps
+// for a point is scheduled-queries-per-wall-second across all three
+// policies, best of several repetitions (max over reps is the standard
+// microbenchmark noise filter; the simulated output itself is
 // deterministic and identical across reps).
 //
+// The priced point drives the real DanaQueryExecutor in the end-to-end
+// sched_open shape at a CI size: the public catalog ranked shortest
+// estimate first, Zipf 0.99 at 80% of 4 slots, SJF with batching and
+// affinity. An untimed warm-up run measures every service endpoint the
+// stream needs, so each timed rep (from cold slot pools) is the event
+// loop plus the executor's residency reads, pricing and pool sweeps.
+//
 // Emits BENCH_micro_sched.json with one gated (better: higher) sim_qps
-// metric per sweep point; the CI bench-telemetry job compares it against
+// metric per point; the CI bench-telemetry job compares it against
 // bench/baselines/BENCH_micro_sched.json at a wide tolerance (wall-clock
 // metrics jitter on shared runners). The sweep is already CI-sized, so
 // DANA_BENCH_FAST does not change its shape (and is deliberately not
 // recorded in the config: the committed baseline compares against both
 // local and CI runs).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_harness.h"
@@ -80,6 +90,44 @@ double Elapsed(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+/// The priced point: a CI-sized sched_open over the real executor (see the
+/// file comment). Returns the best rep's wall time in seconds.
+dana::Result<double> RunPricedPoint(uint32_t queries, uint32_t slots) {
+  sched::DanaQueryExecutor executor;
+  std::vector<std::pair<double, std::string>> ranked;
+  for (const ml::Workload& w : ml::PublicWorkloads()) {
+    DANA_ASSIGN_OR_RETURN(dana::SimTime est, executor.Estimate(w.id));
+    ranked.emplace_back(est.seconds(), w.id);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  std::vector<std::string> catalog;
+  for (const auto& [est, id] : ranked) catalog.push_back(id);
+
+  constexpr double kZipfExponent = 0.99;
+  DANA_ASSIGN_OR_RETURN(
+      double mean_service,
+      sched::WeightedMeanServiceSeconds(
+          executor, catalog, sched::Popularity::kZipfian, kZipfExponent));
+  sched::DriverOptions dopts;
+  dopts.num_queries = queries;
+  dopts.zipf_exponent = kZipfExponent;
+  dopts.arrival_rate_qps = 0.8 * static_cast<double>(slots) / mean_service;
+  DANA_ASSIGN_OR_RETURN(std::vector<sched::QueryRequest> stream,
+                        sched::WorkloadDriver(catalog, dopts).Generate());
+
+  sched::SchedulerOptions sopts;
+  sopts.slots = slots;
+  sopts.policy = sched::Policy::kSjf;
+  sopts.max_batch = 4;
+  sopts.affinity_weight = 1.0;
+  auto rep = [&]() -> dana::Status {
+    executor.ResetResidency();
+    return sched::Scheduler(sopts, &executor).Run(stream).status();
+  };
+  DANA_RETURN_NOT_OK(rep());  // warm-up: measures the endpoints, untimed
+  return bench::BestRep(rep);
+}
+
 struct PointResult {
   double sim_qps = 0.0;  ///< best over reps
   double wall_s = 0.0;   ///< wall of the best rep
@@ -107,6 +155,11 @@ int main() {
   stats.SetConfig("policies", "fcfs,sjf,rr");
   stats.SetConfig("max_batch", 4.0);
   stats.SetConfig("event_point", "r10000.s8 window=10ms interactive=3");
+  constexpr uint32_t kPricedQueries = 20000;
+  constexpr uint32_t kPricedSlots = 4;
+  stats.SetConfig("priced_point",
+                  "public catalog, 20000 queries, 4 slots, sjf, "
+                  "max_batch 4, affinity 1.0");
 
   const std::vector<uint32_t> request_counts = {1000, 10000};
   const std::vector<uint32_t> slot_counts = {2, 8};
@@ -197,6 +250,20 @@ int main() {
   if (run_point(10000, 8, /*event_path=*/true, "event.r10000.s8") != 0) {
     return 1;
   }
+
+  auto priced_wall = RunPricedPoint(kPricedQueries, kPricedSlots);
+  if (!priced_wall.ok()) {
+    std::fprintf(stderr, "priced: %s\n",
+                 priced_wall.status().ToString().c_str());
+    return 1;
+  }
+  const double priced_qps = kPricedQueries / *priced_wall;
+  table.AddRow({"priced", std::to_string(kPricedQueries), "-",
+                TablePrinter::Fmt(*priced_wall, 4),
+                TablePrinter::Fmt(priced_qps, 0)});
+  stats.Add("sim_qps.priced", priced_qps, obs::Direction::kHigherIsBetter,
+            0.75);
+  stats.Add("wall_s.priced", *priced_wall, obs::Direction::kInfo);
 
   table.Print();
 

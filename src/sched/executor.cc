@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/logging.h"
 #include "ml/workloads.h"
 #include "runtime/cost_model.h"
 
@@ -107,6 +108,21 @@ Result<std::unique_ptr<BatchExecution>> QueryExecutor::Begin(
       new SingleSliceExecution(batch, *dispatched));
 }
 
+Result<WorkloadHandle> QueryExecutor::Resolve(const std::string& workload_id) {
+  return WorkloadHandle{this, names_.Intern(workload_id)};
+}
+
+double QueryExecutor::WarmFractionOf(WorkloadHandle workload, uint32_t slot) {
+  DANA_CHECK(workload.owner == this && workload.index < names_.size());
+  return WarmFraction(names_.Name(workload.index), slot);
+}
+
+Result<dana::SimTime> QueryExecutor::EstimateAtWarmthOf(
+    WorkloadHandle workload, double warm_fraction) {
+  DANA_CHECK(workload.owner == this && workload.index < names_.size());
+  return EstimateAtWarmth(names_.Name(workload.index), warm_fraction);
+}
+
 // ---------------------------------------------------------------------------
 // DanaBatchExecution
 // ---------------------------------------------------------------------------
@@ -121,18 +137,19 @@ Result<std::unique_ptr<BatchExecution>> QueryExecutor::Begin(
 /// the first resumed epoch re-pays the evicted share of the transient.
 class DanaBatchExecution : public BatchExecution {
  public:
-  DanaBatchExecution(DanaQueryExecutor* owner, QueryBatch batch,
+  DanaBatchExecution(DanaQueryExecutor* owner,
+                     DanaQueryExecutor::WorkloadRecord* record,
+                     QueryBatch batch,
                      DanaQueryExecutor::EpochProfile profile,
-                     double warm_fraction, double os_warm_fraction,
-                     uint64_t norm_pages)
+                     double warm_fraction, double os_warm_fraction)
       : BatchExecution(std::move(batch)),
         owner_(owner),
+        record_(record),
         profile_(profile),
         warm_at_begin_(warm_fraction),
         os_warm_at_begin_(os_warm_fraction),
         last_left_(warm_fraction),
-        last_os_left_(os_warm_fraction),
-        norm_pages_(norm_pages) {}
+        last_os_left_(os_warm_fraction) {}
 
   uint32_t total_epochs() const override { return profile_.epochs; }
   uint32_t epochs_run() const override { return done_; }
@@ -167,7 +184,8 @@ class DanaBatchExecution : public BatchExecution {
     // single-epoch slices and fitting-table schedules are unchanged. The
     // slot's physical pool takes the sweeps for real (install + eviction).
     storage::BufferPool* pool = owner_->slot_pools_.pool(batch_.slot);
-    const uint32_t tid = pool->InternTable(batch_.workload_id);
+    const uint32_t tid = owner_->TableId(*record_, batch_.slot);
+    const uint64_t norm_pages = record_->norm_pages;
     // Memoized repeat sweep: if nothing installed into (or cleared) this
     // pool since our previous slice swept it and the table is still fully
     // resident, the sweep would be all hits — every frame already holds
@@ -178,7 +196,7 @@ class DanaBatchExecution : public BatchExecution {
     // resident and always re-sweeps (the repeat walk moves the clock hand).
     const bool undisturbed = swept_pool_ == pool &&
                              pool->version() == swept_version_ &&
-                             pool->resident_frames(tid) == norm_pages_;
+                             pool->resident_frames(tid) == norm_pages;
     if (undisturbed) {
       last_left_ = 1.0;     // fully resident, by the guard above
       last_os_left_ = 0.0;  // the tiers are exclusive
@@ -186,14 +204,13 @@ class DanaBatchExecution : public BatchExecution {
     } else {
       const uint32_t sweeps = std::min<uint32_t>(n, 2);
       for (uint32_t i = 0; i < sweeps; ++i) {
-        pool->ScanTable(tid, norm_pages_);
+        pool->ScanTable(tid, norm_pages);
       }
       swept_pool_ = pool;
       swept_version_ = pool->version();
-      last_left_ =
-          owner_->PhysicalWarmFraction(batch_.workload_id, batch_.slot);
-      last_os_left_ = owner_->PhysicalOsWarmFraction(
-          batch_.workload_id, batch_.slot, last_left_);
+      last_left_ = owner_->PhysicalWarmFraction(*record_, batch_.slot);
+      last_os_left_ =
+          owner_->PhysicalOsWarmFraction(*record_, batch_.slot, last_left_);
     }
     return s;
   }
@@ -219,9 +236,9 @@ class DanaBatchExecution : public BatchExecution {
 
   dana::Status Resume(uint32_t slot) override {
     // Residency of the resume slot, measured from its pool.
-    const double warm = owner_->PhysicalWarmFraction(batch_.workload_id, slot);
+    const double warm = owner_->PhysicalWarmFraction(*record_, slot);
     const double os_warm =
-        owner_->PhysicalOsWarmFraction(batch_.workload_id, slot, warm);
+        owner_->PhysicalOsWarmFraction(*record_, slot, warm);
     // Undisturbed same-slot resume: the table is exactly as resident (in
     // both tiers) as the last slice left it (last_left_/last_os_left_
     // captured that), so the original cost curve continues bit for bit.
@@ -234,8 +251,9 @@ class DanaBatchExecution : public BatchExecution {
     // slot's warmth — its first epoch re-reads the missing share of the
     // table, later epochs return to the steady state.
     batch_.slot = slot;
-    DANA_ASSIGN_OR_RETURN(DanaQueryExecutor::EpochProfile rebased,
-                          owner_->ProfileAt(batch_, warm, os_warm));
+    DANA_ASSIGN_OR_RETURN(
+        DanaQueryExecutor::EpochProfile rebased,
+        owner_->ProfileAt(*record_, batch_.size(), slot, warm, os_warm));
     rebased.epochs = profile_.epochs;  // the budget never changes
     profile_ = rebased;
     base_ = done_;
@@ -270,6 +288,7 @@ class DanaBatchExecution : public BatchExecution {
   }
 
   DanaQueryExecutor* owner_;
+  DanaQueryExecutor::WorkloadRecord* record_;
   DanaQueryExecutor::EpochProfile profile_;
   double warm_at_begin_;
   double os_warm_at_begin_;
@@ -279,7 +298,6 @@ class DanaBatchExecution : public BatchExecution {
   /// OS-tier share the last slice left behind, the tier-1 companion to
   /// last_left_ (always 0 without an OS tier).
   double last_os_left_;
-  uint64_t norm_pages_;
   uint32_t done_ = 0;
   uint32_t base_ = 0;  ///< absolute epoch index the current segment starts at
   /// Pool and version stamp of this execution's most recent real sweep;
@@ -330,51 +348,77 @@ DanaQueryExecutor::DanaQueryExecutor(Options options)
                   kSharedPoolPageSize, storage::DiskModel{},
                   SharedPoolOsBytes(options_), options_.eviction) {}
 
-Result<runtime::WorkloadInstance*> DanaQueryExecutor::Instance(
-    const std::string& id) {
-  auto it = instances_.find(id);
-  if (it != instances_.end()) return it->second.get();
-  DANA_ASSIGN_OR_RETURN(const ml::Workload* w, RegistryWorkload(id));
-  DANA_ASSIGN_OR_RETURN(auto instance, runtime::WorkloadInstance::Create(*w));
-  auto* ptr = instance.get();
-  instances_[id] = std::move(instance);
-  return ptr;
+Result<WorkloadHandle> DanaQueryExecutor::Resolve(
+    const std::string& workload_id) {
+  uint32_t index = record_ids_.Find(workload_id);
+  if (index == dana::Interner::kInvalidId) {
+    const ml::Workload* w = ml::FindWorkload(workload_id);
+    if (w == nullptr) {
+      return Status::NotFound("unknown workload '" + workload_id + "'");
+    }
+    index = record_ids_.Intern(workload_id);
+    records_.emplace_back().name = workload_id;
+    records_.back().workload = w;
+  }
+  return WorkloadHandle{this, index};
 }
 
-Result<const ml::Workload*> DanaQueryExecutor::RegistryWorkload(
-    const std::string& id) {
-  auto it = workload_cache_.find(id);
-  if (it == workload_cache_.end()) {
-    it = workload_cache_.emplace(id, ml::FindWorkload(id)).first;
+DanaQueryExecutor::WorkloadRecord& DanaQueryExecutor::Record(
+    WorkloadHandle workload) {
+  DANA_CHECK(workload.owner == this && workload.index < records_.size());
+  return records_[workload.index];
+}
+
+Result<DanaQueryExecutor::WorkloadRecord*> DanaQueryExecutor::RecordFor(
+    const QueryBatch& batch) {
+  if (batch.handle.owner == this) return &Record(batch.handle);
+  DANA_ASSIGN_OR_RETURN(WorkloadHandle handle, Resolve(batch.workload_id));
+  return &Record(handle);
+}
+
+Result<runtime::WorkloadInstance*> DanaQueryExecutor::Instance(
+    WorkloadRecord& rec) {
+  if (rec.instance == nullptr) {
+    DANA_ASSIGN_OR_RETURN(rec.instance,
+                          runtime::WorkloadInstance::Create(*rec.workload));
+    rec.norm_pages = rec.instance->NormalizedPages(options_.pool_frames);
   }
-  if (it->second == nullptr) {
-    return Status::NotFound("unknown workload '" + id + "'");
+  return rec.instance.get();
+}
+
+uint32_t DanaQueryExecutor::TableId(WorkloadRecord& rec, uint32_t slot) {
+  if (slot >= rec.table_ids.size()) {
+    rec.table_ids.resize(slot + 1, dana::Interner::kInvalidId);
   }
-  return it->second;
+  uint32_t& id = rec.table_ids[slot];
+  if (id == dana::Interner::kInvalidId) {
+    id = slot_pools_.pool(slot)->InternTable(rec.name);
+  }
+  return id;
 }
 
 Result<const DanaQueryExecutor::EpochProfile*>
-DanaQueryExecutor::MeasureEndpoint(const QueryBatch& batch,
-                                   runtime::CacheState cache) {
-  auto key = std::make_tuple(batch.workload_id, batch.size(),
-                             static_cast<uint8_t>(cache));
-  auto it = measured_.find(key);
-  if (it != measured_.end()) return &it->second;
-  DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance,
-                        Instance(batch.workload_id));
+DanaQueryExecutor::MeasureEndpoint(WorkloadRecord& rec, uint32_t batch_size,
+                                   uint32_t slot, runtime::CacheState cache) {
+  if (batch_size >= rec.endpoints.size()) rec.endpoints.resize(batch_size + 1);
+  std::unique_ptr<EpochProfile>& memo =
+      rec.endpoints[batch_size][static_cast<size_t>(cache)];
+  if (memo != nullptr) return memo.get();
+  DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance, Instance(rec));
   DANA_ASSIGN_OR_RETURN(
       const compiler::CompiledUdf* udf,
       compile_cache_.GetOrCompile(
-          batch.workload_id, [&] { return system_.Compile(*instance); }));
+          rec.name, [&] { return system_.Compile(*instance); }));
   // Measure the batched pass once on this slot's execution context (its
   // private pool, created lazily by the instance's pool group); identical
   // batches on other slots prepare their pools to the same cache state
   // and therefore take identical time.
   DANA_ASSIGN_OR_RETURN(
       runtime::SystemResult result,
-      system_.RunCompiled(*udf, instance, cache, batch.size(), batch.slot));
+      system_.RunCompiled(*udf, instance, cache, batch_size, slot));
   obs::Count(options_.metrics, "exec.endpoint_measurements");
-  EpochProfile p;
+  memo = std::make_unique<EpochProfile>();
+  EpochProfile& p = *memo;
   p.compile = options_.compile_latency;
   p.first_wall = result.first_epoch.wall;
   p.steady_wall = result.steady_epoch.wall;
@@ -385,14 +429,18 @@ DanaQueryExecutor::MeasureEndpoint(const QueryBatch& batch,
   p.query_overhead = result.query_overhead;
   p.epoch_overhead = result.epoch_overhead;
   p.epochs = std::max<uint32_t>(result.epochs, 1);
-  return &measured_.emplace(std::move(key), p).first->second;
+  return &p;
 }
 
 Result<DanaQueryExecutor::EpochProfile> DanaQueryExecutor::ProfileAt(
-    const QueryBatch& batch, double warm_fraction, double os_fraction) {
+    WorkloadRecord& rec, uint32_t batch_size, uint32_t slot,
+    double warm_fraction, double os_fraction) {
+  const auto measure = [&](runtime::CacheState cache) {
+    return MeasureEndpoint(rec, batch_size, slot, cache);
+  };
   if (warm_fraction >= 1.0) {
     DANA_ASSIGN_OR_RETURN(const EpochProfile* hot,
-                          MeasureEndpoint(batch, runtime::CacheState::kWarm));
+                          measure(runtime::CacheState::kWarm));
     return *hot;
   }
   if (os_fraction <= 0.0) {
@@ -400,16 +448,16 @@ Result<DanaQueryExecutor::EpochProfile> DanaQueryExecutor::ProfileAt(
     if (warm_fraction <= 0.0) {
       DANA_ASSIGN_OR_RETURN(
           const EpochProfile* cold,
-          MeasureEndpoint(batch, runtime::CacheState::kCold));
+          measure(runtime::CacheState::kCold));
       return *cold;
     }
     // The two measured endpoints bound the run — a fraction f of the table
     // still resident saves f of the cold run's extra (I/O-side) time, so
     // every epoch-cost component interpolates linearly between them.
     DANA_ASSIGN_OR_RETURN(const EpochProfile* cold,
-                          MeasureEndpoint(batch, runtime::CacheState::kCold));
+                          measure(runtime::CacheState::kCold));
     DANA_ASSIGN_OR_RETURN(const EpochProfile* hot,
-                          MeasureEndpoint(batch, runtime::CacheState::kWarm));
+                          measure(runtime::CacheState::kWarm));
     const double miss = 1.0 - warm_fraction;
     EpochProfile p = *hot;
     p.first_wall =
@@ -433,11 +481,11 @@ Result<DanaQueryExecutor::EpochProfile> DanaQueryExecutor::ProfileAt(
   const double ow = std::min(std::max(os_fraction, 0.0), 1.0 - pw);
   const double cw = 1.0 - pw - ow;
   DANA_ASSIGN_OR_RETURN(const EpochProfile* hot,
-                        MeasureEndpoint(batch, runtime::CacheState::kWarm));
+                        measure(runtime::CacheState::kWarm));
   DANA_ASSIGN_OR_RETURN(const EpochProfile* osw,
-                        MeasureEndpoint(batch, runtime::CacheState::kOsCached));
+                        measure(runtime::CacheState::kOsCached));
   DANA_ASSIGN_OR_RETURN(const EpochProfile* cold,
-                        MeasureEndpoint(batch, runtime::CacheState::kCold));
+                        measure(runtime::CacheState::kCold));
   EpochProfile p = *hot;
   const auto mix = [pw, ow, cw](dana::SimTime h, dana::SimTime o,
                                 dana::SimTime c) {
@@ -460,44 +508,40 @@ Result<std::unique_ptr<BatchExecution>> DanaQueryExecutor::Begin(
     return Status::InvalidArgument("empty batch for workload '" +
                                    batch.workload_id + "'");
   }
-  DANA_ASSIGN_OR_RETURN(runtime::WorkloadInstance * instance,
-                        Instance(batch.workload_id));
+  DANA_ASSIGN_OR_RETURN(WorkloadRecord * rec, RecordFor(batch));
+  DANA_RETURN_NOT_OK(Instance(*rec).status());
   // Price this slot's actual cache state, measured from its shared
   // physical pool. With an OS tier, the working set splits three ways:
   // pool-warm, os-warm (demoted pages still in the modeled kernel cache)
   // and cold.
-  const double warm = PhysicalWarmFraction(batch.workload_id, batch.slot);
-  const double os_warm =
-      PhysicalOsWarmFraction(batch.workload_id, batch.slot, warm);
+  const double warm = PhysicalWarmFraction(*rec, batch.slot);
+  const double os_warm = PhysicalOsWarmFraction(*rec, batch.slot, warm);
   obs::Count(options_.metrics,
              warm >= 1.0 ? "exec.charges.warm"
              : (warm <= 0.0 && os_warm <= 0.0)
                  ? "exec.charges.cold"
                  : "exec.charges.partial");
-  DANA_ASSIGN_OR_RETURN(EpochProfile profile,
-                        ProfileAt(batch, warm, os_warm));
-  return std::unique_ptr<BatchExecution>(new DanaBatchExecution(
-      this, batch, profile, warm, os_warm,
-      instance->NormalizedPages(options_.pool_frames)));
+  DANA_ASSIGN_OR_RETURN(
+      EpochProfile profile,
+      ProfileAt(*rec, batch.size(), batch.slot, warm, os_warm));
+  return std::unique_ptr<BatchExecution>(
+      new DanaBatchExecution(this, rec, batch, profile, warm, os_warm));
 }
 
-double DanaQueryExecutor::PhysicalWarmFraction(const std::string& id,
+double DanaQueryExecutor::PhysicalWarmFraction(WorkloadRecord& rec,
                                                uint32_t slot) {
-  auto instance = Instance(id);
-  if (!instance.ok()) return 0.0;
-  const uint64_t pages = (*instance)->NormalizedPages(options_.pool_frames);
-  return slot_pools_.pool(slot)->ResidentShare(id, pages);
+  if (!Instance(rec).ok()) return 0.0;
+  return slot_pools_.pool(slot)->ResidentShare(TableId(rec, slot),
+                                               rec.norm_pages);
 }
 
-double DanaQueryExecutor::PhysicalOsWarmFraction(const std::string& id,
+double DanaQueryExecutor::PhysicalOsWarmFraction(WorkloadRecord& rec,
                                                  uint32_t slot,
                                                  double pool_warm) {
   if (options_.os_frames == 0) return 0.0;
-  auto instance = Instance(id);
-  if (!instance.ok()) return 0.0;
-  const uint64_t pages = (*instance)->NormalizedPages(options_.pool_frames);
+  if (!Instance(rec).ok()) return 0.0;
   const double share = slot_pools_.pool(slot)->TierResidentShare(
-      storage::BufferPool::kOsTier, id, pages);
+      storage::BufferPool::kOsTier, TableId(rec, slot), rec.norm_pages);
   // The tiers are exclusive by construction; the clamp only guards float
   // edge cases so the pricing shares always sum to at most 1.
   return std::min(share, 1.0 - pool_warm);
@@ -505,32 +549,43 @@ double DanaQueryExecutor::PhysicalOsWarmFraction(const std::string& id,
 
 double DanaQueryExecutor::WarmFraction(const std::string& workload_id,
                                        uint32_t slot) {
+  auto handle = Resolve(workload_id);
+  return handle.ok() ? WarmFractionOf(*handle, slot) : 0.0;
+}
+
+double DanaQueryExecutor::WarmFractionOf(WorkloadHandle workload,
+                                         uint32_t slot) {
   // Placement heuristic: an os-warm page is cheaper than cold but dearer
   // than pool-warm, so it counts at half weight. Without an OS tier this
   // is exactly the pool residency.
-  const double w = PhysicalWarmFraction(workload_id, slot);
+  WorkloadRecord& rec = Record(workload);
+  const double w = PhysicalWarmFraction(rec, slot);
   if (options_.os_frames == 0) return w;
-  return std::min(1.0,
-                  w + 0.5 * PhysicalOsWarmFraction(workload_id, slot, w));
+  return std::min(1.0, w + 0.5 * PhysicalOsWarmFraction(rec, slot, w));
 }
 
 Result<dana::SimTime> DanaQueryExecutor::Estimate(
     const std::string& workload_id) {
-  DANA_ASSIGN_OR_RETURN(const ml::Workload* w, RegistryWorkload(workload_id));
-  return runtime::EstimateDanaRuntime(*w, cost_model_,
+  DANA_ASSIGN_OR_RETURN(WorkloadHandle handle, Resolve(workload_id));
+  return runtime::EstimateDanaRuntime(*Record(handle).workload, cost_model_,
                                       system_.options().fpga.axi_bytes_per_sec);
 }
 
 Result<dana::SimTime> DanaQueryExecutor::EstimateAtWarmth(
     const std::string& workload_id, double warm_fraction) {
+  DANA_ASSIGN_OR_RETURN(WorkloadHandle handle, Resolve(workload_id));
+  return EstimateAtWarmthOf(handle, warm_fraction);
+}
+
+Result<dana::SimTime> DanaQueryExecutor::EstimateAtWarmthOf(
+    WorkloadHandle workload, double warm_fraction) {
   // Purely a-priori, like Estimate(): the cold/warm interpolation comes
   // from the cost model (the table's missing share re-read from disk in
   // the first epoch), never from measured state — queue ordering must not
   // depend on which endpoints earlier dispatches happened to memoize.
-  DANA_ASSIGN_OR_RETURN(const ml::Workload* w, RegistryWorkload(workload_id));
   return runtime::EstimateDanaRuntimeAtWarmth(
-      *w, cost_model_, system_.options().fpga.axi_bytes_per_sec,
-      warm_fraction);
+      *Record(workload).workload, cost_model_,
+      system_.options().fpga.axi_bytes_per_sec, warm_fraction);
 }
 
 }  // namespace dana::sched

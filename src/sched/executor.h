@@ -1,14 +1,14 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <string>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/intern.h"
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "obs/metrics.h"
@@ -22,11 +22,26 @@ struct Workload;
 
 namespace dana::sched {
 
+class QueryExecutor;
+
+/// A workload resolved by one executor (QueryExecutor::Resolve): a dense
+/// index into that executor's per-workload table, so the per-event calls
+/// that take it skip the name lookup. Only the issuing executor (`owner`)
+/// may read `index`; a default-constructed handle belongs to no executor.
+struct WorkloadHandle {
+  const QueryExecutor* owner = nullptr;
+  uint32_t index = 0;
+};
+
 /// A batch of same-algorithm queries the scheduler co-dispatches onto one
 /// accelerator slot: one page-streaming pass feeds every query's execution
 /// engines. Size 1 is the ordinary per-query dispatch.
 struct QueryBatch {
   std::string workload_id;
+  /// `workload_id` as resolved by the executor the batch is handed to.
+  /// An executor that did not issue it (a decorator forwarding the batch,
+  /// or a batch built by `Single`) resolves `workload_id` instead.
+  WorkloadHandle handle;
   /// Request ids of the co-dispatched queries, in dispatch order.
   std::vector<uint64_t> query_ids;
   /// Slot the batch runs on; selects the slot's execution context
@@ -161,9 +176,24 @@ class BatchExecution {
 /// structure override `Begin` (and inherit run-to-completion `Dispatch`);
 /// simple cost models override `Dispatch` (and `Begin` wraps the whole run
 /// in one indivisible slice).
+///
+/// Workloads are named by string at the boundary and by handle inside a
+/// run: the scheduler calls `Resolve` once per distinct workload before
+/// its first event, then passes the handle in every `QueryBatch` and to
+/// the handle-keyed `WarmFractionOf`/`EstimateAtWarmthOf`. The base
+/// class's `Resolve` accepts any name, and its handle-keyed forms forward
+/// to the string overloads, so an executor (or a decorator) that only
+/// overrides the string forms sees exactly the calls it always did. An
+/// executor that overrides `Resolve` overrides the handle-keyed forms too.
 class QueryExecutor {
  public:
   virtual ~QueryExecutor() = default;
+
+  /// This executor's handle for `workload_id`, stable for the executor's
+  /// lifetime (resolving a name twice returns the same handle). NotFound
+  /// when the executor knows it cannot run the workload. Must be cheap: it
+  /// may not run, measure or build anything. Default: accepts every name.
+  virtual dana::Result<WorkloadHandle> Resolve(const std::string& workload_id);
 
   /// The true cost of running `batch` once (invoked at dispatch). All
   /// queries in the batch share one pass; implementations must be
@@ -202,6 +232,15 @@ class QueryExecutor {
     return 0.0;
   }
 
+  /// @name Handle-keyed forms
+  /// The per-event calls by a handle this executor's `Resolve` issued.
+  /// Each default forwards to its string overload above.
+  ///@{
+  virtual double WarmFractionOf(WorkloadHandle workload, uint32_t slot);
+  virtual dana::Result<dana::SimTime> EstimateAtWarmthOf(
+      WorkloadHandle workload, double warm_fraction);
+  ///@}
+
   /// Pre-sizes any per-slot state for `slots` slots, so lazily-grown
   /// per-slot containers (e.g. a pool group's vector) never grow mid-run.
   /// Default: no per-slot state.
@@ -212,6 +251,8 @@ class QueryExecutor {
   /// defaults are implemented in terms of each other, and this flag turns
   /// the would-be infinite recursion into an Unimplemented status.
   bool resolving_default_ = false;
+  /// Names the default `Resolve` issued handles for, by handle index.
+  dana::Interner names_;
 };
 
 /// Executor backed by the DAnA cycle-level simulator over the Table 3
@@ -248,6 +289,15 @@ class QueryExecutor {
 /// slot is warm, resuming elsewhere is cold — and WarmFraction() exposes
 /// the pool so affinity dispatch can route resumed work back to its warm
 /// slot.
+///
+/// Workload state lives in one record per handle: the registry entry
+/// (`Resolve` checks only the registry and builds nothing), the lazily
+/// created WorkloadInstance and its normalized page count, the table's id
+/// in each slot pool, and the measured endpoints by (batch size, cache
+/// state). Every pricing call reads its record by index; the string
+/// overloads resolve the name and forward, so there is one pricing path,
+/// and a DanaBatchExecution holds its record, so slices and resumes never
+/// look a name up.
 ///
 /// Single-threaded: the scheduler's event loop calls it inline.
 class DanaQueryExecutor : public QueryExecutor {
@@ -310,12 +360,17 @@ class DanaQueryExecutor : public QueryExecutor {
   DanaQueryExecutor();
   explicit DanaQueryExecutor(Options options);
 
+  /// NotFound, naming the workload, when the registry has no such id.
+  dana::Result<WorkloadHandle> Resolve(const std::string& workload_id) override;
   dana::Result<std::unique_ptr<BatchExecution>> Begin(
       const QueryBatch& batch) override;
   dana::Result<dana::SimTime> Estimate(const std::string& workload_id) override;
   dana::Result<dana::SimTime> EstimateAtWarmth(const std::string& workload_id,
                                                double warm_fraction) override;
   double WarmFraction(const std::string& workload_id, uint32_t slot) override;
+  double WarmFractionOf(WorkloadHandle workload, uint32_t slot) override;
+  dana::Result<dana::SimTime> EstimateAtWarmthOf(WorkloadHandle workload,
+                                                 double warm_fraction) override;
   void PrepareSlots(uint32_t slots) override { slot_pools_.Resize(slots); }
 
   const CompileCache& compile_cache() const { return compile_cache_; }
@@ -346,21 +401,49 @@ class DanaQueryExecutor : public QueryExecutor {
  private:
   friend class DanaBatchExecution;
 
-  dana::Result<runtime::WorkloadInstance*> Instance(const std::string& id);
-  /// `id`'s registry entry, memoized (ml::FindWorkload is a linear scan);
-  /// NotFound for unknown workloads.
-  dana::Result<const ml::Workload*> RegistryWorkload(const std::string& id);
-  /// Measured residency of `id` on `slot`'s shared pool: the table's
-  /// resident frames over its normalized footprint. 0 when the workload is
-  /// unknown (the later Begin/Estimate reports the error properly).
-  double PhysicalWarmFraction(const std::string& id, uint32_t slot);
-  /// Measured OS-tier share of `id` on `slot` (tier 1 resident frames over
-  /// the normalized footprint), clamped so pool + OS shares never exceed 1.
-  /// 0 without a configured OS tier.
-  double PhysicalOsWarmFraction(const std::string& id, uint32_t slot,
+  static constexpr size_t kCacheStates =
+      static_cast<size_t>(runtime::CacheState::kOsCached) + 1;
+
+  /// Everything the executor keeps per resolved workload (see the class
+  /// comment); `records_[handle.index]`.
+  struct WorkloadRecord {
+    std::string name;
+    const ml::Workload* workload = nullptr;  ///< static registry entry
+    /// Built on first need (it generates the dataset); null until then.
+    std::unique_ptr<runtime::WorkloadInstance> instance;
+    uint64_t norm_pages = 0;  ///< NormalizedPages, set with `instance`
+    /// The table's id in slot s's pool, interned on the slot's first use.
+    std::vector<uint32_t> table_ids;
+    /// Measured epoch profiles, `endpoints[batch size][cache state]`. A
+    /// measurement runs the cycle-level simulator, so each is taken once;
+    /// a failed one is not stored and the next request retries. Profiles
+    /// are heap nodes, so returned pointers survive the vector growing.
+    std::vector<std::array<std::unique_ptr<EpochProfile>, kCacheStates>>
+        endpoints;
+  };
+
+  /// The record `workload` names; it must be a handle this executor issued.
+  WorkloadRecord& Record(WorkloadHandle workload);
+  /// The batch's record: its handle when this executor issued it, else its
+  /// name resolved.
+  dana::Result<WorkloadRecord*> RecordFor(const QueryBatch& batch);
+  dana::Result<runtime::WorkloadInstance*> Instance(WorkloadRecord& rec);
+  /// `rec`'s table id in `slot`'s shared pool.
+  uint32_t TableId(WorkloadRecord& rec, uint32_t slot);
+  /// Measured residency of `rec` on `slot`'s shared pool: the table's
+  /// resident frames over its normalized footprint. 0 when the instance
+  /// cannot be built (the later Begin reports the error properly).
+  double PhysicalWarmFraction(WorkloadRecord& rec, uint32_t slot);
+  /// Measured OS-tier share of `rec` on `slot` (tier 1 resident frames
+  /// over the normalized footprint), clamped so pool + OS shares never
+  /// exceed 1. 0 without a configured OS tier.
+  double PhysicalOsWarmFraction(WorkloadRecord& rec, uint32_t slot,
                                 double pool_warm);
-  /// Measured (or memoized) epoch profile at a cache endpoint.
-  dana::Result<const EpochProfile*> MeasureEndpoint(const QueryBatch& batch,
+  /// Measured (or memoized) epoch profile of a `batch_size` batch at a
+  /// cache endpoint, measured on `slot`'s execution context.
+  dana::Result<const EpochProfile*> MeasureEndpoint(WorkloadRecord& rec,
+                                                    uint32_t batch_size,
+                                                    uint32_t slot,
                                                     runtime::CacheState cache);
   /// Profile charged at `warm_fraction` pool residency plus
   /// `os_fraction` OS-tier residency: one measured endpoint when fully
@@ -368,9 +451,10 @@ class DanaQueryExecutor : public QueryExecutor {
   /// cold endpoints (the os-warm endpoint is only measured when
   /// os_fraction > 0 — two-endpoint pricing is reproduced bit for bit
   /// otherwise).
-  dana::Result<EpochProfile> ProfileAt(const QueryBatch& batch,
+  dana::Result<EpochProfile> ProfileAt(WorkloadRecord& rec,
+                                       uint32_t batch_size, uint32_t slot,
                                        double warm_fraction,
-                                       double os_fraction = 0.0);
+                                       double os_fraction);
 
   Options options_;
   runtime::CpuCostModel cost_model_;
@@ -380,20 +464,10 @@ class DanaQueryExecutor : public QueryExecutor {
   /// scale-normalized frames: every workload's sweep passes through its
   /// slot's pool, so cross-table eviction is measured, not modeled.
   storage::BufferPoolGroup slot_pools_;
-  std::map<std::string, std::unique_ptr<runtime::WorkloadInstance>>
-      instances_;
-  /// Measured epoch profiles, keyed by (workload, batch size, cache
-  /// endpoint). Measuring an endpoint runs the cycle-level simulator, so
-  /// each key is measured once; a failed measurement is not stored and
-  /// the next request retries. Returned pointers stay valid (std::map
-  /// nodes never move).
-  std::map<std::tuple<std::string, uint32_t, uint8_t>, EpochProfile>
-      measured_;
-  /// Registry lookups memoized per name: ml::FindWorkload is a linear scan
-  /// with string compares, and Estimate/EstimateAtWarmth run once per
-  /// queued candidate per dispatch under affinity SJF. Values are pointers
-  /// into the static registry, valid for the process lifetime.
-  std::unordered_map<std::string, const ml::Workload*> workload_cache_;
+  /// Handle index by name, and the records it indexes (a deque, so a
+  /// DanaBatchExecution's record pointer survives later resolves).
+  dana::Interner record_ids_;
+  std::deque<WorkloadRecord> records_;
 };
 
 }  // namespace dana::sched

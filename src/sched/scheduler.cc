@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "common/intern.h"
-#include "common/stats.h"
 
 namespace dana::sched {
 
@@ -45,143 +43,6 @@ const char* QueryClassName(QueryClass cls) {
       return "interactive";
   }
   return "?";
-}
-
-double ScheduleReport::ThroughputQps() const {
-  if (queries.empty() || makespan.seconds() <= 0) return 0.0;
-  return static_cast<double>(queries.size()) / makespan.seconds();
-}
-
-dana::SimTime ScheduleReport::MeanLatency() const {
-  std::vector<double> ns;
-  ns.reserve(queries.size());
-  for (const QueryStat& q : queries) ns.push_back(q.Latency().nanos());
-  return dana::SimTime::Nanos(Mean(ns));
-}
-
-dana::SimTime ScheduleReport::MeanWait() const {
-  std::vector<double> ns;
-  ns.reserve(queries.size());
-  for (const QueryStat& q : queries) ns.push_back(q.Wait().nanos());
-  return dana::SimTime::Nanos(Mean(ns));
-}
-
-dana::SimTime ScheduleReport::LatencyPercentile(double p) const {
-  std::vector<double> ns;
-  ns.reserve(queries.size());
-  for (const QueryStat& q : queries) ns.push_back(q.Latency().nanos());
-  return dana::SimTime::Nanos(Percentile(std::move(ns), p));
-}
-
-double ScheduleReport::MeanBatchSize() const {
-  if (batches == 0) return 1.0;
-  return static_cast<double>(queries.size()) / static_cast<double>(batches);
-}
-
-double ScheduleReport::WarmHitRate() const {
-  uint64_t modeled = 0, hits = 0;
-  for (const QueryStat& q : queries) {
-    if (!q.residency_modeled) continue;
-    ++modeled;
-    if (q.WarmHit()) ++hits;
-  }
-  if (modeled == 0) return std::numeric_limits<double>::quiet_NaN();
-  return static_cast<double>(hits) / static_cast<double>(modeled);
-}
-
-double ScheduleReport::MeanWarmFraction() const {
-  uint64_t modeled = 0;
-  double total = 0.0;
-  for (const QueryStat& q : queries) {
-    if (!q.residency_modeled) continue;
-    ++modeled;
-    total += q.warm_fraction;
-  }
-  if (modeled == 0) return std::numeric_limits<double>::quiet_NaN();
-  return total / static_cast<double>(modeled);
-}
-
-double ScheduleReport::MeanOsWarmFraction() const {
-  uint64_t modeled = 0;
-  double total = 0.0;
-  for (const QueryStat& q : queries) {
-    if (!q.residency_modeled) continue;
-    ++modeled;
-    total += q.os_warm_fraction;
-  }
-  if (modeled == 0) return std::numeric_limits<double>::quiet_NaN();
-  return total / static_cast<double>(modeled);
-}
-
-uint64_t ScheduleReport::ClassQueries(QueryClass cls) const {
-  uint64_t n = 0;
-  for (const QueryStat& q : queries) {
-    if (q.query_class == cls) ++n;
-  }
-  return n;
-}
-
-dana::SimTime ScheduleReport::ClassMeanLatency(QueryClass cls) const {
-  std::vector<double> ns;
-  for (const QueryStat& q : queries) {
-    if (q.query_class == cls) ns.push_back(q.Latency().nanos());
-  }
-  return dana::SimTime::Nanos(Mean(ns));
-}
-
-dana::SimTime ScheduleReport::ClassLatencyPercentile(QueryClass cls,
-                                                     double p) const {
-  std::vector<double> ns;
-  for (const QueryStat& q : queries) {
-    if (q.query_class == cls) ns.push_back(q.Latency().nanos());
-  }
-  return dana::SimTime::Nanos(Percentile(std::move(ns), p));
-}
-
-double ScheduleReport::ClassThroughputQps(QueryClass cls) const {
-  if (makespan.seconds() <= 0) return 0.0;
-  return static_cast<double>(ClassQueries(cls)) / makespan.seconds();
-}
-
-void PublishReportMetrics(const ScheduleReport& report,
-                          obs::MetricRegistry* metrics) {
-  if (metrics == nullptr) return;
-  obs::Count(metrics, "sched.queries",
-             static_cast<double>(report.queries.size()));
-  obs::Count(metrics, "sched.batches", static_cast<double>(report.batches));
-  obs::Count(metrics, "sched.compile.hits",
-             static_cast<double>(report.compile_hits));
-  obs::Count(metrics, "sched.compile.misses",
-             static_cast<double>(report.compile_misses));
-  obs::Count(metrics, "sched.preemptions",
-             static_cast<double>(report.preemptions));
-
-  obs::SetGauge(metrics, "sched.throughput_qps", report.ThroughputQps());
-  obs::SetGauge(metrics, "sched.makespan_s", report.makespan.seconds());
-  obs::SetGauge(metrics, "sched.mean_batch_size", report.MeanBatchSize());
-  obs::SetGauge(metrics, "sched.warm_hit_rate", report.WarmHitRate());
-  obs::SetGauge(metrics, "sched.mean_warm_fraction",
-                report.MeanWarmFraction());
-  obs::SetGauge(metrics, "sched.shared_service_s",
-                report.shared_service.seconds());
-  obs::SetGauge(metrics, "sched.private_service_s",
-                report.private_service.seconds());
-  obs::SetGauge(metrics, "sched.preempt_overhead_s",
-                report.preemption_overhead.seconds());
-
-  for (const QueryStat& q : report.queries) {
-    obs::Observe(metrics, "sched.latency_s", q.Latency().seconds());
-    obs::Observe(metrics, "sched.wait_s", q.Wait().seconds());
-    obs::Observe(metrics, "sched.batch_size",
-                 static_cast<double>(q.batch_size));
-    if (q.residency_modeled) {
-      obs::Observe(metrics, "sched.warm_fraction", q.warm_fraction);
-    }
-    obs::Observe(metrics,
-                 std::string("sched.latency_s.") +
-                     QueryClassName(q.query_class),
-                 q.Latency().seconds());
-  }
 }
 
 Scheduler::Scheduler(SchedulerOptions options, QueryExecutor* executor)
@@ -470,22 +331,36 @@ std::vector<uint32_t> FirstAppearanceOrder(const std::vector<uint32_t>& wids,
   return order;
 }
 
-/// SJF orders by a-priori estimates: resolve them once per workload, in
-/// the order `order` first names each interned id, so admission decisions
-/// are O(queue), not O(executor). Empty unless the policy is SJF.
-dana::Result<std::vector<dana::SimTime>> ResolveEstimates(
-    Policy policy, QueryExecutor* executor, const dana::Interner& ids,
-    const std::vector<uint32_t>& order) {
+/// Every distinct workload of a run, resolved before its first event: the
+/// dense ids the engine keys everything by, the executor's handle for each
+/// id (every per-event executor call passes it instead of the name), and
+/// under SJF each id's a-priori estimate (empty otherwise).
+struct Workloads {
+  dana::Interner ids;
+  std::vector<WorkloadHandle> handles;
   std::vector<dana::SimTime> estimates;
-  if (policy != Policy::kSjf) return estimates;
-  estimates.resize(ids.size());
-  std::vector<uint8_t> resolved(ids.size(), 0);
-  for (uint32_t w : order) {
-    if (resolved[w]) continue;
-    DANA_ASSIGN_OR_RETURN(estimates[w], executor->Estimate(ids.Name(w)));
-    resolved[w] = 1;
+};
+
+/// Resolves every id in `w->ids` (failing fast on a workload the executor
+/// cannot run), then, under SJF, estimates each once, in the order `order`
+/// first names it, so admission decisions are O(queue), not O(executor).
+dana::Status ResolveWorkloads(Policy policy, QueryExecutor* executor,
+                              const std::vector<uint32_t>& order,
+                              Workloads* w) {
+  for (uint32_t id = 0; id < w->ids.size(); ++id) {
+    DANA_ASSIGN_OR_RETURN(WorkloadHandle h, executor->Resolve(w->ids.Name(id)));
+    w->handles.push_back(h);
   }
-  return estimates;
+  if (policy != Policy::kSjf) return Status::OK();
+  w->estimates.resize(w->ids.size());
+  std::vector<uint8_t> resolved(w->ids.size(), 0);
+  for (uint32_t id : order) {
+    if (resolved[id]) continue;
+    DANA_ASSIGN_OR_RETURN(w->estimates[id],
+                          executor->Estimate(w->ids.Name(id)));
+    resolved[id] = 1;
+  }
+  return Status::OK();
 }
 
 /// Closed-loop feed (Scheduler::RunClosedLoop): every session submits its
@@ -507,23 +382,21 @@ class EventEngine {
  public:
   EventEngine(const SchedulerOptions& options, QueryExecutor* executor,
               std::vector<QueryRequest>& requests, std::vector<uint32_t>& wids,
-              const dana::Interner& ids,
-              const std::vector<dana::SimTime>& estimates_by_id,
-              std::vector<uint32_t> class_order, ScheduleReport* report)
+              const Workloads& workloads, std::vector<uint32_t> class_order,
+              ScheduleReport* report)
       : options_(options),
         executor_(executor),
         requests_(requests),
         wids_(wids),
-        ids_(ids),
-        estimates_by_id_(estimates_by_id),
+        workloads_(workloads),
         report_(report),
         windowed_(options.batch_window > dana::SimTime::Zero() &&
                   options.max_batch > 1),
         preemptive_(options.preemption_quantum_epochs > 0 ||
                     options.batch_window > dana::SimTime::Zero()),
-        interactive_(options, requests, wids, estimates_by_id, class_order,
-                     AffinityEstimator()),
-        batch_(options, requests, wids, estimates_by_id,
+        interactive_(options, requests, wids, workloads.estimates,
+                     class_order, AffinityEstimator()),
+        batch_(options, requests, wids, workloads.estimates,
                std::move(class_order), AffinityEstimator()),
         active_(options.slots),
         holds_(options.slots),
@@ -581,6 +454,7 @@ class EventEngine {
   /// One preempted (or in-flight) run's cross-slice state.
   struct RunState {
     std::unique_ptr<BatchExecution> exec;
+    uint32_t wid = 0;  ///< the batch's workload id
     /// The batch's stats are report_->queries[first_stat, first_stat +
     /// num_stats), appended together at dispatch, head first.
     size_t first_stat = 0;
@@ -620,16 +494,16 @@ class EventEngine {
   /// Residency-aware SJF estimate at the best free slot's warmth, falling
   /// back to the static estimate when the executor cannot price warmth.
   double AffinityEstimate(uint32_t wid) {
-    const std::string& id = ids_.Name(wid);
-    auto est = executor_->EstimateAtWarmth(id, BestFreeWarmth(id));
-    return est.ok() ? est->seconds() : estimates_by_id_[wid].seconds();
+    const WorkloadHandle h = workloads_.handles[wid];
+    auto est = executor_->EstimateAtWarmthOf(h, BestFreeWarmth(h));
+    return est.ok() ? est->seconds() : workloads_.estimates[wid].seconds();
   }
 
   /// The affinity signal: the best residency any free slot offers.
-  double BestFreeWarmth(const std::string& workload_id) const {
+  double BestFreeWarmth(WorkloadHandle h) const {
     double best = 0.0;
     for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
-      best = std::max(best, executor_->WarmFraction(workload_id, s));
+      best = std::max(best, executor_->WarmFractionOf(h, s));
     }
     return best;
   }
@@ -683,7 +557,7 @@ class EventEngine {
 
   /// Among free slots, the one free the longest (lowest index on ties);
   /// under affinity, the warmest (ties by the blind rule).
-  uint32_t ChooseSlot(const std::string& workload) const {
+  uint32_t ChooseSlot(uint32_t wid) const {
     uint32_t slot = free_head_;
     for (uint32_t s = free_next_[slot]; s != kNoSlot; s = free_next_[s]) {
       if (free_since_[s] < free_since_[slot]) slot = s;
@@ -691,7 +565,7 @@ class EventEngine {
     if (options_.affinity_weight > 0.0) {
       double best_warm = -1.0;
       for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
-        const double w = executor_->WarmFraction(workload, s);
+        const double w = executor_->WarmFractionOf(workloads_.handles[wid], s);
         if (w > best_warm ||
             (w == best_warm && free_since_[s] < free_since_[slot])) {
           best_warm = w;
@@ -740,7 +614,7 @@ class EventEngine {
 
     if (!interactive_.empty()) {
       const std::vector<size_t>& members = PopBatch(interactive_, now);
-      const uint32_t slot = ChooseSlot(requests_[members[0]].workload_id);
+      const uint32_t slot = ChooseSlot(wids_[members[0]]);
       return DispatchBatch(members, slot, now);
     }
 
@@ -757,12 +631,12 @@ class EventEngine {
       RunState run = std::move(continuations_[pick]);
       continuations_.erase(continuations_.begin() +
                            static_cast<ptrdiff_t>(pick));
-      const uint32_t slot = ChooseSlot(run.exec->batch().workload_id);
+      const uint32_t slot = ChooseSlot(run.wid);
       return ResumeDispatch(std::move(run), slot, now);
     }
 
     const std::vector<size_t>& members = PopBatch(batch_, now);
-    const uint32_t slot = ChooseSlot(requests_[members[0]].workload_id);
+    const uint32_t slot = ChooseSlot(wids_[members[0]]);
     if (windowed_ && members.size() < options_.max_batch &&
         next_arrival_ < requests_.size()) {
       // Hold the slot open: future same-algorithm arrivals join until the
@@ -781,7 +655,9 @@ class EventEngine {
   dana::Result<bool> DispatchBatch(const std::vector<size_t>& members,
                                    uint32_t slot, dana::SimTime now) {
     const QueryRequest& head = requests_[members[0]];
+    const uint32_t wid = wids_[members[0]];
     batch_buffer_.workload_id = head.workload_id;
+    batch_buffer_.handle = workloads_.handles[wid];
     batch_buffer_.slot = slot;
     batch_buffer_.query_ids.clear();
     for (size_t m : members) batch_buffer_.query_ids.push_back(requests_[m].id);
@@ -789,9 +665,10 @@ class EventEngine {
                           executor_->Begin(batch_buffer_));
 
     const CompileCharge charge =
-        compile_ready_.Charge(wids_[members[0]], now, exec->compile_cost());
+        compile_ready_.Charge(wid, now, exec->compile_cost());
 
     Active a;
+    a.run.wid = wid;
     a.run.cls = head.query_class;
     a.curve_origin = now + charge.wait;
     DANA_ASSIGN_OR_RETURN(dana::SimTime remaining, exec->PeekService(0));
@@ -932,10 +809,10 @@ class EventEngine {
       // fallback when the executor cannot price warmth.
       r.residency_loss = 0.0;
       if (active_[s]->run.exec->residency_modeled()) {
-        const std::string& id = active_[s]->run.exec->batch().workload_id;
-        const double warm = executor_->WarmFraction(id, s);
-        auto cold_est = executor_->EstimateAtWarmth(id, 0.0);
-        auto warm_est = executor_->EstimateAtWarmth(id, warm);
+        const WorkloadHandle h = workloads_.handles[active_[s]->run.wid];
+        const double warm = executor_->WarmFractionOf(h, s);
+        auto cold_est = executor_->EstimateAtWarmthOf(h, 0.0);
+        auto warm_est = executor_->EstimateAtWarmthOf(h, warm);
         r.residency_loss = cold_est.ok() && warm_est.ok()
                                ? cold_est->seconds() - warm_est->seconds()
                                : warm;
@@ -1169,7 +1046,7 @@ class EventEngine {
         req.arrival = submit;
         req.query_class = scripts.classes->empty() ? QueryClass::kBatch
                                                    : (*scripts.classes)[s];
-        wids_.push_back(ids_.Find(req.workload_id));
+        wids_.push_back(workloads_.ids.Find(req.workload_id));
         requests_.push_back(std::move(req));
         closed_->owner.push_back(s);
         ++closed_->next[s];
@@ -1215,8 +1092,7 @@ class EventEngine {
   QueryExecutor* executor_;
   std::vector<QueryRequest>& requests_;
   std::vector<uint32_t>& wids_;
-  const dana::Interner& ids_;
-  const std::vector<dana::SimTime>& estimates_by_id_;
+  const Workloads& workloads_;
   ScheduleReport* report_;
   /// Batch-formation holds are possible (window > 0 and batching on).
   const bool windowed_;
@@ -1267,15 +1143,14 @@ class EventEngine {
 dana::Result<ScheduleReport> RunEngine(
     const SchedulerOptions& options, QueryExecutor* executor,
     std::vector<QueryRequest>& requests, std::vector<uint32_t>& wids,
-    const dana::Interner& ids, const std::vector<dana::SimTime>& estimates,
-    std::vector<uint32_t> class_order, const SessionScripts* closed,
-    size_t expected) {
+    const Workloads& workloads, std::vector<uint32_t> class_order,
+    const SessionScripts* closed, size_t expected) {
   ScheduleReport report;
   report.policy = options.policy;
   report.slots = options.slots;
   report.queries.reserve(expected);
 
-  EventEngine engine(options, executor, requests, wids, ids, estimates,
+  EventEngine engine(options, executor, requests, wids, workloads,
                      std::move(class_order), &report);
   if (closed != nullptr) engine.EnableClosedLoop(*closed);
   DANA_RETURN_NOT_OK(engine.Run());
@@ -1286,26 +1161,32 @@ dana::Result<ScheduleReport> RunEngine(
 }  // namespace
 
 Result<ScheduleReport> Scheduler::Run(std::vector<QueryRequest> requests) {
-  std::stable_sort(requests.begin(), requests.end(),
-                   [](const QueryRequest& a, const QueryRequest& b) {
-                     if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                     return a.id < b.id;
-                   });
+  // A stream already in (arrival, id) order comes back unchanged from a
+  // stable sort, so only an unsorted one pays for it.
+  const auto by_arrival = [](const QueryRequest& a, const QueryRequest& b) {
+    if (a.arrival != b.arrival) return a.arrival < b.arrival;
+    return a.id < b.id;
+  };
+  if (!std::is_sorted(requests.begin(), requests.end(), by_arrival)) {
+    std::stable_sort(requests.begin(), requests.end(), by_arrival);
+  }
 
-  // Intern every workload id once at admission: the engine keys its
-  // estimate tables, compile charging, and per-class queues by these dense
-  // ids, so nothing on the per-event path hashes or compares strings.
-  dana::Interner ids;
+  // Intern every workload id once at admission and resolve each with the
+  // executor: the engine keys its estimate tables, compile charging,
+  // per-class queues and executor calls by these dense ids, so nothing on
+  // the per-event path hashes or compares strings.
+  Workloads workloads;
   std::vector<uint32_t> wids;
   wids.reserve(requests.size());
-  for (const QueryRequest& r : requests) wids.push_back(ids.Intern(r.workload_id));
-
-  DANA_ASSIGN_OR_RETURN(
-      std::vector<dana::SimTime> estimates,
-      ResolveEstimates(options_.policy, executor_, ids, wids));
+  for (const QueryRequest& r : requests) {
+    wids.push_back(workloads.ids.Intern(r.workload_id));
+  }
+  DANA_RETURN_NOT_OK(
+      ResolveWorkloads(options_.policy, executor_, wids, &workloads));
   const size_t expected = requests.size();
-  return RunEngine(options_, executor_, requests, wids, ids, estimates,
-                   FirstAppearanceOrder(wids, ids.size()), nullptr, expected);
+  return RunEngine(options_, executor_, requests, wids, workloads,
+                   FirstAppearanceOrder(wids, workloads.ids.size()), nullptr,
+                   expected);
 }
 
 Result<ScheduleReport> Scheduler::RunClosedLoop(
@@ -1333,13 +1214,13 @@ Result<ScheduleReport> Scheduler::RunClosedLoop(
   // first submission) in interleaved first-submission order — session 0's
   // first query, session 1's first, ... — which is also the RR class
   // rotation order. SJF estimates resolve script by script.
-  dana::Interner ids;
+  Workloads workloads;
   std::vector<uint32_t> submit_order;
   for (size_t j = 0;; ++j) {
     bool any = false;
     for (const auto& script : sessions) {
       if (j < script.size()) {
-        submit_order.push_back(ids.Intern(script[j]));
+        submit_order.push_back(workloads.ids.Intern(script[j]));
         any = true;
       }
     }
@@ -1348,11 +1229,12 @@ Result<ScheduleReport> Scheduler::RunClosedLoop(
   std::vector<uint32_t> script_order;
   script_order.reserve(submit_order.size());
   for (const auto& script : sessions) {
-    for (const std::string& id : script) script_order.push_back(ids.Find(id));
+    for (const std::string& id : script) {
+      script_order.push_back(workloads.ids.Find(id));
+    }
   }
-  DANA_ASSIGN_OR_RETURN(
-      std::vector<dana::SimTime> estimates,
-      ResolveEstimates(options_.policy, executor_, ids, script_order));
+  DANA_RETURN_NOT_OK(
+      ResolveWorkloads(options_.policy, executor_, script_order, &workloads));
 
   // The engine appends each submission to these as it materializes;
   // entries are always addressed by index, so growth is safe.
@@ -1361,9 +1243,9 @@ Result<ScheduleReport> Scheduler::RunClosedLoop(
   requests.reserve(submit_order.size());
   wids.reserve(submit_order.size());
   const SessionScripts scripts{&sessions, &session_classes, think_time};
-  return RunEngine(options_, executor_, requests, wids, ids, estimates,
-                   FirstAppearanceOrder(submit_order, ids.size()), &scripts,
-                   submit_order.size());
+  return RunEngine(options_, executor_, requests, wids, workloads,
+                   FirstAppearanceOrder(submit_order, workloads.ids.size()),
+                   &scripts, submit_order.size());
 }
 
 }  // namespace dana::sched

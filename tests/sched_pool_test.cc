@@ -12,7 +12,9 @@
 //    and the executor charges exactly what the pool holds;
 //  - the pool version() bumps slice memoization keys its skip on;
 //  - bit-for-bit determinism across repeat runs (CI runs this label twice
-//    and diffs the logs).
+//    and diffs the logs);
+//  - one pricing path: by name and by handle agree, and the order handles
+//    were issued in never reaches a report.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,8 @@
 #include "ml/workloads.h"
 #include "runtime/systems.h"
 #include "sched/executor.h"
+#include "sched/scheduler.h"
+#include "sched/workload_driver.h"
 #include "storage/buffer_pool.h"
 #include "storage/schema.h"
 #include "storage/table.h"
@@ -337,6 +341,97 @@ TEST(SliceMemoizationVersionTest, OsTierMutationsBumpPoolVersion) {
       EXPECT_GT(pool.version(), marked) << storage::EvictionKindName(kind);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Handle-keyed pricing
+// ---------------------------------------------------------------------------
+
+/// Every simulated field of two reports, compared exactly.
+void ExpectSameReport(const ScheduleReport& a, const ScheduleReport& b) {
+  ASSERT_EQ(a.queries.size(), b.queries.size());
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    const QueryStat& x = a.queries[i];
+    const QueryStat& y = b.queries[i];
+    EXPECT_EQ(x.id, y.id) << i;
+    EXPECT_EQ(x.slot, y.slot) << i;
+    EXPECT_EQ(x.start.nanos(), y.start.nanos()) << i;
+    EXPECT_EQ(x.completion.nanos(), y.completion.nanos()) << i;
+    EXPECT_EQ(x.compile.nanos(), y.compile.nanos()) << i;
+    EXPECT_EQ(x.service.nanos(), y.service.nanos()) << i;
+    EXPECT_EQ(x.warm_fraction, y.warm_fraction) << i;
+    EXPECT_EQ(x.os_warm_fraction, y.os_warm_fraction) << i;
+  }
+  EXPECT_EQ(a.makespan.nanos(), b.makespan.nanos());
+}
+
+/// A seeded Zipf stream over `catalog` (its first entry hottest), offered
+/// at about 80% of `slots` by the executor's a-priori estimates.
+std::vector<QueryRequest> SeededStream(DanaQueryExecutor& executor,
+                                       const std::vector<std::string>& catalog,
+                                       uint32_t slots, uint64_t seed) {
+  double mean_s = 0;
+  for (const std::string& id : catalog) {
+    auto est = executor.Estimate(id);
+    EXPECT_TRUE(est.ok()) << id;
+    mean_s += est->seconds() / static_cast<double>(catalog.size());
+  }
+  DriverOptions driver;
+  driver.seed = seed;
+  driver.num_queries = 40;
+  driver.popularity = Popularity::kZipfian;
+  driver.arrival_rate_qps = 0.8 * slots / mean_s;
+  auto stream = WorkloadDriver(catalog, driver).Generate();
+  EXPECT_TRUE(stream.ok());
+  return *stream;
+}
+
+TEST(HandleTest, ByNameAndByHandleAgreeAndResolveOrderNeverLeaks) {
+  // Four one-page tables over one-frame slot pools: sweeps demote pages
+  // into the LRU OS tier, so pricing takes the three-endpoint path.
+  DanaQueryExecutor::Options options;
+  options.pool_frames = 1;
+  options.eviction = storage::EvictionKind::kLru;
+  options.os_frames = 1;
+  SchedulerOptions sched;
+  sched.slots = 2;
+  sched.policy = Policy::kSjf;
+  sched.affinity_weight = 1.0;
+  const std::vector<std::string> catalog = {"blog", "patient", "wlan",
+                                            "netflix"};
+
+  DanaQueryExecutor executor(options);
+  auto first = Scheduler(sched, &executor)
+                   .Run(SeededStream(executor, catalog, sched.slots, 7));
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(std::any_of(
+      first->queries.begin(), first->queries.end(),
+      [](const QueryStat& q) { return q.os_warm_fraction > 0.0; }));
+  for (const std::string& id : catalog) {
+    auto handle = executor.Resolve(id);
+    ASSERT_TRUE(handle.ok()) << id;
+    for (uint32_t s = 0; s < sched.slots; ++s) {
+      const double warm = executor.WarmFraction(id, s);
+      EXPECT_EQ(warm, executor.WarmFractionOf(*handle, s)) << id << s;
+      auto by_name = executor.EstimateAtWarmth(id, warm);
+      auto by_handle = executor.EstimateAtWarmthOf(*handle, warm);
+      ASSERT_TRUE(by_name.ok() && by_handle.ok()) << id;
+      EXPECT_EQ(by_name->nanos(), by_handle->nanos()) << id << s;
+    }
+  }
+
+  // The reversed catalog makes another workload hottest, so ids first
+  // appear in another order than the one this executor resolved them in.
+  const std::vector<std::string> reversed(catalog.rbegin(), catalog.rend());
+  const std::vector<QueryRequest> stream =
+      SeededStream(executor, reversed, sched.slots, 8);
+  ASSERT_NE(stream.front().workload_id, catalog.front());
+  executor.ResetResidency();
+  auto reused = Scheduler(sched, &executor).Run(stream);
+  DanaQueryExecutor fresh(options);
+  auto from_fresh = Scheduler(sched, &fresh).Run(stream);
+  ASSERT_TRUE(reused.ok() && from_fresh.ok());
+  ExpectSameReport(*reused, *from_fresh);
 }
 
 }  // namespace

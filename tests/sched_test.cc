@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -7,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/stats.h"
 #include "sched/compile_cache.h"
 #include "sched/executor.h"
@@ -977,6 +979,92 @@ TEST(EndpointMemoTest, SameEndpointRunsTheSimulatorOnce) {
   EXPECT_EQ(second->service.nanos(), first->service.nanos());
   EXPECT_EQ(second->shared.nanos(), first->shared.nanos());
   EXPECT_EQ(second->per_query.nanos(), first->per_query.nanos());
+}
+
+// ---------------------------------------------------------------------------
+// Workload resolution and the pre-sorted stream
+// ---------------------------------------------------------------------------
+
+/// Every simulated field of two reports, compared exactly.
+void ExpectSameReport(const ScheduleReport& a, const ScheduleReport& b) {
+  ASSERT_EQ(a.queries.size(), b.queries.size());
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    const QueryStat& x = a.queries[i];
+    const QueryStat& y = b.queries[i];
+    EXPECT_EQ(x.id, y.id) << i;
+    EXPECT_EQ(x.workload_id, y.workload_id) << i;
+    EXPECT_EQ(x.slot, y.slot) << i;
+    EXPECT_EQ(x.start.nanos(), y.start.nanos()) << i;
+    EXPECT_EQ(x.completion.nanos(), y.completion.nanos()) << i;
+    EXPECT_EQ(x.compile.nanos(), y.compile.nanos()) << i;
+    EXPECT_EQ(x.service.nanos(), y.service.nanos()) << i;
+    EXPECT_EQ(x.batch_size, y.batch_size) << i;
+    EXPECT_EQ(x.warm_fraction, y.warm_fraction) << i;
+  }
+  EXPECT_EQ(a.makespan.nanos(), b.makespan.nanos());
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.compile_misses, b.compile_misses);
+}
+
+TEST(ResolveTest, UnknownWorkloadFailsBeforeTheFirstEvent) {
+  obs::MetricRegistry metrics;
+  DanaQueryExecutor::Options options;
+  options.metrics = &metrics;
+  DanaQueryExecutor executor(options);
+  // FCFS asks for no estimate: only resolution can catch the unknown id
+  // before "wlan" dispatches at t = 0 and runs the simulator.
+  Scheduler sched({.slots = 2, .policy = Policy::kFcfs}, &executor);
+  auto report = sched.Run({Req(0, "wlan", 0), Req(1, "no_such_workload", 1),
+                           Req(2, "wlan", 2)});
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsNotFound());
+  EXPECT_NE(report.status().message().find("no_such_workload"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_DOUBLE_EQ(metrics.counter("exec.endpoint_measurements")->value(),
+                   0.0);
+}
+
+TEST(ResolveTest, HandlesAreStablePerExecutor) {
+  DanaQueryExecutor executor;
+  auto first = executor.Resolve("wlan");
+  auto other = executor.Resolve("sn_lrmf");
+  auto again = executor.Resolve("wlan");
+  ASSERT_TRUE(first.ok() && other.ok() && again.ok());
+  EXPECT_EQ(first->owner, &executor);
+  EXPECT_EQ(again->index, first->index);
+  EXPECT_NE(other->index, first->index);
+  EXPECT_TRUE(executor.Resolve("no_such_workload").status().IsNotFound());
+}
+
+TEST(SchedulerTest, ShuffledStreamWithArrivalTiesMatchesTheSortedStream) {
+  FakeExecutor exec;
+  exec.SetSplit("a", 2, 1, 3, 0.5);
+  exec.SetSplit("b", 4, 1, 5, 0.5);
+  exec.SetSplit("c", 1, 0.5, 1.5, 0.5);
+  // Arrivals on a coarse grid, so most instants hold several requests and
+  // only the id orders them.
+  std::vector<QueryRequest> sorted;
+  const char* names[] = {"a", "b", "c"};
+  for (uint64_t id = 0; id < 90; ++id) {
+    sorted.push_back(Req(id, names[(id * 7) % 3], static_cast<double>(id / 4)));
+  }
+  std::vector<QueryRequest> shuffled = sorted;
+  dana::Rng rng(0x5eed);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.UniformInt(i + 1)]);
+  }
+  ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end(),
+                              [](const QueryRequest& x, const QueryRequest& y) {
+                                return x.id < y.id;
+                              }));
+  for (Policy policy : {Policy::kFcfs, Policy::kSjf, Policy::kRoundRobin}) {
+    Scheduler sched({.slots = 3, .policy = policy, .max_batch = 3}, &exec);
+    auto from_sorted = sched.Run(sorted);
+    auto from_shuffled = sched.Run(shuffled);
+    ASSERT_TRUE(from_sorted.ok() && from_shuffled.ok());
+    ExpectSameReport(*from_sorted, *from_shuffled);
+  }
 }
 
 }  // namespace
