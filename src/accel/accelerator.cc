@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <span>
 
 #include "compiler/hw_generator.h"
@@ -14,15 +15,20 @@ Accelerator::Accelerator(const compiler::CompiledUdf& udf) : udf_(udf) {
   access_config_.num_page_buffers = udf.design.num_page_buffers;
 }
 
+Status Accelerator::CheckTupleSize(uint64_t payload_bytes) const {
+  const uint64_t want = 4 * udf_.program.TupleElements();
+  if (payload_bytes < want) {
+    return Status::Corruption("tuple payload of " +
+                              std::to_string(payload_bytes) +
+                              " bytes, expected " + std::to_string(want));
+  }
+  return Status::OK();
+}
+
 Status Accelerator::DecodeTuple(const std::vector<uint8_t>& payload,
                                 engine::TupleData* out) const {
   const compiler::ScalarProgram& prog = udf_.program;
-  const uint64_t want = 4 * prog.TupleElements();
-  if (payload.size() < want) {
-    return Status::Corruption("tuple payload of " +
-                              std::to_string(payload.size()) +
-                              " bytes, expected " + std::to_string(want));
-  }
+  DANA_RETURN_NOT_OK(CheckTupleSize(payload.size()));
   size_t off = 0;
   auto take = [&](const std::shared_ptr<const dsl::Var>& var,
                   std::vector<float>* dst) {
@@ -45,14 +51,36 @@ Status Accelerator::DecodeTuple(const std::vector<uint8_t>& payload,
 Result<RunReport> Accelerator::Train(const storage::Table& table,
                                      storage::BufferPool* pool,
                                      const RunOptions& options) const {
+  return Run(table, pool, options, /*functional=*/true);
+}
+
+Result<RunReport> Accelerator::Time(const storage::Table& table,
+                                    storage::BufferPool* pool,
+                                    const RunOptions& options) const {
+  if (udf_.program.has_convergence) {
+    // Where a run stops depends on the trained values: only Train knows.
+    return Status::FailedPrecondition(
+        "a timing-only run cannot evaluate the program's convergence test; "
+        "use Train");
+  }
+  return Run(table, pool, options, /*functional=*/false);
+}
+
+Result<RunReport> Accelerator::Run(const storage::Table& table,
+                                   storage::BufferPool* pool,
+                                   const RunOptions& options,
+                                   bool functional) const {
   const compiler::ScalarProgram& prog = udf_.program;
   const compiler::DesignPoint& design = udf_.design;
   const double freq = udf_.fpga.freq_hz;
 
-  engine::ScalarEvaluator evaluator(prog);
-  for (size_t m = 0; m < options.initial_models.size(); ++m) {
-    DANA_RETURN_NOT_OK(evaluator.SetModel(
-        static_cast<uint32_t>(m), options.initial_models[m]));
+  std::optional<engine::ScalarEvaluator> evaluator;
+  if (functional) {
+    evaluator.emplace(prog);
+    for (size_t m = 0; m < options.initial_models.size(); ++m) {
+      DANA_RETURN_NOT_OK(evaluator->SetModel(
+          static_cast<uint32_t>(m), options.initial_models[m]));
+    }
   }
 
   AccessEngine access(access_config_, udf_.strider_program);
@@ -82,8 +110,8 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
 
   // One batch of decode buffers for the whole run: tuple k of a batch is
   // decoded into batch[k] in place, so after the first batch no tuple
-  // allocates.
-  std::vector<engine::TupleData> batch(batch_size);
+  // allocates. A timing-only run decodes nothing and only counts.
+  std::vector<engine::TupleData> batch(functional ? batch_size : 0);
   size_t batch_fill = 0;
 
   for (uint32_t epoch = 0; epoch < segment_budget; ++epoch) {
@@ -95,8 +123,10 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
 
     auto flush_batch = [&]() -> Status {
       if (batch_fill == 0) return Status::OK();
-      DANA_RETURN_NOT_OK(
-          evaluator.EvalBatch(std::span(batch.data(), batch_fill)));
+      if (functional) {
+        DANA_RETURN_NOT_OK(
+            evaluator->EvalBatch(std::span(batch.data(), batch_fill)));
+      }
       // Timing: each thread runs ceil(batch/threads) rule instances
       // back-to-back, then the tree bus merges and the model updates.
       const uint64_t rule_runs = (batch_fill + threads - 1) / threads;
@@ -123,7 +153,9 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
       strider_cycles += extraction.strider_cycles;
       report.strider_instructions += extraction.tuples.size();
       for (const auto& payload : extraction.tuples) {
-        DANA_RETURN_NOT_OK(DecodeTuple(payload, &batch[batch_fill]));
+        DANA_RETURN_NOT_OK(functional
+                               ? DecodeTuple(payload, &batch[batch_fill])
+                               : CheckTupleSize(payload.size()));
         ++batch_fill;
         ++tuples_this_epoch;
         if (batch_fill >= batch_size) {
@@ -205,19 +237,23 @@ Result<RunReport> Accelerator::Train(const storage::Table& table,
     report.epochs.push_back(bd);
     ++report.epochs_run;
 
-    DANA_ASSIGN_OR_RETURN(bool stop, evaluator.EvalConvergence());
-    if (stop) {
-      report.converged = true;
-      break;
+    if (functional) {
+      DANA_ASSIGN_OR_RETURN(bool stop, evaluator->EvalConvergence());
+      if (stop) {
+        report.converged = true;
+        break;
+      }
     }
   }
 
   report.epochs_completed = done_before + report.epochs_run;
   report.resumable = !report.converged &&
                      report.epochs_completed < epochs_budget;
-  report.final_models.resize(prog.model_vars.size());
-  for (uint32_t m = 0; m < prog.model_vars.size(); ++m) {
-    report.final_models[m] = evaluator.Model(m);
+  if (functional) {
+    report.final_models.resize(prog.model_vars.size());
+    for (uint32_t m = 0; m < prog.model_vars.size(); ++m) {
+      report.final_models[m] = evaluator->Model(m);
+    }
   }
   return report;
 }

@@ -91,18 +91,23 @@ struct RunReport {
   uint64_t fpga_cycles = 0;
   uint64_t strider_instructions = 0;
   std::vector<EpochBreakdown> epochs;
-  /// Trained model values, one vector per model variable.
+  /// Trained model values, one vector per model variable (empty after a
+  /// timing-only run).
   std::vector<std::vector<float>> final_models;
 };
 
 /// The DAnA accelerator: functional + cycle-level simulation of the
 /// generated design training on a heap table through the buffer pool.
 ///
-/// Functionally, every page is walked by the real Strider interpreter and
-/// every update rule executes in fp32 through the lowered scalar program —
-/// the returned model is genuinely trained. Timing follows the paper's
-/// pipeline: with >=2 page buffers the access engine interleaves with the
-/// execution engine, so an epoch runs at the rate of its slowest stage.
+/// Every page is fetched through the pool and walked by the real Strider
+/// interpreter. In `Train`, every update rule also executes in fp32 through
+/// the lowered scalar program — the returned model is genuinely trained.
+/// Timing follows the paper's pipeline: with >=2 page buffers the access
+/// engine interleaves with the execution engine, so an epoch runs at the
+/// rate of its slowest stage. The cycle counts depend on the page layout
+/// and batch counts only, never on a tuple's values, so `Time` runs the
+/// same epoch loop without decoding or evaluating anything and reports the
+/// same times — for any program whose run length the values cannot change.
 ///
 /// With `RunOptions::batch_queries = K > 1` the simulator models a
 /// cross-query batched pass: K queries of the same algorithm co-train off
@@ -120,9 +125,27 @@ class Accelerator {
                                 storage::BufferPool* pool,
                                 const RunOptions& options) const;
 
+  /// Timing-only run: Train's page fetches, Strider walks, tuple-size
+  /// checks and cycle accounting, bit for bit, with no tuple decoded, no
+  /// update rule evaluated and no model read back (`final_models` stays
+  /// empty; `initial_models` is ignored). No payload value reaches the
+  /// report, so a shape table (ml::BuildShapeTable) times like the real
+  /// one. FailedPrecondition for a program with a convergence test, whose
+  /// epoch count depends on the trained values.
+  dana::Result<RunReport> Time(const storage::Table& table,
+                               storage::BufferPool* pool,
+                               const RunOptions& options) const;
+
   const compiler::CompiledUdf& udf() const { return udf_; }
 
  private:
+  /// The epoch loop behind Train (`functional`) and Time.
+  dana::Result<RunReport> Run(const storage::Table& table,
+                              storage::BufferPool* pool,
+                              const RunOptions& options,
+                              bool functional) const;
+  /// Corruption unless a payload of `payload_bytes` holds one tuple.
+  dana::Status CheckTupleSize(uint64_t payload_bytes) const;
   /// Splits a payload into per-variable fp32 element vectors.
   dana::Status DecodeTuple(const std::vector<uint8_t>& payload,
                            engine::TupleData* out) const;

@@ -65,15 +65,37 @@ Dataset GenerateDataset(const DatasetSpec& spec) {
   return data;
 }
 
+namespace {
+
+/// An empty table of float4 columns: `dims` features, then the label.
+std::unique_ptr<storage::Table> EmptyTable(const std::string& name,
+                                           uint32_t dims, bool has_label,
+                                           const storage::PageLayout& layout) {
+  return std::make_unique<storage::Table>(
+      name,
+      storage::Schema::Dense(dims, storage::ColumnType::kFloat4, has_label),
+      layout);
+}
+
+}  // namespace
+
 Result<std::unique_ptr<storage::Table>> BuildTable(
     const std::string& name, const Dataset& data,
     const storage::PageLayout& layout) {
-  const storage::Schema schema = storage::Schema::Dense(
-      data.feature_dims, storage::ColumnType::kFloat4, data.has_label);
-  auto table = std::make_unique<storage::Table>(name, schema, layout);
+  auto table = EmptyTable(name, data.feature_dims, data.has_label, layout);
   for (const auto& row : data.rows) {
     DANA_RETURN_NOT_OK(table->AppendRow(row));
   }
+  return table;
+}
+
+Result<std::unique_ptr<storage::Table>> BuildShapeTable(
+    const std::string& name, const DatasetSpec& spec,
+    const storage::PageLayout& layout) {
+  // GenerateDataset's row shape: LRMF rows have no label column.
+  auto table = EmptyTable(name, spec.dims,
+                          spec.kind != AlgoKind::kLowRankMF, layout);
+  DANA_RETURN_NOT_OK(table->AppendZeroRows(spec.tuples));
   return table;
 }
 

@@ -36,4 +36,13 @@ dana::Result<std::unique_ptr<storage::Table>> BuildTable(
     const std::string& name, const Dataset& data,
     const storage::PageLayout& layout);
 
+/// The shape table of `spec`: the table BuildTable would encode from
+/// GenerateDataset(spec) — same schema, pages, page headers and line
+/// pointers — with every payload byte zero and no dataset generated.
+/// Everything that depends only on the page layout (a Strider walk, pool
+/// I/O, the accelerator's cycle counts) reads it exactly like the real one.
+dana::Result<std::unique_ptr<storage::Table>> BuildShapeTable(
+    const std::string& name, const DatasetSpec& spec,
+    const storage::PageLayout& layout);
+
 }  // namespace dana::ml

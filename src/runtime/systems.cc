@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
 #include "ml/datasets.h"
 
 namespace dana::runtime {
@@ -24,25 +25,48 @@ Result<std::unique_ptr<WorkloadInstance>> WorkloadInstance::Create(
   auto instance =
       std::unique_ptr<WorkloadInstance>(new WorkloadInstance(workload));
   instance->dataset_ = ml::GenerateDataset(workload.dataset_spec());
+  instance->has_dataset_ = true;
 
   storage::PageLayout layout;
   layout.page_size = page_size;
   DANA_ASSIGN_OR_RETURN(
       instance->table_,
       ml::BuildTable(workload.id, instance->dataset_, layout));
+  instance->MakePools(page_size);
+  return instance;
+}
 
+Result<std::unique_ptr<WorkloadInstance>> WorkloadInstance::CreateShape(
+    const ml::Workload& workload, uint32_t page_size) {
+  auto instance =
+      std::unique_ptr<WorkloadInstance>(new WorkloadInstance(workload));
+  storage::PageLayout layout;
+  layout.page_size = page_size;
+  DANA_ASSIGN_OR_RETURN(
+      instance->table_,
+      ml::BuildShapeTable(workload.id, workload.dataset_spec(), layout));
+  instance->MakePools(page_size);
+  return instance;
+}
+
+const ml::Dataset& WorkloadInstance::dataset() const {
+  DANA_CHECK(has_dataset_) << "shape instance of '" << workload_.id
+                           << "' has no dataset";
+  return dataset_;
+}
+
+void WorkloadInstance::MakePools(uint32_t page_size) {
   // Pool and OS page cache scaled so their proportions against the table
   // match the paper's 8 GB shared_buffers and 32 GB RAM against Table 3.
-  const double pool_bytes = 8.0 * (1ull << 30) / workload.scale;
-  const double os_cache_bytes = 24.0 * (1ull << 30) / workload.scale;
+  const double pool_bytes = 8.0 * (1ull << 30) / workload_.scale;
+  const double os_cache_bytes = 24.0 * (1ull << 30) / workload_.scale;
   const uint64_t min_bytes = 8ull * page_size;
   storage::DiskModel disk;
   disk.seq_read_bw = kDiskSeqReadBytesPerSec;
-  instance->pools_ = std::make_unique<storage::BufferPoolGroup>(
+  pools_ = std::make_unique<storage::BufferPoolGroup>(
       std::max<uint64_t>(static_cast<uint64_t>(pool_bytes), min_bytes),
       page_size, disk,
       std::max<uint64_t>(static_cast<uint64_t>(os_cache_bytes), min_bytes));
-  return instance;
 }
 
 void WorkloadInstance::PrepareCache(CacheState state, uint32_t slot) {
@@ -203,6 +227,31 @@ Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
                                              CacheState cache,
                                              uint32_t batch_queries,
                                              uint32_t slot) const {
+  std::vector<float> model;
+  DANA_ASSIGN_OR_RETURN(
+      SystemResult r,
+      Simulate(udf, instance, cache, batch_queries, slot, &model));
+  const ml::Workload& w = instance->workload();
+  r.model.assign(model.begin(), model.end());
+  ml::ReferenceTrainer trainer(w.kind, w.params);
+  r.loss = trainer.Loss(instance->dataset(), r.model);
+  return r;
+}
+
+Result<SystemResult> DanaSystem::TimeCompiled(const compiler::CompiledUdf& udf,
+                                              WorkloadInstance* instance,
+                                              CacheState cache,
+                                              uint32_t batch_queries,
+                                              uint32_t slot) const {
+  return Simulate(udf, instance, cache, batch_queries, slot, nullptr);
+}
+
+Result<SystemResult> DanaSystem::Simulate(const compiler::CompiledUdf& udf,
+                                          WorkloadInstance* instance,
+                                          CacheState cache,
+                                          uint32_t batch_queries,
+                                          uint32_t slot,
+                                          std::vector<float>* model) const {
   const ml::Workload& w = instance->workload();
   SystemResult r;
   r.system = "DAnA+PostgreSQL";
@@ -210,7 +259,7 @@ Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
 
   instance->PrepareCache(cache, slot);
   accel::RunOptions run = options_.run;
-  if (run.initial_models.empty()) {
+  if (model != nullptr && run.initial_models.empty()) {
     run.initial_models = {ml::InitialModel(w.kind, w.params)};
   }
   run.batch_queries = r.batch_queries;
@@ -227,7 +276,9 @@ Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
   accel::Accelerator accelerator(udf);
   DANA_ASSIGN_OR_RETURN(
       accel::RunReport report,
-      accelerator.Train(instance->table(), instance->pool(slot), run));
+      model != nullptr
+          ? accelerator.Train(instance->table(), instance->pool(slot), run)
+          : accelerator.Time(instance->table(), instance->pool(slot), run));
 
   dana::SimTime wall = report.total_time;
   dana::SimTime io = report.io_time;
@@ -274,11 +325,7 @@ Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
   r.total = r.overhead + wall * instance->scale();
   r.shared_time = r.overhead + shared * instance->scale();
   r.per_query_time = per_query * instance->scale();
-
-  r.model.assign(report.final_models[0].begin(),
-                 report.final_models[0].end());
-  ml::ReferenceTrainer trainer(w.kind, w.params);
-  r.loss = trainer.Loss(instance->dataset(), r.model);
+  if (model != nullptr) *model = std::move(report.final_models[0]);
   return r;
 }
 
@@ -331,10 +378,11 @@ Result<dana::SimTime> TablaSystem::ComputeTimePerEpoch(
   run.max_epochs_override = std::min<uint32_t>(w.dana_epochs, 2);
   run.cpu_extract_per_tuple = cost_.cpu_extract_per_tuple;
 
+  // The figure compares compute time only: nothing reads a trained value.
   accel::Accelerator accelerator(udf);
   DANA_ASSIGN_OR_RETURN(
       accel::RunReport report,
-      accelerator.Train(instance->table(), instance->pool(), run));
+      accelerator.Time(instance->table(), instance->pool(), run));
   return report.total_time * instance->scale() /
          std::max<uint32_t>(report.epochs_run, 1);
 }

@@ -68,14 +68,25 @@ struct SystemResult {
 /// group (independent frames and OS-cache accounting, shared DiskModel), so
 /// concurrent slots no longer alias one cache. Slot 0 is the default and
 /// reproduces the original single-pool behaviour exactly.
+///
+/// A *shape* instance (CreateShape) holds no dataset and a shape table
+/// (ml::BuildShapeTable): every time the simulators charge depends on the
+/// page layout only, so it prices runs exactly like the full instance —
+/// through DanaSystem::TimeCompiled, TablaSystem, and the MADlib systems
+/// with `train_model=false` — at a fraction of the setup cost.
 class WorkloadInstance {
  public:
   /// Builds the dataset and table for `workload` with the given page size.
   static dana::Result<std::unique_ptr<WorkloadInstance>> Create(
       const ml::Workload& workload, uint32_t page_size = 32 * 1024);
+  /// Builds the shape table for `workload` from its dataset_spec(),
+  /// generating no dataset.
+  static dana::Result<std::unique_ptr<WorkloadInstance>> CreateShape(
+      const ml::Workload& workload, uint32_t page_size = 32 * 1024);
 
   const ml::Workload& workload() const { return workload_; }
-  const ml::Dataset& dataset() const { return dataset_; }
+  /// The generated dataset; a shape instance has none (a DANA_CHECK).
+  const ml::Dataset& dataset() const;
   const storage::Table& table() const { return *table_; }
   /// Slot `slot`'s buffer pool; pools are created lazily per slot.
   storage::BufferPool* pool(uint32_t slot = 0) { return pools_->pool(slot); }
@@ -119,8 +130,12 @@ class WorkloadInstance {
  private:
   WorkloadInstance(ml::Workload workload) : workload_(std::move(workload)) {}
 
+  /// Sizes the per-slot pools against the built table's page size.
+  void MakePools(uint32_t page_size);
+
   ml::Workload workload_;
   ml::Dataset dataset_;
+  bool has_dataset_ = false;
   std::unique_ptr<storage::Table> table_;
   std::unique_ptr<storage::BufferPoolGroup> pools_;
 };
@@ -161,10 +176,11 @@ class DanaSystem {
     compiler::FpgaSpec fpga;
     compiler::HardwareGenerator::Options hw;
     accel::RunOptions run;
-    /// When nonzero and the workload assumes more epochs than this, run
-    /// only this many functional epochs and extrapolate the (count-linear)
-    /// timing to the full epoch budget. The benchmark harness uses 2 (the
-    /// first epoch captures cold-cache I/O, the second the steady state).
+    /// When nonzero and the workload assumes more epochs than this,
+    /// simulate only this many epochs (RunCompiled and TimeCompiled alike)
+    /// and extrapolate the (count-linear) timing to the full epoch budget.
+    /// The benchmark harness uses 2 (the first epoch captures cold-cache
+    /// I/O, the second the steady state).
     uint32_t functional_epoch_cap = 0;
   };
 
@@ -192,10 +208,29 @@ class DanaSystem {
                                          uint32_t batch_queries = 1,
                                          uint32_t slot = 0) const;
 
+  /// RunCompiled's timing alone, through Accelerator::Time: every time,
+  /// the epoch count and the epoch-resolved attribution equal
+  /// RunCompiled's bit for bit; `model` stays empty and `loss` 0. Works on
+  /// a shape instance. FailedPrecondition for a program with a convergence
+  /// test (see Accelerator::Time).
+  dana::Result<SystemResult> TimeCompiled(const compiler::CompiledUdf& udf,
+                                          WorkloadInstance* instance,
+                                          CacheState cache,
+                                          uint32_t batch_queries = 1,
+                                          uint32_t slot = 0) const;
+
   const Options& options() const { return options_; }
   Options* mutable_options() { return &options_; }
 
  private:
+  /// The pass behind RunCompiled (`model` non-null: trains functionally
+  /// and stores the first model variable there) and TimeCompiled (null).
+  dana::Result<SystemResult> Simulate(const compiler::CompiledUdf& udf,
+                                      WorkloadInstance* instance,
+                                      CacheState cache, uint32_t batch_queries,
+                                      uint32_t slot,
+                                      std::vector<float>* model) const;
+
   CpuCostModel cost_;
   Options options_;
 };
@@ -231,7 +266,8 @@ class ExternalLibrary {
 /// TABLA (Fig 16): a single-threaded accelerator without Striders — the
 /// CPU extracts tuples and the access/execute stages do not interleave.
 /// Returns compute-only time per epoch (at paper scale), matching the
-/// figure's compute-time comparison.
+/// figure's compute-time comparison, from a timing-only run
+/// (Accelerator::Time), so it also prices a shape instance.
 class TablaSystem {
  public:
   TablaSystem(CpuCostModel cost, compiler::FpgaSpec fpga)

@@ -223,10 +223,11 @@ class DanaBatchExecution : public BatchExecution {
   }
 
   dana::Status Checkpoint() override {
-    // The model vector is the only state to capture, and the executor's
-    // functional results are memoized per (workload, batch size) — the
-    // checkpoint is implicit. Guard the contract anyway: a checkpoint is
-    // only meaningful at an epoch boundary with work remaining.
+    // The executor prices runs from measured epoch profiles and keeps no
+    // model between slices (the scheduler reads only times), so there is
+    // nothing to capture — the cost curve continues from `done_`.
+    // Guard the contract anyway: a checkpoint is only meaningful at an
+    // epoch boundary with work remaining.
     if (done_ == 0 || done_ >= profile_.epochs) {
       return Status::FailedPrecondition(
           "checkpoint requires a partially-run execution");
@@ -376,11 +377,18 @@ Result<DanaQueryExecutor::WorkloadRecord*> DanaQueryExecutor::RecordFor(
   return &Record(handle);
 }
 
+bool DanaQueryExecutor::PricesFromShape(const ml::Workload& workload) {
+  return workload.params.convergence_norm <= 0;
+}
+
 Result<runtime::WorkloadInstance*> DanaQueryExecutor::Instance(
     WorkloadRecord& rec) {
   if (rec.instance == nullptr) {
-    DANA_ASSIGN_OR_RETURN(rec.instance,
-                          runtime::WorkloadInstance::Create(*rec.workload));
+    DANA_ASSIGN_OR_RETURN(
+        rec.instance,
+        PricesFromShape(*rec.workload)
+            ? runtime::WorkloadInstance::CreateShape(*rec.workload)
+            : runtime::WorkloadInstance::Create(*rec.workload));
     rec.norm_pages = rec.instance->NormalizedPages(options_.pool_frames);
   }
   return rec.instance.get();
@@ -415,7 +423,9 @@ DanaQueryExecutor::MeasureEndpoint(WorkloadRecord& rec, uint32_t batch_size,
   // and therefore take identical time.
   DANA_ASSIGN_OR_RETURN(
       runtime::SystemResult result,
-      system_.RunCompiled(*udf, instance, cache, batch_size, slot));
+      PricesFromShape(*rec.workload)
+          ? system_.TimeCompiled(*udf, instance, cache, batch_size, slot)
+          : system_.RunCompiled(*udf, instance, cache, batch_size, slot));
   obs::Count(options_.metrics, "exec.endpoint_measurements");
   memo = std::make_unique<EpochProfile>();
   EpochProfile& p = *memo;

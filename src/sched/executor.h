@@ -258,9 +258,16 @@ class QueryExecutor {
 /// Executor backed by the DAnA cycle-level simulator over the Table 3
 /// workload suite.
 ///
-/// Service times are measured by actually compiling and training through
-/// `runtime::DanaSystem` (so the scheduler multiplexes real simulated
-/// accelerator runs, not analytical guesses), then memoized per
+/// Service times are measured by actually compiling and running the
+/// cycle-level accelerator simulator through `runtime::DanaSystem` (so the
+/// scheduler multiplexes real simulated accelerator runs, not analytical
+/// guesses). The scheduler reads only times, and they depend on the table's
+/// page layout alone, so a workload is priced from its *shape* (see
+/// PricesFromShape): a shape instance (WorkloadInstance::CreateShape, no
+/// dataset generated) timed by DanaSystem::TimeCompiled (nothing trained,
+/// no loss computed), bit for bit the times a functional run reports. A
+/// workload whose run length depends on trained values instead gets a full
+/// instance and the functional RunCompiled. Measurements are memoized per
 /// (workload, batch size, cache endpoint) as an *epoch profile*: the first
 /// epoch carries the cold-I/O transient, every later epoch repeats the
 /// steady state, and fixed query/epoch overheads sit on top. Full-run and
@@ -331,8 +338,10 @@ class DanaQueryExecutor : public QueryExecutor {
     /// dispatches are priced across three measured endpoints
     /// (pool-warm / os-warm / cold).
     uint64_t os_frames = 0;
-    /// Functional epochs actually simulated before linear extrapolation
-    /// (see DanaSystem::Options); 2 captures cold I/O + steady state.
+    /// Epochs each endpoint measurement actually simulates (timing-only
+    /// unless the workload needs functional runs) before linear
+    /// extrapolation (see DanaSystem::Options); 2 captures cold I/O +
+    /// steady state.
     uint32_t functional_epoch_cap = 2;
     /// Telemetry sink (not owned; null = off). Begin() counts each
     /// dispatch's pricing regime (exec.charges.cold/warm/partial) and
@@ -359,6 +368,12 @@ class DanaQueryExecutor : public QueryExecutor {
 
   DanaQueryExecutor();
   explicit DanaQueryExecutor(Options options);
+
+  /// True when `workload`'s endpoints can be priced from a shape instance
+  /// by a timing-only run: its program has no convergence test
+  /// (`params.convergence_norm <= 0`), so no simulated time depends on a
+  /// trained value. Otherwise the executor trains on the generated data.
+  static bool PricesFromShape(const ml::Workload& workload);
 
   /// NotFound, naming the workload, when the registry has no such id.
   dana::Result<WorkloadHandle> Resolve(const std::string& workload_id) override;
@@ -409,7 +424,8 @@ class DanaQueryExecutor : public QueryExecutor {
   struct WorkloadRecord {
     std::string name;
     const ml::Workload* workload = nullptr;  ///< static registry entry
-    /// Built on first need (it generates the dataset); null until then.
+    /// Built on first need (a shape instance unless the workload needs
+    /// functional runs, see PricesFromShape); null until then.
     std::unique_ptr<runtime::WorkloadInstance> instance;
     uint64_t norm_pages = 0;  ///< NormalizedPages, set with `instance`
     /// The table's id in slot s's pool, interned on the slot's first use.

@@ -13,7 +13,18 @@ uint8_t* Table::AddPage() {
 Status Table::AppendRow(const std::vector<double>& values) {
   row_buf_.resize(schema_.RowBytes());
   DANA_RETURN_NOT_OK(schema_.EncodeRow(values, row_buf_.data()));
+  return AppendEncoded();
+}
 
+Status Table::AppendZeroRows(uint64_t n) {
+  row_buf_.assign(schema_.RowBytes(), 0);
+  for (uint64_t i = 0; i < n; ++i) {
+    DANA_RETURN_NOT_OK(AppendEncoded());
+  }
+  return Status::OK();
+}
+
+Status Table::AppendEncoded() {
   if (pages_.empty()) AddPage();
   {
     Page page(pages_.back().get(), layout_);

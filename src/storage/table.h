@@ -39,6 +39,12 @@ class Table {
   /// Appends a row, allocating a new page when the current one is full.
   dana::Status AppendRow(const std::vector<double>& values);
 
+  /// Appends `n` rows whose payload bytes are all zero, placed exactly as
+  /// `n` AppendRow calls would place them (same pages, page headers, line
+  /// pointers and tuple headers) without encoding any value. A table built
+  /// this way is a shape table: it prices a scan like the real one.
+  dana::Status AppendZeroRows(uint64_t n);
+
   /// Decodes the tuple in (page, slot) into doubles.
   dana::Status ReadRow(uint64_t page, uint32_t slot,
                        std::vector<double>* out) const;
@@ -52,6 +58,8 @@ class Table {
 
  private:
   uint8_t* AddPage();
+  /// Places the encoded row in `row_buf_` (see AppendRow).
+  dana::Status AppendEncoded();
 
   std::string name_;
   Schema schema_;

@@ -10,6 +10,8 @@
 #include "ml/algorithms.h"
 #include "ml/datasets.h"
 #include "ml/reference.h"
+#include "ml/workloads.h"
+#include "sched/executor.h"
 #include "storage/buffer_pool.h"
 
 namespace dana {
@@ -481,34 +483,138 @@ TEST(AcceleratorTest, ColdCacheAddsIoTime) {
   EXPECT_GE(cold.total_time.nanos(), warm.total_time.nanos());
 }
 
-TEST(AcceleratorTest, ConvergenceStopsEarly) {
-  ml::AlgoParams p = Params(8, 4, ml::AlgoKind::kLinearRegression);
-  p.epochs = 50;
-  p.convergence_norm = 0.5;
+/// A 200-tuple linear regression whose program tests convergence on the
+/// merged-gradient norm (`convergence_norm` 0.5) with a 50-epoch budget.
+AccelFixture ConvergingFixture() {
+  AccelFixture f;
+  f.kind = ml::AlgoKind::kLinearRegression;
+  f.params = Params(8, 4, f.kind);
+  f.params.epochs = 50;
+  f.params.convergence_norm = 0.5;
   ml::DatasetSpec spec;
-  spec.kind = ml::AlgoKind::kLinearRegression;
+  spec.kind = f.kind;
   spec.dims = 8;
   spec.tuples = 200;
   spec.label_noise = 0.0;
-  auto data = ml::GenerateDataset(spec);
+  f.data = ml::GenerateDataset(spec);
   storage::PageLayout layout;
-  auto table = std::move(ml::BuildTable("t", data, layout)).ValueOrDie();
-  storage::BufferPool pool(64ull << 20, 32 * 1024, storage::DiskModel{});
+  f.table = std::move(ml::BuildTable("t", f.data, layout)).ValueOrDie();
+  f.pool = std::make_unique<storage::BufferPool>(64ull << 20, 32 * 1024,
+                                                 storage::DiskModel{});
 
-  auto algo =
-      std::move(ml::BuildAlgo(ml::AlgoKind::kLinearRegression, p)).ValueOrDie();
+  auto algo = std::move(ml::BuildAlgo(f.kind, f.params)).ValueOrDie();
   compiler::WorkloadShape shape;
-  shape.num_tuples = table->num_tuples();
-  shape.num_pages = table->num_pages();
-  shape.tuples_per_page = table->TuplesOnPage(0);
-  shape.tuple_payload_bytes = table->schema().RowBytes();
+  shape.num_tuples = f.table->num_tuples();
+  shape.num_pages = f.table->num_pages();
+  shape.tuples_per_page = f.table->TuplesOnPage(0);
+  shape.tuple_payload_bytes = f.table->schema().RowBytes();
   compiler::UdfCompiler compiler{compiler::FpgaSpec{}};
-  auto udf = std::move(compiler.Compile(*algo, layout, shape)).ValueOrDie();
+  f.udf = std::move(compiler.Compile(*algo, layout, shape)).ValueOrDie();
+  return f;
+}
 
-  accel::Accelerator acc(udf);
-  auto report = std::move(acc.Train(*table, &pool, {})).ValueOrDie();
+TEST(AcceleratorTest, ConvergenceStopsEarly) {
+  AccelFixture f = ConvergingFixture();
+  ASSERT_TRUE(f.udf.program.has_convergence);
+  accel::Accelerator acc(f.udf);
+  auto report = std::move(acc.Train(*f.table, f.pool.get(), {})).ValueOrDie();
   EXPECT_TRUE(report.converged);
   EXPECT_LT(report.epochs_run, 50u);
+}
+
+TEST(AcceleratorTest, TimingOnlyRunRefusesAConvergenceTest) {
+  // Where the run stops depends on trained values, so a timing-only run
+  // could only report a wrong time: it fails before fetching a page.
+  AccelFixture f = ConvergingFixture();
+  accel::Accelerator acc(f.udf);
+  auto timed = acc.Time(*f.table, f.pool.get(), {});
+  ASSERT_FALSE(timed.ok());
+  EXPECT_TRUE(timed.status().IsFailedPrecondition())
+      << timed.status().ToString();
+  EXPECT_EQ(f.pool->stats().misses + f.pool->stats().hits, 0u);
+  // Train still converges early on the same program.
+  auto trained = std::move(acc.Train(*f.table, f.pool.get(), {})).ValueOrDie();
+  EXPECT_TRUE(trained.converged);
+  EXPECT_LT(trained.epochs_run, 50u);
+}
+
+TEST(ShapePricingTest, ConvergenceNormSelectsTheFunctionalPath) {
+  // The executor's choice between a shape instance with timing-only runs
+  // and a full instance with functional ones follows convergence_norm.
+  for (const ml::Workload& w : ml::AllWorkloads()) {
+    EXPECT_TRUE(sched::DanaQueryExecutor::PricesFromShape(w)) << w.id;
+    ml::Workload converging = w;
+    converging.params.convergence_norm = 0.5;
+    EXPECT_FALSE(sched::DanaQueryExecutor::PricesFromShape(converging))
+        << w.id;
+  }
+}
+
+TEST(AcceleratorTest, TimingOnlyRunMatchesTrainBitForBit) {
+  // Train and Time share one epoch loop: every time and count agrees, in
+  // the Strider and bypass pipelines, cold and warm, batched or not. Only
+  // Train reads a model back.
+  auto f = AccelFixture::Make(ml::AlgoKind::kLogisticRegression, 54, 16,
+                              2000);
+  for (bool bypass : {false, true}) {
+    for (bool warm : {false, true}) {
+      for (uint32_t batch : {1u, 3u}) {
+        SCOPED_TRACE(std::to_string(bypass) + std::to_string(warm) +
+                     std::to_string(batch));
+        accel::RunOptions opt;
+        opt.strider_bypass = bypass;
+        opt.batch_queries = batch;
+        opt.initial_models = {ml::InitialModel(f.kind, f.params)};
+        accel::Accelerator acc(f.udf);
+        f.pool->Clear();
+        if (warm) f.pool->Prewarm(*f.table);
+        auto trained =
+            std::move(acc.Train(*f.table, f.pool.get(), opt)).ValueOrDie();
+        f.pool->Clear();
+        if (warm) f.pool->Prewarm(*f.table);
+        auto timed =
+            std::move(acc.Time(*f.table, f.pool.get(), opt)).ValueOrDie();
+        EXPECT_EQ(timed.epochs_run, trained.epochs_run);
+        EXPECT_EQ(timed.tuples_processed, trained.tuples_processed);
+        EXPECT_EQ(timed.fpga_cycles, trained.fpga_cycles);
+        EXPECT_EQ(timed.strider_instructions, trained.strider_instructions);
+        EXPECT_EQ(timed.total_time.nanos(), trained.total_time.nanos());
+        EXPECT_EQ(timed.io_time.nanos(), trained.io_time.nanos());
+        EXPECT_EQ(timed.fpga_time.nanos(), trained.fpga_time.nanos());
+        EXPECT_EQ(timed.shared_time.nanos(), trained.shared_time.nanos());
+        EXPECT_EQ(timed.per_query_time.nanos(),
+                  trained.per_query_time.nanos());
+        ASSERT_EQ(timed.epochs.size(), trained.epochs.size());
+        for (size_t e = 0; e < timed.epochs.size(); ++e) {
+          EXPECT_EQ(timed.epochs[e].wall.nanos(),
+                    trained.epochs[e].wall.nanos());
+          EXPECT_EQ(timed.epochs[e].engine.nanos(),
+                    trained.epochs[e].engine.nanos());
+        }
+        EXPECT_TRUE(timed.final_models.empty());
+        EXPECT_EQ(trained.final_models.size(), 1u);
+      }
+    }
+  }
+}
+
+TEST(AcceleratorTest, TimingOnlyRunStillChecksTupleSize) {
+  // A table whose rows are narrower than the program's tuple is corrupt
+  // for Time exactly as for Train.
+  auto f = AccelFixture::Make(ml::AlgoKind::kLinearRegression, 16, 4, 64);
+  ml::DatasetSpec narrow;
+  narrow.dims = 8;
+  narrow.tuples = 64;
+  storage::PageLayout layout;
+  auto table =
+      std::move(ml::BuildShapeTable("narrow", narrow, layout)).ValueOrDie();
+  accel::Accelerator acc(f.udf);
+  auto timed = acc.Time(*table, f.pool.get(), {});
+  ASSERT_FALSE(timed.ok());
+  EXPECT_TRUE(timed.status().IsCorruption()) << timed.status().ToString();
+  auto trained = acc.Train(*table, f.pool.get(), {});
+  ASSERT_FALSE(trained.ok());
+  EXPECT_EQ(trained.status().ToString(), timed.status().ToString());
 }
 
 TEST(AcceleratorTest, InitialModelRespected) {

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "compiler/serialization.h"
 #include "ml/workloads.h"
 #include "runtime/cost_model.h"
 #include "runtime/query.h"
 #include "runtime/systems.h"
+#include "storage/page.h"
 
 namespace dana::runtime {
 namespace {
@@ -250,6 +258,117 @@ TEST(SystemsSmallTest, SegmentSweepShapesLikeFig13) {
                  .ValueOrDie();
   EXPECT_LE(t8.total.nanos(), t4.total.nanos());
   EXPECT_LE(t8.total.nanos(), t16.total.nanos());
+}
+
+// ---------------------------------------------------------------------------
+// Shape instances: timing-only runs price like functional ones
+// ---------------------------------------------------------------------------
+
+/// Batch sizes the equivalence test runs `w` at: 1-4, or 1 and 4 for the
+/// S/E sets, the costliest to train.
+std::vector<uint32_t> EquivalenceBatchSizes(const ml::Workload& w) {
+  if (w.group == ml::WorkloadGroup::kExtensive) return {1, 4};
+  return {1, 2, 3, 4};
+}
+
+/// `w`'s shape table lays out its pages exactly like the generated one, and
+/// the timing-only pass over it reports RunCompiled's times bit for bit —
+/// from every cache state the scheduler's executor prices, at every
+/// EquivalenceBatchSizes batch size.
+void ExpectShapeTimesEqualFunctional(const DanaSystem& dana,
+                                     const ml::Workload& w) {
+  SCOPED_TRACE(w.id);
+  auto full = std::move(WorkloadInstance::Create(w)).ValueOrDie();
+  auto shape = std::move(WorkloadInstance::CreateShape(w)).ValueOrDie();
+  const storage::Table& ft = full->table();
+  const storage::Table& st = shape->table();
+  ASSERT_EQ(st.num_pages(), ft.num_pages());
+  ASSERT_EQ(st.num_tuples(), ft.num_tuples());
+  ASSERT_EQ(st.schema().RowBytes(), ft.schema().RowBytes());
+  for (uint64_t p = 0; p < ft.num_pages(); ++p) {
+    // Page header and line-pointer array: bytes [0, lower).
+    const storage::Page fp(const_cast<uint8_t*>(ft.PageData(p)), ft.layout());
+    const storage::Page sp(const_cast<uint8_t*>(st.PageData(p)), st.layout());
+    ASSERT_EQ(sp.lower(), fp.lower()) << "page " << p;
+    ASSERT_EQ(std::memcmp(st.PageData(p), ft.PageData(p), fp.lower()), 0)
+        << "page " << p;
+  }
+
+  auto full_udf = std::move(dana.Compile(*full)).ValueOrDie();
+  auto shape_udf = std::move(dana.Compile(*shape)).ValueOrDie();
+  for (CacheState cache :
+       {CacheState::kCold, CacheState::kOsCached, CacheState::kWarm}) {
+    for (uint32_t batch : EquivalenceBatchSizes(w)) {
+      SCOPED_TRACE("cache " + std::to_string(static_cast<int>(cache)) +
+                   ", batch " + std::to_string(batch));
+      auto fr =
+          std::move(dana.RunCompiled(full_udf, full.get(), cache, batch))
+              .ValueOrDie();
+      auto tr =
+          std::move(dana.TimeCompiled(shape_udf, shape.get(), cache, batch))
+              .ValueOrDie();
+      EXPECT_EQ(tr.epochs, fr.epochs);
+      EXPECT_EQ(tr.first_epoch.wall.nanos(), fr.first_epoch.wall.nanos());
+      EXPECT_EQ(tr.first_epoch.shared.nanos(), fr.first_epoch.shared.nanos());
+      EXPECT_EQ(tr.first_epoch.per_query.nanos(),
+                fr.first_epoch.per_query.nanos());
+      EXPECT_EQ(tr.steady_epoch.wall.nanos(), fr.steady_epoch.wall.nanos());
+      EXPECT_EQ(tr.steady_epoch.shared.nanos(),
+                fr.steady_epoch.shared.nanos());
+      EXPECT_EQ(tr.steady_epoch.per_query.nanos(),
+                fr.steady_epoch.per_query.nanos());
+      EXPECT_EQ(tr.query_overhead.nanos(), fr.query_overhead.nanos());
+      EXPECT_EQ(tr.epoch_overhead.nanos(), fr.epoch_overhead.nanos());
+      EXPECT_EQ(tr.total.nanos(), fr.total.nanos());
+      EXPECT_EQ(tr.io.nanos(), fr.io.nanos());
+      EXPECT_EQ(tr.compute.nanos(), fr.compute.nanos());
+      // Timing only: no model, no loss.
+      EXPECT_TRUE(tr.model.empty());
+      EXPECT_EQ(tr.loss, 0.0);
+      EXPECT_FALSE(fr.model.empty());
+    }
+  }
+}
+
+/// Every registry workload, with the DanaSystem options the scheduler's
+/// executor prices with (the Table 4 FPGA, two functional epochs). The
+/// functional grid is about 18 s of single-core work, so up to four
+/// threads each take whole workloads, costliest first (generated values
+/// times functional runs); each thread owns its instances and shares only
+/// the const system.
+TEST(ShapeInstanceTest, TimingOnlyEndpointsEqualFunctionalRunsBitForBit) {
+  CpuCostModel cm;
+  DanaSystem::Options options;
+  options.fpga = DefaultFpga();
+  options.functional_epoch_cap = 2;
+  const DanaSystem dana(cm, options);
+  std::vector<const ml::Workload*> order;
+  for (const ml::Workload& w : ml::AllWorkloads()) order.push_back(&w);
+  const auto cost = [](const ml::Workload* w) {
+    return w->tuples * (w->params.dims + 1) * EquivalenceBatchSizes(*w).size();
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const ml::Workload* a, const ml::Workload* b) {
+                     return cost(a) > cost(b);
+                   });
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next++; i < order.size(); i = next++) {
+      ExpectShapeTimesEqualFunctional(dana, *order[i]);
+    }
+  };
+  const unsigned threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < threads; ++t) workers.emplace_back(drain);
+  for (std::thread& worker : workers) worker.join();
+}
+
+TEST(ShapeInstanceTest, ShapeInstanceHasNoDataset) {
+  const ml::Workload* w = ml::FindWorkload("wlan");
+  ASSERT_NE(w, nullptr);
+  auto shape = std::move(WorkloadInstance::CreateShape(*w)).ValueOrDie();
+  EXPECT_DEATH(shape->dataset(), "has no dataset");
 }
 
 // ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ namespace {
 double PaperRatio(const std::string& id) {
   const ml::Workload* w = ml::FindWorkload(id);
   EXPECT_NE(w, nullptr) << id;
-  auto instance = runtime::WorkloadInstance::Create(*w);
+  auto instance = runtime::WorkloadInstance::CreateShape(*w);
   EXPECT_TRUE(instance.ok());
   return (*instance)->PoolSizeRatio();
 }
@@ -63,7 +63,7 @@ TEST(NormalizedPagesTest, PreservesPaperRatiosScaleFree) {
   // one page, at any resolution.
   const ml::Workload* w = ml::FindWorkload("sn_linear");
   ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
+  auto instance = runtime::WorkloadInstance::CreateShape(*w);
   ASSERT_TRUE(instance.ok());
   for (uint64_t frames : {64ull, 4096ull, 65536ull}) {
     const uint64_t pages = (*instance)->NormalizedPages(frames);
@@ -76,7 +76,7 @@ TEST(NormalizedPagesTest, PreservesPaperRatiosScaleFree) {
   // A tiny workload still occupies at least one frame.
   const ml::Workload* tiny = ml::FindWorkload("wlan");
   ASSERT_NE(tiny, nullptr);
-  auto tiny_instance = runtime::WorkloadInstance::Create(*tiny);
+  auto tiny_instance = runtime::WorkloadInstance::CreateShape(*tiny);
   ASSERT_TRUE(tiny_instance.ok());
   EXPECT_GE((*tiny_instance)->NormalizedPages(64), 1u);
 }
@@ -92,7 +92,7 @@ TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
   // footprint resident, the pool's last_table names it.
   const ml::Workload* w = ml::FindWorkload("wlan");
   ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
+  auto instance = runtime::WorkloadInstance::CreateShape(*w);
   ASSERT_TRUE(instance.ok());
   const uint64_t pages = (*instance)->NormalizedPages(4096);
   storage::BufferPool* pool = executor.slot_pool(0);
@@ -119,7 +119,7 @@ TEST(PhysicalPoolTest, TableSweptAloneKeepsAPoolSizedWindow) {
   // quantization — and repeats keep it there.
   const ml::Workload* w = ml::FindWorkload("se_logistic");
   ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
+  auto instance = runtime::WorkloadInstance::CreateShape(*w);
   ASSERT_TRUE(instance.ok());
   const double pages =
       static_cast<double>((*instance)->NormalizedPages(4096));
@@ -227,7 +227,7 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   const ml::Workload* big_w = ml::FindWorkload("se_logistic");
   ASSERT_NE(small_w, nullptr);
   ASSERT_NE(big_w, nullptr);
-  auto big_instance = runtime::WorkloadInstance::Create(*big_w);
+  auto big_instance = runtime::WorkloadInstance::CreateShape(*big_w);
   ASSERT_TRUE(big_instance.ok());
   // Fixture preconditions: the big table overflows the pool and its run
   // spans enough epochs that the second sweep actually happens.
@@ -243,7 +243,7 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   // Replay the charged sweep sequence on a bare pool of the executor's
   // exact geometry: one pass of the small table (one epoch, one sweep),
   // two of the oversized one.
-  auto small_instance = runtime::WorkloadInstance::Create(*small_w);
+  auto small_instance = runtime::WorkloadInstance::CreateShape(*small_w);
   ASSERT_TRUE(small_instance.ok());
   const uint64_t small_pages = (*small_instance)->NormalizedPages(4096);
   const uint64_t big_pages = (*big_instance)->NormalizedPages(4096);
@@ -283,7 +283,7 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
 TEST(MultiEpochSliceTest, FittingTableSecondSweepIsANoOp) {
   const ml::Workload* w = ml::FindWorkload("sn_linear");
   ASSERT_NE(w, nullptr);
-  auto instance = runtime::WorkloadInstance::Create(*w);
+  auto instance = runtime::WorkloadInstance::CreateShape(*w);
   ASSERT_TRUE(instance.ok());
   ASSERT_LT((*instance)->PoolSizeRatio(), 1.0);
   ASSERT_GE(w->params.epochs, 2u);

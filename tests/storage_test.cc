@@ -257,6 +257,48 @@ TEST(TableTest, PagesValidateAsPostgresPages) {
   }
 }
 
+TEST(TableTest, ZeroRowsPlaceTuplesLikeAppendRow) {
+  // A shape table is the real table with its payload zeroed: same pages,
+  // and every byte outside the payloads (header, line pointers, tuple
+  // headers) equal.
+  Table real("t", Schema::Dense(100), SmallLayout());
+  Table shape("t", Schema::Dense(100), SmallLayout());
+  Rng rng(7);
+  const uint32_t n = SmallLayout().TuplesPerPage(101 * 4) * 3 + 1;
+  std::vector<double> row(101);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (double& v : row) v = rng.Gaussian();
+    ASSERT_TRUE(real.AppendRow(row).ok());
+  }
+  ASSERT_TRUE(shape.AppendZeroRows(n).ok());
+  ASSERT_EQ(shape.num_pages(), real.num_pages());
+  ASSERT_EQ(shape.num_tuples(), real.num_tuples());
+  const PageLayout layout = SmallLayout();
+  for (uint64_t p = 0; p < real.num_pages(); ++p) {
+    std::vector<uint8_t> masked(real.PageData(p),
+                                real.PageData(p) + layout.page_size);
+    Page page(masked.data(), layout);
+    ASSERT_EQ(page.ItemCount(), shape.TuplesOnPage(p));
+    for (uint32_t slot = 0; slot < page.ItemCount(); ++slot) {
+      auto item = page.GetItemId(slot);
+      ASSERT_TRUE(item.ok());
+      const auto [off, len] = *item;
+      std::memset(masked.data() + off + layout.tuple_header_size, 0,
+                  len - layout.tuple_header_size);
+    }
+    EXPECT_EQ(std::memcmp(masked.data(), shape.PageData(p),
+                          layout.page_size),
+              0)
+        << "page " << p;
+  }
+}
+
+TEST(TableTest, ZeroRowsTooWideForPageFail) {
+  Table t("t", Schema::Dense(4000), SmallLayout());  // 16 KB rows, 8 KB page
+  EXPECT_FALSE(t.AppendZeroRows(1).ok());
+  EXPECT_EQ(t.num_tuples(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // BufferPool
 // ---------------------------------------------------------------------------
