@@ -23,7 +23,8 @@ Result<runtime::WorkloadInstance*> Harness::Instance(const std::string& id) {
   if (w == nullptr) {
     return Status::NotFound("unknown workload '" + id + "'");
   }
-  DANA_ASSIGN_OR_RETURN(auto instance, runtime::WorkloadInstance::Create(*w));
+  DANA_ASSIGN_OR_RETURN(auto instance,
+                        runtime::WorkloadInstance::CreateShape(*w));
   auto* ptr = instance.get();
   instances_[id] = std::move(instance);
   return ptr;
@@ -70,7 +71,7 @@ Result<runtime::SystemResult> Harness::RunDanaCompiled(
   runtime::DanaSystem::Options options = dana_options();
   options.run = run_overrides;
   runtime::DanaSystem dana(cost_, options);
-  return dana.RunCompiled(udf, instance, cache);
+  return dana.TimeCompiled(udf, instance, cache);
 }
 
 Status Harness::RunSpeedupFigure(const std::vector<ml::Workload>& workloads,

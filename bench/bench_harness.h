@@ -14,20 +14,24 @@ namespace dana::bench {
 
 /// Shared machinery for the figure/table reproduction binaries.
 ///
-/// Caches one WorkloadInstance (dataset + table + pool) and one compiled
+/// Caches one shape WorkloadInstance (WorkloadInstance::CreateShape: the
+/// table's layout and pools, no generated dataset) and one compiled
 /// accelerator per workload so that a bench binary sweeping many
-/// configurations pays dataset generation and UDF compilation once.
+/// configurations builds each table and compiles each UDF once. Every
+/// run here is timing only: the simulated times depend on the page layout
+/// alone, so they equal a full instance's bit for bit.
 ///
 /// Timing extrapolation: workloads assume `assumed_epochs` passes; the
-/// harness runs up to two functional epochs (the first epoch captures
-/// cold-cache I/O, the second the steady state) and extrapolates the wall
-/// time linearly — exact because every per-epoch cost in the simulator is
+/// harness simulates up to two epochs (the first epoch captures cold-cache
+/// I/O, the second the steady state) and extrapolates the wall time
+/// linearly — exact because every per-epoch cost in the simulator is
 /// count-linear.
 class Harness {
  public:
   Harness();
 
-  /// The instance for a workload id (creating it on first use).
+  /// The shape instance for a workload id (creating it on first use); it
+  /// has no dataset().
   dana::Result<runtime::WorkloadInstance*> Instance(const std::string& id);
 
   /// The compiled accelerator for a workload id (default DAnA options).
@@ -43,7 +47,10 @@ class Harness {
                                             runtime::CacheState cache,
                                             uint32_t segments = 8);
 
-  /// DAnA+PostgreSQL; `run_overrides` tweaks bandwidth/bypass etc.
+  /// DAnA+PostgreSQL timing (DanaSystem::TimeCompiled: no functional
+  /// training, so `model` is empty and `loss` 0); `run_overrides` tweaks
+  /// bandwidth/bypass etc. A workload with a convergence test fails with
+  /// TimeCompiled's FailedPrecondition.
   dana::Result<runtime::SystemResult> RunDana(
       const std::string& id, runtime::CacheState cache,
       const accel::RunOptions& run_overrides = {});

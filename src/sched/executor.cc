@@ -320,8 +320,9 @@ namespace {
 constexpr uint32_t kSharedPoolPageSize = 32 * 1024;
 
 /// Normalizes option combinations before any member reads them: at least
-/// one pool frame, and the OS tier exists only under an evicting policy —
-/// clock is the pinned legacy hierarchy (admit-until-full OS set), so
+/// one pool frame, and the OS tier exists only under an evicting policy.
+/// The shared slot pools are swept data-free, and a clock sweep never
+/// consults its (inclusive, admit-until-full) OS tier, so under clock
 /// `os_frames` is forced off rather than silently priced as a tier the
 /// pools don't run.
 DanaQueryExecutor::Options NormalizeExecOptions(
@@ -329,14 +330,6 @@ DanaQueryExecutor::Options NormalizeExecOptions(
   o.pool_frames = std::max<uint64_t>(o.pool_frames, 1);
   if (o.eviction == storage::EvictionKind::kClock) o.os_frames = 0;
   return o;
-}
-
-/// OS-tier byte capacity for the shared slot pools. Clock keeps the
-/// unlimited legacy admit-until-full set (seed behaviour bit for bit);
-/// evicting policies get exactly the configured tier, 0 disabling it.
-uint64_t SharedPoolOsBytes(const DanaQueryExecutor::Options& o) {
-  if (o.eviction == storage::EvictionKind::kClock) return UINT64_MAX;
-  return o.os_frames * kSharedPoolPageSize;
 }
 }  // namespace
 
@@ -347,7 +340,8 @@ DanaQueryExecutor::DanaQueryExecutor(Options options)
       system_(cost_model_, MakeSystemOptions(options.functional_epoch_cap)),
       slot_pools_(options_.pool_frames * kSharedPoolPageSize,
                   kSharedPoolPageSize, storage::DiskModel{},
-                  SharedPoolOsBytes(options_), options_.eviction) {}
+                  options_.os_frames * kSharedPoolPageSize,
+                  options_.eviction) {}
 
 Result<WorkloadHandle> DanaQueryExecutor::Resolve(
     const std::string& workload_id) {

@@ -10,21 +10,36 @@ namespace dana::storage {
 
 namespace {
 
-/// Whether a pool policy's cursor demotes into the evicting OS/SSD tiers:
-/// lru and promotional do; clock keeps the legacy OS set, which touches
-/// skip.
+/// Whether a pool policy's cursor demotes into the OS tier, which is then
+/// exclusive and evicting: lru and promotional do. Clock's OS tier is
+/// inclusive and admit-until-full, and touches skip it.
 template <typename Cursor>
 constexpr bool kTiered = !std::is_same_v<Cursor, ClockEvictionPolicy::Cursor>;
 
 /// Longest miss extent, in pages: victims_ holds one extent at a time.
 constexpr uint64_t kMaxExtent = 4096;
 
+/// OS-tier pages for `os_cache_bytes` (BufferPool's constructor
+/// semantics): an unlimited tier only under clock, which admits until
+/// full; evicting tiers need a finite capacity.
+uint64_t OsTierPages(uint64_t os_cache_bytes, uint32_t page_size,
+                     EvictionKind eviction) {
+  if (os_cache_bytes == UINT64_MAX) {
+    return eviction == EvictionKind::kClock ? UINT64_MAX : 0;
+  }
+  if (os_cache_bytes == 0) return 0;
+  return std::max<uint64_t>(1, os_cache_bytes / page_size);
+}
+
 }  // namespace
 
 BufferPool::BufferPool(uint64_t capacity_bytes, uint32_t page_size,
                        DiskModel disk, uint64_t os_cache_bytes,
-                       EvictionKind eviction, uint64_t ssd_cache_bytes)
-    : page_size_(page_size), disk_(disk), eviction_(eviction) {
+                       EvictionKind eviction)
+    : page_size_(page_size),
+      disk_(disk),
+      eviction_(eviction),
+      os_tier_(eviction, OsTierPages(os_cache_bytes, page_size, eviction)) {
   uint64_t n = capacity_bytes / page_size;
   if (n == 0) n = 1;
   frames_.resize(n);
@@ -38,27 +53,6 @@ BufferPool::BufferPool(uint64_t capacity_bytes, uint32_t page_size,
     case EvictionKind::kPromotional:
       pool_promotional_ = std::make_unique<PromotionalEvictionPolicy>(n);
       break;
-  }
-  if (eviction_ == EvictionKind::kClock) {
-    // Legacy OS set: UINT64_MAX = unlimited, 0 = disabled.
-    if (os_cache_bytes == 0) {
-      os_cache_pages_ = 0;
-    } else if (os_cache_bytes != UINT64_MAX) {
-      os_cache_pages_ = std::max<uint64_t>(1, os_cache_bytes / page_size);
-    }
-  } else {
-    // Evicting tiers need a finite capacity; the legacy "unlimited"
-    // default means no OS tier here.
-    const uint64_t os_pages =
-        (os_cache_bytes == UINT64_MAX || os_cache_bytes == 0)
-            ? 0
-            : std::max<uint64_t>(1, os_cache_bytes / page_size);
-    os_tier_ = PageTier(eviction_, os_pages);
-    const uint64_t ssd_pages =
-        ssd_cache_bytes == 0
-            ? 0
-            : std::max<uint64_t>(1, ssd_cache_bytes / page_size);
-    ssd_tier_ = PageTier(eviction_, ssd_pages);
   }
 }
 
@@ -77,36 +71,6 @@ decltype(auto) BufferPool::WithCursor(Fn&& fn) {
       break;
   }
   return open(*pool_promotional_);
-}
-
-void BufferPool::DemoteToOs(const Key& key) {
-  PageKey displaced;
-  if (os_tier_.Insert(key, &displaced)) {
-    ++stats_.os_evictions;
-    if (ssd_tier_.enabled() && ssd_tier_.Insert(displaced, nullptr)) {
-      ++stats_.ssd_evictions;
-    }
-  }
-}
-
-bool BufferPool::OsCached(const Key& key) const {
-  if (key.table_id >= os_cached_.size()) return false;
-  const std::vector<uint64_t>& bits = os_cached_[key.table_id];
-  const uint64_t word = key.page_no / 64;
-  return word < bits.size() && ((bits[word] >> (key.page_no % 64)) & 1) != 0;
-}
-
-void BufferPool::AdmitOsCached(const Key& key) {
-  if (key.table_id >= os_cached_.size()) {
-    os_cached_.resize(key.table_id + 1);
-    os_per_table_.resize(key.table_id + 1, 0);
-  }
-  std::vector<uint64_t>& bits = os_cached_[key.table_id];
-  const uint64_t word = key.page_no / 64;
-  if (word >= bits.size()) bits.resize(word + 1, 0);
-  bits[word] |= uint64_t{1} << (key.page_no % 64);
-  ++os_cached_count_;
-  ++os_per_table_[key.table_id];
 }
 
 Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
@@ -140,42 +104,26 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   // Sequential-scan misses amortize request latency over read-ahead chunks;
   // SeqReadTime of one page accounts for its bandwidth share plus its share
   // of a read-ahead request. Re-reads of OS-cache-resident pages skip the
-  // device and pay a kernel memory copy instead; SSD-tier pages pay the
-  // capacity device's bandwidth.
-  if (eviction_ == EvictionKind::kClock) {
-    if (OsCached(key)) {
-      ++stats_.os_hits;
-      stats_.io_time += dana::SimTime::Seconds(
-          static_cast<double>(page_size_) / disk_.os_cache_bw);
-    } else {
-      ++stats_.os_misses;
-      stats_.io_time +=
-          dana::SimTime::Seconds(static_cast<double>(page_size_) /
-                                 disk_.seq_read_bw) +
-          disk_.request_latency /
-              static_cast<double>(disk_.readahead_pages);
-      if (os_cached_count_ < os_cache_pages_) {
-        AdmitOsCached(key);
-        ++version_;
-      }
-    }
-  } else if (os_tier_.Erase(key)) {
-    // Exclusive hierarchy: the OS-tier hit promotes into the pool.
+  // device and pay a kernel memory copy instead.
+  const bool inclusive = eviction_ == EvictionKind::kClock;
+  // An inclusive (clock) OS tier keeps a hit page; an exclusive one
+  // promotes it into the pool.
+  if (inclusive ? os_tier_.Contains(key) : os_tier_.Erase(key)) {
     ++stats_.os_hits;
     stats_.io_time += dana::SimTime::Seconds(
         static_cast<double>(page_size_) / disk_.os_cache_bw);
   } else {
-    if (os_tier_.enabled()) ++stats_.os_misses;
-    if (ssd_tier_.Erase(key)) {
-      ++stats_.ssd_hits;
-      stats_.io_time += dana::SimTime::Seconds(
-          static_cast<double>(page_size_) / disk_.ssd_read_bw);
-    } else {
-      stats_.io_time +=
-          dana::SimTime::Seconds(static_cast<double>(page_size_) /
-                                 disk_.seq_read_bw) +
-          disk_.request_latency /
-              static_cast<double>(disk_.readahead_pages);
+    // Clock counts an OS miss even with no OS tier, as the seed pools did.
+    if (inclusive || os_tier_.enabled()) ++stats_.os_misses;
+    stats_.io_time +=
+        dana::SimTime::Seconds(static_cast<double>(page_size_) /
+                               disk_.seq_read_bw) +
+        disk_.request_latency / static_cast<double>(disk_.readahead_pages);
+    // The page read from disk enters an inclusive tier with room; an
+    // exclusive tier only receives pool victims.
+    if (inclusive && !os_tier_.full()) {
+      os_tier_.Insert(key);
+      ++version_;
     }
   }
 
@@ -206,7 +154,7 @@ uint64_t BufferPool::Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
       ++p;
       continue;
     }
-    if (resident_frames_ == frames_.size() && !ssd_tier_.enabled()) {
+    if (resident_frames_ == frames_.size()) {
       p = MissExtent(pool, table_id, p, last, slots);
       continue;
     }
@@ -217,9 +165,8 @@ uint64_t BufferPool::Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
     if constexpr (kTiered<Cursor>) {
       if (os_tier_.Erase(key)) {
         ++stats_.os_hits;
-      } else {
-        if (os_tier_.enabled()) ++stats_.os_misses;
-        if (ssd_tier_.Erase(key)) ++stats_.ssd_hits;
+      } else if (os_tier_.enabled()) {
+        ++stats_.os_misses;
       }
     }
     const size_t idx = AllocFrame(pool);
@@ -335,10 +282,7 @@ uint64_t BufferPool::tier_resident_frames(size_t tier) const {
     case kPoolTier:
       return resident_frames_;
     case kOsTier:
-      return eviction_ == EvictionKind::kClock ? os_cached_count_
-                                               : os_tier_.resident();
-    case kSsdTier:
-      return ssd_tier_.resident();
+      return os_tier_.resident();
   }
   return 0;
 }
@@ -349,12 +293,7 @@ uint64_t BufferPool::tier_resident_frames(size_t tier,
     case kPoolTier:
       return resident_frames(table_id);
     case kOsTier:
-      if (eviction_ == EvictionKind::kClock) {
-        return table_id < os_per_table_.size() ? os_per_table_[table_id] : 0;
-      }
       return os_tier_.resident(table_id);
-    case kSsdTier:
-      return ssd_tier_.resident(table_id);
   }
   return 0;
 }
@@ -385,7 +324,9 @@ inline size_t BufferPool::AllocFrame(Cursor& pool) {
   index_.Erase(victim);
   --per_table_frames_[f.table_id];
   ++stats_.evictions;
-  if constexpr (kTiered<Cursor>) DemoteToOs(victim);
+  if constexpr (kTiered<Cursor>) {
+    if (os_tier_.Insert(victim)) ++stats_.os_evictions;
+  }
   return idx;
 }
 
@@ -431,32 +372,21 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
 
 void BufferPool::MarkOsCached(const Table& table) {
   const uint32_t tid = InternTable(table.name());
+  const bool inclusive = eviction_ == EvictionKind::kClock;
   bool changed = false;
-  if (eviction_ == EvictionKind::kClock) {
-    for (uint64_t p = 0; p < table.num_pages(); ++p) {
-      if (os_cached_count_ >= os_cache_pages_) break;
-      const Key key{tid, p};
-      if (!OsCached(key)) {
-        AdmitOsCached(key);
-        changed = true;
-      }
-    }
-  } else if (os_tier_.enabled()) {
-    for (uint64_t p = 0; p < table.num_pages(); ++p) {
-      const Key key{tid, p};
+  for (uint64_t p = 0; p < table.num_pages() && os_tier_.enabled(); ++p) {
+    const Key key{tid, p};
+    if (inclusive) {
+      // Admit-until-full: the tier takes new pages while it has room.
+      if (os_tier_.full()) break;
+      if (os_tier_.Contains(key)) continue;
+    } else if (index_.Contains(key)) {
       // Exclusive tiers: pages the pool already holds stay out of the OS
-      // tier; the rest stream in, displacing victims down the cascade.
-      if (index_.Contains(key)) continue;
-      PageKey displaced;
-      if (os_tier_.Insert(key, &displaced)) {
-        ++stats_.os_evictions;
-        if (ssd_tier_.enabled()) {
-          PageKey dropped;
-          if (ssd_tier_.Insert(displaced, &dropped)) ++stats_.ssd_evictions;
-        }
-      }
-      changed = true;
+      // tier; the rest stream in, displacing the tier's victims.
+      continue;
     }
+    if (os_tier_.Insert(key)) ++stats_.os_evictions;
+    changed = true;
   }
   // OS-tier contents are pricing state: memoized sweeps must not survive
   // a tier reshape they did not see.
@@ -477,13 +407,7 @@ double BufferPool::ResidentFraction(const Table& table) const {
 
 void BufferPool::Clear() {
   index_.Clear();
-  for (std::vector<uint64_t>& bits : os_cached_) {
-    std::fill(bits.begin(), bits.end(), 0);
-  }
-  os_cached_count_ = 0;
-  os_per_table_.assign(os_per_table_.size(), 0);
   os_tier_.Clear();
-  ssd_tier_.Clear();
   fill_cursor_ = 0;
   switch (eviction_) {
     case EvictionKind::kClock:
@@ -506,24 +430,20 @@ void BufferPool::Clear() {
 BufferPoolGroup::BufferPoolGroup(uint64_t capacity_bytes_per_pool,
                                  uint32_t page_size, DiskModel disk,
                                  uint64_t os_cache_bytes_per_pool,
-                                 EvictionKind eviction,
-                                 uint64_t ssd_cache_bytes_per_pool)
+                                 EvictionKind eviction)
     : capacity_bytes_(capacity_bytes_per_pool),
       page_size_(page_size),
       disk_(disk),
       os_cache_bytes_(os_cache_bytes_per_pool),
-      eviction_(eviction),
-      ssd_cache_bytes_(ssd_cache_bytes_per_pool) {
+      eviction_(eviction) {
   Resize(1);
 }
 
 void BufferPoolGroup::Resize(size_t n) {
   if (n == 0) n = 1;
   while (pools_.size() < n) {
-    pools_.push_back(std::make_unique<BufferPool>(capacity_bytes_, page_size_,
-                                                  disk_, os_cache_bytes_,
-                                                  eviction_,
-                                                  ssd_cache_bytes_));
+    pools_.push_back(std::make_unique<BufferPool>(
+        capacity_bytes_, page_size_, disk_, os_cache_bytes_, eviction_));
   }
 }
 
@@ -542,8 +462,6 @@ BufferPoolStats BufferPoolGroup::Rollup() const {
     total.os_hits += s.os_hits;
     total.os_misses += s.os_misses;
     total.os_evictions += s.os_evictions;
-    total.ssd_hits += s.ssd_hits;
-    total.ssd_evictions += s.ssd_evictions;
     total.io_time += s.io_time;
   }
   return total;
@@ -575,8 +493,7 @@ void BufferPool::PublishTo(obs::MetricRegistry* metrics,
   obs::SetGauge(metrics, prefix + ".resident_frames",
                 static_cast<double>(resident_frames_));
   // Per-tier view: tier0 is the pool itself, tier1 the OS page-cache
-  // tier, tier2 the optional SSD capacity tier (published only when
-  // enabled, so a given configuration always emits the same gauge set).
+  // tier.
   obs::SetGauge(metrics, prefix + ".tier0.hits",
                 static_cast<double>(stats_.hits));
   obs::SetGauge(metrics, prefix + ".tier0.evictions",
@@ -591,14 +508,6 @@ void BufferPool::PublishTo(obs::MetricRegistry* metrics,
                 static_cast<double>(stats_.os_evictions));
   obs::SetGauge(metrics, prefix + ".tier1.resident_frames",
                 static_cast<double>(tier_resident_frames(kOsTier)));
-  if (ssd_tier_.enabled()) {
-    obs::SetGauge(metrics, prefix + ".tier2.hits",
-                  static_cast<double>(stats_.ssd_hits));
-    obs::SetGauge(metrics, prefix + ".tier2.evictions",
-                  static_cast<double>(stats_.ssd_evictions));
-    obs::SetGauge(metrics, prefix + ".tier2.resident_frames",
-                  static_cast<double>(ssd_tier_.resident()));
-  }
 }
 
 void BufferPoolGroup::PublishTo(obs::MetricRegistry* metrics,

@@ -18,10 +18,10 @@
 namespace dana::storage {
 
 /// Hit/miss statistics of a BufferPool, per tier. `hits`/`misses`/
-/// `evictions` are the buffer-pool (tier 0) counters; the `os_*`/`ssd_*`
-/// fields cover the modeled kernel page cache (tier 1) and the optional
-/// SSD capacity tier (tier 2): an `os_hit` is a pool miss served at
-/// OS-cache speed, an `os_miss` is a pool miss the OS tier did not hold.
+/// `evictions` are the buffer-pool (tier 0) counters; the `os_*` fields
+/// cover the modeled kernel page cache (tier 1): an `os_hit` is a pool miss
+/// served at OS-cache speed, an `os_miss` is a pool miss the OS tier did
+/// not hold.
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -29,8 +29,6 @@ struct BufferPoolStats {
   uint64_t os_hits = 0;
   uint64_t os_misses = 0;
   uint64_t os_evictions = 0;
-  uint64_t ssd_hits = 0;
-  uint64_t ssd_evictions = 0;
   /// Accumulated simulated disk time spent servicing misses.
   dana::SimTime io_time;
 
@@ -40,16 +38,17 @@ struct BufferPoolStats {
   }
 };
 
-/// Fixed-capacity page cache at the top of an explicit tier hierarchy:
+/// Fixed-capacity page cache over the modeled kernel page cache — the
+/// paper's shared_buffers above RAM:
 ///
 ///   tier 0: buffer pool frames (this class's frames_), victim selection
-///           delegated to an EvictionPolicy (clock / lru / promotional);
-///   tier 1: modeled kernel page cache — under clock this is the legacy
-///           admit-until-full `os_cached_` page set (bit-compatible with
-///           the seed pools); under lru/promotional it is an evicting,
-///           *exclusive* PageTier that pool victims demote into;
-///   tier 2: optional SSD-style capacity tier (lru/promotional only) that
-///           OS-tier victims cascade into before dropping to disk.
+///           delegated to a clock / lru / promotional policy;
+///   tier 1: the OS page cache, one PageTier of the pool's EvictionKind.
+///           Under clock it is *inclusive* and admit-until-full: every
+///           page read from disk is admitted while the tier has room, and
+///           nothing ever leaves it (bit-compatible with the seed pools).
+///           Under lru/promotional it is *exclusive* and evicting: pool
+///           victims demote into it, and an OS hit promotes the page back.
 ///
 /// This is the structure Striders interface with in the paper (Figure 2):
 /// the RDBMS executor fills the pool from disk and the FPGA reads resident
@@ -84,21 +83,17 @@ class BufferPool {
   /// Tier indices for the per-tier accessors and `tier<j>.*` gauges.
   static constexpr size_t kPoolTier = 0;
   static constexpr size_t kOsTier = 1;
-  static constexpr size_t kSsdTier = 2;
 
   /// Pool of `capacity_bytes / page_size` frames; `disk` supplies miss
   /// costs. Misses for pages held by the OS tier are served at the
   /// OS-page-cache rate instead of disk speed, modeling the kernel cache
-  /// above the pool. `os_cache_bytes` semantics: UINT64_MAX keeps the
-  /// legacy unlimited set under clock (and disables the tier under
-  /// lru/promotional, which need a finite capacity); 0 disables the tier;
-  /// anything else caps it at that many bytes of distinct pages.
-  /// `ssd_cache_bytes > 0` adds the capacity tier below the OS tier
-  /// (effective under lru/promotional, where demotions cascade).
+  /// below the pool. `os_cache_bytes` semantics: UINT64_MAX is an unlimited
+  /// tier under clock (and disables the tier under lru/promotional, which
+  /// need a finite capacity); 0 disables the tier; anything else caps it at
+  /// that many bytes of distinct pages.
   BufferPool(uint64_t capacity_bytes, uint32_t page_size, DiskModel disk,
              uint64_t os_cache_bytes = UINT64_MAX,
-             EvictionKind eviction = EvictionKind::kClock,
-             uint64_t ssd_cache_bytes = 0);
+             EvictionKind eviction = EvictionKind::kClock);
 
   /// Pool sized directly in frames — the shared per-slot residency pools
   /// are specified this way (scale-normalized units, not bytes).
@@ -107,15 +102,13 @@ class BufferPool {
     return BufferPool(frames * static_cast<uint64_t>(page_size), page_size,
                       disk);
   }
-  /// Frame-sized pool with an explicit policy and tier shape; `os_frames`
-  /// and `ssd_frames` of 0 disable the respective tier.
+  /// Frame-sized pool with an explicit policy and OS tier; `os_frames` of
+  /// 0 disables the tier.
   static BufferPool SizedInFrames(uint64_t frames, uint32_t page_size,
                                   DiskModel disk, EvictionKind eviction,
-                                  uint64_t os_frames,
-                                  uint64_t ssd_frames = 0) {
+                                  uint64_t os_frames) {
     const uint64_t ps = page_size;
-    return BufferPool(frames * ps, page_size, disk, os_frames * ps, eviction,
-                      ssd_frames * ps);
+    return BufferPool(frames * ps, page_size, disk, os_frames * ps, eviction);
   }
 
   /// Dense id of logical table `name` in this pool, interning it on first
@@ -138,8 +131,8 @@ class BufferPool {
   /// charged (the caller prices I/O from measured service profiles; the
   /// pool's job here is to be the occupancy/eviction ground truth).
   /// Hit/miss/eviction counters still advance. Under lru/promotional a
-  /// miss consults the lower tiers: an OS/SSD-tier hit promotes the page
-  /// into the pool and the displaced victim demotes down the hierarchy.
+  /// miss consults the OS tier: an OS hit promotes the page into the pool
+  /// and the displaced victim demotes into the tier.
   /// Returns true on a (pool) hit.
   bool TouchPage(uint32_t table_id, uint64_t page_no);
   bool TouchPage(const std::string& table, uint64_t page_no) {
@@ -160,8 +153,8 @@ class BufferPool {
   /// run of reference bits at once; LRU splices a recency run), then
   /// demotes them into the OS tier in one pass, with each index row looked
   /// up once per run of one table's pages. Hits stay per page but only
-  /// extend the pending recency run. Pools with an SSD tier, and a pool
-  /// still filling, take the per-page path.
+  /// extend the pending recency run. A pool still filling takes the
+  /// per-page path.
   void ScanTable(uint32_t table_id, uint64_t pages);
   void ScanTable(const std::string& table, uint64_t pages) {
     ScanTable(InternTable(table), pages);
@@ -176,9 +169,9 @@ class BufferPool {
   }
 
   /// Fraction of a `pages`-page logical table held by `tier`
-  /// (kPoolTier/kOsTier/kSsdTier), clamped to [0, 1]. Under lru/promotional
-  /// the tiers are exclusive, so the per-tier shares of one table sum to at
-  /// most 1; under clock the legacy OS set is inclusive of the pool.
+  /// (kPoolTier/kOsTier), clamped to [0, 1]. Under lru/promotional the
+  /// tiers are exclusive, so the per-tier shares of one table sum to at
+  /// most 1; under clock the OS tier is inclusive of the pool.
   double TierResidentShare(size_t tier, uint32_t table_id,
                            uint64_t pages) const;
   double TierResidentShare(size_t tier, const std::string& table,
@@ -193,10 +186,9 @@ class BufferPool {
   void Prewarm(const Table& table, double fraction = 1.0);
 
   /// Marks `table`'s pages resident in the OS page cache without touching
-  /// the pool: a prior query streamed them. Under clock this is the legacy
-  /// admit-until-full set; under lru/promotional the tier evicts, so a
-  /// saturated tier rotates pages in (and cascades victims to the SSD
-  /// tier). Bumps version(): the OS tier is pricing state.
+  /// the pool: a prior query streamed them. Under clock the tier admits
+  /// them until full; under lru/promotional it evicts, so a saturated tier
+  /// rotates pages in. Bumps version(): the OS tier is pricing state.
   void MarkOsCached(const Table& table);
 
   /// Fraction of `table` currently resident.
@@ -226,19 +218,12 @@ class BufferPool {
   }
 
   /// Pages currently held by `tier`: tier 0 is resident_frames(), tier 1
-  /// the OS page-cache tier, tier 2 the SSD capacity tier.
+  /// the OS page-cache tier.
   uint64_t tier_resident_frames(size_t tier) const;
   /// The per-table partition of tier_resident_frames(tier).
   uint64_t tier_resident_frames(size_t tier, uint32_t table_id) const;
   uint64_t tier_resident_frames(size_t tier, const std::string& table) const {
     return tier_resident_frames(tier, names_.Find(table));
-  }
-
-  EvictionKind eviction() const { return eviction_; }
-  /// Capacity of the OS tier in pages (UINT64_MAX = unlimited legacy set).
-  uint64_t os_cache_pages() const {
-    return eviction_ == EvictionKind::kClock ? os_cache_pages_
-                                             : os_tier_.capacity();
   }
 
   /// Name of the table the pool most recently served (FetchPage, TouchPage,
@@ -252,7 +237,7 @@ class BufferPool {
   }
 
   /// Monotone counter bumped whenever cached contents change in *any*
-  /// tier — a page install, a Clear, or an OS/SSD-tier mutation
+  /// tier — a page install, a Clear, or an OS-tier mutation
   /// (MarkOsCached, the Fetch-path OS admission). Two reads returning the
   /// same value bracket a window in which every tier held the same pages
   /// in the same replacement order — pure hits set bits that were already
@@ -266,9 +251,8 @@ class BufferPool {
 
   /// Publishes this pool's counters and occupancy as gauges under
   /// `<prefix>.` (hits, misses, evictions, hit_rate, io_time_s,
-  /// resident_frames) plus per-tier gauges under `<prefix>.tier<j>.*`
-  /// (tier 2 only when the SSD tier is enabled); a null registry is a
-  /// no-op.
+  /// resident_frames) plus per-tier gauges under `<prefix>.tier<j>.*`; a
+  /// null registry is a no-op.
   void PublishTo(obs::MetricRegistry* metrics,
                  const std::string& prefix) const;
 
@@ -278,8 +262,8 @@ class BufferPool {
     uint32_t table_id = dana::Interner::kInvalidId;
     uint64_t page_no = 0;
   };
-  /// Page identity: interned table id + page number (shared with the
-  /// lower tiers).
+  /// Page identity: interned table id + page number (shared with the OS
+  /// tier).
   using Key = PageKey;
 
   /// Pool-tier policy dispatch: calls `fn(cursor)` with a cursor (the
@@ -292,15 +276,14 @@ class BufferPool {
 
   /// Data-less touches of pages [first, last) of `table_id` in order, each
   /// with TouchPage's semantics; returns the number of pool hits. Misses go
-  /// through MissExtent when the pool is full and has no SSD tier, else
-  /// one page at a time. TouchPage is the one-page sweep.
+  /// through MissExtent when the pool is full, else one page at a time.
+  /// TouchPage is the one-page sweep.
   template <typename Cursor>
   uint64_t Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
                  uint64_t last);
 
   /// Pool misses of pages [first, e) of `table_id` that the OS tier either
-  /// all holds or all lacks, with the pool full and the SSD tier off;
-  /// returns e (> first). The pool side runs first, then the victims demote
+  /// all holds or all lacks, with the pool full; returns e (> first). The pool side runs first, then the victims demote
   /// in the same order. The extent ends before any page of its own that it
   /// evicts, so no demotion changes how a later page of it classifies, and
   /// the result is the per-page one.
@@ -326,15 +309,6 @@ class BufferPool {
   /// data.
   const uint8_t* LoadImage(size_t idx, const uint8_t* src);
 
-  /// Demotes an evicted pool page into the OS tier, cascading that tier's
-  /// victim into the SSD tier (lru/promotional only).
-  void DemoteToOs(const Key& key);
-
-  /// Clock mode only: whether the legacy OS set holds `key`, and its
-  /// admission (the caller checks membership and capacity first).
-  bool OsCached(const Key& key) const;
-  void AdmitOsCached(const Key& key);
-
   uint32_t page_size_;
   DiskModel disk_;
   EvictionKind eviction_ = EvictionKind::kClock;
@@ -355,17 +329,8 @@ class BufferPool {
   std::vector<uint64_t> per_table_frames_;
   uint32_t last_table_id_ = dana::Interner::kInvalidId;
   uint64_t version_ = 0;
-  /// Clock mode only: the legacy admit-until-full OS page-cache set
-  /// (bit-compatible with the seed pools) as one bitmap per table indexed
-  /// by page number, its size, and its per-table partition.
-  std::vector<std::vector<uint64_t>> os_cached_;
-  uint64_t os_cached_count_ = 0;
-  std::vector<uint64_t> os_per_table_;
-  uint64_t os_cache_pages_ = UINT64_MAX;
-  /// lru/promotional: the evicting OS and SSD tiers (exclusive of the
-  /// pool; disabled tiers have capacity 0).
+  /// The OS page-cache tier (capacity 0 when disabled).
   PageTier os_tier_;
-  PageTier ssd_tier_;
   /// MissExtent's working buffer: the pool victims of the current extent.
   std::vector<PageKey> victims_;
 };
@@ -383,12 +348,11 @@ class BufferPool {
 class BufferPoolGroup {
  public:
   /// Sizing template applied to every pool in the group; `Resize` creates
-  /// new pools from it on demand. `eviction` and the tier capacities have
-  /// BufferPool's constructor semantics.
+  /// new pools from it on demand. `eviction` and the OS tier capacity
+  /// have BufferPool's constructor semantics.
   BufferPoolGroup(uint64_t capacity_bytes_per_pool, uint32_t page_size,
                   DiskModel disk, uint64_t os_cache_bytes_per_pool = UINT64_MAX,
-                  EvictionKind eviction = EvictionKind::kClock,
-                  uint64_t ssd_cache_bytes_per_pool = 0);
+                  EvictionKind eviction = EvictionKind::kClock);
 
   /// Grows (never shrinks below 1) the group to `n` pools; existing pools
   /// keep their cached state.
@@ -425,7 +389,6 @@ class BufferPoolGroup {
   DiskModel disk_;
   uint64_t os_cache_bytes_;
   EvictionKind eviction_;
-  uint64_t ssd_cache_bytes_;
   std::vector<std::unique_ptr<BufferPool>> pools_;
 };
 

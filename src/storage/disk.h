@@ -18,10 +18,6 @@ struct DiskModel {
   /// cache (kernel memory copy); re-scans of tables that fit in RAM run at
   /// this rate rather than disk speed.
   double os_cache_bw = 3e9;
-  /// Rate for pages held by the optional SSD-style capacity tier below the
-  /// OS cache (a faster local device in front of the cold store): between
-  /// kernel-copy speed and cold sequential reads.
-  double ssd_read_bw = 1.5e9;
   /// Fixed per-request latency (command overhead + flash access).
   dana::SimTime request_latency = dana::SimTime::Micros(80);
   /// Number of pages fetched per read request (read-ahead). Sequential heap

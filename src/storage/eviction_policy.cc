@@ -23,37 +23,20 @@ dana::Result<EvictionKind> ParseEvictionKind(std::string_view name) {
                                  "' (clock, lru, promotional)");
 }
 
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionKind kind,
-                                                   size_t capacity) {
-  switch (kind) {
-    case EvictionKind::kClock:
-      return std::make_unique<ClockEvictionPolicy>(capacity);
-    case EvictionKind::kLru:
-      return std::make_unique<LruEvictionPolicy>(capacity);
-    case EvictionKind::kPromotional:
-      return std::make_unique<PromotionalEvictionPolicy>(capacity);
-  }
-  return nullptr;
-}
-
 PageTier::PageTier(EvictionKind kind, uint64_t capacity)
     : capacity_(capacity), kind_(kind) {
-  if (capacity_ == 0) return;
+  // A clock tier has no slots (its capacity may be unlimited). An evicting
+  // tier is finite and full in steady state, so its slots are reserved
+  // here, and its demotion loops never grow a vector.
+  if (capacity_ == 0 || kind_ == EvictionKind::kClock) return;
   const size_t n = static_cast<size_t>(capacity_);
-  switch (kind_) {
-    case EvictionKind::kClock:
-      clock_ = std::make_unique<ClockEvictionPolicy>(n);
-      break;
-    case EvictionKind::kLru:
-      lru_ = std::make_unique<LruEvictionPolicy>(n);
-      break;
-    case EvictionKind::kPromotional:
-      promotional_ = std::make_unique<PromotionalEvictionPolicy>(n);
-      break;
+  if (kind_ == EvictionKind::kLru) {
+    lru_ = std::make_unique<LruEvictionPolicy>(n);
+  } else {
+    promotional_ = std::make_unique<PromotionalEvictionPolicy>(n);
   }
-  slot_keys_.resize(n);
-  free_slots_.resize(n);
-  Clear();
+  slot_keys_.reserve(n);
+  free_slots_.reserve(n);
 }
 
 void PageTier::GrowPerTable(uint32_t table_id) {
@@ -61,15 +44,13 @@ void PageTier::GrowPerTable(uint32_t table_id) {
 }
 
 void PageTier::Clear() {
-  if (!enabled()) return;
   index_.Clear();
   per_table_.assign(per_table_.size(), 0);
-  // Stacked so the first pops hand out slots 0, 1, 2, ... in order.
-  free_count_ = free_slots_.size();
-  for (size_t i = 0; i < free_count_; ++i) {
-    free_slots_[i] = static_cast<uint32_t>(free_count_ - 1 - i);
-  }
-  WithPolicy([](auto& policy) { policy.Reset(); });
+  slot_keys_.clear();
+  free_slots_.clear();
+  resident_ = 0;
+  if (lru_) lru_->Reset();
+  if (promotional_) promotional_->Reset();
 }
 
 }  // namespace dana::storage

@@ -8,7 +8,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -27,8 +26,10 @@ const char* EvictionKindName(EvictionKind kind);
 dana::Result<EvictionKind> ParseEvictionKind(std::string_view name);
 
 /// Victim selection over the dense slot indices [0, capacity) of one cache
-/// tier. The tier owns the slots and the page identities; the policy only
-/// orders them. Contract:
+/// level. The level owns the slots and the page identities; the policy only
+/// orders them. Each policy is reached through its Cursor, which holds the
+/// policy's state in locals across a loop of calls (a pool's sweep, a
+/// tier's run of demotions) and writes it back when it goes out of scope:
 ///
 ///   - OnInsert(i): slot i now holds a (new) page — a fresh fill or the
 ///     reuse of a just-evicted victim slot.
@@ -36,29 +37,17 @@ dana::Result<EvictionKind> ParseEvictionKind(std::string_view name);
 ///   - PickVictim(): called only when every slot is occupied; returns the
 ///     slot to evict. The caller evicts and re-inserts into the same slot
 ///     (OnInsert relinks it), so PickVictim need not unlink anything.
-///   - Reset(): the tier dropped every page (Clear).
+///   - RunAfter/TakeNext: take a run of victims that follow in slot order.
 ///
-/// The three implementations are `final` and tiers dispatch to them through
-/// concrete pointers (switch on kind), so the hot TouchPage/FetchPage path
-/// never pays a virtual call — the interface exists for tests and tooling.
-/// Each also has a Cursor with the same three calls plus RunAfter/TakeNext,
-/// which holds the policy's state in locals across a loop of calls (a
-/// pool's sweep, a tier's run of demotions).
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-  virtual EvictionKind kind() const = 0;
-  virtual void OnInsert(size_t idx) = 0;
-  virtual void OnAccess(size_t idx) = 0;
-  virtual size_t PickVictim() = 0;
-  virtual void Reset() = 0;
-};
+/// Reset() on the policy drops every page (Clear). The pool and the tier
+/// hold concrete policy pointers and switch on EvictionKind, so no call is
+/// virtual.
 
 /// Second-chance clock. Bit-for-bit the seed BufferPool's sweep once the
 /// pool is full: referenced slots get their bit cleared and spared one
 /// lap; the hand starts (and resets) at slot 0, which is exactly where the
 /// seed's hand lands after filling an empty pool.
-class ClockEvictionPolicy final : public EvictionPolicy {
+class ClockEvictionPolicy {
  public:
   /// The hand and the reference bits, held in locals for a loop of calls
   /// (BufferPool's sweeps) and written back when the cursor goes out of
@@ -118,11 +107,7 @@ class ClockEvictionPolicy final : public EvictionPolicy {
   explicit ClockEvictionPolicy(size_t capacity)
       : referenced_(capacity == 0 ? 1 : capacity, 0) {}
 
-  EvictionKind kind() const override { return EvictionKind::kClock; }
-  void OnInsert(size_t idx) override { referenced_[idx] = 1; }
-  void OnAccess(size_t idx) override { referenced_[idx] = 1; }
-  size_t PickVictim() override { return Cursor(*this).PickVictim(); }
-  void Reset() override {
+  void Reset() {
     referenced_.assign(referenced_.size(), 0);
     hand_ = 0;
   }
@@ -143,7 +128,7 @@ class ClockEvictionPolicy final : public EvictionPolicy {
 /// breaks the run. The logical list — the segment, then the stored list
 /// without it — is exactly the list the moves one at a time would build,
 /// and PickVictim answers from it.
-class LruEvictionPolicy final : public EvictionPolicy {
+class LruEvictionPolicy {
  public:
   /// The list ends and the pending segment, held in locals for a loop of
   /// calls (BufferPool's sweeps) and written back when the cursor goes out
@@ -243,11 +228,7 @@ class LruEvictionPolicy final : public EvictionPolicy {
   explicit LruEvictionPolicy(size_t capacity)
       : prev_(capacity, kNil), next_(capacity, kNil), linked_(capacity, 0) {}
 
-  EvictionKind kind() const override { return EvictionKind::kLru; }
-  void OnInsert(size_t idx) override { Cursor(*this).OnInsert(idx); }
-  void OnAccess(size_t idx) override { Cursor(*this).OnAccess(idx); }
-  size_t PickVictim() override { return Cursor(*this).PickVictim(); }
-  void Reset() override {
+  void Reset() {
     prev_.assign(prev_.size(), kNil);
     next_.assign(next_.size(), kNil);
     linked_.assign(linked_.size(), 0);
@@ -273,7 +254,7 @@ class LruEvictionPolicy final : public EvictionPolicy {
 /// from the probationary tail, so a one-shot sequential flood churns only
 /// the probationary half while re-referenced working sets survive — the
 /// scan resistance clock and plain LRU lack.
-class PromotionalEvictionPolicy final : public EvictionPolicy {
+class PromotionalEvictionPolicy {
  public:
   explicit PromotionalEvictionPolicy(size_t capacity)
       : prev_(capacity, kNil),
@@ -297,12 +278,11 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
     PromotionalEvictionPolicy& policy_;
   };
 
-  EvictionKind kind() const override { return EvictionKind::kPromotional; }
-  void OnInsert(size_t idx) override {
+  void OnInsert(size_t idx) {
     if (segment_[idx] != kUnlinked) Unlink(idx);
     PushFront(kProbation, idx);
   }
-  void OnAccess(size_t idx) override {
+  void OnAccess(size_t idx) {
     if (segment_[idx] == kProtected) {
       if (head_[kProtected] != idx) {
         Unlink(idx);
@@ -318,10 +298,10 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
       PushFront(kProbation, demoted);
     }
   }
-  size_t PickVictim() override {
+  size_t PickVictim() {
     return tail_[kProbation] != kNil ? tail_[kProbation] : tail_[kProtected];
   }
-  void Reset() override {
+  void Reset() {
     prev_.assign(prev_.size(), kNil);
     next_.assign(next_.size(), kNil);
     segment_.assign(segment_.size(), kUnlinked);
@@ -362,9 +342,6 @@ class PromotionalEvictionPolicy final : public EvictionPolicy {
   size_t size_[2] = {0, 0};
   size_t protected_cap_;
 };
-
-std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(EvictionKind kind,
-                                                   size_t capacity);
 
 /// How far a loop taking victims looks ahead at once for a slot-order run
 /// (the policies' Cursor::RunAfter): long enough that the one PickVictim
@@ -450,64 +427,48 @@ class PageIndex {
   std::vector<std::vector<uint32_t>> tables_;
 };
 
-/// A key-addressed cache tier below the buffer pool: the modeled kernel
-/// page cache or an SSD-style capacity tier. It holds page *identities*
-/// only (no frames, no data — tier hits are priced by the pool's DiskModel)
-/// and delegates victim selection to an EvictionPolicy over its dense slot
-/// indices, found through a PageIndex. Unlike clock's admit-until-full OS
-/// set (BufferPool's `os_cached_` bitmap), a full tier evicts: a
-/// post-saturation insert displaces a victim and reports it so the owner
-/// can cascade the demotion down to the next tier.
+/// The cache tier below the buffer pool: the modeled kernel page cache. It
+/// holds page *identities* only (no frames, no data — tier hits are priced
+/// by the pool's DiskModel), found through a PageIndex. The EvictionKind the
+/// tier is built with picks its admission rule:
+///
+///   - kClock: admit-until-full. The tier never picks a victim: an insert
+///     into a full tier is refused, and the tier keeps its pages. It stores
+///     only each admitted page's index entry, so an unlimited (UINT64_MAX)
+///     tier costs only what it holds.
+///   - kLru / kPromotional: a full tier evicts. An insert displaces the
+///     policy's victim, so a page first demoted after the tier saturated
+///     still gets in. The policy orders dense slots, each holding its
+///     page's key, reserved for the whole (finite) capacity up front.
 class PageTier {
-  /// Calls `fn` with the concrete policy kind_ selects. (These two come
-  /// first: the inline members below deduce their results through them.)
-  template <typename Fn>
-  decltype(auto) WithPolicy(Fn&& fn) {
-    switch (kind_) {
-      case EvictionKind::kClock:
-        return fn(*clock_);
-      case EvictionKind::kLru:
-        return fn(*lru_);
-      case EvictionKind::kPromotional:
-        break;
-    }
-    return fn(*promotional_);
-  }
-  /// Calls `fn` with a cursor over the concrete policy kind_ selects.
+  /// Calls `fn` with a cursor over the evicting policy kind_ selects (never
+  /// called for a clock tier, which has no policy).
   template <typename Fn>
   decltype(auto) WithCursor(Fn&& fn) {
-    return WithPolicy([&](auto& policy) -> decltype(auto) {
-      typename std::remove_reference_t<decltype(policy)>::Cursor cursor(
-          policy);
+    if (kind_ == EvictionKind::kLru) {
+      LruEvictionPolicy::Cursor cursor(*lru_);
       return fn(cursor);
-    });
+    }
+    PromotionalEvictionPolicy::Cursor cursor(*promotional_);
+    return fn(cursor);
   }
 
  public:
-  /// A disabled tier: every operation is a no-op returning "absent".
-  PageTier() : PageTier(EvictionKind::kClock, 0) {}
+  /// A tier of `capacity` pages; 0 disables it (every operation is a no-op
+  /// returning "absent").
   PageTier(EvictionKind kind, uint64_t capacity);
 
   bool enabled() const { return capacity_ > 0; }
-  uint64_t capacity() const { return capacity_; }
-  uint64_t resident() const { return capacity_ - free_count_; }
+  bool full() const { return resident_ == capacity_; }
+  uint64_t resident() const { return resident_; }
   uint64_t resident(uint32_t table_id) const {
     return table_id < per_table_.size() ? per_table_[table_id] : 0;
   }
-  uint64_t evictions() const { return evictions_; }
 
   bool Contains(const PageKey& key) const { return index_.Contains(key); }
   /// The tier's slots of `table_id`'s pages (PageIndex::Slots).
   std::span<const uint32_t> Slots(uint32_t table_id) const {
     return index_.Slots(table_id);
-  }
-
-  /// Re-references `key` (policy OnAccess). Returns true if present.
-  bool Touch(const PageKey& key) {
-    const uint32_t slot = index_.Find(key);
-    if (slot == PageIndex::kAbsent) return false;
-    WithPolicy([slot](auto& policy) { policy.OnAccess(slot); });
-    return true;
   }
 
   /// Removes `key` — a promotion up the hierarchy. Returns true if it was
@@ -516,34 +477,45 @@ class PageTier {
     const uint32_t slot = index_.Erase(key);
     if (slot == PageIndex::kAbsent) return false;
     --per_table_[key.table_id];
-    free_slots_[free_count_++] = slot;
+    Free(slot);
     return true;
   }
 
-  /// Inserts `key` (a demotion from the tier above). Inserting a present
-  /// key is a Touch. When the tier is full a victim is displaced and
-  /// written to `*evicted` (when non-null); returns true iff a victim was
-  /// displaced — the caller demotes it to the next tier down or drops it.
-  bool Insert(const PageKey& key, PageKey* evicted) {
+  /// Admits `key` (a demotion from the tier above, or a page the OS read).
+  /// A clock tier refuses it when full and ignores a present key. An
+  /// evicting tier re-references a present key; when full it displaces its
+  /// policy's victim, and returns true iff it did.
+  bool Insert(const PageKey& key) {
     if (!enabled()) return false;
+    if (kind_ == EvictionKind::kClock) {
+      // Nothing is ever picked as a victim, so a clock page's slot is never
+      // read: it holds no key, and every page maps to slot 0.
+      if (!full() && !Contains(key)) {
+        ++resident_;
+        Map(key, 0);
+      }
+      return false;
+    }
     return WithCursor([&](auto& cursor) {
       const uint32_t present = index_.Find(key);
       if (present != PageIndex::kAbsent) {
         cursor.OnAccess(present);
         return false;
       }
-      const bool displaced = free_count_ == 0;
-      const size_t slot = displaced ? Vacate(cursor, evicted) : PopFree();
-      Place(cursor, slot, key);
+      const bool displaced = full();
+      const size_t slot = displaced ? Vacate(cursor) : NewSlot();
+      Place(slot, key);
+      cursor.OnInsert(slot);
       return displaced;
     });
   }
 
-  /// Pages [first, first + keys.size()) of `table_id`, all present, leave
-  /// the tier (promotions), and keys[j] takes the slot page first + j left
-  /// — each pair is what Erase and then an Insert popping the freed slot
-  /// would do. A key already present is touched instead, and its slot goes
-  /// free. Rows are looked up once per run of one table's pages.
+  /// Evicting tiers: pages [first, first + keys.size()) of `table_id`, all
+  /// present, leave the tier (promotions), and keys[j] takes the slot page
+  /// first + j left — each pair is what Erase and then an Insert reusing
+  /// the freed slot would do. A key already present is touched instead,
+  /// and its slot goes free. Rows are looked up once per run of one
+  /// table's pages.
   void Exchange(uint32_t table_id, uint64_t first,
                 const std::vector<PageKey>& keys) {
     if (keys.empty()) return;
@@ -564,7 +536,7 @@ class PageTier {
           uint32_t& entry = row[key_first + i];
           if (entry != PageIndex::kAbsent) {
             cursor.OnAccess(entry);
-            free_slots_[free_count_++] = slot;
+            Free(slot);
             continue;
           }
           slot_keys_[slot] = keys[j + i];
@@ -577,10 +549,10 @@ class PageTier {
     });
   }
 
-  /// Insert(key, nullptr) for each of `keys` in order, dropping what they
-  /// displace; returns the number displaced. Keys arrive as runs of one
-  /// table's consecutive pages (a pool's victims), so each run's index row
-  /// is looked up once.
+  /// Evicting tiers: Insert(key) for each of `keys` in order; returns the
+  /// number of victims displaced. Keys arrive as runs of one table's
+  /// consecutive pages (a pool's victims), so each run's index row is
+  /// looked up once.
   uint64_t InsertRun(const std::vector<PageKey>& keys) {
     if (!enabled()) return 0;
     return WithCursor([&](auto& cursor) {
@@ -611,8 +583,8 @@ class PageTier {
             continue;
           }
           size_t slot;
-          if (free_count_ > 0) {
-            slot = PopFree();
+          if (!full()) {
+            slot = NewSlot();
             cursor.OnInsert(slot);
             run = 0;
           } else {
@@ -644,7 +616,6 @@ class PageTier {
         j += n;
       }
       if (victim_count > 0) per_table_[victim_table] -= victim_count;
-      evictions_ += displaced;
       return displaced;
     });
   }
@@ -652,7 +623,23 @@ class PageTier {
   void Clear();
 
  private:
-  size_t PopFree() { return free_slots_[--free_count_]; }
+  /// Evicting tiers: a slot for a page being admitted, the last one freed,
+  /// else a new one (so a cleared tier hands out slots 0, 1, 2, ... in
+  /// order).
+  size_t NewSlot() {
+    ++resident_;
+    if (!free_slots_.empty()) {
+      const uint32_t slot = free_slots_.back();
+      free_slots_.pop_back();
+      return slot;
+    }
+    slot_keys_.emplace_back();
+    return slot_keys_.size() - 1;
+  }
+  void Free(uint32_t slot) {
+    if (kind_ != EvictionKind::kClock) free_slots_.push_back(slot);
+    --resident_;
+  }
   /// Length of the run starting at keys[j]: one table's consecutive pages.
   static size_t RunLength(const std::vector<PageKey>& keys, size_t j) {
     size_t n = 1;
@@ -664,41 +651,39 @@ class PageTier {
   }
   /// Evicts the policy's victim (the tier is full) and returns its slot.
   template <typename Cursor>
-  size_t Vacate(Cursor& cursor, PageKey* evicted) {
+  size_t Vacate(Cursor& cursor) {
     const size_t slot = cursor.PickVictim();
     const PageKey victim = slot_keys_[slot];
     index_.Erase(victim);
     --per_table_[victim.table_id];
-    ++evictions_;
-    if (evicted != nullptr) *evicted = victim;
     return slot;
   }
-  /// Puts `key` into the free or just-vacated `slot`.
-  template <typename Cursor>
-  void Place(Cursor& cursor, size_t slot, const PageKey& key) {
-
+  /// Puts `key` into the new or just-vacated `slot`.
+  void Place(size_t slot, const PageKey& key) {
     slot_keys_[slot] = key;
+    Map(key, slot);
+  }
+  /// Indexes `key` at `slot` and counts it.
+  void Map(const PageKey& key, size_t slot) {
     index_.Set(key, static_cast<uint32_t>(slot));
     if (key.table_id >= per_table_.size()) GrowPerTable(key.table_id);
     ++per_table_[key.table_id];
-    cursor.OnInsert(slot);
   }
   void GrowPerTable(uint32_t table_id);
 
   uint64_t capacity_;
   EvictionKind kind_;
-  // Concrete policy pointers: exactly one is non-null, selected by kind_,
-  // and calls go through the concrete (final) type — no virtual dispatch.
-  std::unique_ptr<ClockEvictionPolicy> clock_;
+  // The evicting policy kind_ selects (both null for a clock tier), called
+  // through its concrete type.
   std::unique_ptr<LruEvictionPolicy> lru_;
   std::unique_ptr<PromotionalEvictionPolicy> promotional_;
   PageIndex index_;
+  /// Evicting tiers: the page in each allocated slot.
   std::vector<PageKey> slot_keys_;
-  /// Stack of free slots: the first free_count_ entries.
+  /// Allocated slots no page holds, reused last-freed first.
   std::vector<uint32_t> free_slots_;
-  size_t free_count_ = 0;
+  uint64_t resident_ = 0;
   std::vector<uint64_t> per_table_;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace dana::storage

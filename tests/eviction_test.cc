@@ -181,27 +181,36 @@ TEST(PromotionalEvictionTest, ProtectedSurvivesScanFlood) {
 // ---------------------------------------------------------------------------
 
 TEST(PageTierTest, FullTierEvictsInsteadOfRefusingAdmission) {
-  // The legacy os_cached_ set admitted until full and then never changed:
-  // a page first read after saturation could never become OS-cached. The
-  // PageTier must instead displace a victim — for every policy.
-  for (EvictionKind kind : {EvictionKind::kClock, EvictionKind::kLru,
-                            EvictionKind::kPromotional}) {
+  // An admit-until-full tier never changes once full: a page first read
+  // after saturation can never become OS-cached. An evicting tier must
+  // instead displace a victim.
+  for (EvictionKind kind : {EvictionKind::kLru, EvictionKind::kPromotional}) {
     PageTier tier(kind, 3);
     const PageKey k1{0, 1}, k2{0, 2}, k3{0, 3}, k4{0, 4};
-    EXPECT_FALSE(tier.Insert(k1, nullptr));
-    EXPECT_FALSE(tier.Insert(k2, nullptr));
-    EXPECT_FALSE(tier.Insert(k3, nullptr));
+    EXPECT_FALSE(tier.Insert(k1));
+    EXPECT_FALSE(tier.Insert(k2));
+    EXPECT_FALSE(tier.Insert(k3));
     ASSERT_EQ(tier.resident(), 3u);
-    tier.Touch(k2);  // k2 is hot; a sane policy spares it
-    PageKey evicted{0, 0};
-    EXPECT_TRUE(tier.Insert(k4, &evicted)) << EvictionKindName(kind);
+    EXPECT_FALSE(tier.Insert(k2));  // k2 is hot; a sane policy spares it
+    EXPECT_TRUE(tier.Insert(k4)) << EvictionKindName(kind);
     EXPECT_TRUE(tier.Contains(k4)) << EvictionKindName(kind);
-    EXPECT_FALSE(evicted == k2 && tier.Contains(k2) == false)
-        << EvictionKindName(kind);
     EXPECT_TRUE(tier.Contains(k2)) << EvictionKindName(kind);
     EXPECT_EQ(tier.resident(), 3u);
-    EXPECT_EQ(tier.evictions(), 1u);
   }
+}
+
+TEST(PageTierTest, FullClockTierRefusesAdmission) {
+  // Under clock the tier admits until full and picks no victim: an insert
+  // into a full tier is refused and every page it held stays.
+  PageTier tier(EvictionKind::kClock, 3);
+  const PageKey k1{0, 1}, k2{0, 2}, k3{0, 3}, k4{0, 4};
+  for (const PageKey& k : {k1, k2, k3}) EXPECT_FALSE(tier.Insert(k));
+  ASSERT_TRUE(tier.full());
+  EXPECT_FALSE(tier.Insert(k4));
+  EXPECT_FALSE(tier.Contains(k4));
+  for (const PageKey& k : {k1, k2, k3}) EXPECT_TRUE(tier.Contains(k));
+  EXPECT_EQ(tier.resident(), 3u);
+  EXPECT_EQ(tier.resident(0), 3u);
 }
 
 TEST(TieredPoolTest, PostSaturationHotPageDisplacesColdOne) {
@@ -242,22 +251,6 @@ TEST(TieredPoolTest, OsHitPromotesAndExclusivityHolds) {
   EXPECT_EQ(pool.stats().os_hits, 1u);
 }
 
-TEST(TieredPoolTest, SsdTierCatchesOsDemotions) {
-  // Optional third tier: OS victims cascade to the SSD-style capacity
-  // tier instead of dropping.
-  auto pool = BufferPool::SizedInFrames(2, 8 * 1024, DiskModel{},
-                                        EvictionKind::kLru,
-                                        /*os_frames=*/2, /*ssd_frames=*/4);
-  const uint32_t tid = pool.InternTable("t");
-  for (uint64_t p = 0; p < 8; ++p) pool.TouchPage(tid, p);
-  EXPECT_EQ(pool.resident_frames(), 2u);
-  EXPECT_EQ(pool.tier_resident_frames(BufferPool::kOsTier), 2u);
-  EXPECT_GT(pool.tier_resident_frames(BufferPool::kSsdTier), 0u);
-  const uint64_t ssd_hits_before = pool.stats().ssd_hits;
-  pool.TouchPage(tid, 2);  // long-demoted page: only the SSD tier has it
-  EXPECT_EQ(pool.stats().ssd_hits, ssd_hits_before + 1);
-}
-
 TEST(TieredPoolTest, TierResidentShareSplitsByTable) {
   auto pool = BufferPool::SizedInFrames(4, 8 * 1024, DiskModel{},
                                         EvictionKind::kPromotional, 8);
@@ -280,13 +273,12 @@ TEST(TieredPoolTest, TierResidentShareSplitsByTable) {
 
 TEST(TieredPoolTest, ClearResetsEveryTier) {
   auto pool = BufferPool::SizedInFrames(2, 8 * 1024, DiskModel{},
-                                        EvictionKind::kLru, 2, 2);
+                                        EvictionKind::kLru, 2);
   const uint32_t tid = pool.InternTable("t");
   for (uint64_t p = 0; p < 8; ++p) pool.TouchPage(tid, p);
   pool.Clear();
   EXPECT_EQ(pool.resident_frames(), 0u);
   EXPECT_EQ(pool.tier_resident_frames(BufferPool::kOsTier), 0u);
-  EXPECT_EQ(pool.tier_resident_frames(BufferPool::kSsdTier), 0u);
   // And the trace replays identically from the cleared state.
   for (uint64_t p = 0; p < 8; ++p) EXPECT_FALSE(pool.TouchPage(tid, p));
   EXPECT_EQ(pool.tier_resident_frames(BufferPool::kOsTier), 2u);
@@ -296,17 +288,15 @@ TEST(TieredPoolTest, ClearResetsEveryTier) {
 // Frozen pool behaviour: golden digests of a mixed trace
 // ---------------------------------------------------------------------------
 
-/// One pool shape: policy × lower-tier sizes (in frames; 0 disables).
+/// One pool shape: policy × OS-tier size (in frames; 0 disables).
 struct TraceCase {
   EvictionKind kind;
   uint64_t os_frames;
-  uint64_t ssd_frames;
   uint64_t digest;
 };
 
 void PrintTo(const TraceCase& c, std::ostream* os) {
-  *os << EvictionKindName(c.kind) << " os " << c.os_frames << " ssd "
-      << c.ssd_frames;
+  *os << EvictionKindName(c.kind) << " os " << c.os_frames;
 }
 
 uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
@@ -340,7 +330,9 @@ std::unique_ptr<Table> MakeTable(const std::string& name, uint64_t pages) {
 /// every per-tier per-table residency count and every version() bump of a
 /// seeded trace is folded into one FNV-1a digest, so any change to victim
 /// choice, tier demotion/promotion order, clock's OS admission or the
-/// fill cursor moves it.
+/// fill cursor moves it. The pools they were recorded from also had a
+/// third (capacity) tier, empty in these shapes; the digest folds a 0 for
+/// each of its counters and residencies, so the constants still hold.
 class PoolTraceGolden : public ::testing::TestWithParam<TraceCase> {};
 
 TEST_P(PoolTraceGolden, TraceDigestIsFrozen) {
@@ -348,8 +340,7 @@ TEST_P(PoolTraceGolden, TraceDigestIsFrozen) {
   constexpr uint64_t kFrames = 32;
   const PageLayout layout;
   auto pool = BufferPool::SizedInFrames(kFrames, layout.page_size,
-                                        DiskModel{}, c.kind, c.os_frames,
-                                        c.ssd_frames);
+                                        DiskModel{}, c.kind, c.os_frames);
   // Logical tables 0.25x-3x the pool, swept and touched data-free, and
   // two real tables for the data paths (FetchPage, Prewarm, MarkOsCached).
   const std::vector<std::pair<const char*, uint64_t>> logical = {
@@ -401,16 +392,18 @@ TEST_P(PoolTraceGolden, TraceDigestIsFrozen) {
       pool.Clear();
     }
     const BufferPoolStats& s = pool.stats();
+    // The two zeros stand for the third tier's hits and evictions.
     for (uint64_t v : {s.hits, s.misses, s.evictions, s.os_hits, s.os_misses,
-                       s.os_evictions, s.ssd_hits, s.ssd_evictions}) {
+                       s.os_evictions, uint64_t{0}, uint64_t{0}}) {
       h = Fold(h, v);
     }
     h = Fold(h, s.io_time.nanos());
-    for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier,
-                        BufferPool::kSsdTier}) {
+    for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier}) {
       h = Fold(h, pool.tier_resident_frames(tier));
       for (uint32_t id : ids) h = Fold(h, pool.tier_resident_frames(tier, id));
     }
+    // The third tier's residency, in total and per table.
+    for (size_t i = 0; i <= ids.size(); ++i) h = Fold(h, uint64_t{0});
     for (const auto& table : real) {
       h = Fold(h, pool.ResidentFraction(*table));
     }
@@ -422,39 +415,31 @@ TEST_P(PoolTraceGolden, TraceDigestIsFrozen) {
   if (c.os_frames > 0) {
     EXPECT_GT(pool.stats().os_hits, 0u);
   }
-  if (c.ssd_frames > 0 && c.kind != EvictionKind::kClock) {
-    EXPECT_GT(pool.stats().ssd_hits, 0u);
-  }
   EXPECT_EQ(h, c.digest) << "got 0x" << std::hex << h;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PoolTraceGolden,
     ::testing::Values(
-        TraceCase{EvictionKind::kClock, 0, 0, 0xb9d03d91b1c2d538ull},
-        TraceCase{EvictionKind::kClock, 64, 0, 0x9c4176f754bcea92ull},
-        TraceCase{EvictionKind::kClock, 64, 128, 0x9c4176f754bcea92ull},
-        TraceCase{EvictionKind::kLru, 0, 0, 0xe8bfd4349e230a73ull},
-        TraceCase{EvictionKind::kLru, 64, 0, 0xdb613b3f39d2800aull},
-        TraceCase{EvictionKind::kLru, 64, 128, 0xd8d5cefdd332d62full},
-        TraceCase{EvictionKind::kPromotional, 0, 0, 0xef05e14c71c32b43ull},
-        TraceCase{EvictionKind::kPromotional, 64, 0, 0xc587e097ed52b33ull},
-        TraceCase{EvictionKind::kPromotional, 64, 128, 0x4a39f68797a4083cull}));
+        TraceCase{EvictionKind::kClock, 0, 0xb9d03d91b1c2d538ull},
+        TraceCase{EvictionKind::kClock, 64, 0x9c4176f754bcea92ull},
+        TraceCase{EvictionKind::kLru, 0, 0xe8bfd4349e230a73ull},
+        TraceCase{EvictionKind::kLru, 64, 0xdb613b3f39d2800aull},
+        TraceCase{EvictionKind::kPromotional, 0, 0xef05e14c71c32b43ull},
+        TraceCase{EvictionKind::kPromotional, 64, 0xc587e097ed52b33ull}));
 
 // ---------------------------------------------------------------------------
 // Extent sweeps: ScanTable equals a per-page TouchPage loop
 // ---------------------------------------------------------------------------
 
-/// One pool shape: policy x lower-tier sizes in frames (0 disables).
+/// One pool shape: policy x OS-tier size in frames (0 disables).
 struct PoolShape {
   EvictionKind kind;
   uint64_t os_frames;
-  uint64_t ssd_frames;
 };
 
 void PrintTo(const PoolShape& c, std::ostream* os) {
-  *os << EvictionKindName(c.kind) << " os " << c.os_frames << " ssd "
-      << c.ssd_frames;
+  *os << EvictionKindName(c.kind) << " os " << c.os_frames;
 }
 
 /// Everything a caller reads off a pool: every stats field, version(),
@@ -468,12 +453,9 @@ std::vector<uint64_t> Observe(const BufferPool& pool,
                                s.os_hits,
                                s.os_misses,
                                s.os_evictions,
-                               s.ssd_hits,
-                               s.ssd_evictions,
                                static_cast<uint64_t>(s.io_time.nanos()),
                                pool.version()};
-  for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier,
-                      BufferPool::kSsdTier}) {
+  for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier}) {
     out.push_back(pool.tier_resident_frames(tier));
     for (uint32_t id : ids) out.push_back(pool.tier_resident_frames(tier, id));
   }
@@ -500,11 +482,10 @@ TEST_P(ExtentSweepTest, ExtentSweepMatchesPerPage) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     const uint64_t kFrames = seed == 4 ? 3 : 32;
     auto extent = BufferPool::SizedInFrames(kFrames, layout.page_size,
-                                            DiskModel{}, c.kind, c.os_frames,
-                                            c.ssd_frames);
+                                            DiskModel{}, c.kind, c.os_frames);
     auto per_page = BufferPool::SizedInFrames(kFrames, layout.page_size,
                                               DiskModel{}, c.kind,
-                                              c.os_frames, c.ssd_frames);
+                                              c.os_frames);
     const std::vector<std::pair<const char*, uint64_t>> logical = {
         {"t0", (kFrames + 3) / 4}, {"t1", kFrames}, {"t2", 3 * kFrames / 2},
         {"t3", 2 * kFrames}, {"t4", 3 * kFrames}, {"t5", 4 * kFrames}};
@@ -596,23 +577,17 @@ TEST_P(ExtentSweepTest, ExtentSweepMatchesPerPage) {
       EXPECT_GT(extent.stats().os_hits, 0u);
       EXPECT_GT(extent.stats().os_evictions, 0u);
     }
-    if (c.ssd_frames > 0 && c.kind != EvictionKind::kClock) {
-      EXPECT_GT(extent.stats().ssd_hits, 0u);
-    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ExtentSweepTest,
-    ::testing::Values(PoolShape{EvictionKind::kClock, 0, 0},
-                      PoolShape{EvictionKind::kClock, 64, 0},
-                      PoolShape{EvictionKind::kClock, 64, 128},
-                      PoolShape{EvictionKind::kLru, 0, 0},
-                      PoolShape{EvictionKind::kLru, 64, 0},
-                      PoolShape{EvictionKind::kLru, 64, 128},
-                      PoolShape{EvictionKind::kPromotional, 0, 0},
-                      PoolShape{EvictionKind::kPromotional, 64, 0},
-                      PoolShape{EvictionKind::kPromotional, 64, 128}));
+    ::testing::Values(PoolShape{EvictionKind::kClock, 0},
+                      PoolShape{EvictionKind::kClock, 64},
+                      PoolShape{EvictionKind::kLru, 0},
+                      PoolShape{EvictionKind::kLru, 64},
+                      PoolShape{EvictionKind::kPromotional, 0},
+                      PoolShape{EvictionKind::kPromotional, 64}));
 
 TEST(EvictionKindTest, ParseRoundTripsAndRejectsUnknown) {
   for (EvictionKind kind : {EvictionKind::kClock, EvictionKind::kLru,

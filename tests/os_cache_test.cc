@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ml/workloads.h"
 #include "runtime/systems.h"
 #include "storage/buffer_pool.h"
@@ -68,6 +70,34 @@ TEST(OsCacheTest, CapacityBoundsCachedPages) {
     }
   }
   EXPECT_GT(rescan, fast.stats().io_time.nanos() * 2);
+}
+
+TEST(OsCacheTest, ClockTierIsInclusiveAndAdmitsUntilFull) {
+  auto t = MakeTable(8);
+  // Pool of 2 frames over an unlimited and over a 4-page clock OS tier.
+  BufferPool unlimited(2 * 8 * 1024, 8 * 1024, DiskModel{});
+  BufferPool capped(2 * 8 * 1024, 8 * 1024, DiskModel{},
+                    /*os_cache_bytes=*/4 * 8 * 1024);
+  for (uint64_t p = 0; p < 8; ++p) {
+    ASSERT_TRUE(unlimited.FetchPage(*t, p).ok());
+    ASSERT_TRUE(capped.FetchPage(*t, p).ok());
+    // Inclusive: every page fetched so far is in the OS tier, those the
+    // pool still holds included.
+    EXPECT_EQ(unlimited.tier_resident_frames(BufferPool::kOsTier), p + 1);
+    EXPECT_EQ(capped.tier_resident_frames(BufferPool::kOsTier),
+              std::min<uint64_t>(p + 1, 4));
+  }
+  EXPECT_EQ(unlimited.resident_frames(), 2u);
+  EXPECT_EQ(unlimited.tier_resident_frames(BufferPool::kOsTier, "t"), 8u);
+  // The full tier kept the first four pages and refused the rest: a
+  // re-scan finds exactly those in the OS cache.
+  capped.ResetStats();
+  for (uint64_t p = 0; p < 8; ++p) {
+    ASSERT_TRUE(capped.FetchPage(*t, p).ok());
+  }
+  EXPECT_EQ(capped.stats().os_hits, 4u);
+  EXPECT_EQ(capped.stats().os_misses, 4u);
+  EXPECT_EQ(capped.tier_resident_frames(BufferPool::kOsTier, "t"), 4u);
 }
 
 TEST(OsCacheTest, MarkOsCachedSkipsDiskOnFirstRead) {
