@@ -8,9 +8,9 @@
 // one narrow public workload (rs_lr: 54 features, 24000 tuples, the most
 // Strider work per tuple) and one wide S/N workload (sn_logistic: 2000
 // features, the most evaluator work per tuple), each run from a warm buffer
-// pool for two epochs per rep (the executor's functional_epoch_cap). The
-// timing-only pass skips decode and evaluation, so its rate bounds how fast
-// the executor can measure an endpoint. Both passes run
+// pool for two epochs per rep (the epochs the executor measures per
+// endpoint). The timing-only pass skips decode and evaluation, so its rate
+// bounds how fast the executor can measure an endpoint. Both passes run
 // over the same generated table and must report the same simulated time,
 // which the bench checks before it emits anything.
 //

@@ -88,14 +88,6 @@ Result<RunReport> Accelerator::Run(const storage::Table& table,
   const uint32_t epochs_budget = options.max_epochs_override
                                      ? options.max_epochs_override
                                      : prog.max_epochs;
-  // Segmented execution: earlier segments consumed `epochs_completed` of
-  // the budget; this call runs at most `epoch_limit` of the remainder.
-  const uint32_t done_before = std::min(options.epochs_completed,
-                                        epochs_budget);
-  uint32_t segment_budget = epochs_budget - done_before;
-  if (options.epoch_limit != 0) {
-    segment_budget = std::min(segment_budget, options.epoch_limit);
-  }
   const uint64_t batch_size = std::max<uint32_t>(prog.merge_coef, 1);
   const uint32_t threads = design.num_threads;
   // Co-trained queries sharing this pass: identical models see identical
@@ -104,9 +96,8 @@ Result<RunReport> Accelerator::Run(const storage::Table& table,
   const uint32_t batch_q = std::max<uint32_t>(options.batch_queries, 1);
 
   RunReport report;
-  // The configuration FSM programs the design once per run; a resumed
-  // segment finds it already on the fabric.
-  if (done_before == 0) report.fpga_cycles += access.ConfigCycles();
+  // The configuration FSM programs the design once per run.
+  report.fpga_cycles += access.ConfigCycles();
 
   // One batch of decode buffers for the whole run: tuple k of a batch is
   // decoded into batch[k] in place, so after the first batch no tuple
@@ -114,7 +105,7 @@ Result<RunReport> Accelerator::Run(const storage::Table& table,
   std::vector<engine::TupleData> batch(functional ? batch_size : 0);
   size_t batch_fill = 0;
 
-  for (uint32_t epoch = 0; epoch < segment_budget; ++epoch) {
+  for (uint32_t epoch = 0; epoch < epochs_budget; ++epoch) {
     const dana::SimTime io_before = pool->stats().io_time;
     uint64_t strider_cycles = 0;
     uint64_t engine_cycles = 0;
@@ -205,15 +196,19 @@ Result<RunReport> Accelerator::Run(const storage::Table& table,
     } else {
       // Figure 11 alternative: CPU extracts and transforms each tuple and
       // DMAs it individually; no access/execute interleaving is possible.
+      // The CPU touches every payload byte to deform, convert and marshal
+      // the tuple, and each tuple DMA costs one CPU<->FPGA handshake.
+      constexpr double kCpuExtractNsPerByte = 3.0;
+      constexpr uint64_t kHandshakeCyclesPerTuple = 300;
       const uint64_t tuple_bytes = 4 * prog.TupleElements();
       const dana::SimTime cpu_extract =
           (options.cpu_extract_per_tuple +
-           dana::SimTime::Nanos(options.cpu_extract_ns_per_byte *
+           dana::SimTime::Nanos(kCpuExtractNsPerByte *
                                 static_cast<double>(tuple_bytes))) *
           static_cast<double>(tuples_this_epoch);
       const uint64_t dma_cycles = static_cast<uint64_t>(
           std::ceil(static_cast<double>(tuple_bytes) / axi_bpc +
-                    static_cast<double>(options.handshake_cycles_per_tuple)) *
+                    static_cast<double>(kHandshakeCyclesPerTuple)) *
           tuples_this_epoch);
       const uint64_t fpga_cycles =
           dma_cycles + engine_cycles + design.epoch_schedule.makespan;
@@ -246,9 +241,6 @@ Result<RunReport> Accelerator::Run(const storage::Table& table,
     }
   }
 
-  report.epochs_completed = done_before + report.epochs_run;
-  report.resumable = !report.converged &&
-                     report.epochs_completed < epochs_budget;
   if (functional) {
     report.final_models.resize(prog.model_vars.size());
     for (uint32_t m = 0; m < prog.model_vars.size(); ++m) {

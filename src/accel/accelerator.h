@@ -25,11 +25,6 @@ struct RunOptions {
   uint32_t max_epochs_override = 0;
   /// CPU-side per-tuple extraction + transform cost in bypass mode.
   dana::SimTime cpu_extract_per_tuple = dana::SimTime::Micros(0.35);
-  /// Additional CPU transform cost per payload byte in bypass mode (the
-  /// CPU touches every byte to deform, convert, and marshal the tuple).
-  double cpu_extract_ns_per_byte = 3.0;
-  /// CPU<->FPGA handshake cycles per tuple DMA in bypass mode.
-  uint64_t handshake_cycles_per_tuple = 300;
   /// Initial model values (flattened per model var); zeros when empty.
   std::vector<std::vector<float>> initial_models;
   /// Co-trained queries sharing this pass (cross-query batching): one
@@ -38,19 +33,6 @@ struct RunOptions {
   /// once while engine compute scales with the batch. 1 = the paper's
   /// single-query pass.
   uint32_t batch_queries = 1;
-  /// Segmented (resumable) execution: when nonzero, this call runs at most
-  /// this many epochs of the remaining budget and returns, leaving the run
-  /// preemptible at the epoch boundary. Chain segments by feeding the
-  /// returned `final_models` into the next segment's `initial_models` and
-  /// advancing `epochs_completed`; with the same table and an undisturbed
-  /// buffer pool the concatenated segments reproduce the unsegmented run's
-  /// per-epoch timings and final model bit for bit (cold I/O is paid in
-  /// whichever segment runs the first epoch). 0 runs to the budget.
-  uint32_t epoch_limit = 0;
-  /// Epochs already consumed by earlier segments of this run. Counts
-  /// against the epoch budget, and nonzero values skip the one-time
-  /// configuration-FSM programming (the design is already on the fabric).
-  uint32_t epochs_completed = 0;
 };
 
 /// Timing breakdown of one epoch (all converted to simulated time at the
@@ -72,15 +54,9 @@ struct EpochBreakdown {
   dana::SimTime per_query;
 };
 
-/// Result of a training run (or of one segment of a segmented run).
+/// Result of a training run.
 struct RunReport {
-  uint32_t epochs_run = 0;  ///< epochs executed by this call (this segment)
-  /// Cumulative epochs across all segments of the run:
-  /// `RunOptions::epochs_completed` plus this segment's `epochs_run`.
-  uint32_t epochs_completed = 0;
-  /// True while the run still has budget left and has not converged — the
-  /// checkpoint in `final_models` can seed a further segment.
-  bool resumable = false;
+  uint32_t epochs_run = 0;
   bool converged = false;
   uint64_t tuples_processed = 0;
   dana::SimTime total_time;        ///< end-to-end accelerator wall time

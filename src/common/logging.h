@@ -1,52 +1,36 @@
 #pragma once
 
 #include <sstream>
-#include <string>
 
-namespace dana {
+namespace dana::internal {
 
-/// Severity levels for the lightweight logger.
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Process-wide minimum severity; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-
-/// Current process-wide minimum severity.
-LogLevel GetLogLevel();
-
-namespace internal {
-
-/// Accumulates one log line and emits it to stderr on destruction.
-class LogMessage {
+/// Accumulates a failed DANA_CHECK's message; on destruction prints it to
+/// stderr with the check's location and aborts.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  CheckFailure(const char* file, int line, const char* cond);
+  ~CheckFailure();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  CheckFailure(const CheckFailure&) = delete;
+  CheckFailure& operator=(const CheckFailure&) = delete;
 
   template <typename T>
-  LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+  CheckFailure& operator<<(const T& v) {
+    stream_ << v;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-}  // namespace internal
-}  // namespace dana
+}  // namespace dana::internal
 
-#define DANA_LOG(level)                                                  \
-  ::dana::internal::LogMessage(::dana::LogLevel::k##level, __FILE__, __LINE__)
-
-/// Fatal invariant check: aborts with a message when `cond` is false.
-/// Used for programming errors, never for data-dependent failures (those
-/// return Status).
-#define DANA_CHECK(cond)                                                  \
-  if (!(cond))                                                            \
-  ::dana::internal::LogMessage(::dana::LogLevel::kError, __FILE__, __LINE__) \
-      << "Check failed: " #cond " "
+/// Fatal invariant check: aborts with "Check failed: <cond> <message>" when
+/// `cond` is false. Used for programming errors, never for data-dependent
+/// failures (those return Status). The empty then-branch keeps a following
+/// `else` from binding to the check.
+#define DANA_CHECK(cond) \
+  if (cond) {            \
+  } else                 \
+    ::dana::internal::CheckFailure(__FILE__, __LINE__, #cond)

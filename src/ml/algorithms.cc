@@ -130,24 +130,6 @@ Result<std::unique_ptr<Algo>> BuildAlgo(AlgoKind kind,
   return Status::InvalidArgument("unknown algorithm kind");
 }
 
-uint64_t UpdateRuleFlops(AlgoKind kind, const AlgoParams& params) {
-  const uint64_t d = params.dims;
-  const uint64_t k = params.rank;
-  switch (kind) {
-    case AlgoKind::kLinearRegression:
-      // dot (2d) + residual + grad (d) + update (2d)
-      return 5 * d + 2;
-    case AlgoKind::kLogisticRegression:
-      return 5 * d + 6;  // + sigmoid (costed via TranscendentalFraction)
-    case AlgoKind::kSvm:
-      return 7 * d + 4;  // dot + margin test + reg + update
-    case AlgoKind::kLowRankMF:
-      // projection (2dk) + reconstruct (2dk) + outer (dk) + update (2dk)
-      return 7 * d * k + 2 * d;
-  }
-  return 0;
-}
-
 std::vector<float> InitialModel(AlgoKind kind, const AlgoParams& params,
                                 uint64_t seed) {
   const uint64_t size =
@@ -161,15 +143,6 @@ std::vector<float> InitialModel(AlgoKind kind, const AlgoParams& params,
     for (auto& v : model) v = static_cast<float>(rng.Gaussian() * scale);
   }
   return model;
-}
-
-double TranscendentalFraction(AlgoKind kind) {
-  switch (kind) {
-    case AlgoKind::kLogisticRegression:
-      return 0.05;  // one exp per tuple, but ~20x the cost of a flop
-    default:
-      return 0.0;
-  }
 }
 
 }  // namespace dana::ml

@@ -58,14 +58,6 @@ struct AlgoParams {
 dana::Result<std::unique_ptr<dsl::Algo>> BuildAlgo(AlgoKind kind,
                                                    const AlgoParams& params);
 
-/// Approximate floating-point operations of one update-rule instance
-/// (used by the CPU cost model).
-uint64_t UpdateRuleFlops(AlgoKind kind, const AlgoParams& params);
-
-/// Fraction of the update rule that is transcendental (sigmoid/exp); these
-/// vectorize poorly on CPUs.
-double TranscendentalFraction(AlgoKind kind);
-
 /// Deterministic initial model for one algorithm instance, shared by every
 /// system in the reproduction so trained models are comparable. The
 /// supervised families start at zero (as MADlib does); LRMF starts at small

@@ -99,25 +99,42 @@ uint64_t WorkloadInstance::NormalizedPages(uint64_t shared_frames) const {
 
 namespace {
 
-/// Charges one full scan of the table through the pool and returns the
-/// accumulated I/O time (at generated scale).
-Result<dana::SimTime> ScanEpochIo(WorkloadInstance* instance) {
-  const dana::SimTime before = instance->pool()->stats().io_time;
+/// The steps both MADlib systems share: from `cache`, one full scan of the
+/// table through the pool per assumed epoch and, when `train_model`, the
+/// double-precision reference trained into `out`'s model and loss. Sets
+/// `out->epochs` and returns the scans' I/O time at paper scale.
+Result<dana::SimTime> MadlibScan(WorkloadInstance* instance, CacheState cache,
+                                 bool train_model, SystemResult* out) {
+  const ml::Workload& w = instance->workload();
   const storage::Table& table = instance->table();
-  for (uint64_t p = 0; p < table.num_pages(); ++p) {
-    DANA_RETURN_NOT_OK(instance->pool()->FetchPage(table, p).status());
+  out->epochs = w.assumed_epochs;
+  instance->PrepareCache(cache);
+  storage::BufferPool* pool = instance->pool();
+  dana::SimTime io;
+  for (uint32_t e = 0; e < w.assumed_epochs; ++e) {
+    const dana::SimTime before = pool->stats().io_time;
+    for (uint64_t p = 0; p < table.num_pages(); ++p) {
+      DANA_RETURN_NOT_OK(pool->FetchPage(table, p).status());
+    }
+    io += pool->stats().io_time - before;
   }
-  return instance->pool()->stats().io_time - before;
+  if (train_model) {
+    ml::ReferenceTrainer trainer(w.kind, w.params);
+    DANA_ASSIGN_OR_RETURN(out->model, trainer.Train(instance->dataset(),
+                                                    w.assumed_epochs));
+    out->loss = trainer.Loss(instance->dataset(), out->model);
+  }
+  return io * instance->scale();
 }
 
-/// Trains the double-precision reference and fills model/loss.
-Status TrainReference(const WorkloadInstance& instance, SystemResult* out) {
-  const ml::Workload& w = instance.workload();
-  ml::ReferenceTrainer trainer(w.kind, w.params);
-  DANA_ASSIGN_OR_RETURN(out->model, trainer.Train(instance.dataset(),
-                                                  w.assumed_epochs));
-  out->loss = trainer.Loss(instance.dataset(), out->model);
-  return Status::OK();
+/// The compiler's view of `instance`'s table.
+compiler::WorkloadShape ShapeOf(const WorkloadInstance& instance) {
+  compiler::WorkloadShape shape;
+  shape.num_tuples = instance.table().num_tuples();
+  shape.num_pages = instance.table().num_pages();
+  shape.tuples_per_page = instance.table().TuplesOnPage(0);
+  shape.tuple_payload_bytes = instance.workload().TuplePayloadBytes();
+  return shape;
 }
 
 }  // namespace
@@ -132,15 +149,7 @@ Result<SystemResult> MadlibPostgres::Run(WorkloadInstance* instance,
   const ml::Workload& w = instance->workload();
   SystemResult r;
   r.system = "MADlib+PostgreSQL";
-  r.epochs = w.assumed_epochs;
-
-  instance->PrepareCache(cache);
-  dana::SimTime io;
-  for (uint32_t e = 0; e < w.assumed_epochs; ++e) {
-    DANA_ASSIGN_OR_RETURN(dana::SimTime epoch_io, ScanEpochIo(instance));
-    io += epoch_io;
-  }
-  r.io = io * instance->scale();
+  DANA_ASSIGN_OR_RETURN(r.io, MadlibScan(instance, cache, train_model, &r));
 
   const dana::SimTime per_tuple = cost_.MadlibTupleTime(w.kind, w.params);
   const double virtual_tuples = static_cast<double>(w.tuples) * w.scale;
@@ -150,10 +159,6 @@ Result<SystemResult> MadlibPostgres::Run(WorkloadInstance* instance,
   // Single-threaded PostgreSQL executes the scan and the UDF in one
   // process: I/O and compute serialize.
   r.total = r.overhead + r.io + r.compute;
-
-  if (train_model) {
-    DANA_RETURN_NOT_OK(TrainReference(*instance, &r));
-  }
   return r;
 }
 
@@ -167,16 +172,10 @@ Result<SystemResult> MadlibGreenplum::Run(WorkloadInstance* instance,
   const ml::Workload& w = instance->workload();
   SystemResult r;
   r.system = "MADlib+Greenplum(" + std::to_string(segments_) + ")";
-  r.epochs = w.assumed_epochs;
-
-  instance->PrepareCache(cache);
-  dana::SimTime io;
-  for (uint32_t e = 0; e < w.assumed_epochs; ++e) {
-    DANA_ASSIGN_OR_RETURN(dana::SimTime epoch_io, ScanEpochIo(instance));
-    io += epoch_io;
-  }
+  DANA_ASSIGN_OR_RETURN(dana::SimTime io,
+                        MadlibScan(instance, cache, train_model, &r));
   // Segments issue I/O concurrently but share one device; modest overlap.
-  r.io = io * instance->scale() / 1.5;
+  r.io = io / 1.5;
 
   const double gp_speedup =
       w.gp_speedup_8seg * GreenplumModel::SegmentCurve(segments_);
@@ -186,10 +185,6 @@ Result<SystemResult> MadlibGreenplum::Run(WorkloadInstance* instance,
               static_cast<double>(w.assumed_epochs) / gp_speedup;
   r.overhead = cost_.gp_query_overhead;
   r.total = r.overhead + r.io + r.compute;
-
-  if (train_model) {
-    DANA_RETURN_NOT_OK(TrainReference(*instance, &r));
-  }
   return r;
 }
 
@@ -205,15 +200,9 @@ Result<compiler::CompiledUdf> DanaSystem::Compile(
     const WorkloadInstance& instance) const {
   const ml::Workload& w = instance.workload();
   DANA_ASSIGN_OR_RETURN(auto algo, ml::BuildAlgo(w.kind, w.params));
-
-  compiler::WorkloadShape shape;
-  shape.num_tuples = instance.table().num_tuples();
-  shape.num_pages = instance.table().num_pages();
-  shape.tuples_per_page = instance.table().TuplesOnPage(0);
-  shape.tuple_payload_bytes = w.TuplePayloadBytes();
-
   compiler::UdfCompiler udf_compiler(options_.fpga, options_.hw);
-  return udf_compiler.Compile(*algo, instance.table().layout(), shape);
+  return udf_compiler.Compile(*algo, instance.table().layout(),
+                              ShapeOf(instance));
 }
 
 Result<SystemResult> DanaSystem::Run(WorkloadInstance* instance,
@@ -359,18 +348,12 @@ Result<dana::SimTime> TablaSystem::ComputeTimePerEpoch(
   const ml::Workload& w = instance->workload();
   DANA_ASSIGN_OR_RETURN(auto algo, ml::BuildAlgo(w.kind, w.params));
 
-  compiler::WorkloadShape shape;
-  shape.num_tuples = instance->table().num_tuples();
-  shape.num_pages = instance->table().num_pages();
-  shape.tuples_per_page = instance->table().TuplesOnPage(0);
-  shape.tuple_payload_bytes = w.TuplePayloadBytes();
-
   compiler::HardwareGenerator::Options hw;
   hw.force_threads = 1;  // TABLA offers single-threaded acceleration
   compiler::UdfCompiler udf_compiler(fpga_, hw);
   DANA_ASSIGN_OR_RETURN(auto udf,
                         udf_compiler.Compile(*algo, instance->table().layout(),
-                                             shape));
+                                             ShapeOf(*instance)));
 
   instance->PrepareCache(CacheState::kWarm);
   accel::RunOptions run;

@@ -11,10 +11,14 @@ namespace dana::sched {
 
 namespace {
 
-runtime::DanaSystem::Options MakeSystemOptions(uint32_t epoch_cap) {
+/// Epochs each endpoint measurement simulates before linear extrapolation
+/// (see DanaSystem::Options): 2 captures cold I/O + steady state.
+constexpr uint32_t kMeasuredEpochs = 2;
+
+runtime::DanaSystem::Options MakeSystemOptions() {
   runtime::DanaSystem::Options o;
   o.fpga = runtime::DefaultFpga();
-  o.functional_epoch_cap = epoch_cap;
+  o.functional_epoch_cap = kMeasuredEpochs;
   return o;
 }
 
@@ -188,12 +192,16 @@ class DanaBatchExecution : public BatchExecution {
     const uint64_t norm_pages = record_->norm_pages;
     // Memoized repeat sweep: if nothing installed into (or cleared) this
     // pool since our previous slice swept it and the table is still fully
-    // resident, the sweep would be all hits — every frame already holds
-    // what it would hold after, with its reference bit already set — so
-    // the O(pages) walk is skipped. Only the pool's hit/miss counters and
-    // last_table() diverge from the unskipped run; nothing the scheduler
-    // or pricing reads does. A table larger than the pool is never fully
-    // resident and always re-sweeps (the repeat walk moves the clock hand).
+    // resident, the sweep would be all hits, so the O(pages) walk is
+    // skipped. Under clock the skip is exact: every frame already holds
+    // what it would hold after, with its reference bit already set, and
+    // only the pool's hit/miss counters and last_table() diverge from the
+    // unskipped run. Under LRU and promotional it is not: a hit reorders
+    // recency without bumping version(), so another table's all-hit sweep
+    // in between leaves an order the skipped sweep would have restored,
+    // and later victims can differ from the unskipped run's. A table
+    // larger than the pool is never fully resident and always re-sweeps
+    // (the repeat walk moves the clock hand).
     const bool undisturbed = swept_pool_ == pool &&
                              pool->version() == swept_version_ &&
                              pool->resident_frames(tid) == norm_pages;
@@ -337,7 +345,7 @@ DanaQueryExecutor::DanaQueryExecutor() : DanaQueryExecutor(Options{}) {}
 
 DanaQueryExecutor::DanaQueryExecutor(Options options)
     : options_(NormalizeExecOptions(options)),
-      system_(cost_model_, MakeSystemOptions(options.functional_epoch_cap)),
+      system_(cost_model_, MakeSystemOptions()),
       slot_pools_(options_.pool_frames * kSharedPoolPageSize,
                   kSharedPoolPageSize, storage::DiskModel{},
                   options_.os_frames * kSharedPoolPageSize,
@@ -371,18 +379,11 @@ Result<DanaQueryExecutor::WorkloadRecord*> DanaQueryExecutor::RecordFor(
   return &Record(handle);
 }
 
-bool DanaQueryExecutor::PricesFromShape(const ml::Workload& workload) {
-  return workload.params.convergence_norm <= 0;
-}
-
 Result<runtime::WorkloadInstance*> DanaQueryExecutor::Instance(
     WorkloadRecord& rec) {
   if (rec.instance == nullptr) {
     DANA_ASSIGN_OR_RETURN(
-        rec.instance,
-        PricesFromShape(*rec.workload)
-            ? runtime::WorkloadInstance::CreateShape(*rec.workload)
-            : runtime::WorkloadInstance::Create(*rec.workload));
+        rec.instance, runtime::WorkloadInstance::CreateShape(*rec.workload));
     rec.norm_pages = rec.instance->NormalizedPages(options_.pool_frames);
   }
   return rec.instance.get();
@@ -417,13 +418,16 @@ DanaQueryExecutor::MeasureEndpoint(WorkloadRecord& rec, uint32_t batch_size,
   // and therefore take identical time.
   DANA_ASSIGN_OR_RETURN(
       runtime::SystemResult result,
-      PricesFromShape(*rec.workload)
-          ? system_.TimeCompiled(*udf, instance, cache, batch_size, slot)
-          : system_.RunCompiled(*udf, instance, cache, batch_size, slot));
+      system_.TimeCompiled(*udf, instance, cache, batch_size, slot));
   obs::Count(options_.metrics, "exec.endpoint_measurements");
   memo = std::make_unique<EpochProfile>();
   EpochProfile& p = *memo;
-  p.compile = options_.compile_latency;
+  // A compile-cache miss costs DSL translation, hardware generation, static
+  // scheduling and programming the configuration FSM: "hundreds of
+  // milliseconds", large enough that cache hits visibly matter, small
+  // against multi-second training runs.
+  constexpr dana::SimTime kCompileLatency = dana::SimTime::Millis(400);
+  p.compile = kCompileLatency;
   p.first_wall = result.first_epoch.wall;
   p.steady_wall = result.steady_epoch.wall;
   p.first_shared = result.first_epoch.shared;

@@ -262,18 +262,20 @@ class QueryExecutor {
 /// cycle-level accelerator simulator through `runtime::DanaSystem` (so the
 /// scheduler multiplexes real simulated accelerator runs, not analytical
 /// guesses). The scheduler reads only times, and they depend on the table's
-/// page layout alone, so a workload is priced from its *shape* (see
-/// PricesFromShape): a shape instance (WorkloadInstance::CreateShape, no
-/// dataset generated) timed by DanaSystem::TimeCompiled (nothing trained,
-/// no loss computed), bit for bit the times a functional run reports. A
-/// workload whose run length depends on trained values instead gets a full
-/// instance and the functional RunCompiled. Measurements are memoized per
-/// (workload, batch size, cache endpoint) as an *epoch profile*: the first
-/// epoch carries the cold-I/O transient, every later epoch repeats the
-/// steady state, and fixed query/epoch overheads sit on top. Full-run and
-/// sliced costs both derive from one cumulative cost curve over that
-/// profile, so any split of a run into epoch slices telescopes to exactly
-/// the unsegmented service. Compiled designs live in a CompileCache so
+/// page layout alone, so a workload is priced from its *shape*: a shape
+/// instance (WorkloadInstance::CreateShape, no dataset generated) timed by
+/// DanaSystem::TimeCompiled (nothing trained, no loss computed), bit for
+/// bit the times a functional run reports. A workload whose run length
+/// depends on trained values (a convergence test) cannot be timed this way
+/// and fails its first measurement with FailedPrecondition. Measurements
+/// are memoized per (workload, batch size, cache endpoint) as an *epoch
+/// profile*: the first epoch carries the cold-I/O transient, every later
+/// epoch repeats the steady state, and fixed query/epoch overheads sit on
+/// top. Full-run and sliced costs both derive from one cumulative cost
+/// curve over that profile, so any split of a run into epoch slices
+/// telescopes to exactly the unsegmented service. The accelerator
+/// simulator always runs whole: a preempted run is re-priced, never
+/// resumed inside the simulator. Compiled designs live in a CompileCache so
 /// `compiler::Compile` runs once per algorithm no matter how many queries
 /// reference it. Each slot trains against its own buffer pool from the
 /// instance's pool group (per-slot execution contexts).
@@ -310,12 +312,6 @@ class QueryExecutor {
 class DanaQueryExecutor : public QueryExecutor {
  public:
   struct Options {
-    /// Simulated wall-clock cost of a compile-cache miss: DSL translation,
-    /// hardware generation, static scheduling, and configuring the FPGA's
-    /// configuration FSM with the new design. Calibrated to "hundreds of
-    /// milliseconds" — large enough that cache hits visibly matter, small
-    /// against multi-second training runs.
-    dana::SimTime compile_latency = dana::SimTime::Millis(400);
     /// Frames in each slot's shared residency pool, the pool every
     /// dispatch is priced from. Scale-normalized units: a workload's sweep
     /// touches PoolSizeRatio() * pool_frames logical pages, so this is
@@ -338,11 +334,6 @@ class DanaQueryExecutor : public QueryExecutor {
     /// dispatches are priced across three measured endpoints
     /// (pool-warm / os-warm / cold).
     uint64_t os_frames = 0;
-    /// Epochs each endpoint measurement actually simulates (timing-only
-    /// unless the workload needs functional runs) before linear
-    /// extrapolation (see DanaSystem::Options); 2 captures cold I/O +
-    /// steady state.
-    uint32_t functional_epoch_cap = 2;
     /// Telemetry sink (not owned; null = off). Begin() counts each
     /// dispatch's pricing regime (exec.charges.cold/warm/partial) and
     /// MeasureEndpoint counts actual simulator runs
@@ -368,12 +359,6 @@ class DanaQueryExecutor : public QueryExecutor {
 
   DanaQueryExecutor();
   explicit DanaQueryExecutor(Options options);
-
-  /// True when `workload`'s endpoints can be priced from a shape instance
-  /// by a timing-only run: its program has no convergence test
-  /// (`params.convergence_norm <= 0`), so no simulated time depends on a
-  /// trained value. Otherwise the executor trains on the generated data.
-  static bool PricesFromShape(const ml::Workload& workload);
 
   /// NotFound, naming the workload, when the registry has no such id.
   dana::Result<WorkloadHandle> Resolve(const std::string& workload_id) override;
@@ -424,8 +409,7 @@ class DanaQueryExecutor : public QueryExecutor {
   struct WorkloadRecord {
     std::string name;
     const ml::Workload* workload = nullptr;  ///< static registry entry
-    /// Built on first need (a shape instance unless the workload needs
-    /// functional runs, see PricesFromShape); null until then.
+    /// The shape instance, built on first need; null until then.
     std::unique_ptr<runtime::WorkloadInstance> instance;
     uint64_t norm_pages = 0;  ///< NormalizedPages, set with `instance`
     /// The table's id in slot s's pool, interned on the slot's first use.

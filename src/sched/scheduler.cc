@@ -400,18 +400,7 @@ class EventEngine {
                std::move(class_order), AffinityEstimator()),
         active_(options.slots),
         holds_(options.slots),
-        free_since_(options.slots, dana::SimTime::Zero()),
-        free_next_(options.slots),
-        free_prev_(options.slots),
-        in_free_(options.slots, 1) {
-    // Every slot starts free: link the list in ascending slot order.
-    for (uint32_t s = 0; s < options_.slots; ++s) {
-      free_next_[s] = s + 1 < options_.slots ? s + 1 : kNoSlot;
-      free_prev_[s] = s > 0 ? s - 1 : kNoSlot;
-    }
-    free_head_ = 0;
-    free_tail_ = options_.slots - 1;
-  }
+        free_since_(options.slots, dana::SimTime::Zero()) {}
 
   dana::Status Run() {
     dana::SimTime clock;
@@ -502,8 +491,8 @@ class EventEngine {
   /// The affinity signal: the best residency any free slot offers.
   double BestFreeWarmth(WorkloadHandle h) const {
     double best = 0.0;
-    for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
-      best = std::max(best, executor_->WarmFractionOf(h, s));
+    for (uint32_t s = 0; s < options_.slots; ++s) {
+      if (SlotFree(s)) best = std::max(best, executor_->WarmFractionOf(h, s));
     }
     return best;
   }
@@ -512,59 +501,27 @@ class EventEngine {
     return !active_[s].has_value() && !holds_[s].active;
   }
 
-  /// Re-derives slot `s`'s membership in the free-slot list from its
-  /// actual state. Idempotent; called after every active_/holds_ mutation,
-  /// so the list is correct by construction instead of by transition
-  /// bookkeeping. The list stays in ascending slot order.
-  void SyncSlot(uint32_t s) {
-    const bool want = SlotFree(s);
-    if (want == static_cast<bool>(in_free_[s])) return;
-    if (want) {
-      // Insert before the first free slot above `s` (the list is at most
-      // `slots` long; low slots free and occupy most often, so the walk
-      // is typically short).
-      uint32_t succ = free_head_;
-      while (succ != kNoSlot && succ < s) succ = free_next_[succ];
-      const uint32_t pred = succ == kNoSlot ? free_tail_ : free_prev_[succ];
-      free_next_[s] = succ;
-      free_prev_[s] = pred;
-      if (pred == kNoSlot) {
-        free_head_ = s;
-      } else {
-        free_next_[pred] = s;
-      }
-      if (succ == kNoSlot) {
-        free_tail_ = s;
-      } else {
-        free_prev_[succ] = s;
-      }
-    } else {
-      const uint32_t p = free_prev_[s], n = free_next_[s];
-      if (p == kNoSlot) {
-        free_head_ = n;
-      } else {
-        free_next_[p] = n;
-      }
-      if (n == kNoSlot) {
-        free_tail_ = p;
-      } else {
-        free_prev_[n] = p;
-      }
-      free_next_[s] = free_prev_[s] = kNoSlot;
+  bool AnySlotFree() const {
+    for (uint32_t s = 0; s < options_.slots; ++s) {
+      if (SlotFree(s)) return true;
     }
-    in_free_[s] = want;
+    return false;
   }
 
   /// Among free slots, the one free the longest (lowest index on ties);
   /// under affinity, the warmest (ties by the blind rule).
   uint32_t ChooseSlot(uint32_t wid) const {
-    uint32_t slot = free_head_;
-    for (uint32_t s = free_next_[slot]; s != kNoSlot; s = free_next_[s]) {
-      if (free_since_[s] < free_since_[slot]) slot = s;
+    uint32_t slot = kNoSlot;
+    for (uint32_t s = 0; s < options_.slots; ++s) {
+      if (SlotFree(s) &&
+          (slot == kNoSlot || free_since_[s] < free_since_[slot])) {
+        slot = s;
+      }
     }
     if (options_.affinity_weight > 0.0) {
       double best_warm = -1.0;
-      for (uint32_t s = free_head_; s != kNoSlot; s = free_next_[s]) {
+      for (uint32_t s = 0; s < options_.slots; ++s) {
+        if (!SlotFree(s)) continue;
         const double w = executor_->WarmFractionOf(workloads_.handles[wid], s);
         if (w > best_warm ||
             (w == best_warm && free_since_[s] < free_since_[slot])) {
@@ -596,7 +553,7 @@ class EventEngine {
     if (interactive_.empty() && continuations_.empty() && batch_.empty()) {
       return false;
     }
-    if (free_head_ == kNoSlot && !interactive_.empty()) {
+    if (!interactive_.empty() && !AnySlotFree()) {
       // Interactive work outranks batch formation: with every free slot
       // held, seize the lowest one — its members return to the batch
       // queue (never dispatched, nothing charged) and the slot serves the
@@ -606,11 +563,10 @@ class EventEngine {
         for (size_t m : holds_[s].members) batch_.Restore(m);
         holds_[s].members.clear();
         holds_[s].active = false;
-        SyncSlot(s);
         break;
       }
     }
-    if (free_head_ == kNoSlot) return false;
+    if (!AnySlotFree()) return false;
 
     if (!interactive_.empty()) {
       const std::vector<size_t>& members = PopBatch(interactive_, now);
@@ -644,7 +600,6 @@ class EventEngine {
       holds_[slot].active = true;
       holds_[slot].members = members;
       holds_[slot].expires = now + options_.batch_window;
-      SyncSlot(slot);
       return true;
     }
     return DispatchBatch(members, slot, now);
@@ -715,7 +670,6 @@ class EventEngine {
     // dispatch order.
     if (!preemptive_) DANA_RETURN_NOT_OK(FinishRun(a.run));
     active_[slot] = std::move(a);
-    SyncSlot(slot);
     return true;
   }
 
@@ -736,7 +690,6 @@ class EventEngine {
             static_cast<uint64_t>(a.run.exec->epochs_run())}});
     }
     active_[slot] = std::move(a);
-    SyncSlot(slot);
     return true;
   }
 
@@ -929,7 +882,6 @@ class EventEngine {
     Active a = std::move(*active_[slot]);
     active_[slot].reset();
     free_since_[slot] = now;
-    SyncSlot(slot);
     if (!a.run.exec->finished()) DANA_RETURN_NOT_OK(FinishRun(a.run));
     for (QueryStat& stat : Stats(a.run)) {
       stat.slot = slot;
@@ -981,7 +933,6 @@ class EventEngine {
     Active a = std::move(*active_[slot]);
     active_[slot].reset();
     free_since_[slot] = now;
-    SyncSlot(slot);
     DANA_ASSIGN_OR_RETURN(SliceCost slice,
                           a.run.exec->NextSlice(a.preempt_epochs));
     DANA_RETURN_NOT_OK(a.run.exec->Checkpoint());
@@ -1025,7 +976,6 @@ class EventEngine {
   dana::Status ReleaseHold(uint32_t s, dana::SimTime now) {
     const std::vector<size_t> members = std::move(holds_[s].members);
     holds_[s].active = false;
-    SyncSlot(s);
     return DispatchBatch(members, s, now).status();
   }
 
@@ -1130,11 +1080,6 @@ class EventEngine {
         due;
   };
   std::optional<ClosedLoop> closed_;
-  // Intrusive free-slot list: doubly linked over slot indices in ascending
-  // order, so slot choice and warmth reads see free slots in index order.
-  uint32_t free_head_ = kNoSlot, free_tail_ = kNoSlot;
-  std::vector<uint32_t> free_next_, free_prev_;
-  std::vector<uint8_t> in_free_;
 };
 
 /// Runs one request stream (or closed-loop feed) through the engine and

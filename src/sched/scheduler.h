@@ -178,7 +178,7 @@ struct SchedulerOptions {
   /// next epoch boundary — the next multiple of this many epochs of the
   /// run's *global* epoch count, so a resumed run keeps its original
   /// boundary phase instead of restarting the count from re-dispatch —
-  /// and its remainder is re-enqueued with the checkpointed model,
+  /// and its remainder is re-enqueued with its epochs done,
   /// resuming — warm or cold, as residency dictates — when a slot frees.
   /// Equal-remaining victims tie-break by checkpoint-to-boundary distance
   /// (nearest usable boundary first), then least expected cold-resume

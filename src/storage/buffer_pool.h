@@ -239,10 +239,11 @@ class BufferPool {
   /// Monotone counter bumped whenever cached contents change in *any*
   /// tier — a page install, a Clear, or an OS-tier mutation
   /// (MarkOsCached, the Fetch-path OS admission). Two reads returning the
-  /// same value bracket a window in which every tier held the same pages
-  /// in the same replacement order — pure hits set bits that were already
-  /// set — so a caller that swept the pool can recognise an undisturbed
-  /// repeat and skip it (the executor's slice memoization).
+  /// same value bracket a window in which every tier held the same pages.
+  /// Hits do not bump it: under clock they only set reference bits, but
+  /// under LRU and promotional they reorder recency, so an unchanged
+  /// version does not mean an unchanged replacement order (see the
+  /// executor's slice memoization).
   uint64_t version() const { return version_; }
 
   uint64_t num_frames() const { return frames_.size(); }

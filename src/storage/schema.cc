@@ -16,18 +16,6 @@ uint32_t ColumnTypeSize(ColumnType t) {
   return 0;
 }
 
-std::string ColumnTypeName(ColumnType t) {
-  switch (t) {
-    case ColumnType::kFloat4:
-      return "float4";
-    case ColumnType::kFloat8:
-      return "float8";
-    case ColumnType::kInt32:
-      return "int32";
-  }
-  return "?";
-}
-
 Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {
   offsets_.reserve(columns_.size());
   uint32_t off = 0;

@@ -16,9 +16,6 @@ enum class ColumnType : uint8_t { kFloat4, kFloat8, kInt32 };
 /// Byte width of a column type.
 uint32_t ColumnTypeSize(ColumnType t);
 
-/// Name for diagnostics ("float4", ...).
-std::string ColumnTypeName(ColumnType t);
-
 /// One column: a name and a type.
 struct Column {
   std::string name;

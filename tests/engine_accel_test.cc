@@ -11,7 +11,6 @@
 #include "ml/datasets.h"
 #include "ml/reference.h"
 #include "ml/workloads.h"
-#include "sched/executor.h"
 #include "storage/buffer_pool.h"
 
 namespace dana {
@@ -536,18 +535,6 @@ TEST(AcceleratorTest, TimingOnlyRunRefusesAConvergenceTest) {
   auto trained = std::move(acc.Train(*f.table, f.pool.get(), {})).ValueOrDie();
   EXPECT_TRUE(trained.converged);
   EXPECT_LT(trained.epochs_run, 50u);
-}
-
-TEST(ShapePricingTest, ConvergenceNormSelectsTheFunctionalPath) {
-  // The executor's choice between a shape instance with timing-only runs
-  // and a full instance with functional ones follows convergence_norm.
-  for (const ml::Workload& w : ml::AllWorkloads()) {
-    EXPECT_TRUE(sched::DanaQueryExecutor::PricesFromShape(w)) << w.id;
-    ml::Workload converging = w;
-    converging.params.convergence_norm = 0.5;
-    EXPECT_FALSE(sched::DanaQueryExecutor::PricesFromShape(converging))
-        << w.id;
-  }
 }
 
 TEST(AcceleratorTest, TimingOnlyRunMatchesTrainBitForBit) {

@@ -1,11 +1,8 @@
 // Preemptible epoch-sliced execution suite (ctest label: sched_preempt).
 //
-// Three layers of the resumable-execution stack are pinned here:
-//  - accel::Accelerator's segmented-run mode: any split of a training run
-//    into epoch segments (chained through final_models checkpoints over an
-//    undisturbed buffer pool) reproduces the unsegmented run's per-epoch
-//    timings and final model bit for bit, with cold I/O paid only by the
-//    segment that runs the first epoch;
+// Two layers of the resumable-execution stack are pinned here (the
+// accelerator itself always runs whole: preemption is priced from the
+// executor's measured epoch profiles, never by resuming a simulator run):
 //  - the executor slice ABI: DanaQueryExecutor's slice costs telescope to
 //    the unsegmented Dispatch charge, and Resume re-prices the remainder
 //    from the new slot's residency;
@@ -23,11 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/accelerator.h"
-#include "compiler/compiler.h"
-#include "ml/algorithms.h"
-#include "ml/datasets.h"
-#include "ml/workloads.h"
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
@@ -35,176 +27,6 @@
 
 namespace dana {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Accelerator segmented-run mode
-// ---------------------------------------------------------------------------
-
-struct SegmentFixture {
-  std::unique_ptr<storage::Table> table;
-  std::unique_ptr<storage::BufferPool> pool;
-  compiler::CompiledUdf udf;
-  ml::AlgoParams params;
-  ml::AlgoKind kind = ml::AlgoKind::kLinearRegression;
-
-  static SegmentFixture Make(uint32_t epochs) {
-    SegmentFixture f;
-    f.params.dims = 8;
-    f.params.rank = 4;
-    f.params.merge_coef = 4;
-    f.params.epochs = epochs;
-    f.params.learning_rate = 0.3;
-    ml::DatasetSpec spec;
-    spec.kind = f.kind;
-    spec.dims = f.params.dims;
-    spec.rank = f.params.rank;
-    spec.tuples = 512;
-    ml::Dataset data = ml::GenerateDataset(spec);
-    storage::PageLayout layout;
-    f.table = std::move(ml::BuildTable("t", data, layout)).ValueOrDie();
-    f.pool = std::make_unique<storage::BufferPool>(64ull << 20, 32 * 1024,
-                                                   storage::DiskModel{});
-    auto algo = std::move(ml::BuildAlgo(f.kind, f.params)).ValueOrDie();
-    compiler::WorkloadShape shape;
-    shape.num_tuples = f.table->num_tuples();
-    shape.num_pages = f.table->num_pages();
-    shape.tuples_per_page = f.table->TuplesOnPage(0);
-    shape.tuple_payload_bytes = f.table->schema().RowBytes();
-    compiler::UdfCompiler compiler{compiler::FpgaSpec{},
-                                   compiler::HardwareGenerator::Options{}};
-    f.udf = std::move(compiler.Compile(*algo, layout, shape)).ValueOrDie();
-    return f;
-  }
-
-  /// Fresh cold pool (cleared frames, zeroed stats).
-  void ResetPool() {
-    pool->Clear();
-    pool->ResetStats();
-  }
-
-  accel::RunReport Train(accel::RunOptions opt) {
-    if (opt.initial_models.empty()) {
-      opt.initial_models = {ml::InitialModel(kind, params)};
-    }
-    accel::Accelerator acc(udf);
-    return std::move(acc.Train(*table, pool.get(), opt)).ValueOrDie();
-  }
-};
-
-/// Runs the fixture's training split into the given segment sizes (0 size
-/// = all remaining), chaining model checkpoints, without disturbing the
-/// pool between segments. Returns the concatenated segment reports.
-std::vector<accel::RunReport> RunSegments(SegmentFixture& f,
-                                          const std::vector<uint32_t>& sizes) {
-  std::vector<accel::RunReport> reports;
-  std::vector<std::vector<float>> models = {
-      ml::InitialModel(f.kind, f.params)};
-  uint32_t done = 0;
-  for (uint32_t size : sizes) {
-    accel::RunOptions opt;
-    opt.epoch_limit = size;
-    opt.epochs_completed = done;
-    opt.initial_models = models;
-    accel::RunReport r = f.Train(opt);
-    done = r.epochs_completed;
-    models = r.final_models;
-    reports.push_back(std::move(r));
-    if (!reports.back().resumable) break;
-  }
-  return reports;
-}
-
-TEST(SegmentedRunTest, AnySplitReproducesTheUnsegmentedRun) {
-  const uint32_t kEpochs = 8;
-  SegmentFixture f = SegmentFixture::Make(kEpochs);
-
-  f.ResetPool();
-  accel::RunReport whole = f.Train({});
-  ASSERT_EQ(whole.epochs_run, kEpochs);
-  EXPECT_EQ(whole.epochs_completed, kEpochs);
-  EXPECT_FALSE(whole.resumable);
-
-  const std::vector<std::vector<uint32_t>> splits = {
-      {1, 1, 1, 1, 1, 1, 1, 1},  // size 1
-      {2, 2, 2, 2},              // size 2
-      {7, 1},                    // k-1 then 1
-      {3, 1, 4},                 // "random"
-      {5, 0},                    // explicit remainder
-  };
-  for (const auto& split : splits) {
-    f.ResetPool();
-    std::vector<accel::RunReport> segments = RunSegments(f, split);
-
-    // Per-epoch timings concatenate to the unsegmented run's bit for bit:
-    // the first segment pays the cold I/O, every later segment runs warm.
-    std::vector<accel::EpochBreakdown> epochs;
-    dana::SimTime total;
-    uint64_t tuples = 0;
-    for (const accel::RunReport& r : segments) {
-      epochs.insert(epochs.end(), r.epochs.begin(), r.epochs.end());
-      total += r.total_time;
-      tuples += r.tuples_processed;
-    }
-    ASSERT_EQ(epochs.size(), whole.epochs.size());
-    for (size_t e = 0; e < epochs.size(); ++e) {
-      EXPECT_EQ(epochs[e].wall.nanos(), whole.epochs[e].wall.nanos())
-          << "epoch " << e;
-      EXPECT_EQ(epochs[e].io.nanos(), whole.epochs[e].io.nanos())
-          << "epoch " << e;
-      EXPECT_EQ(epochs[e].engine.nanos(), whole.epochs[e].engine.nanos())
-          << "epoch " << e;
-    }
-    EXPECT_NEAR(total.nanos(), whole.total_time.nanos(), 1.0);
-    EXPECT_EQ(tuples, whole.tuples_processed);
-
-    // The chained checkpoint ends at the identical model, bit for bit.
-    const accel::RunReport& last = segments.back();
-    EXPECT_EQ(last.epochs_completed, kEpochs);
-    EXPECT_FALSE(last.resumable);
-    ASSERT_EQ(last.final_models.size(), whole.final_models.size());
-    for (size_t m = 0; m < whole.final_models.size(); ++m) {
-      EXPECT_EQ(last.final_models[m], whole.final_models[m]);
-    }
-  }
-}
-
-TEST(SegmentedRunTest, ColdIoPaidOnlyInTheFirstSegment) {
-  SegmentFixture f = SegmentFixture::Make(6);
-  f.ResetPool();
-  std::vector<accel::RunReport> segments = RunSegments(f, {2, 2, 2});
-  ASSERT_EQ(segments.size(), 3u);
-  EXPECT_GT(segments[0].io_time.nanos(), 0.0);
-  EXPECT_EQ(segments[1].io_time.nanos(), 0.0);
-  EXPECT_EQ(segments[2].io_time.nanos(), 0.0);
-  // The configuration FSM programs the design once, in the first segment.
-  EXPECT_GT(segments[0].fpga_cycles, segments[1].fpga_cycles);
-}
-
-TEST(SegmentedRunTest, SegmentReportsBudgetAccounting) {
-  SegmentFixture f = SegmentFixture::Make(5);
-  f.ResetPool();
-  accel::RunOptions opt;
-  opt.epoch_limit = 3;
-  opt.initial_models = {ml::InitialModel(f.kind, f.params)};
-  accel::RunReport first = f.Train(opt);
-  EXPECT_EQ(first.epochs_run, 3u);
-  EXPECT_EQ(first.epochs_completed, 3u);
-  EXPECT_TRUE(first.resumable);
-
-  opt.epochs_completed = 3;
-  opt.epoch_limit = 10;  // clamped to the remaining budget
-  opt.initial_models = first.final_models;
-  accel::RunReport rest = f.Train(opt);
-  EXPECT_EQ(rest.epochs_run, 2u);
-  EXPECT_EQ(rest.epochs_completed, 5u);
-  EXPECT_FALSE(rest.resumable);
-
-  // A segment past the budget runs nothing.
-  opt.epochs_completed = 5;
-  accel::RunReport none = f.Train(opt);
-  EXPECT_EQ(none.epochs_run, 0u);
-  EXPECT_FALSE(none.resumable);
-}
 
 // ---------------------------------------------------------------------------
 // DanaQueryExecutor slice ABI
