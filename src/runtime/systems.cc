@@ -20,10 +20,33 @@ compiler::FpgaSpec DefaultFpga() {
 // WorkloadInstance
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// A pool and OS page cache scaled so their proportions against the table
+/// match the paper's 8 GB shared_buffers and 32 GB RAM against Table 3.
+storage::BufferPool ScaledPool(const ml::Workload& workload,
+                               uint32_t page_size) {
+  const double pool_bytes = 8.0 * (1ull << 30) / workload.scale;
+  const double os_cache_bytes = 24.0 * (1ull << 30) / workload.scale;
+  const uint64_t min_bytes = 8ull * page_size;
+  storage::DiskModel disk;
+  disk.seq_read_bw = kDiskSeqReadBytesPerSec;
+  return storage::BufferPool(
+      std::max<uint64_t>(static_cast<uint64_t>(pool_bytes), min_bytes),
+      page_size, disk,
+      std::max<uint64_t>(static_cast<uint64_t>(os_cache_bytes), min_bytes));
+}
+
+}  // namespace
+
+WorkloadInstance::WorkloadInstance(ml::Workload workload, uint32_t page_size)
+    : workload_(std::move(workload)),
+      pool_(ScaledPool(workload_, page_size)) {}
+
 Result<std::unique_ptr<WorkloadInstance>> WorkloadInstance::Create(
     const ml::Workload& workload, uint32_t page_size) {
-  auto instance =
-      std::unique_ptr<WorkloadInstance>(new WorkloadInstance(workload));
+  auto instance = std::unique_ptr<WorkloadInstance>(
+      new WorkloadInstance(workload, page_size));
   instance->dataset_ = ml::GenerateDataset(workload.dataset_spec());
   instance->has_dataset_ = true;
 
@@ -32,20 +55,18 @@ Result<std::unique_ptr<WorkloadInstance>> WorkloadInstance::Create(
   DANA_ASSIGN_OR_RETURN(
       instance->table_,
       ml::BuildTable(workload.id, instance->dataset_, layout));
-  instance->MakePools(page_size);
   return instance;
 }
 
 Result<std::unique_ptr<WorkloadInstance>> WorkloadInstance::CreateShape(
     const ml::Workload& workload, uint32_t page_size) {
-  auto instance =
-      std::unique_ptr<WorkloadInstance>(new WorkloadInstance(workload));
+  auto instance = std::unique_ptr<WorkloadInstance>(
+      new WorkloadInstance(workload, page_size));
   storage::PageLayout layout;
   layout.page_size = page_size;
   DANA_ASSIGN_OR_RETURN(
       instance->table_,
       ml::BuildShapeTable(workload.id, workload.dataset_spec(), layout));
-  instance->MakePools(page_size);
   return instance;
 }
 
@@ -55,39 +76,23 @@ const ml::Dataset& WorkloadInstance::dataset() const {
   return dataset_;
 }
 
-void WorkloadInstance::MakePools(uint32_t page_size) {
-  // Pool and OS page cache scaled so their proportions against the table
-  // match the paper's 8 GB shared_buffers and 32 GB RAM against Table 3.
-  const double pool_bytes = 8.0 * (1ull << 30) / workload_.scale;
-  const double os_cache_bytes = 24.0 * (1ull << 30) / workload_.scale;
-  const uint64_t min_bytes = 8ull * page_size;
-  storage::DiskModel disk;
-  disk.seq_read_bw = kDiskSeqReadBytesPerSec;
-  pools_ = std::make_unique<storage::BufferPoolGroup>(
-      std::max<uint64_t>(static_cast<uint64_t>(pool_bytes), min_bytes),
-      page_size, disk,
-      std::max<uint64_t>(static_cast<uint64_t>(os_cache_bytes), min_bytes));
-}
-
-void WorkloadInstance::PrepareCache(CacheState state, uint32_t slot) {
-  storage::BufferPool* pool = pools_->pool(slot);
-  pool->Clear();
-  pool->ResetStats();
+void WorkloadInstance::PrepareCache(CacheState state) {
+  pool_.Clear();
+  pool_.ResetStats();
   if (state == CacheState::kWarm) {
-    pool->Prewarm(*table_);
-    pool->ResetStats();
+    pool_.Prewarm(*table_);
+    pool_.ResetStats();
   } else if (state == CacheState::kOsCached) {
     // The os-warm endpoint: pool cold, kernel page cache holding the
     // table (a prior query streamed it) — misses pay the memory-copy
     // rate, not the device.
-    pool->MarkOsCached(*table_);
-    pool->ResetStats();
+    pool_.MarkOsCached(*table_);
+    pool_.ResetStats();
   }
 }
 
 double WorkloadInstance::PoolSizeRatio() const {
-  const double frames =
-      static_cast<double>(pools_->pool(0)->num_frames());
+  const double frames = static_cast<double>(pool_.num_frames());
   return static_cast<double>(table_->num_pages()) / std::max(frames, 1.0);
 }
 
@@ -214,12 +219,10 @@ Result<SystemResult> DanaSystem::Run(WorkloadInstance* instance,
 Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
                                              WorkloadInstance* instance,
                                              CacheState cache,
-                                             uint32_t batch_queries,
-                                             uint32_t slot) const {
+                                             uint32_t batch_queries) const {
   std::vector<float> model;
-  DANA_ASSIGN_OR_RETURN(
-      SystemResult r,
-      Simulate(udf, instance, cache, batch_queries, slot, &model));
+  DANA_ASSIGN_OR_RETURN(SystemResult r, Simulate(udf, instance, cache,
+                                                 batch_queries, &model));
   const ml::Workload& w = instance->workload();
   r.model.assign(model.begin(), model.end());
   ml::ReferenceTrainer trainer(w.kind, w.params);
@@ -230,23 +233,21 @@ Result<SystemResult> DanaSystem::RunCompiled(const compiler::CompiledUdf& udf,
 Result<SystemResult> DanaSystem::TimeCompiled(const compiler::CompiledUdf& udf,
                                               WorkloadInstance* instance,
                                               CacheState cache,
-                                              uint32_t batch_queries,
-                                              uint32_t slot) const {
-  return Simulate(udf, instance, cache, batch_queries, slot, nullptr);
+                                              uint32_t batch_queries) const {
+  return Simulate(udf, instance, cache, batch_queries, nullptr);
 }
 
 Result<SystemResult> DanaSystem::Simulate(const compiler::CompiledUdf& udf,
                                           WorkloadInstance* instance,
                                           CacheState cache,
                                           uint32_t batch_queries,
-                                          uint32_t slot,
                                           std::vector<float>* model) const {
   const ml::Workload& w = instance->workload();
   SystemResult r;
   r.system = "DAnA+PostgreSQL";
   r.batch_queries = std::max<uint32_t>(batch_queries, 1);
 
-  instance->PrepareCache(cache, slot);
+  instance->PrepareCache(cache);
   accel::RunOptions run = options_.run;
   if (model != nullptr && run.initial_models.empty()) {
     run.initial_models = {ml::InitialModel(w.kind, w.params)};
@@ -266,8 +267,8 @@ Result<SystemResult> DanaSystem::Simulate(const compiler::CompiledUdf& udf,
   DANA_ASSIGN_OR_RETURN(
       accel::RunReport report,
       model != nullptr
-          ? accelerator.Train(instance->table(), instance->pool(slot), run)
-          : accelerator.Time(instance->table(), instance->pool(slot), run));
+          ? accelerator.Train(instance->table(), instance->pool(), run)
+          : accelerator.Time(instance->table(), instance->pool(), run));
 
   dana::SimTime wall = report.total_time;
   dana::SimTime io = report.io_time;

@@ -61,13 +61,11 @@ struct SystemResult {
 };
 
 /// Shared experiment context: one workload's generated data, its table,
-/// and per-slot buffer pools sized so that table-vs-pool proportions match
-/// the paper's 8 GB pool against Table 3 dataset sizes.
-///
-/// Each accelerator slot executing this workload gets its own pool from the
-/// group (independent frames and OS-cache accounting, shared DiskModel), so
-/// concurrent slots no longer alias one cache. Slot 0 is the default and
-/// reproduces the original single-pool behaviour exactly.
+/// and one buffer pool sized so that table-vs-pool proportions match the
+/// paper's 8 GB pool against Table 3 dataset sizes. The table is the
+/// modeled disk and the pool its residency: every run prepares the pool to
+/// a cache state first (PrepareCache), so one pool serves every run, and
+/// the accelerator reads the table's own pages through it.
 ///
 /// A *shape* instance (CreateShape) holds no dataset and a shape table
 /// (ml::BuildShapeTable): every time the simulators charge depends on the
@@ -88,28 +86,20 @@ class WorkloadInstance {
   /// The generated dataset; a shape instance has none (a DANA_CHECK).
   const ml::Dataset& dataset() const;
   const storage::Table& table() const { return *table_; }
-  /// Slot `slot`'s buffer pool; pools are created lazily per slot.
-  storage::BufferPool* pool(uint32_t slot = 0) { return pools_->pool(slot); }
-  /// Ensures pools exist for slots [0, n); existing pools keep their state.
-  void EnsureSlots(uint32_t n) { pools_->Resize(n); }
-  uint32_t num_slots() const {
-    return static_cast<uint32_t>(pools_->size());
-  }
-  /// Aggregate hit/miss/io statistics across every slot's pool.
-  storage::BufferPoolStats PoolStatsRollup() const {
-    return pools_->Rollup();
-  }
+  /// The instance's buffer pool.
+  storage::BufferPool* pool() { return &pool_; }
+  /// Hit/miss/io statistics of the pool since the last PrepareCache.
+  storage::BufferPoolStats PoolStatsRollup() const { return pool_.stats(); }
 
-  /// Resets slot `slot`'s pool to the requested cache state, clearing
-  /// stats. Partially-decayed states are charged analytically (the
-  /// executor interpolates between the two measured endpoints); a test
-  /// that wants a physically partial pool uses BufferPool::Prewarm's
-  /// fraction directly.
-  void PrepareCache(CacheState state, uint32_t slot = 0);
+  /// Resets the pool to the requested cache state, clearing stats.
+  /// Partially-decayed states are charged analytically (the executor
+  /// interpolates between the measured endpoints); a test that wants a
+  /// physically partial pool uses BufferPool::Prewarm's fraction directly.
+  void PrepareCache(CacheState state);
 
-  /// This table's page count over one slot pool's frame count. <= 1 means
+  /// This table's page count over the pool's frame count. <= 1 means
   /// a run leaves the table fully resident; a larger table keeps only its
-  /// trailing pool-sized window. Because each pool is sized to
+  /// trailing pool-sized window. Because the pool is sized to
   /// 8 GB / scale, the ratio reduces to paper-scale table bytes over the
   /// paper's 8 GB shared_buffers — a scale-free quantity, comparable
   /// across workloads generated at different scales.
@@ -128,16 +118,15 @@ class WorkloadInstance {
   double scale() const { return workload_.scale; }
 
  private:
-  WorkloadInstance(ml::Workload workload) : workload_(std::move(workload)) {}
-
-  /// Sizes the per-slot pools against the built table's page size.
-  void MakePools(uint32_t page_size);
+  /// Sizes the pool for `workload`'s scale and `page_size`; the factories
+  /// build the table.
+  WorkloadInstance(ml::Workload workload, uint32_t page_size);
 
   ml::Workload workload_;
   ml::Dataset dataset_;
   bool has_dataset_ = false;
   std::unique_ptr<storage::Table> table_;
-  std::unique_ptr<storage::BufferPoolGroup> pools_;
+  storage::BufferPool pool_;
 };
 
 /// MADlib on single-threaded PostgreSQL: functionally trains through the
@@ -199,14 +188,13 @@ class DanaSystem {
 
   /// Train with a pre-compiled UDF (lets sweeps reuse compilation).
   /// `batch_queries > 1` runs a cross-query batched pass: one page-streaming
-  /// sweep on `slot`'s buffer pool feeds that many identical co-trained
-  /// models, and the result's shared/per-query fields attribute the time.
-  /// The defaults reproduce the original single-query, slot-0 behaviour.
+  /// sweep through the instance's buffer pool feeds that many identical
+  /// co-trained models, and the result's shared/per-query fields attribute
+  /// the time.
   dana::Result<SystemResult> RunCompiled(const compiler::CompiledUdf& udf,
                                          WorkloadInstance* instance,
                                          CacheState cache,
-                                         uint32_t batch_queries = 1,
-                                         uint32_t slot = 0) const;
+                                         uint32_t batch_queries = 1) const;
 
   /// RunCompiled's timing alone, through Accelerator::Time: every time,
   /// the epoch count and the epoch-resolved attribution equal
@@ -216,8 +204,7 @@ class DanaSystem {
   dana::Result<SystemResult> TimeCompiled(const compiler::CompiledUdf& udf,
                                           WorkloadInstance* instance,
                                           CacheState cache,
-                                          uint32_t batch_queries = 1,
-                                          uint32_t slot = 0) const;
+                                          uint32_t batch_queries = 1) const;
 
   const Options& options() const { return options_; }
   Options* mutable_options() { return &options_; }
@@ -228,7 +215,6 @@ class DanaSystem {
   dana::Result<SystemResult> Simulate(const compiler::CompiledUdf& udf,
                                       WorkloadInstance* instance,
                                       CacheState cache, uint32_t batch_queries,
-                                      uint32_t slot,
                                       std::vector<float>* model) const;
 
   CpuCostModel cost_;

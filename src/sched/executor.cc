@@ -262,7 +262,7 @@ class DanaBatchExecution : public BatchExecution {
     batch_.slot = slot;
     DANA_ASSIGN_OR_RETURN(
         DanaQueryExecutor::EpochProfile rebased,
-        owner_->ProfileAt(*record_, batch_.size(), slot, warm, os_warm));
+        owner_->ProfileAt(*record_, batch_.size(), warm, os_warm));
     rebased.epochs = profile_.epochs;  // the budget never changes
     profile_ = rebased;
     base_ = done_;
@@ -322,9 +322,9 @@ class DanaBatchExecution : public BatchExecution {
 
 namespace {
 /// Page size of the shared residency pools. Pure bookkeeping units: the
-/// pools hold data-less frames, so this only converts `pool_frames` into
-/// the BufferPool byte-capacity constructor. Matches the workload tables'
-/// 32 KB pages for consistency.
+/// pools sweep logical tables and hold no bytes, so this only converts
+/// `pool_frames` into the BufferPool byte-capacity constructor. Matches the
+/// workload tables' 32 KB pages for consistency.
 constexpr uint32_t kSharedPoolPageSize = 32 * 1024;
 
 /// Normalizes option combinations before any member reads them: at least
@@ -402,7 +402,7 @@ uint32_t DanaQueryExecutor::TableId(WorkloadRecord& rec, uint32_t slot) {
 
 Result<const DanaQueryExecutor::EpochProfile*>
 DanaQueryExecutor::MeasureEndpoint(WorkloadRecord& rec, uint32_t batch_size,
-                                   uint32_t slot, runtime::CacheState cache) {
+                                   runtime::CacheState cache) {
   if (batch_size >= rec.endpoints.size()) rec.endpoints.resize(batch_size + 1);
   std::unique_ptr<EpochProfile>& memo =
       rec.endpoints[batch_size][static_cast<size_t>(cache)];
@@ -412,13 +412,12 @@ DanaQueryExecutor::MeasureEndpoint(WorkloadRecord& rec, uint32_t batch_size,
       const compiler::CompiledUdf* udf,
       compile_cache_.GetOrCompile(
           rec.name, [&] { return system_.Compile(*instance); }));
-  // Measure the batched pass once on this slot's execution context (its
-  // private pool, created lazily by the instance's pool group); identical
-  // batches on other slots prepare their pools to the same cache state
-  // and therefore take identical time.
+  // Measure the batched pass once, from the instance's pool prepared to
+  // `cache`: a batch of this size at this endpoint takes the same time on
+  // every slot.
   DANA_ASSIGN_OR_RETURN(
       runtime::SystemResult result,
-      system_.TimeCompiled(*udf, instance, cache, batch_size, slot));
+      system_.TimeCompiled(*udf, instance, cache, batch_size));
   obs::Count(options_.metrics, "exec.endpoint_measurements");
   memo = std::make_unique<EpochProfile>();
   EpochProfile& p = *memo;
@@ -441,10 +440,10 @@ DanaQueryExecutor::MeasureEndpoint(WorkloadRecord& rec, uint32_t batch_size,
 }
 
 Result<DanaQueryExecutor::EpochProfile> DanaQueryExecutor::ProfileAt(
-    WorkloadRecord& rec, uint32_t batch_size, uint32_t slot,
-    double warm_fraction, double os_fraction) {
+    WorkloadRecord& rec, uint32_t batch_size, double warm_fraction,
+    double os_fraction) {
   const auto measure = [&](runtime::CacheState cache) {
-    return MeasureEndpoint(rec, batch_size, slot, cache);
+    return MeasureEndpoint(rec, batch_size, cache);
   };
   if (warm_fraction >= 1.0) {
     DANA_ASSIGN_OR_RETURN(const EpochProfile* hot,
@@ -531,7 +530,7 @@ Result<std::unique_ptr<BatchExecution>> DanaQueryExecutor::Begin(
                  : "exec.charges.partial");
   DANA_ASSIGN_OR_RETURN(
       EpochProfile profile,
-      ProfileAt(*rec, batch.size(), batch.slot, warm, os_warm));
+      ProfileAt(*rec, batch.size(), warm, os_warm));
   return std::unique_ptr<BatchExecution>(
       new DanaBatchExecution(this, rec, batch, profile, warm, os_warm));
 }

@@ -44,8 +44,8 @@ struct QueryBatch {
   WorkloadHandle handle;
   /// Request ids of the co-dispatched queries, in dispatch order.
   std::vector<uint64_t> query_ids;
-  /// Slot the batch runs on; selects the slot's execution context
-  /// (its private buffer pool).
+  /// Slot the batch runs on; selects the slot's shared residency pool
+  /// the dispatch is priced from.
   uint32_t slot = 0;
 
   uint32_t size() const { return static_cast<uint32_t>(query_ids.size()); }
@@ -277,8 +277,9 @@ class QueryExecutor {
 /// simulator always runs whole: a preempted run is re-priced, never
 /// resumed inside the simulator. Compiled designs live in a CompileCache so
 /// `compiler::Compile` runs once per algorithm no matter how many queries
-/// reference it. Each slot trains against its own buffer pool from the
-/// instance's pool group (per-slot execution contexts).
+/// reference it. Endpoints are measured from the shape instance's one
+/// buffer pool, prepared to the endpoint's cache state before each
+/// measurement, so a measured endpoint holds for every slot.
 ///
 /// Cache realism: the executor keeps one *physical* shared
 /// storage::BufferPool per slot (sized in frames, shared across that
@@ -321,9 +322,9 @@ class DanaQueryExecutor : public QueryExecutor {
     uint64_t pool_frames = 4096;
     /// Replacement policy of each slot's shared pool (and of its OS tier
     /// when one is configured). kClock is the pinned legacy hierarchy —
-    /// bit-for-bit the seed pools; the endpoint-measurement instance pools
-    /// always stay clock regardless (endpoints are canonical cache-state
-    /// costs, not policy-dependent).
+    /// bit-for-bit the seed pools; the shape instance's pool, which
+    /// measures the endpoints, always stays clock regardless (endpoints are
+    /// canonical cache-state costs, not policy-dependent).
     storage::EvictionKind eviction = storage::EvictionKind::kClock;
     /// Frames of the modeled OS page-cache tier below each slot's shared
     /// pool, in the same scale-normalized units as pool_frames. 0 (the
@@ -440,10 +441,9 @@ class DanaQueryExecutor : public QueryExecutor {
   double PhysicalOsWarmFraction(WorkloadRecord& rec, uint32_t slot,
                                 double pool_warm);
   /// Measured (or memoized) epoch profile of a `batch_size` batch at a
-  /// cache endpoint, measured on `slot`'s execution context.
+  /// cache endpoint, measured from the shape instance's pool.
   dana::Result<const EpochProfile*> MeasureEndpoint(WorkloadRecord& rec,
                                                     uint32_t batch_size,
-                                                    uint32_t slot,
                                                     runtime::CacheState cache);
   /// Profile charged at `warm_fraction` pool residency plus
   /// `os_fraction` OS-tier residency: one measured endpoint when fully
@@ -452,7 +452,7 @@ class DanaQueryExecutor : public QueryExecutor {
   /// os_fraction > 0 — two-endpoint pricing is reproduced bit for bit
   /// otherwise).
   dana::Result<EpochProfile> ProfileAt(WorkloadRecord& rec,
-                                       uint32_t batch_size, uint32_t slot,
+                                       uint32_t batch_size,
                                        double warm_fraction,
                                        double os_fraction);
 

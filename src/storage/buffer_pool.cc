@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -91,13 +90,8 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
   const uint32_t hit = index_.Find(key);
   if (hit != PageIndex::kAbsent) {
     ++stats_.hits;
-    Frame& frame = frames_[hit];
     WithCursor([hit](auto& pool) { pool.OnAccess(hit); });
-    // A residency probe (TouchPage) may have installed this page without
-    // an image; a data-consuming fetch materializes it now, for free (the
-    // page is resident — only the simulator's host copy was elided).
-    if (!frame.data) return LoadImage(hit, table.PageData(page_no));
-    return static_cast<const uint8_t*>(frame.data.get());
+    return table.PageData(page_no);
   }
 
   ++stats_.misses;
@@ -127,12 +121,8 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
     }
   }
 
-  const size_t idx = WithCursor([&](auto& pool) {
-    const size_t frame = AllocFrame(pool);
-    Install(pool, frame, key);
-    return frame;
-  });
-  return LoadImage(idx, table.PageData(page_no));
+  WithCursor([&](auto& pool) { Install(pool, AllocFrame(pool), key); });
+  return table.PageData(page_no);
 }
 
 template <typename Cursor>
@@ -158,9 +148,8 @@ uint64_t BufferPool::Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
       p = MissExtent(pool, table_id, p, last, slots);
       continue;
     }
-    // A data-less install: occupancy and eviction behave exactly like
-    // FetchPage, but no page image is copied and no I/O time is charged —
-    // the shared slot pools are residency ground truth, not data servers.
+    // Occupancy and eviction behave exactly like FetchPage, but no I/O
+    // time is charged: the shared slot pools are residency ground truth.
     const Key key{table_id, p};
     if constexpr (kTiered<Cursor>) {
       if (os_tier_.Erase(key)) {
@@ -169,9 +158,7 @@ uint64_t BufferPool::Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
         ++stats_.os_misses;
       }
     }
-    const size_t idx = AllocFrame(pool);
-    frames_[idx].data.reset();
-    Install(pool, idx, key);
+    Install(pool, AllocFrame(pool), key);
     ++p;
   }
   stats_.hits += hits;
@@ -214,8 +201,8 @@ uint64_t BufferPool::MissExtent(Cursor& pool, uint32_t table_id,
       pool.OnInsert(idx);
       run = pool.RunAfter(idx, kRunProbe);
     }
-    Frame& f = frames_[idx];
-    const Key victim{f.table_id, f.page_no};
+    Key& frame = frames_[idx];
+    const Key victim = frame;
     if (victim.table_id != victim_table) {
       if (victim_count > 0) per_table_frames_[victim_table] -= victim_count;
       victim_table = victim.table_id;
@@ -233,9 +220,7 @@ uint64_t BufferPool::MissExtent(Cursor& pool, uint32_t table_id,
         end = victim.page_no;
       }
     }
-    if (f.data) f.data.reset();
-    f.table_id = table_id;
-    f.page_no = p;
+    frame = Key{table_id, p};
     slots[p] = static_cast<uint32_t>(idx);
   }
   const uint64_t k = p - first;
@@ -319,10 +304,9 @@ inline size_t BufferPool::AllocFrame(Cursor& pool) {
     return fill_cursor_++;
   }
   const size_t idx = pool.PickVictim();
-  const Frame& f = frames_[idx];
-  const Key victim{f.table_id, f.page_no};
+  const Key victim = frames_[idx];
   index_.Erase(victim);
-  --per_table_frames_[f.table_id];
+  --per_table_frames_[victim.table_id];
   ++stats_.evictions;
   if constexpr (kTiered<Cursor>) {
     if (os_tier_.Insert(victim)) ++stats_.os_evictions;
@@ -332,9 +316,7 @@ inline size_t BufferPool::AllocFrame(Cursor& pool) {
 
 template <typename Cursor>
 inline void BufferPool::Install(Cursor& pool, size_t idx, const Key& key) {
-  Frame& f = frames_[idx];
-  f.table_id = key.table_id;
-  f.page_no = key.page_no;
+  frames_[idx] = key;
   pool.OnInsert(idx);
   if (key.table_id >= per_table_frames_.size()) {
     per_table_frames_.resize(key.table_id + 1, 0);
@@ -342,13 +324,6 @@ inline void BufferPool::Install(Cursor& pool, size_t idx, const Key& key) {
   ++per_table_frames_[key.table_id];
   index_.Set(key, static_cast<uint32_t>(idx));
   ++version_;
-}
-
-const uint8_t* BufferPool::LoadImage(size_t idx, const uint8_t* src) {
-  Frame& f = frames_[idx];
-  if (!f.data) f.data = std::make_unique<uint8_t[]>(page_size_);
-  std::memcpy(f.data.get(), src, page_size_);
-  return f.data.get();
 }
 
 void BufferPool::Prewarm(const Table& table, double fraction) {
@@ -361,10 +336,7 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
   WithCursor([&](auto& pool) {
     for (uint64_t p = 0; p < n; ++p) {
       const Key key{tid, p};
-      if (index_.Contains(key)) continue;
-      const size_t idx = AllocFrame(pool);
-      Install(pool, idx, key);
-      LoadImage(idx, table.PageData(p));
+      if (!index_.Contains(key)) Install(pool, AllocFrame(pool), key);
     }
   });
   MarkOsCached(table);

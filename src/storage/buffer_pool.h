@@ -54,7 +54,9 @@ struct BufferPoolStats {
 /// the RDBMS executor fills the pool from disk and the FPGA reads resident
 /// pages directly. All systems in the reproduction (MADlib CPU engines and
 /// the DAnA accelerator) fetch pages through the same pool so that I/O time
-/// and warm/cold behaviour are identical across systems.
+/// and warm/cold behaviour are identical across systems. The simulator's
+/// Table is the disk, so a frame records which page it holds, not a copy
+/// of its bytes: FetchPage reads the page in place.
 ///
 /// Pages are identified by (table name, page number) — catalog semantics:
 /// two Table objects with the same name alias the same cached pages. This
@@ -118,18 +120,20 @@ class BufferPool {
     return names_.Intern(name);
   }
 
-  /// Returns the frame holding page `page_no` of `table`, fetching it from
-  /// the (modeled) disk on a miss. The returned pointer is valid until the
-  /// next Fetch that evicts it; callers in this single-threaded simulator
-  /// consume it immediately.
+  /// References page `page_no` of `table`, installing it (and charging its
+  /// read from the OS tier or the modeled disk) on a miss, and returns the
+  /// page's bytes: `table.PageData(page_no)`, read in place. The table is
+  /// the disk; the pool tracks which pages are resident and what reading
+  /// them costs, and copies no page image. The pointer stays valid for the
+  /// table's lifetime, whatever the pool evicts.
   dana::Result<const uint8_t*> FetchPage(const Table& table, uint64_t page_no);
 
-  /// Data-free residency probe for shared (cross-table) pools: page
-  /// `page_no` of logical table `table` is referenced on a hit and
-  /// installed — evicting a victim under capacity pressure, exactly like
-  /// FetchPage — on a miss. No page image is copied and no I/O time is
-  /// charged (the caller prices I/O from measured service profiles; the
-  /// pool's job here is to be the occupancy/eviction ground truth).
+  /// Residency probe for shared (cross-table) pools: page `page_no` of
+  /// logical table `table` is referenced on a hit and installed — evicting
+  /// a victim under capacity pressure, exactly like FetchPage — on a miss.
+  /// No I/O time is charged (the caller prices I/O from measured service
+  /// profiles; the pool's job here is to be the occupancy/eviction ground
+  /// truth).
   /// Hit/miss/eviction counters still advance. Under lru/promotional a
   /// miss consults the OS tier: an OS hit promotes the page into the pool
   /// and the displaced victim demotes into the tier.
@@ -258,11 +262,6 @@ class BufferPool {
                  const std::string& prefix) const;
 
  private:
-  struct Frame {
-    std::unique_ptr<uint8_t[]> data;
-    uint32_t table_id = dana::Interner::kInvalidId;
-    uint64_t page_no = 0;
-  };
   /// Page identity: interned table id + page number (shared with the OS
   /// tier).
   using Key = PageKey;
@@ -275,7 +274,7 @@ class BufferPool {
   template <typename Fn>
   decltype(auto) WithCursor(Fn&& fn);
 
-  /// Data-less touches of pages [first, last) of `table_id` in order, each
+  /// Touches of pages [first, last) of `table_id` in order, each
   /// with TouchPage's semantics; returns the number of pool hits. Misses go
   /// through MissExtent when the pool is full, else one page at a time.
   /// TouchPage is the one-page sweep.
@@ -284,10 +283,11 @@ class BufferPool {
                  uint64_t last);
 
   /// Pool misses of pages [first, e) of `table_id` that the OS tier either
-  /// all holds or all lacks, with the pool full; returns e (> first). The pool side runs first, then the victims demote
-  /// in the same order. The extent ends before any page of its own that it
-  /// evicts, so no demotion changes how a later page of it classifies, and
-  /// the result is the per-page one.
+  /// all holds or all lacks, with the pool full; returns e (> first). The
+  /// pool side runs first, then the victims demote in the same order. The
+  /// extent ends before any page of its own that it evicts, so no demotion
+  /// changes how a later page of it classifies, and the result is the
+  /// per-page one.
   template <typename Cursor>
   uint64_t MissExtent(Cursor& pool, uint32_t table_id, uint64_t first,
                       uint64_t last, uint32_t* slots);
@@ -300,20 +300,15 @@ class BufferPool {
   template <typename Cursor>
   size_t AllocFrame(Cursor& pool);
 
-  /// Indexes frame `idx` as `key` and hands it to the policy. The page
-  /// image is the caller's: FetchPage/Prewarm copy it (LoadImage), touches
-  /// drop it.
+  /// Indexes frame `idx` as `key` and hands it to the policy.
   template <typename Cursor>
   void Install(Cursor& pool, size_t idx, const Key& key);
-
-  /// Copies a page image from `src` into frame `idx`; returns the frame's
-  /// data.
-  const uint8_t* LoadImage(size_t idx, const uint8_t* src);
 
   uint32_t page_size_;
   DiskModel disk_;
   EvictionKind eviction_ = EvictionKind::kClock;
-  std::vector<Frame> frames_;
+  /// Frame index -> the page it holds; a frame holds no bytes.
+  std::vector<Key> frames_;
   /// (table id, page) -> index into frames_.
   PageIndex index_;
   /// Next never-filled frame; only consulted while resident < capacity.

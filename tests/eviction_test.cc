@@ -313,7 +313,7 @@ uint64_t Fold(uint64_t h, T v) {
   return Fnv1a(h, &v, sizeof(v));
 }
 
-/// A real heap table of at least `pages` pages (FetchPage copies images).
+/// A real heap table of at least `pages` pages (FetchPage reads its bytes).
 std::unique_ptr<Table> MakeTable(const std::string& name, uint64_t pages) {
   auto table = std::make_unique<Table>(name, Schema::Dense(1000),
                                        PageLayout{});

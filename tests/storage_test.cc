@@ -338,6 +338,8 @@ TEST(BufferPoolTest, FetchedBytesMatchTable) {
   auto frame = pool.FetchPage(*t, 2);
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(0, std::memcmp(*frame, t->PageData(2), 8 * 1024));
+  // The pool copies no page: a fetch reads the table's own bytes in place.
+  EXPECT_EQ(*frame, t->PageData(2));
 }
 
 TEST(BufferPoolTest, EvictsWhenFull) {
@@ -402,7 +404,7 @@ TEST(BufferPoolTest, RejectsOutOfRangePage) {
 }
 
 // ---------------------------------------------------------------------------
-// BufferPoolGroup (per-slot execution contexts)
+// BufferPoolGroup (the scheduler executor's per-slot residency pools)
 // ---------------------------------------------------------------------------
 
 TEST(BufferPoolGroupTest, SlotsHaveIndependentCachingState) {
@@ -702,8 +704,8 @@ TEST(SharedPoolTest, CrossTableEvictionFollowsClockHandOrder) {
 TEST(SharedPoolTest, FetchMaterializesDataLessFrameOnHit) {
   auto t = MakeTable(2);
   BufferPool pool(16 * 8 * 1024, 8 * 1024, DiskModel{});
-  // A residency probe installed the page without an image; a later data
-  // fetch must serve the real bytes, as a hit.
+  // A residency probe installed the page; a later fetch of it is simply a
+  // hit, and it serves the table's bytes.
   EXPECT_FALSE(pool.TouchPage("bp", 1));
   auto frame = pool.FetchPage(*t, 1);
   ASSERT_TRUE(frame.ok());
