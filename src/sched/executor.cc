@@ -187,7 +187,7 @@ class DanaBatchExecution : public BatchExecution {
     // For a pool-fitting table the second sweep is an all-hit no-op, so
     // single-epoch slices and fitting-table schedules are unchanged. The
     // slot's physical pool takes the sweeps for real (install + eviction).
-    storage::BufferPool* pool = owner_->slot_pools_.pool(batch_.slot);
+    storage::BufferPool* pool = owner_->slot_pool(batch_.slot);
     const uint32_t tid = owner_->TableId(*record_, batch_.slot);
     const uint64_t norm_pages = record_->norm_pages;
     // Memoized repeat sweep: if nothing installed into (or cleared) this
@@ -345,11 +345,55 @@ DanaQueryExecutor::DanaQueryExecutor() : DanaQueryExecutor(Options{}) {}
 
 DanaQueryExecutor::DanaQueryExecutor(Options options)
     : options_(NormalizeExecOptions(options)),
-      system_(cost_model_, MakeSystemOptions()),
-      slot_pools_(options_.pool_frames * kSharedPoolPageSize,
-                  kSharedPoolPageSize, storage::DiskModel{},
-                  options_.os_frames * kSharedPoolPageSize,
-                  options_.eviction) {}
+      system_(cost_model_, MakeSystemOptions()) {
+  slot_pool(0);
+}
+
+storage::BufferPool* DanaQueryExecutor::slot_pool(uint32_t slot) {
+  while (slot_pools_.size() <= slot) {
+    slot_pools_.emplace_back(options_.pool_frames * kSharedPoolPageSize,
+                             kSharedPoolPageSize, storage::DiskModel{},
+                             options_.os_frames * kSharedPoolPageSize,
+                             options_.eviction);
+  }
+  return &slot_pools_[slot];
+}
+
+void DanaQueryExecutor::PrepareSlots(uint32_t slots) {
+  if (slots > 0) slot_pool(slots - 1);
+}
+
+void DanaQueryExecutor::ResetResidency() {
+  for (storage::BufferPool& pool : slot_pools_) {
+    pool.Clear();
+    pool.ResetStats();
+  }
+}
+
+void DanaQueryExecutor::PublishGauges(obs::MetricRegistry* metrics) const {
+  obs::MetricRegistry* sink = metrics != nullptr ? metrics : options_.metrics;
+  if (sink == nullptr) return;
+  compile_cache_.PublishTo(sink);
+  storage::BufferPoolStats total;
+  uint64_t resident = 0;
+  for (const storage::BufferPool& pool : slot_pools_) {
+    const storage::BufferPoolStats& s = pool.stats();
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.evictions += s.evictions;
+    total.io_time += s.io_time;
+    resident += pool.resident_frames();
+  }
+  obs::SetGauge(sink, "pool.hits", static_cast<double>(total.hits));
+  obs::SetGauge(sink, "pool.misses", static_cast<double>(total.misses));
+  obs::SetGauge(sink, "pool.evictions", static_cast<double>(total.evictions));
+  obs::SetGauge(sink, "pool.hit_rate", total.HitRate());
+  obs::SetGauge(sink, "pool.io_time_s", total.io_time.seconds());
+  obs::SetGauge(sink, "pool.resident_frames", static_cast<double>(resident));
+  for (size_t i = 0; i < slot_pools_.size(); ++i) {
+    slot_pools_[i].PublishTo(sink, "pool.slot" + std::to_string(i));
+  }
+}
 
 Result<WorkloadHandle> DanaQueryExecutor::Resolve(
     const std::string& workload_id) {
@@ -395,7 +439,7 @@ uint32_t DanaQueryExecutor::TableId(WorkloadRecord& rec, uint32_t slot) {
   }
   uint32_t& id = rec.table_ids[slot];
   if (id == dana::Interner::kInvalidId) {
-    id = slot_pools_.pool(slot)->InternTable(rec.name);
+    id = slot_pool(slot)->InternTable(rec.name);
   }
   return id;
 }
@@ -538,7 +582,7 @@ Result<std::unique_ptr<BatchExecution>> DanaQueryExecutor::Begin(
 double DanaQueryExecutor::PhysicalWarmFraction(WorkloadRecord& rec,
                                                uint32_t slot) {
   if (!Instance(rec).ok()) return 0.0;
-  return slot_pools_.pool(slot)->ResidentShare(TableId(rec, slot),
+  return slot_pool(slot)->ResidentShare(TableId(rec, slot),
                                                rec.norm_pages);
 }
 
@@ -547,7 +591,7 @@ double DanaQueryExecutor::PhysicalOsWarmFraction(WorkloadRecord& rec,
                                                  double pool_warm) {
   if (options_.os_frames == 0) return 0.0;
   if (!Instance(rec).ok()) return 0.0;
-  const double share = slot_pools_.pool(slot)->TierResidentShare(
+  const double share = slot_pool(slot)->TierResidentShare(
       storage::BufferPool::kOsTier, TableId(rec, slot), rec.norm_pages);
   // The tiers are exclusive by construction; the clamp only guards float
   // edge cases so the pricing shares always sum to at most 1.

@@ -242,7 +242,7 @@ class QueryExecutor {
   ///@}
 
   /// Pre-sizes any per-slot state for `slots` slots, so lazily-grown
-  /// per-slot containers (e.g. a pool group's vector) never grow mid-run.
+  /// per-slot state (e.g. one pool per slot) is all built before the run.
   /// Default: no per-slot state.
   virtual void PrepareSlots(uint32_t slots) { (void)slots; }
 
@@ -298,7 +298,9 @@ class QueryExecutor {
 /// resident until an intervening sweep evicts it — resuming on the same
 /// slot is warm, resuming elsewhere is cold — and WarmFraction() exposes
 /// the pool so affinity dispatch can route resumed work back to its warm
-/// slot.
+/// slot. Slot pools are built on a slot's first use (or by PrepareSlots)
+/// and are never dropped; PublishGauges sums their counters into the
+/// `pool.*` rollup.
 ///
 /// Workload state lives in one record per handle: the registry entry
 /// (`Resolve` checks only the registry and builds nothing), the lazily
@@ -372,32 +374,29 @@ class DanaQueryExecutor : public QueryExecutor {
   double WarmFractionOf(WorkloadHandle workload, uint32_t slot) override;
   dana::Result<dana::SimTime> EstimateAtWarmthOf(WorkloadHandle workload,
                                                  double warm_fraction) override;
-  void PrepareSlots(uint32_t slots) override { slot_pools_.Resize(slots); }
+  void PrepareSlots(uint32_t slots) override;
 
   const CompileCache& compile_cache() const { return compile_cache_; }
-  /// Slot `slot`'s shared physical residency pool (created on demand) —
-  /// the ground truth for placement: per-table resident frames,
-  /// last_table(), and eviction order are readable directly.
-  storage::BufferPool* slot_pool(uint32_t slot) {
-    return slot_pools_.pool(slot);
-  }
-  /// Forgets all slot residency (fresh cold slot pools) while keeping
-  /// measured service endpoints and compiled designs. Sweeps call this
-  /// between configurations so every run starts from the same cold
-  /// machine.
-  void ResetResidency() { slot_pools_.ClearAll(); }
+  /// Slot `slot`'s shared physical residency pool, built on first use
+  /// along with every lower slot's — the ground truth for placement:
+  /// per-table resident frames, last_table(), and eviction order are
+  /// readable directly. The pointer stays valid for the executor's
+  /// lifetime.
+  storage::BufferPool* slot_pool(uint32_t slot);
+  /// Forgets all slot residency (fresh cold slot pools, statistics
+  /// zeroed) while keeping measured service endpoints and compiled
+  /// designs. Sweeps call this between configurations so every run starts
+  /// from the same cold machine.
+  void ResetResidency();
   /// Snapshots the executor's caches into `metrics` as gauges: the compile
-  /// cache under `compile_cache.` and the per-slot shared pools under
-  /// `pool.` (rollup + per-slot breakdown). Call after a run — gauges are
-  /// set-on-publish, so the snapshot reflects the registry at call time.
-  /// Null registry (or defaulted to the Options sink) is a no-op.
-  void PublishGauges(obs::MetricRegistry* metrics = nullptr) const {
-    obs::MetricRegistry* sink =
-        metrics != nullptr ? metrics : options_.metrics;
-    if (sink == nullptr) return;
-    compile_cache_.PublishTo(sink);
-    slot_pools_.PublishTo(sink);
-  }
+  /// cache under `compile_cache.`, and the slot pools under `pool.` — the
+  /// sums over every slot of hits, misses, evictions, io_time_s and
+  /// resident_frames, the hit rate of the summed counts, and each slot's
+  /// pool under `pool.slot<i>.` (BufferPool::PublishTo, per-tier gauges
+  /// included). Call after a run — gauges are set-on-publish, so the
+  /// snapshot reflects the registry at call time. Null registry (or
+  /// defaulted to the Options sink) is a no-op.
+  void PublishGauges(obs::MetricRegistry* metrics = nullptr) const;
 
  private:
   friend class DanaBatchExecution;
@@ -460,10 +459,13 @@ class DanaQueryExecutor : public QueryExecutor {
   runtime::CpuCostModel cost_model_;
   runtime::DanaSystem system_;
   CompileCache compile_cache_;
-  /// One shared physical pool per slot, sized in `Options::pool_frames`
-  /// scale-normalized frames: every workload's sweep passes through its
-  /// slot's pool, so cross-table eviction is measured, not modeled.
-  storage::BufferPoolGroup slot_pools_;
+  /// One shared physical pool per slot, `slot_pools_[slot]`, sized in
+  /// `Options::pool_frames` scale-normalized frames with the Options'
+  /// eviction and OS tier: every workload's sweep passes through its
+  /// slot's pool, so cross-table eviction is measured, not modeled. Slot 0
+  /// exists from construction; a deque, so slot_pool() pointers survive
+  /// later slots being added.
+  std::deque<storage::BufferPool> slot_pools_;
   /// Handle index by name, and the records it indexes (a deque, so a
   /// DanaBatchExecution's record pointer survives later resolves).
   dana::Interner record_ids_;

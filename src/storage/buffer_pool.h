@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,16 +38,21 @@ struct BufferPoolStats {
 };
 
 /// Fixed-capacity page cache over the modeled kernel page cache — the
-/// paper's shared_buffers above RAM:
+/// paper's shared_buffers above RAM. Both levels are PageTiers:
 ///
-///   tier 0: buffer pool frames (this class's frames_), victim selection
-///           delegated to a clock / lru / promotional policy;
-///   tier 1: the OS page cache, one PageTier of the pool's EvictionKind.
-///           Under clock it is *inclusive* and admit-until-full: every
-///           page read from disk is admitted while the tier has room, and
-///           nothing ever leaves it (bit-compatible with the seed pools).
-///           Under lru/promotional it is *exclusive* and evicting: pool
-///           victims demote into it, and an OS hit promotes the page back.
+///   tier 0: the buffer pool's frames (pool_), an evicting PageTier whose
+///           victims a clock / lru / promotional policy picks;
+///   tier 1: the OS page cache (os_tier_), a PageTier of the pool's
+///           EvictionKind. Under clock it is *inclusive* and
+///           admit-until-full: every page read from disk is admitted while
+///           the tier has room, and nothing ever leaves it (bit-compatible
+///           with the seed pools). Under lru/promotional it is *exclusive*
+///           and evicting: pool victims demote into it, and an OS hit
+///           promotes the page back.
+///
+/// The pool keeps the hierarchy rules — inclusion or exclusion, promotion,
+/// demotion, I/O charging and statistics — and leaves each level's
+/// residency and replacement order to its tier.
 ///
 /// This is the structure Striders interface with in the paper (Figure 2):
 /// the RDBMS executor fills the pool from disk and the FPGA reads resident
@@ -208,14 +212,13 @@ class BufferPool {
   /// Frames currently holding a valid page. Unlike stats(), this is pool
   /// *state*, not an event counter: ResetStats() does not touch it, only
   /// Clear() and evictions do. Never exceeds num_frames().
-  uint64_t resident_frames() const { return resident_frames_; }
+  uint64_t resident_frames() const { return pool_.resident(); }
   /// Frames currently holding pages of `table` — the per-table partition
   /// of resident_frames(). This is the physical residency signal the
   /// scheduler's executor prices every dispatch from when a slot's tables
   /// share one pool.
   uint64_t resident_frames(uint32_t table_id) const {
-    return table_id < per_table_frames_.size() ? per_table_frames_[table_id]
-                                               : 0;
+    return pool_.resident(table_id);
   }
   uint64_t resident_frames(const std::string& table) const {
     return resident_frames(names_.Find(table));
@@ -250,7 +253,7 @@ class BufferPool {
   /// executor's slice memoization).
   uint64_t version() const { return version_; }
 
-  uint64_t num_frames() const { return frames_.size(); }
+  uint64_t num_frames() const { return pool_.capacity(); }
   uint32_t page_size() const { return page_size_; }
   const DiskModel& disk() const { return disk_; }
 
@@ -262,22 +265,10 @@ class BufferPool {
                  const std::string& prefix) const;
 
  private:
-  /// Page identity: interned table id + page number (shared with the OS
-  /// tier).
-  using Key = PageKey;
-
-  /// Pool-tier policy dispatch: calls `fn(cursor)` with a cursor (the
-  /// policies' Cursor classes) over the concrete policy eviction_ selects.
-  /// No policy call is virtual, and the policy's replacement state stays
-  /// in registers for the whole call: ScanTable and Prewarm open one
-  /// cursor per call, not per page.
-  template <typename Fn>
-  decltype(auto) WithCursor(Fn&& fn);
-
-  /// Touches of pages [first, last) of `table_id` in order, each
-  /// with TouchPage's semantics; returns the number of pool hits. Misses go
-  /// through MissExtent when the pool is full, else one page at a time.
-  /// TouchPage is the one-page sweep.
+  /// Touches of pages [first, last) of `table_id` in order through the
+  /// pool tier's cursor, each with TouchPage's semantics; returns the
+  /// number of pool hits. Misses go through MissExtent when the pool is
+  /// full, else one page at a time. TouchPage is the one-page sweep.
   template <typename Cursor>
   uint64_t Sweep(Cursor& pool, uint32_t table_id, uint64_t first,
                  uint64_t last);
@@ -292,100 +283,27 @@ class BufferPool {
   uint64_t MissExtent(Cursor& pool, uint32_t table_id, uint64_t first,
                       uint64_t last, uint32_t* slots);
 
-  /// Returns a frame to install into: the next never-filled frame while
-  /// the pool is filling (no policy involved — matches the seed, whose
-  /// clock hand always sat on the first invalid frame), else the policy's
-  /// victim, evicted; under lru/promotional the victim demotes into the
-  /// OS tier.
+  /// Installs `key`, absent from the pool, through the pool tier's cursor:
+  /// a new frame while the pool fills (frames fill in index order, as the
+  /// seed clock's did), else the policy's victim's, which under
+  /// lru/promotional demotes into the OS tier.
   template <typename Cursor>
-  size_t AllocFrame(Cursor& pool);
-
-  /// Indexes frame `idx` as `key` and hands it to the policy.
-  template <typename Cursor>
-  void Install(Cursor& pool, size_t idx, const Key& key);
+  void Install(Cursor& pool, const PageKey& key);
 
   uint32_t page_size_;
   DiskModel disk_;
   EvictionKind eviction_ = EvictionKind::kClock;
-  /// Frame index -> the page it holds; a frame holds no bytes.
-  std::vector<Key> frames_;
-  /// (table id, page) -> index into frames_.
-  PageIndex index_;
-  /// Next never-filled frame; only consulted while resident < capacity.
-  size_t fill_cursor_ = 0;
-  // Pool-tier policy: exactly one is non-null, selected by eviction_.
-  std::unique_ptr<ClockEvictionPolicy> pool_clock_;
-  std::unique_ptr<LruEvictionPolicy> pool_lru_;
-  std::unique_ptr<PromotionalEvictionPolicy> pool_promotional_;
   BufferPoolStats stats_;
-  uint64_t resident_frames_ = 0;
-  /// Interned table names; ids index per_table_frames_ and key the maps.
+  /// Interned table names; ids key both tiers' pages and counts.
   dana::Interner names_;
-  /// table id -> frames currently held; values partition resident_frames_.
-  std::vector<uint64_t> per_table_frames_;
   uint32_t last_table_id_ = dana::Interner::kInvalidId;
   uint64_t version_ = 0;
+  /// The buffer pool's frames (always evicting).
+  PageTier pool_;
   /// The OS page-cache tier (capacity 0 when disabled).
   PageTier os_tier_;
   /// MissExtent's working buffer: the pool victims of the current extent.
   std::vector<PageKey> victims_;
-};
-
-/// A set of identically-sized buffer pools, one per accelerator slot.
-///
-/// Concurrent slots used to alias a single pool, so one slot's fetches
-/// polluted every other slot's hit/miss accounting. A group gives each slot
-/// its own frames and OS-cache set (independent caching state) while every
-/// pool shares one DiskModel — the slots contend for the same simulated
-/// device, they just stop sharing cache residency.
-///
-/// Single-threaded; returned BufferPool pointers stay valid as the group
-/// grows (pools are heap-allocated and never destroyed before the group).
-class BufferPoolGroup {
- public:
-  /// Sizing template applied to every pool in the group; `Resize` creates
-  /// new pools from it on demand. `eviction` and the OS tier capacity
-  /// have BufferPool's constructor semantics.
-  BufferPoolGroup(uint64_t capacity_bytes_per_pool, uint32_t page_size,
-                  DiskModel disk, uint64_t os_cache_bytes_per_pool = UINT64_MAX,
-                  EvictionKind eviction = EvictionKind::kClock);
-
-  /// Grows (never shrinks below 1) the group to `n` pools; existing pools
-  /// keep their cached state.
-  void Resize(size_t n);
-
-  size_t size() const { return pools_.size(); }
-
-  /// Pool of slot `i`; grows the group when `i` is past the end.
-  BufferPool* pool(size_t i);
-  const BufferPool* pool(size_t i) const { return pools_.at(i).get(); }
-
-  /// Aggregate hit/miss/eviction/io statistics across all pools.
-  BufferPoolStats Rollup() const;
-
-  /// Sum of every pool's resident_frames(); the per-pool counts partition
-  /// this total (each bounded by its pool's num_frames()).
-  uint64_t TotalResidentFrames() const;
-
-  /// Clears every pool's cached state and statistics — the whole machine
-  /// back to cold (sweeps reset shared slot pools this way between
-  /// configurations).
-  void ClearAll();
-
-  /// Publishes the group's rollup under `<prefix>.` plus each slot's pool
-  /// under `<prefix>.slot<i>.` (BufferPool::PublishTo, which adds the
-  /// per-tier `<prefix>.slot<i>.tier<j>.*` gauges); a null registry is a
-  /// no-op.
-  void PublishTo(obs::MetricRegistry* metrics,
-                 const std::string& prefix = "pool") const;
-
- private:
-  uint64_t capacity_bytes_;
-  uint32_t page_size_;
-  DiskModel disk_;
-  uint64_t os_cache_bytes_;
-  EvictionKind eviction_;
-  std::vector<std::unique_ptr<BufferPool>> pools_;
 };
 
 }  // namespace dana::storage

@@ -23,20 +23,25 @@ dana::Result<EvictionKind> ParseEvictionKind(std::string_view name) {
                                  "' (clock, lru, promotional)");
 }
 
-PageTier::PageTier(EvictionKind kind, uint64_t capacity)
-    : capacity_(capacity), kind_(kind) {
-  // A clock tier has no slots (its capacity may be unlimited). An evicting
-  // tier is finite and full in steady state, so its slots are reserved
-  // here, and its demotion loops never grow a vector.
-  if (capacity_ == 0 || kind_ == EvictionKind::kClock) return;
+PageTier::PageTier(EvictionKind kind, uint64_t capacity, Admission admission)
+    : capacity_(capacity), kind_(kind), admission_(admission) {
+  // An admit-until-full tier has no slots (its capacity may be unlimited).
+  // An evicting tier is finite and full in steady state, so its slots are
+  // reserved here, and its victim loops never grow a vector.
+  if (capacity_ == 0 || admission_ == Admission::kUntilFull) return;
   const size_t n = static_cast<size_t>(capacity_);
-  if (kind_ == EvictionKind::kLru) {
-    lru_ = std::make_unique<LruEvictionPolicy>(n);
-  } else {
-    promotional_ = std::make_unique<PromotionalEvictionPolicy>(n);
+  switch (kind_) {
+    case EvictionKind::kClock:
+      clock_ = std::make_unique<ClockEvictionPolicy>(n);
+      break;
+    case EvictionKind::kLru:
+      lru_ = std::make_unique<LruEvictionPolicy>(n);
+      break;
+    case EvictionKind::kPromotional:
+      promotional_ = std::make_unique<PromotionalEvictionPolicy>(n);
+      break;
   }
   slot_keys_.reserve(n);
-  free_slots_.reserve(n);
 }
 
 void PageTier::GrowPerTable(uint32_t table_id) {
@@ -49,8 +54,8 @@ void PageTier::Clear() {
   slot_keys_.clear();
   free_slots_.clear();
   resident_ = 0;
-  if (lru_) lru_->Reset();
-  if (promotional_) promotional_->Reset();
+  if (capacity_ == 0 || admission_ == Admission::kUntilFull) return;
+  WithPolicy([](auto& policy) { policy.Reset(); });
 }
 
 }  // namespace dana::storage

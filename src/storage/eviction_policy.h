@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -39,9 +40,8 @@ dana::Result<EvictionKind> ParseEvictionKind(std::string_view name);
 ///     (OnInsert relinks it), so PickVictim need not unlink anything.
 ///   - RunAfter/TakeNext: take a run of victims that follow in slot order.
 ///
-/// Reset() on the policy drops every page (Clear). The pool and the tier
-/// hold concrete policy pointers and switch on EvictionKind, so no call is
-/// virtual.
+/// Reset() on the policy drops every page (Clear). A PageTier holds its
+/// concrete policy and switches on EvictionKind, so no call is virtual.
 
 /// Second-chance clock. Bit-for-bit the seed BufferPool's sweep once the
 /// pool is full: referenced slots get their bit cleared and spared one
@@ -427,48 +427,163 @@ class PageIndex {
   std::vector<std::vector<uint32_t>> tables_;
 };
 
-/// The cache tier below the buffer pool: the modeled kernel page cache. It
-/// holds page *identities* only (no frames, no data — tier hits are priced
-/// by the pool's DiskModel), found through a PageIndex. The EvictionKind the
-/// tier is built with picks its admission rule:
+/// One level of the page cache hierarchy — the buffer pool's frames, or
+/// the modeled kernel page cache below them. It holds page *identities*
+/// only (no page bytes; the pool prices reads with its DiskModel), found
+/// through a PageIndex. Its admission rule, fixed at construction, says
+/// what a full tier does with a page it is asked to admit:
 ///
-///   - kClock: admit-until-full. The tier never picks a victim: an insert
-///     into a full tier is refused, and the tier keeps its pages. It stores
-///     only each admitted page's index entry, so an unlimited (UINT64_MAX)
-///     tier costs only what it holds.
-///   - kLru / kPromotional: a full tier evicts. An insert displaces the
-///     policy's victim, so a page first demoted after the tier saturated
-///     still gets in. The policy orders dense slots, each holding its
-///     page's key, reserved for the whole (finite) capacity up front.
+///   - kEvict: an insert displaces the victim of the tier's EvictionKind
+///     policy, so a page first admitted after the tier saturated still
+///     gets in. The policy orders dense slots, each holding its page's
+///     key, reserved for the whole (finite) capacity up front. A tier
+///     that is never asked to free a page (the pool's frames) hands out
+///     slots 0, 1, 2, ... while it fills and then reuses only victims.
+///   - kUntilFull: the tier never picks a victim: an insert into a full
+///     tier is refused, and the tier keeps its pages. It has no policy
+///     and stores only each admitted page's index entry, so an unlimited
+///     (UINT64_MAX) tier costs only what it holds. Clock's OS tier admits
+///     this way.
 class PageTier {
-  /// Calls `fn` with a cursor over the evicting policy kind_ selects (never
-  /// called for a clock tier, which has no policy).
+  /// Calls `fn` with the evicting tier's policy, of the type kind_
+  /// selects.
   template <typename Fn>
-  decltype(auto) WithCursor(Fn&& fn) {
-    if (kind_ == EvictionKind::kLru) {
-      LruEvictionPolicy::Cursor cursor(*lru_);
-      return fn(cursor);
+  decltype(auto) WithPolicy(Fn&& fn) {
+    switch (kind_) {
+      case EvictionKind::kClock:
+        return fn(*clock_);
+      case EvictionKind::kLru:
+        return fn(*lru_);
+      case EvictionKind::kPromotional:
+        break;
     }
-    PromotionalEvictionPolicy::Cursor cursor(*promotional_);
-    return fn(cursor);
+    return fn(*promotional_);
   }
 
  public:
+  enum class Admission : uint8_t {
+    kEvict,      ///< a full tier displaces its policy's victim
+    kUntilFull,  ///< a full tier refuses the page
+  };
+
   /// A tier of `capacity` pages; 0 disables it (every operation is a no-op
   /// returning "absent").
-  PageTier(EvictionKind kind, uint64_t capacity);
+  PageTier(EvictionKind kind, uint64_t capacity, Admission admission);
+
+  /// Evicting tiers: calls `fn` with a cursor over the tier's policy (the
+  /// policies' Cursor classes). No policy call is virtual, and the
+  /// replacement state stays in registers for the whole call, so a loop
+  /// of touches opens one cursor, not one per page.
+  template <typename Fn>
+  decltype(auto) WithCursor(Fn&& fn) {
+    return WithPolicy([&fn](auto& policy) -> decltype(auto) {
+      typename std::remove_reference_t<decltype(policy)>::Cursor cursor(
+          policy);
+      return fn(cursor);
+    });
+  }
+
+  /// Takes a run of victims off a full evicting tier through its open
+  /// cursor: each Replace evicts the next victim and puts a new page in
+  /// its slot. The cursor walks victims run by run (RunAfter), and the
+  /// victims' index row is looked up once per run of one table's pages.
+  /// The per-table counts are settled by Settle, once per run of new
+  /// pages of one table, so no count is stored per page. Nothing
+  /// else may change the tier while a replacer is in use, except through
+  /// `cursor` between a Break and the next Replace.
+  template <typename Cursor>
+  class Replacer {
+   public:
+    Replacer(PageTier& tier, Cursor& cursor)
+        : tier_(tier), cursor_(cursor), keys_(tier.slot_keys_.data()) {}
+
+    /// The tier is full and `key` absent, with `entry` its index entry
+    /// (Row): evicts the next victim, puts `key` in its slot and returns
+    /// the victim.
+    PageKey Replace(const PageKey& key, uint32_t& entry) {
+      size_t slot;
+      if (run_ > 0) {
+        slot = ++last_;
+        cursor_.TakeNext(slot);
+        --run_;
+      } else {
+        slot = last_ = cursor_.PickVictim();
+        cursor_.OnInsert(slot);
+        run_ = cursor_.RunAfter(slot, kRunProbe);
+      }
+      const PageKey victim = keys_[slot];
+      if (victim.table_id != victim_table_) {
+        SettleVictims();
+        victim_table_ = victim.table_id;
+        victim_row_ = tier_.index_.Row(victim_table_, 0);
+      }
+      victim_row_[victim.page_no] = PageIndex::kAbsent;
+      ++victims_;
+      keys_[slot] = key;
+      entry = static_cast<uint32_t>(slot);
+      return victim;
+    }
+
+    /// Settles the per-table counts: the victims taken so far, and the
+    /// `inserted` pages Replace put in since the last Settle, all of
+    /// `table_id`.
+    void Settle(uint32_t table_id, uint64_t inserted) {
+      SettleVictims();
+      tier_.per_table_[table_id] += inserted;
+    }
+
+    /// The cursor moved outside this replacer (a hit, a fill): the next
+    /// Replace asks it for a victim afresh.
+    void Break() { run_ = 0; }
+
+    /// Row(table_id, pages), keeping the victims' row valid if it grows.
+    uint32_t* Row(uint32_t table_id, uint64_t pages) {
+      uint32_t* const row = tier_.Row(table_id, pages);
+      if (table_id == victim_table_) victim_row_ = row;
+      return row;
+    }
+
+   private:
+    void SettleVictims() {
+      if (victims_ > 0) tier_.per_table_[victim_table_] -= victims_;
+      victims_ = 0;
+    }
+
+    PageTier& tier_;
+    Cursor& cursor_;
+    /// slot_keys_.data(): reserved for the whole capacity, it never moves.
+    PageKey* const keys_;
+    /// Victims known (RunAfter) to follow `last_` in slot order.
+    size_t run_ = 0;
+    size_t last_ = 0;
+    uint32_t victim_table_ = UINT32_MAX;
+    uint32_t* victim_row_ = nullptr;
+    uint64_t victims_ = 0;
+  };
 
   bool enabled() const { return capacity_ > 0; }
   bool full() const { return resident_ == capacity_; }
+  uint64_t capacity() const { return capacity_; }
+  Admission admission() const { return admission_; }
   uint64_t resident() const { return resident_; }
   uint64_t resident(uint32_t table_id) const {
     return table_id < per_table_.size() ? per_table_[table_id] : 0;
   }
 
+  /// The slot holding `key`, or PageIndex::kAbsent.
+  uint32_t Find(const PageKey& key) const { return index_.Find(key); }
   bool Contains(const PageKey& key) const { return index_.Contains(key); }
   /// The tier's slots of `table_id`'s pages (PageIndex::Slots).
   std::span<const uint32_t> Slots(uint32_t table_id) const {
     return index_.Slots(table_id);
+  }
+  /// The slots of pages [0, pages) of `table_id` (PageIndex::Row), for a
+  /// loop that reads hits off it and fills its absent entries through a
+  /// Replacer; the table's count is sized with it. Valid until the row
+  /// grows again.
+  uint32_t* Row(uint32_t table_id, uint64_t pages) {
+    if (table_id >= per_table_.size()) GrowPerTable(table_id);
+    return index_.Row(table_id, pages);
   }
 
   /// Removes `key` — a promotion up the hierarchy. Returns true if it was
@@ -482,13 +597,13 @@ class PageTier {
   }
 
   /// Admits `key` (a demotion from the tier above, or a page the OS read).
-  /// A clock tier refuses it when full and ignores a present key. An
-  /// evicting tier re-references a present key; when full it displaces its
-  /// policy's victim, and returns true iff it did.
+  /// An admit-until-full tier refuses it when full and ignores a present
+  /// key. An evicting tier re-references a present key, else Admits it,
+  /// and returns true iff it displaced a victim.
   bool Insert(const PageKey& key) {
     if (!enabled()) return false;
-    if (kind_ == EvictionKind::kClock) {
-      // Nothing is ever picked as a victim, so a clock page's slot is never
+    if (admission_ == Admission::kUntilFull) {
+      // Nothing is ever picked as a victim, so a page's slot is never
       // read: it holds no key, and every page maps to slot 0.
       if (!full() && !Contains(key)) {
         ++resident_;
@@ -502,12 +617,30 @@ class PageTier {
         cursor.OnAccess(present);
         return false;
       }
-      const bool displaced = full();
-      const size_t slot = displaced ? Vacate(cursor) : NewSlot();
-      Place(slot, key);
-      cursor.OnInsert(slot);
-      return displaced;
+      PageKey victim;
+      return Admit(cursor, key, &victim);
     });
+  }
+
+  /// Evicting tiers: puts `key`, absent, into a new slot while the tier
+  /// has room, else into its policy's victim's slot, with the victim's
+  /// key in `*victim`. Returns true iff it displaced a victim.
+  template <typename Cursor>
+  bool Admit(Cursor& cursor, const PageKey& key, PageKey* victim) {
+    const bool displaced = full();
+    size_t slot;
+    if (displaced) {
+      slot = cursor.PickVictim();
+      *victim = slot_keys_[slot];
+      index_.Erase(*victim);
+      --per_table_[victim->table_id];
+    } else {
+      slot = NewSlot();
+    }
+    slot_keys_[slot] = key;
+    Map(key, slot);
+    cursor.OnInsert(slot);
+    return displaced;
   }
 
   /// Evicting tiers: pages [first, first + keys.size()) of `table_id`, all
@@ -556,66 +689,34 @@ class PageTier {
   uint64_t InsertRun(const std::vector<PageKey>& keys) {
     if (!enabled()) return 0;
     return WithCursor([&](auto& cursor) {
+      Replacer replacer(*this, cursor);
       uint64_t displaced = 0;
-      // The victims come off the tier's own runs: their table's row and
-      // count are looked up once per run too.
-      uint32_t victim_table = UINT32_MAX;
-      uint32_t* victim_row = nullptr;
-      uint64_t victim_count = 0;
-      // Victims known (RunAfter) to follow `last` in slot order.
-      size_t run = 0;
-      size_t last = 0;
       for (size_t j = 0; j < keys.size();) {
-        const uint32_t table = keys[j].table_id;
         const uint64_t first = keys[j].page_no;
         const size_t n = RunLength(keys, j);
-        // Grown once: the victims erased below only clear entries, so
-        // neither this row nor the victims' rows move inside the run.
-        uint32_t* const row = index_.Row(table, first + n);
-        if (table == victim_table) victim_row = row;  // it may have moved
-        if (table >= per_table_.size()) GrowPerTable(table);
-        uint64_t inserted = 0;
+        // Grown once: the victims Replace erases only clear entries, so
+        // no row moves inside the run.
+        const uint32_t table = keys[j].table_id;
+        uint32_t* const row = replacer.Row(table, first + n);
+        uint64_t replaced = 0;
         for (size_t i = 0; i < n; ++i) {
           uint32_t& entry = row[first + i];
           if (entry != PageIndex::kAbsent) {
             cursor.OnAccess(entry);
-            run = 0;
-            continue;
-          }
-          size_t slot;
-          if (!full()) {
-            slot = NewSlot();
-            cursor.OnInsert(slot);
-            run = 0;
+            replacer.Break();
+          } else if (!full()) {
+            PageKey none;
+            Admit(cursor, keys[j + i], &none);
+            replacer.Break();
           } else {
-            if (run > 0) {
-              slot = ++last;
-              cursor.TakeNext(slot);
-              --run;
-            } else {
-              slot = last = cursor.PickVictim();
-              cursor.OnInsert(slot);
-              run = cursor.RunAfter(slot, kRunProbe);
-            }
-            const PageKey victim = slot_keys_[slot];
-            if (victim.table_id != victim_table) {
-              if (victim_count > 0) per_table_[victim_table] -= victim_count;
-              victim_table = victim.table_id;
-              victim_row = index_.Row(victim_table, 0);
-              victim_count = 0;
-            }
-            victim_row[victim.page_no] = PageIndex::kAbsent;
-            ++victim_count;
-            ++displaced;
+            replacer.Replace(keys[j + i], entry);
+            ++replaced;
           }
-          slot_keys_[slot] = keys[j + i];
-          entry = static_cast<uint32_t>(slot);
-          ++inserted;
         }
-        per_table_[table] += inserted;
+        replacer.Settle(table, replaced);
+        displaced += replaced;
         j += n;
       }
-      if (victim_count > 0) per_table_[victim_table] -= victim_count;
       return displaced;
     });
   }
@@ -637,7 +738,7 @@ class PageTier {
     return slot_keys_.size() - 1;
   }
   void Free(uint32_t slot) {
-    if (kind_ != EvictionKind::kClock) free_slots_.push_back(slot);
+    if (admission_ == Admission::kEvict) free_slots_.push_back(slot);
     --resident_;
   }
   /// Length of the run starting at keys[j]: one table's consecutive pages.
@@ -649,20 +750,6 @@ class PageTier {
     }
     return n;
   }
-  /// Evicts the policy's victim (the tier is full) and returns its slot.
-  template <typename Cursor>
-  size_t Vacate(Cursor& cursor) {
-    const size_t slot = cursor.PickVictim();
-    const PageKey victim = slot_keys_[slot];
-    index_.Erase(victim);
-    --per_table_[victim.table_id];
-    return slot;
-  }
-  /// Puts `key` into the new or just-vacated `slot`.
-  void Place(size_t slot, const PageKey& key) {
-    slot_keys_[slot] = key;
-    Map(key, slot);
-  }
   /// Indexes `key` at `slot` and counts it.
   void Map(const PageKey& key, size_t slot) {
     index_.Set(key, static_cast<uint32_t>(slot));
@@ -673,8 +760,10 @@ class PageTier {
 
   uint64_t capacity_;
   EvictionKind kind_;
-  // The evicting policy kind_ selects (both null for a clock tier), called
+  Admission admission_;
+  // Evicting tiers: the policy kind_ selects (all null otherwise), called
   // through its concrete type.
+  std::unique_ptr<ClockEvictionPolicy> clock_;
   std::unique_ptr<LruEvictionPolicy> lru_;
   std::unique_ptr<PromotionalEvictionPolicy> promotional_;
   PageIndex index_;

@@ -183,9 +183,10 @@ TEST(PromotionalEvictionTest, ProtectedSurvivesScanFlood) {
 TEST(PageTierTest, FullTierEvictsInsteadOfRefusingAdmission) {
   // An admit-until-full tier never changes once full: a page first read
   // after saturation can never become OS-cached. An evicting tier must
-  // instead displace a victim.
-  for (EvictionKind kind : {EvictionKind::kLru, EvictionKind::kPromotional}) {
-    PageTier tier(kind, 3);
+  // instead displace a victim, whichever policy picks it.
+  for (EvictionKind kind : {EvictionKind::kClock, EvictionKind::kLru,
+                            EvictionKind::kPromotional}) {
+    PageTier tier(kind, 3, PageTier::Admission::kEvict);
     const PageKey k1{0, 1}, k2{0, 2}, k3{0, 3}, k4{0, 4};
     EXPECT_FALSE(tier.Insert(k1));
     EXPECT_FALSE(tier.Insert(k2));
@@ -200,9 +201,9 @@ TEST(PageTierTest, FullTierEvictsInsteadOfRefusingAdmission) {
 }
 
 TEST(PageTierTest, FullClockTierRefusesAdmission) {
-  // Under clock the tier admits until full and picks no victim: an insert
-  // into a full tier is refused and every page it held stays.
-  PageTier tier(EvictionKind::kClock, 3);
+  // Clock's OS tier admits until full and picks no victim: an insert into
+  // a full tier is refused and every page it held stays.
+  PageTier tier(EvictionKind::kClock, 3, PageTier::Admission::kUntilFull);
   const PageKey k1{0, 1}, k2{0, 2}, k3{0, 3}, k4{0, 4};
   for (const PageKey& k : {k1, k2, k3}) EXPECT_FALSE(tier.Insert(k));
   ASSERT_TRUE(tier.full());

@@ -14,7 +14,9 @@
 //  - bit-for-bit determinism across repeat runs (CI runs this label twice
 //    and diffs the logs);
 //  - one pricing path: by name and by handle agree, and the order handles
-//    were issued in never reaches a report.
+//    were issued in never reaches a report;
+//  - slot pools built on demand and independent of each other, and the
+//    executor's pool.* gauges summing its per-slot pools.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,8 @@
 
 #include "common/random.h"
 #include "ml/workloads.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
 #include "runtime/systems.h"
 #include "sched/executor.h"
 #include "sched/scheduler.h"
@@ -432,6 +436,100 @@ TEST(HandleTest, ByNameAndByHandleAgreeAndResolveOrderNeverLeaks) {
   auto from_fresh = Scheduler(sched, &fresh).Run(stream);
   ASSERT_TRUE(reused.ok() && from_fresh.ok());
   ExpectSameReport(*reused, *from_fresh);
+}
+
+// ---------------------------------------------------------------------------
+// Slot pools: built on demand, independent, rolled up into pool.* gauges
+// ---------------------------------------------------------------------------
+
+/// The `gauges` object of `registry`'s snapshot.
+obs::Json Gauges(const obs::MetricRegistry& registry) {
+  const obs::Json snapshot = registry.ToJson();
+  const obs::Json* gauges = snapshot.Find("gauges");
+  EXPECT_NE(gauges, nullptr);
+  return gauges != nullptr ? *gauges : obs::Json();
+}
+
+TEST(SlotPoolTest, GrowsOnDemandAndSlotsAreIndependent) {
+  DanaQueryExecutor executor;
+  // Slot 0's pool exists from construction, and no other.
+  obs::MetricRegistry before;
+  executor.PublishGauges(&before);
+  EXPECT_NE(Gauges(before).Find("pool.slot0.hits"), nullptr);
+  EXPECT_EQ(Gauges(before).Find("pool.slot1.hits"), nullptr);
+
+  // Reaching past the end builds every slot up to it; earlier pools keep
+  // their address.
+  storage::BufferPool* slot0 = executor.slot_pool(0);
+  storage::BufferPool* slot3 = executor.slot_pool(3);
+  ASSERT_NE(slot3, nullptr);
+  EXPECT_EQ(executor.slot_pool(0), slot0);
+  EXPECT_NE(slot3, slot0);
+  obs::MetricRegistry after;
+  executor.PublishGauges(&after);
+  EXPECT_NE(Gauges(after).Find("pool.slot3.hits"), nullptr);
+  EXPECT_EQ(Gauges(after).Find("pool.slot4.hits"), nullptr);
+
+  // A run on slot 2 fills only slot 2's pool: no slot aliases another's
+  // residency or counters.
+  ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("wlan", 0, 2)).ok());
+  for (uint32_t s = 0; s < 4; ++s) {
+    const storage::BufferPool* pool = executor.slot_pool(s);
+    if (s == 2) {
+      EXPECT_GT(pool->resident_frames("wlan"), 0u);
+      EXPECT_GT(pool->stats().misses, 0u);
+    } else {
+      EXPECT_EQ(pool->resident_frames(), 0u) << s;
+      EXPECT_EQ(pool->stats().misses + pool->stats().hits, 0u) << s;
+    }
+  }
+  // PrepareSlots builds the slots a run will use up front.
+  executor.PrepareSlots(6);
+  obs::MetricRegistry prepared;
+  executor.PublishGauges(&prepared);
+  EXPECT_NE(Gauges(prepared).Find("pool.slot5.hits"), nullptr);
+  EXPECT_EQ(Gauges(prepared).Find("pool.slot6.hits"), nullptr);
+}
+
+TEST(SlotPoolTest, PublishGaugesRollsUpEverySlot) {
+  // Small LRU pools over an OS tier, so the run evicts and demotes.
+  DanaQueryExecutor::Options options;
+  options.pool_frames = 2;
+  options.eviction = storage::EvictionKind::kLru;
+  options.os_frames = 2;
+  SchedulerOptions sched;
+  sched.slots = 3;
+  sched.policy = Policy::kSjf;
+  const std::vector<std::string> catalog = {"blog", "patient", "wlan",
+                                            "netflix"};
+  DanaQueryExecutor executor(options);
+  auto report = Scheduler(sched, &executor)
+                    .Run(SeededStream(executor, catalog, sched.slots, 11));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  obs::MetricRegistry registry;
+  executor.PublishGauges(&registry);
+  const obs::Json gauges = Gauges(registry);
+  for (const char* field :
+       {"hits", "misses", "evictions", "io_time_s", "resident_frames"}) {
+    double sum = 0;
+    uint32_t slots = 0;
+    for (; slots < 8; ++slots) {
+      const obs::Json* slot = gauges.Find(
+          "pool.slot" + std::to_string(slots) + "." + field);
+      if (slot == nullptr) break;
+      sum += slot->AsNumber();
+    }
+    EXPECT_EQ(slots, sched.slots) << field;
+    const obs::Json* rollup = gauges.Find(std::string("pool.") + field);
+    ASSERT_NE(rollup, nullptr) << field;
+    EXPECT_DOUBLE_EQ(rollup->AsNumber(), sum) << field;
+  }
+  // The run reached every slot and evicted on some.
+  EXPECT_GT(gauges.Find("pool.evictions")->AsNumber(), 0.0);
+  for (uint32_t s = 0; s < sched.slots; ++s) {
+    EXPECT_GT(executor.slot_pool(s)->stats().misses, 0u) << s;
+  }
 }
 
 }  // namespace

@@ -403,64 +403,6 @@ TEST(BufferPoolTest, RejectsOutOfRangePage) {
   EXPECT_TRUE(pool.FetchPage(*t, 99).status().IsOutOfRange());
 }
 
-// ---------------------------------------------------------------------------
-// BufferPoolGroup (the scheduler executor's per-slot residency pools)
-// ---------------------------------------------------------------------------
-
-TEST(BufferPoolGroupTest, SlotsHaveIndependentCachingState) {
-  auto t = MakeTable(4);
-  BufferPoolGroup group(16 * 8 * 1024, 8 * 1024, DiskModel{});
-  group.Resize(2);
-  ASSERT_EQ(group.size(), 2u);
-
-  // Slot 0 scans the table twice: 4 misses then 4 hits.
-  for (int scan = 0; scan < 2; ++scan) {
-    for (uint64_t p = 0; p < 4; ++p) {
-      ASSERT_TRUE(group.pool(0)->FetchPage(*t, p).ok());
-    }
-  }
-  EXPECT_EQ(group.pool(0)->stats().misses, 4u);
-  EXPECT_EQ(group.pool(0)->stats().hits, 4u);
-  // Slot 1 never fetched: its pool is untouched — no aliasing of slot 0's
-  // residency or counters.
-  EXPECT_EQ(group.pool(1)->stats().misses, 0u);
-  EXPECT_EQ(group.pool(1)->stats().hits, 0u);
-  EXPECT_DOUBLE_EQ(group.pool(1)->ResidentFraction(*t), 0.0);
-
-  // Slot 1's first scan misses everything despite slot 0's warm cache.
-  for (uint64_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(group.pool(1)->FetchPage(*t, p).ok());
-  }
-  EXPECT_EQ(group.pool(1)->stats().misses, 4u);
-}
-
-TEST(BufferPoolGroupTest, RollupSumsAcrossPools) {
-  auto t = MakeTable(4);
-  BufferPoolGroup group(16 * 8 * 1024, 8 * 1024, DiskModel{});
-  for (uint64_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(group.pool(0)->FetchPage(*t, p).ok());
-    ASSERT_TRUE(group.pool(1)->FetchPage(*t, p).ok());
-  }
-  ASSERT_TRUE(group.pool(0)->FetchPage(*t, 0).ok());  // one hit on slot 0
-  const BufferPoolStats rollup = group.Rollup();
-  EXPECT_EQ(rollup.misses, 8u);
-  EXPECT_EQ(rollup.hits, 1u);
-  EXPECT_DOUBLE_EQ(rollup.io_time.nanos(),
-                   group.pool(0)->stats().io_time.nanos() +
-                       group.pool(1)->stats().io_time.nanos());
-}
-
-TEST(BufferPoolGroupTest, GrowsLazilyAndNeverBelowOne) {
-  BufferPoolGroup group(8 * 8 * 1024, 8 * 1024, DiskModel{});
-  EXPECT_EQ(group.size(), 1u);
-  group.Resize(0);
-  EXPECT_EQ(group.size(), 1u);
-  (void)group.pool(3);  // indexing past the end grows the group
-  EXPECT_EQ(group.size(), 4u);
-  group.Resize(2);  // never shrinks
-  EXPECT_EQ(group.size(), 4u);
-}
-
 TEST(DiskModelTest, SeqReadTimeScalesWithBytes) {
   DiskModel d;
   const auto t1 = d.SeqReadTime(1 << 20, 32 * 1024);
@@ -549,24 +491,11 @@ TEST(ResidencyIntrospectionTest, PartialPrewarmLeavesFractionResident) {
   EXPECT_LT(pool.stats().io_time.nanos(), cold.stats().io_time.nanos());
 }
 
-TEST(ResidencyIntrospectionTest, GroupRollupSumsResidentFrames) {
-  auto t = MakeTable(6);
-  BufferPoolGroup group(4 * 8 * 1024, 8 * 1024, DiskModel{});
-  ASSERT_TRUE(group.pool(0)->FetchPage(*t, 0).ok());
-  ASSERT_TRUE(group.pool(2)->FetchPage(*t, 0).ok());
-  ASSERT_TRUE(group.pool(2)->FetchPage(*t, 1).ok());
-  EXPECT_EQ(group.TotalResidentFrames(), 3u);
-  EXPECT_EQ(group.pool(0)->resident_frames() +
-                group.pool(1)->resident_frames() +
-                group.pool(2)->resident_frames(),
-            group.TotalResidentFrames());
-}
-
-/// Property-style coverage: any seeded interleaving of fetches, prewarms,
-/// and clears across a pool group must keep the residency accounting
-/// consistent — per-pool resident frames sum to the group rollup, never
-/// exceed pool capacity, and match a recount of the frame table via
-/// ResidentFraction.
+/// Property-style coverage: any seeded interleaving of fetches, sweeps,
+/// prewarms and clears across independent pools must keep each pool's
+/// residency accounting consistent — resident frames never exceed the
+/// pool's capacity, the per-table counts partition the total, and each
+/// matches a recount of the pool's page index via ResidentFraction.
 TEST(ResidencyIntrospectionTest, PropertyResidencyAccountingInvariants) {
   // Pages are keyed by table *name* (catalog semantics), so the two tables
   // need distinct names to occupy distinct frames.
@@ -577,71 +506,62 @@ TEST(ResidencyIntrospectionTest, PropertyResidencyAccountingInvariants) {
   // accounting invariants must hold across physical and logical frames.
   const std::vector<std::pair<std::string, uint64_t>> logical = {
       {"lg_half", 2}, {"lg_over", 7}};
-  BufferPoolGroup group(4 * 8 * 1024, 8 * 1024, DiskModel{});  // 4 frames/pool
-  constexpr size_t kSlots = 3;
+  std::vector<BufferPool> pools;
+  for (int i = 0; i < 3; ++i) {
+    pools.emplace_back(4 * 8 * 1024, 8 * 1024, DiskModel{});  // 4 frames
+  }
   dana::Rng rng(20260726);
   for (int step = 0; step < 2000; ++step) {
-    const size_t slot = rng.UniformInt(kSlots);
+    BufferPool& target = pools[rng.UniformInt(pools.size())];
     const Table& table = *tables[rng.UniformInt(tables.size())];
     const uint64_t action = rng.UniformInt(100);
     if (action < 78) {
       ASSERT_TRUE(
-          group.pool(slot)->FetchPage(table, rng.UniformInt(table.num_pages()))
-              .ok());
+          target.FetchPage(table, rng.UniformInt(table.num_pages())).ok());
     } else if (action < 88) {
       const auto& [name, pages] = logical[rng.UniformInt(logical.size())];
       if (rng.UniformInt(2) == 0) {
-        group.pool(slot)->ScanTable(name, pages);
+        target.ScanTable(name, pages);
       } else {
-        group.pool(slot)->TouchPage(name, rng.UniformInt(pages));
+        target.TouchPage(name, rng.UniformInt(pages));
       }
     } else if (action < 94) {
-      group.pool(slot)->Prewarm(table, rng.Uniform());
+      target.Prewarm(table, rng.Uniform());
     } else if (action < 97) {
-      group.pool(slot)->Clear();
+      target.Clear();
     } else {
-      group.pool(slot)->ResetStats();
+      target.ResetStats();
     }
 
-    uint64_t sum = 0;
-    BufferPoolStats rollup = group.Rollup();
-    uint64_t hits = 0, misses = 0;
-    for (size_t s = 0; s < group.size(); ++s) {
-      const BufferPool* pool = group.pool(s);
-      EXPECT_LE(pool->resident_frames(), pool->num_frames());
-      sum += pool->resident_frames();
-      hits += pool->stats().hits;
-      misses += pool->stats().misses;
+    for (const BufferPool& pool : pools) {
+      EXPECT_LE(pool.resident_frames(), pool.num_frames());
       // The incremental count agrees with a from-scratch recount of which
       // pages each table has resident, and the per-table frame counts
       // partition the pool total exactly.
       double fraction_pages = 0;
       uint64_t per_table_sum = 0;
       for (const Table* t : tables) {
-        fraction_pages += pool->ResidentFraction(*t) *
+        fraction_pages += pool.ResidentFraction(*t) *
                           static_cast<double>(t->num_pages());
-        EXPECT_NEAR(pool->ResidentFraction(*t) *
+        EXPECT_NEAR(pool.ResidentFraction(*t) *
                         static_cast<double>(t->num_pages()),
-                    static_cast<double>(pool->resident_frames(t->name())),
+                    static_cast<double>(pool.resident_frames(t->name())),
                     1e-6);
-        per_table_sum += pool->resident_frames(t->name());
+        per_table_sum += pool.resident_frames(t->name());
       }
       for (const auto& [name, pages] : logical) {
-        const uint64_t frames = pool->resident_frames(name);
+        const uint64_t frames = pool.resident_frames(name);
         EXPECT_LE(frames, pages);
-        EXPECT_NEAR(pool->ResidentShare(name, pages),
+        EXPECT_NEAR(pool.ResidentShare(name, pages),
                     static_cast<double>(frames) / static_cast<double>(pages),
                     1e-12);
         fraction_pages += static_cast<double>(frames);
         per_table_sum += frames;
       }
-      EXPECT_NEAR(fraction_pages, static_cast<double>(pool->resident_frames()),
+      EXPECT_NEAR(fraction_pages, static_cast<double>(pool.resident_frames()),
                   1e-6);
-      EXPECT_EQ(per_table_sum, pool->resident_frames());
+      EXPECT_EQ(per_table_sum, pool.resident_frames());
     }
-    ASSERT_EQ(sum, group.TotalResidentFrames());
-    ASSERT_EQ(hits, rollup.hits);
-    ASSERT_EQ(misses, rollup.misses);
   }
 }
 
@@ -673,6 +593,11 @@ TEST(SharedPoolTest, ScanLeavesTrailingWindowOfOversizedTable) {
   // with the trailing pool-sized window resident.
   EXPECT_EQ(pool.resident_frames("big"), 4u);
   EXPECT_DOUBLE_EQ(pool.ResidentShare("big", 8), 0.5);
+  // A table first seen by the full pool comes in a run of victims at a
+  // time and displaces its own leading pages as well as big's.
+  pool.ScanTable("next", 6);
+  EXPECT_EQ(pool.resident_frames("next"), 4u);
+  EXPECT_EQ(pool.resident_frames("big"), 0u);
   // A pool-fitting table ends fully resident, and a repeat sweep is an
   // all-hit no-op for it.
   pool.Clear();
