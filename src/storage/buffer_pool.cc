@@ -257,7 +257,11 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
   pool_.WithCursor([&](auto& pool) {
     for (uint64_t p = 0; p < n; ++p) {
       const PageKey key{tid, p};
-      if (!pool_.Contains(key)) Install(pool, key);
+      if (pool_.Contains(key)) continue;
+      // A page entering the pool leaves an exclusive OS tier, as a fetch
+      // promotes it.
+      if (eviction_ != EvictionKind::kClock) os_tier_.Erase(key);
+      Install(pool, key);
     }
   });
   MarkOsCached(table);

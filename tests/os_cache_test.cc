@@ -100,6 +100,26 @@ TEST(OsCacheTest, ClockTierIsInclusiveAndAdmitsUntilFull) {
   EXPECT_EQ(capped.tier_resident_frames(BufferPool::kOsTier, "t"), 4u);
 }
 
+TEST(OsCacheTest, PrewarmKeepsAnExclusiveTierExclusive) {
+  // An LRU pool of 4 frames over a 16-page evicting OS tier: after a full
+  // scan of 8 pages the pool holds 4..7 and the tier 0..3. Prewarming
+  // the leading half promotes 0..3 into the pool, as a fetch would, and
+  // demotes 4..7: no page is in both tiers.
+  auto t = MakeTable(8);
+  BufferPool pool(4 * 8 * 1024, 8 * 1024, DiskModel{},
+                  /*os_cache_bytes=*/16 * 8 * 1024, EvictionKind::kLru);
+  for (uint64_t p = 0; p < 8; ++p) {
+    ASSERT_TRUE(pool.FetchPage(*t, p).ok());
+  }
+  pool.Prewarm(*t, 0.5);
+  EXPECT_DOUBLE_EQ(pool.TierResidentShare(BufferPool::kPoolTier, "t", 8),
+                   0.5);
+  EXPECT_DOUBLE_EQ(pool.TierResidentShare(BufferPool::kOsTier, "t", 8), 0.5);
+  EXPECT_EQ(pool.resident_frames() +
+                pool.tier_resident_frames(BufferPool::kOsTier),
+            8u);
+}
+
 TEST(OsCacheTest, MarkOsCachedSkipsDiskOnFirstRead) {
   auto t = MakeTable(4);
   BufferPool pool(2 * 8 * 1024, 8 * 1024, DiskModel{});
