@@ -351,12 +351,12 @@ DanaQueryExecutor::DanaQueryExecutor(Options options)
 
 storage::BufferPool* DanaQueryExecutor::slot_pool(uint32_t slot) {
   while (slot_pools_.size() <= slot) {
-    slot_pools_.emplace_back(options_.pool_frames * kSharedPoolPageSize,
-                             kSharedPoolPageSize, storage::DiskModel{},
-                             options_.os_frames * kSharedPoolPageSize,
-                             options_.eviction);
+    slot_pools_.push_back(std::make_unique<storage::BufferPool>(
+        options_.pool_frames * kSharedPoolPageSize, kSharedPoolPageSize,
+        storage::DiskModel{}, options_.os_frames * kSharedPoolPageSize,
+        options_.eviction));
   }
-  return &slot_pools_[slot];
+  return slot_pools_[slot].get();
 }
 
 void DanaQueryExecutor::PrepareSlots(uint32_t slots) {
@@ -364,9 +364,9 @@ void DanaQueryExecutor::PrepareSlots(uint32_t slots) {
 }
 
 void DanaQueryExecutor::ResetResidency() {
-  for (storage::BufferPool& pool : slot_pools_) {
-    pool.Clear();
-    pool.ResetStats();
+  for (const std::unique_ptr<storage::BufferPool>& pool : slot_pools_) {
+    pool->Clear();
+    pool->ResetStats();
   }
 }
 
@@ -376,13 +376,13 @@ void DanaQueryExecutor::PublishGauges(obs::MetricRegistry* metrics) const {
   compile_cache_.PublishTo(sink);
   storage::BufferPoolStats total;
   uint64_t resident = 0;
-  for (const storage::BufferPool& pool : slot_pools_) {
-    const storage::BufferPoolStats& s = pool.stats();
+  for (const std::unique_ptr<storage::BufferPool>& pool : slot_pools_) {
+    const storage::BufferPoolStats& s = pool->stats();
     total.hits += s.hits;
     total.misses += s.misses;
     total.evictions += s.evictions;
     total.io_time += s.io_time;
-    resident += pool.resident_frames();
+    resident += pool->resident_frames();
   }
   obs::SetGauge(sink, "pool.hits", static_cast<double>(total.hits));
   obs::SetGauge(sink, "pool.misses", static_cast<double>(total.misses));
@@ -391,7 +391,7 @@ void DanaQueryExecutor::PublishGauges(obs::MetricRegistry* metrics) const {
   obs::SetGauge(sink, "pool.io_time_s", total.io_time.seconds());
   obs::SetGauge(sink, "pool.resident_frames", static_cast<double>(resident));
   for (size_t i = 0; i < slot_pools_.size(); ++i) {
-    slot_pools_[i].PublishTo(sink, "pool.slot" + std::to_string(i));
+    slot_pools_[i]->PublishTo(sink, "pool.slot" + std::to_string(i));
   }
 }
 
@@ -582,8 +582,7 @@ Result<std::unique_ptr<BatchExecution>> DanaQueryExecutor::Begin(
 double DanaQueryExecutor::PhysicalWarmFraction(WorkloadRecord& rec,
                                                uint32_t slot) {
   if (!Instance(rec).ok()) return 0.0;
-  return slot_pool(slot)->ResidentShare(TableId(rec, slot),
-                                               rec.norm_pages);
+  return slot_pool(slot)->ResidentShare(TableId(rec, slot), rec.norm_pages);
 }
 
 double DanaQueryExecutor::PhysicalOsWarmFraction(WorkloadRecord& rec,

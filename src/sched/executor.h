@@ -463,9 +463,9 @@ class DanaQueryExecutor : public QueryExecutor {
   /// `Options::pool_frames` scale-normalized frames with the Options'
   /// eviction and OS tier: every workload's sweep passes through its
   /// slot's pool, so cross-table eviction is measured, not modeled. Slot 0
-  /// exists from construction; a deque, so slot_pool() pointers survive
-  /// later slots being added.
-  std::deque<storage::BufferPool> slot_pools_;
+  /// exists from construction; each pool is its own heap object, so
+  /// slot_pool() pointers survive later slots being added.
+  std::vector<std::unique_ptr<storage::BufferPool>> slot_pools_;
   /// Handle index by name, and the records it indexes (a deque, so a
   /// DanaBatchExecution's record pointer survives later resolves).
   dana::Interner record_ids_;

@@ -564,7 +564,6 @@ class PageTier {
   bool enabled() const { return capacity_ > 0; }
   bool full() const { return resident_ == capacity_; }
   uint64_t capacity() const { return capacity_; }
-  Admission admission() const { return admission_; }
   uint64_t resident() const { return resident_; }
   uint64_t resident(uint32_t table_id) const {
     return table_id < per_table_.size() ? per_table_[table_id] : 0;
@@ -627,20 +626,18 @@ class PageTier {
   /// key in `*victim`. Returns true iff it displaced a victim.
   template <typename Cursor>
   bool Admit(Cursor& cursor, const PageKey& key, PageKey* victim) {
-    const bool displaced = full();
-    size_t slot;
-    if (displaced) {
-      slot = cursor.PickVictim();
-      *victim = slot_keys_[slot];
-      index_.Erase(*victim);
-      --per_table_[victim->table_id];
-    } else {
-      slot = NewSlot();
+    if (!full()) {
+      cursor.OnInsert(Fill(key));
+      return false;
     }
+    const size_t slot = cursor.PickVictim();
+    *victim = slot_keys_[slot];
+    index_.Erase(*victim);
+    --per_table_[victim->table_id];
     slot_keys_[slot] = key;
     Map(key, slot);
     cursor.OnInsert(slot);
-    return displaced;
+    return true;
   }
 
   /// Evicting tiers: pages [first, first + keys.size()) of `table_id`, all
@@ -660,9 +657,8 @@ class PageTier {
         const size_t n = RunLength(keys, j);
         // Grow the keys' row first: the promoted pages' row is already
         // long enough, so fetching it second leaves both valid.
-        uint32_t* const row = index_.Row(table, key_first + n);
+        uint32_t* const row = Row(table, key_first + n);
         uint32_t* const leaving = index_.Row(table_id, 0) + first + j;
-        if (table >= per_table_.size()) GrowPerTable(table);
         for (size_t i = 0; i < n; ++i) {
           const uint32_t slot = leaving[i];
           leaving[i] = PageIndex::kAbsent;
@@ -705,8 +701,7 @@ class PageTier {
             cursor.OnAccess(entry);
             replacer.Break();
           } else if (!full()) {
-            PageKey none;
-            Admit(cursor, keys[j + i], &none);
+            cursor.OnInsert(Fill(keys[j + i]));
             replacer.Break();
           } else {
             replacer.Replace(keys[j + i], entry);
@@ -724,6 +719,14 @@ class PageTier {
   void Clear();
 
  private:
+  /// Evicting tiers, not full: puts `key`, absent, into a new slot and
+  /// returns it (the caller hands it to its cursor).
+  size_t Fill(const PageKey& key) {
+    const size_t slot = NewSlot();
+    slot_keys_[slot] = key;
+    Map(key, slot);
+    return slot;
+  }
   /// Evicting tiers: a slot for a page being admitted, the last one freed,
   /// else a new one (so a cleared tier hands out slots 0, 1, 2, ... in
   /// order).
