@@ -493,9 +493,14 @@ TEST(ResidencyIntrospectionTest, PartialPrewarmLeavesFractionResident) {
 
 /// Property-style coverage: any seeded interleaving of fetches, sweeps,
 /// prewarms and clears across independent pools must keep each pool's
-/// residency accounting consistent — resident frames never exceed the
-/// pool's capacity, the per-table counts partition the total, and each
-/// matches a recount of the pool's page index via ResidentFraction.
+/// residency accounting consistent, under every eviction policy and every
+/// OS-tier shape (none, smaller than the pool, larger than the pool):
+///   - each tier holds at most its capacity;
+///   - in each tier the per-table counts partition the tier's total;
+///   - the pool's per-table counts match a recount of its page index via
+///     ResidentFraction;
+///   - under lru/promotional, where the OS tier is exclusive of the pool,
+///     no table has more pages in the two tiers together than it has.
 TEST(ResidencyIntrospectionTest, PropertyResidencyAccountingInvariants) {
   // Pages are keyed by table *name* (catalog semantics), so the two tables
   // need distinct names to occupy distinct frames.
@@ -506,61 +511,88 @@ TEST(ResidencyIntrospectionTest, PropertyResidencyAccountingInvariants) {
   // accounting invariants must hold across physical and logical frames.
   const std::vector<std::pair<std::string, uint64_t>> logical = {
       {"lg_half", 2}, {"lg_over", 7}};
-  std::vector<BufferPool> pools;
-  for (int i = 0; i < 3; ++i) {
-    pools.emplace_back(4 * 8 * 1024, 8 * 1024, DiskModel{});  // 4 frames
-  }
-  dana::Rng rng(20260726);
-  for (int step = 0; step < 2000; ++step) {
-    BufferPool& target = pools[rng.UniformInt(pools.size())];
-    const Table& table = *tables[rng.UniformInt(tables.size())];
-    const uint64_t action = rng.UniformInt(100);
-    if (action < 78) {
-      ASSERT_TRUE(
-          target.FetchPage(table, rng.UniformInt(table.num_pages())).ok());
-    } else if (action < 88) {
-      const auto& [name, pages] = logical[rng.UniformInt(logical.size())];
-      if (rng.UniformInt(2) == 0) {
-        target.ScanTable(name, pages);
-      } else {
-        target.TouchPage(name, rng.UniformInt(pages));
+  std::vector<std::pair<std::string, uint64_t>> all = logical;
+  for (const Table* t : tables) all.emplace_back(t->name(), t->num_pages());
+  constexpr uint64_t kPoolFrames = 4;
+  for (EvictionKind kind : {EvictionKind::kClock, EvictionKind::kLru,
+                            EvictionKind::kPromotional}) {
+    for (uint64_t os_frames : {0u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(EvictionKindName(kind)) + ", OS tier of " +
+                   std::to_string(os_frames) + " frames");
+      const bool exclusive = kind != EvictionKind::kClock;
+      std::vector<BufferPool> pools;
+      for (int i = 0; i < 3; ++i) {
+        pools.push_back(BufferPool::SizedInFrames(kPoolFrames, 8 * 1024,
+                                                  DiskModel{}, kind,
+                                                  os_frames));
       }
-    } else if (action < 94) {
-      target.Prewarm(table, rng.Uniform());
-    } else if (action < 97) {
-      target.Clear();
-    } else {
-      target.ResetStats();
-    }
+      const uint64_t capacity[2] = {kPoolFrames, os_frames};
+      dana::Rng rng(20260726);
+      for (int step = 0; step < 2000; ++step) {
+        BufferPool& target = pools[rng.UniformInt(pools.size())];
+        const Table& table = *tables[rng.UniformInt(tables.size())];
+        const uint64_t action = rng.UniformInt(100);
+        if (action < 78) {
+          ASSERT_TRUE(
+              target.FetchPage(table, rng.UniformInt(table.num_pages()))
+                  .ok());
+        } else if (action < 88) {
+          const auto& [name, pages] = logical[rng.UniformInt(logical.size())];
+          if (rng.UniformInt(2) == 0) {
+            target.ScanTable(name, pages);
+          } else {
+            target.TouchPage(name, rng.UniformInt(pages));
+          }
+        } else if (action < 94) {
+          target.Prewarm(table, rng.Uniform());
+        } else if (action < 97) {
+          target.Clear();
+        } else {
+          target.ResetStats();
+        }
 
-    for (const BufferPool& pool : pools) {
-      EXPECT_LE(pool.resident_frames(), pool.num_frames());
-      // The incremental count agrees with a from-scratch recount of which
-      // pages each table has resident, and the per-table frame counts
-      // partition the pool total exactly.
-      double fraction_pages = 0;
-      uint64_t per_table_sum = 0;
-      for (const Table* t : tables) {
-        fraction_pages += pool.ResidentFraction(*t) *
-                          static_cast<double>(t->num_pages());
-        EXPECT_NEAR(pool.ResidentFraction(*t) *
-                        static_cast<double>(t->num_pages()),
-                    static_cast<double>(pool.resident_frames(t->name())),
-                    1e-6);
-        per_table_sum += pool.resident_frames(t->name());
+        for (const BufferPool& pool : pools) {
+          for (size_t tier : {BufferPool::kPoolTier, BufferPool::kOsTier}) {
+            uint64_t per_table_sum = 0;
+            for (const auto& [name, pages] : all) {
+              per_table_sum += pool.tier_resident_frames(tier, name);
+            }
+            ASSERT_EQ(per_table_sum, pool.tier_resident_frames(tier))
+                << "per-table counts of tier " << tier << " at step " << step
+                << " do not sum to the tier's total";
+            ASSERT_LE(pool.tier_resident_frames(tier), capacity[tier])
+                << "tier " << tier << " over capacity at step " << step;
+          }
+          ASSERT_EQ(pool.resident_frames(),
+                    pool.tier_resident_frames(BufferPool::kPoolTier));
+          // The incremental count agrees with a from-scratch recount of
+          // which pages each table has resident.
+          for (const Table* t : tables) {
+            EXPECT_NEAR(pool.ResidentFraction(*t) *
+                            static_cast<double>(t->num_pages()),
+                        static_cast<double>(pool.resident_frames(t->name())),
+                        1e-6);
+          }
+          for (const auto& [name, pages] : logical) {
+            EXPECT_NEAR(pool.ResidentShare(name, pages),
+                        static_cast<double>(pool.resident_frames(name)) /
+                            static_cast<double>(pages),
+                        1e-12);
+          }
+          for (const auto& [name, pages] : all) {
+            const uint64_t pool_frames = pool.resident_frames(name);
+            const uint64_t os_frames_of =
+                pool.tier_resident_frames(BufferPool::kOsTier, name);
+            ASSERT_LE(pool_frames, pages);
+            if (exclusive) {
+              ASSERT_LE(pool_frames + os_frames_of, pages)
+                  << "exclusivity: " << name << " has " << pool_frames
+                  << " pool + " << os_frames_of << " OS-tier frames at step "
+                  << step;
+            }
+          }
+        }
       }
-      for (const auto& [name, pages] : logical) {
-        const uint64_t frames = pool.resident_frames(name);
-        EXPECT_LE(frames, pages);
-        EXPECT_NEAR(pool.ResidentShare(name, pages),
-                    static_cast<double>(frames) / static_cast<double>(pages),
-                    1e-12);
-        fraction_pages += static_cast<double>(frames);
-        per_table_sum += frames;
-      }
-      EXPECT_NEAR(fraction_pages, static_cast<double>(pool.resident_frames()),
-                  1e-6);
-      EXPECT_EQ(per_table_sum, pool.resident_frames());
     }
   }
 }
