@@ -17,7 +17,7 @@ void UnpackItemId(uint32_t packed, uint32_t* offset, uint32_t* flags,
 }
 
 void Page::InitEmpty() {
-  std::memset(data_, 0, layout_.page_size);
+  std::memset(mutable_data_, 0, layout_.page_size);
   const uint16_t special =
       static_cast<uint16_t>(layout_.page_size - layout_.special_size);
   WriteU16(layout_.lower_offset, static_cast<uint16_t>(layout_.header_size));
@@ -30,13 +30,13 @@ void Page::InitEmpty() {
   }
 }
 
-uint32_t Page::ItemCount() const {
+uint32_t PageView::ItemCount() const {
   const uint16_t lo = lower();
   if (lo <= layout_.header_size) return 0;
   return (lo - layout_.header_size) / layout_.item_id_size;
 }
 
-uint32_t Page::FreeSpace() const {
+uint32_t PageView::FreeSpace() const {
   const uint16_t lo = lower();
   const uint16_t up = upper();
   return up > lo ? static_cast<uint32_t>(up - lo) : 0;
@@ -62,7 +62,7 @@ Result<uint32_t> Page::AddTuple(std::span<const uint8_t> payload,
   const uint32_t slot = ItemCount();
 
   // Tuple header.
-  uint8_t* t = data_ + new_upper;
+  uint8_t* t = mutable_data_ + new_upper;
   std::memset(t, 0, layout_.tuple_header_size);
   const uint32_t xmin = 2;  // FrozenTransactionId: always-visible bulk load
   std::memcpy(t + 0, &xmin, 4);
@@ -89,7 +89,7 @@ Result<uint32_t> Page::AddTuple(std::span<const uint8_t> payload,
   return slot;
 }
 
-Result<std::pair<uint32_t, uint32_t>> Page::GetItemId(uint32_t slot) const {
+Result<std::pair<uint32_t, uint32_t>> PageView::GetItemId(uint32_t slot) const {
   if (slot >= ItemCount()) {
     return Status::OutOfRange("slot " + std::to_string(slot) +
                               " >= item count " +
@@ -105,7 +105,7 @@ Result<std::pair<uint32_t, uint32_t>> Page::GetItemId(uint32_t slot) const {
   return std::make_pair(off, len);
 }
 
-Result<std::span<const uint8_t>> Page::GetTupleRaw(uint32_t slot) const {
+Result<std::span<const uint8_t>> PageView::GetTupleRaw(uint32_t slot) const {
   DANA_ASSIGN_OR_RETURN(auto item, GetItemId(slot));
   const auto [off, len] = item;
   if (off + len > layout_.page_size) {
@@ -114,7 +114,7 @@ Result<std::span<const uint8_t>> Page::GetTupleRaw(uint32_t slot) const {
   return std::span<const uint8_t>(data_ + off, len);
 }
 
-Result<std::span<const uint8_t>> Page::GetTuplePayload(uint32_t slot) const {
+Result<std::span<const uint8_t>> PageView::GetTuplePayload(uint32_t slot) const {
   DANA_ASSIGN_OR_RETURN(auto raw, GetTupleRaw(slot));
   if (raw.size() < layout_.tuple_header_size) {
     return Status::Corruption("tuple shorter than its header");
@@ -126,7 +126,7 @@ Result<std::span<const uint8_t>> Page::GetTuplePayload(uint32_t slot) const {
   return raw.subspan(hoff);
 }
 
-Status Page::Validate() const {
+Status PageView::Validate() const {
   const uint16_t lo = lower();
   const uint16_t up = upper();
   const uint16_t sp = special();

@@ -11,21 +11,16 @@
 
 namespace dana::storage {
 
-/// Read/write view over one heap page image.
+/// Read-only view over one heap page image.
 ///
-/// Page does not own the underlying bytes; it is a codec over a caller-owned
-/// buffer (a buffer-pool frame or a Table's page image). All multi-byte
-/// fields are little-endian, matching the byte layout documented in
-/// PageLayout.
-class Page {
+/// PageView does not own the underlying bytes; it parses a caller-owned
+/// buffer (a Table's page image, which may be shared by many pages) and
+/// cannot write it. All multi-byte fields are little-endian, matching the
+/// byte layout documented in PageLayout.
+class PageView {
  public:
-  /// Wraps `data` (which must be layout.page_size bytes) without modifying it.
-  Page(uint8_t* data, const PageLayout& layout)
+  PageView(const uint8_t* data, const PageLayout& layout)
       : data_(data), layout_(layout) {}
-
-  /// Formats the buffer as an empty page (PageInit): zeroes the header,
-  /// sets lower/upper/special.
-  void InitEmpty();
 
   /// @name Header accessors
   ///@{
@@ -33,7 +28,6 @@ class Page {
   uint16_t upper() const { return ReadU16(layout_.upper_offset); }
   uint16_t special() const { return ReadU16(layout_.special_offset); }
   uint64_t lsn() const { return ReadU64(0); }
-  void set_lsn(uint64_t v) { WriteU64(0, v); }
   ///@}
 
   /// Number of line pointers on the page.
@@ -41,12 +35,6 @@ class Page {
 
   /// Free bytes between the line pointer array and tuple data.
   uint32_t FreeSpace() const;
-
-  /// Appends a tuple with the given user payload. Writes the tuple header
-  /// (attribute count into infomask2, hoff) and a new line pointer.
-  /// Returns the 0-based slot index, or ResourceExhausted when full.
-  Result<uint32_t> AddTuple(std::span<const uint8_t> payload,
-                            uint16_t attr_count);
 
   /// User payload of the tuple in `slot` (header stripped).
   Result<std::span<const uint8_t>> GetTuplePayload(uint32_t slot) const;
@@ -64,7 +52,7 @@ class Page {
   const PageLayout& layout() const { return layout_; }
   const uint8_t* data() const { return data_; }
 
- private:
+ protected:
   uint16_t ReadU16(uint32_t off) const {
     uint16_t v;
     std::memcpy(&v, data_ + off, 2);
@@ -80,12 +68,44 @@ class Page {
     std::memcpy(&v, data_ + off, 8);
     return v;
   }
-  void WriteU16(uint32_t off, uint16_t v) { std::memcpy(data_ + off, &v, 2); }
-  void WriteU32(uint32_t off, uint32_t v) { std::memcpy(data_ + off, &v, 4); }
-  void WriteU64(uint32_t off, uint64_t v) { std::memcpy(data_ + off, &v, 8); }
 
-  uint8_t* data_;
+  const uint8_t* data_;
   PageLayout layout_;
+};
+
+/// Read/write view over one heap page image: a PageView that can also
+/// format the page and append tuples. Only the code that builds a page
+/// (Table's bulk load, tests) holds one.
+class Page : public PageView {
+ public:
+  /// Wraps `data` (which must be layout.page_size bytes) without modifying it.
+  Page(uint8_t* data, const PageLayout& layout)
+      : PageView(data, layout), mutable_data_(data) {}
+
+  /// Formats the buffer as an empty page (PageInit): zeroes the header,
+  /// sets lower/upper/special.
+  void InitEmpty();
+
+  void set_lsn(uint64_t v) { WriteU64(0, v); }
+
+  /// Appends a tuple with the given user payload. Writes the tuple header
+  /// (attribute count into infomask2, hoff) and a new line pointer.
+  /// Returns the 0-based slot index, or ResourceExhausted when full.
+  Result<uint32_t> AddTuple(std::span<const uint8_t> payload,
+                            uint16_t attr_count);
+
+ private:
+  void WriteU16(uint32_t off, uint16_t v) {
+    std::memcpy(mutable_data_ + off, &v, 2);
+  }
+  void WriteU32(uint32_t off, uint32_t v) {
+    std::memcpy(mutable_data_ + off, &v, 4);
+  }
+  void WriteU64(uint32_t off, uint64_t v) {
+    std::memcpy(mutable_data_ + off, &v, 8);
+  }
+
+  uint8_t* mutable_data_;
 };
 
 /// Packs a PostgreSQL ItemIdData: offset(15) | flags(2) | length(15).

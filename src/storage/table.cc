@@ -2,50 +2,66 @@
 
 namespace dana::storage {
 
-uint8_t* Table::AddPage() {
-  pages_.push_back(std::make_unique<uint8_t[]>(layout_.page_size));
-  uint8_t* data = pages_.back().get();
-  Page page(data, layout_);
-  page.InitEmpty();
-  return data;
+void Table::AddPage() {
+  images_.push_back(std::make_unique<uint8_t[]>(layout_.page_size));
+  tail_ = images_.back().get();
+  pages_.push_back(tail_);
+  Page(tail_, layout_).InitEmpty();
+}
+
+Result<uint64_t> Table::FillTail(uint64_t n) {
+  uint64_t added = 0;
+  if (tail_ == nullptr) return added;
+  Page page(tail_, layout_);
+  for (; added < n; ++added) {
+    auto slot = page.AddTuple(row_buf_, schema_.num_columns());
+    if (!slot.ok()) {
+      if (!slot.status().IsResourceExhausted()) return slot.status();
+      break;
+    }
+  }
+  num_tuples_ += added;
+  return added;
+}
+
+Result<uint64_t> Table::FillNewPage(uint64_t n) {
+  AddPage();
+  DANA_ASSIGN_OR_RETURN(const uint64_t added, FillTail(n));
+  if (added == 0) {
+    return Status::InvalidArgument("row of " +
+                                   std::to_string(schema_.RowBytes()) +
+                                   " bytes does not fit an empty page");
+  }
+  return added;
 }
 
 Status Table::AppendRow(const std::vector<double>& values) {
   row_buf_.resize(schema_.RowBytes());
   DANA_RETURN_NOT_OK(schema_.EncodeRow(values, row_buf_.data()));
-  return AppendEncoded();
+  DANA_ASSIGN_OR_RETURN(const uint64_t added, FillTail(1));
+  if (added == 1) return Status::OK();
+  return FillNewPage(1).status();
 }
 
 Status Table::AppendZeroRows(uint64_t n) {
   row_buf_.assign(schema_.RowBytes(), 0);
-  for (uint64_t i = 0; i < n; ++i) {
-    DANA_RETURN_NOT_OK(AppendEncoded());
+  // Rows go on the tail page one by one, then onto a fresh page.
+  DANA_ASSIGN_OR_RETURN(uint64_t added, FillTail(n));
+  n -= added;
+  if (n == 0) return Status::OK();
+  DANA_ASSIGN_OR_RETURN(const uint64_t per_page, FillNewPage(n));
+  n -= per_page;
+  // Rows are left over only if that page is full: it holds nothing but
+  // zero rows from its first byte, so every further full page is the same
+  // image.
+  const uint8_t* full = pages_.back();
+  for (; n >= per_page; n -= per_page) {
+    pages_.push_back(full);
+    num_tuples_ += per_page;
+    tail_ = nullptr;
   }
-  return Status::OK();
-}
-
-Status Table::AppendEncoded() {
-  if (pages_.empty()) AddPage();
-  {
-    Page page(pages_.back().get(), layout_);
-    auto slot = page.AddTuple(row_buf_, schema_.num_columns());
-    if (slot.ok()) {
-      ++num_tuples_;
-      return Status::OK();
-    }
-    if (!slot.status().IsResourceExhausted()) return slot.status();
-  }
-  // Current page full: start a new one.
-  uint8_t* data = AddPage();
-  Page page(data, layout_);
-  auto slot = page.AddTuple(row_buf_, schema_.num_columns());
-  if (!slot.ok()) {
-    return Status::InvalidArgument("row of " +
-                                   std::to_string(schema_.RowBytes()) +
-                                   " bytes does not fit an empty page");
-  }
-  ++num_tuples_;
-  return Status::OK();
+  if (n == 0) return Status::OK();
+  return FillNewPage(n).status();
 }
 
 Status Table::ReadRow(uint64_t page_no, uint32_t slot,
@@ -54,7 +70,7 @@ Status Table::ReadRow(uint64_t page_no, uint32_t slot,
     return Status::OutOfRange("page " + std::to_string(page_no) +
                               " >= page count");
   }
-  Page page(const_cast<uint8_t*>(pages_[page_no].get()), layout_);
+  PageView page(pages_[page_no], layout_);
   DANA_ASSIGN_OR_RETURN(auto payload, page.GetTuplePayload(slot));
   return schema_.DecodeRow(payload.data(),
                            static_cast<uint32_t>(payload.size()), out);
@@ -62,8 +78,7 @@ Status Table::ReadRow(uint64_t page_no, uint32_t slot,
 
 uint32_t Table::TuplesOnPage(uint64_t i) const {
   if (i >= pages_.size()) return 0;
-  Page page(const_cast<uint8_t*>(pages_[i].get()), layout_);
-  return page.ItemCount();
+  return PageView(pages_[i], layout_).ItemCount();
 }
 
 Result<std::vector<std::vector<double>>> Table::ReadAllRows() const {

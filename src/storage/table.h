@@ -13,11 +13,16 @@
 
 namespace dana::storage {
 
-/// A heap table: an ordered collection of page images plus its schema.
+/// A heap table: an ordered list of pages plus its schema.
 ///
 /// Tables are bulk-loaded once (the paper trains on static tables) and then
 /// read through the buffer pool or shipped page-by-page to the accelerator's
-/// page buffers.
+/// page buffers. A page is immutable once a later page exists, and nothing
+/// reads a page until the load is done. Each page points at an image the
+/// table owns; the full pages of a shape table (AppendZeroRows) are
+/// byte-identical, so they share one image. Equal PageData pointers
+/// therefore mean equal bytes (unequal pointers need not mean unequal
+/// bytes).
 class Table {
  public:
   Table(std::string name, Schema schema, PageLayout layout)
@@ -31,10 +36,12 @@ class Table {
 
   uint64_t num_pages() const { return pages_.size(); }
   uint64_t num_tuples() const { return num_tuples_; }
+  /// Modelled size: every page counts in full, shared or not.
   uint64_t SizeBytes() const { return num_pages() * layout_.page_size; }
 
-  /// Raw image of page `i` (layout().page_size bytes).
-  const uint8_t* PageData(uint64_t i) const { return pages_[i].get(); }
+  /// Raw image of page `i` (layout().page_size bytes), valid for the
+  /// table's lifetime.
+  const uint8_t* PageData(uint64_t i) const { return pages_[i]; }
 
   /// Appends a row, allocating a new page when the current one is full.
   dana::Status AppendRow(const std::vector<double>& values);
@@ -42,7 +49,9 @@ class Table {
   /// Appends `n` rows whose payload bytes are all zero, placed exactly as
   /// `n` AppendRow calls would place them (same pages, page headers, line
   /// pointers and tuple headers) without encoding any value. A table built
-  /// this way is a shape table: it prices a scan like the real one.
+  /// this way is a shape table: it prices a scan like the real one. The
+  /// first page these rows fill from empty becomes the image of every
+  /// further full page; only a last, partial page gets an image of its own.
   dana::Status AppendZeroRows(uint64_t n);
 
   /// Decodes the tuple in (page, slot) into doubles.
@@ -57,14 +66,25 @@ class Table {
   dana::Result<std::vector<std::vector<double>>> ReadAllRows() const;
 
  private:
-  uint8_t* AddPage();
-  /// Places the encoded row in `row_buf_` (see AppendRow).
-  dana::Status AppendEncoded();
+  /// Appends a page with an empty image of its own and makes it the tail.
+  void AddPage();
+  /// Adds up to `n` copies of `row_buf_` to the tail page; returns how
+  /// many fit (0 when there is no writable tail page or it is full).
+  dana::Result<uint64_t> FillTail(uint64_t n);
+  /// Starts a page and adds up to `n` (>= 1) copies of `row_buf_` to it;
+  /// fails when not even one fits an empty page.
+  dana::Result<uint64_t> FillNewPage(uint64_t n);
 
   std::string name_;
   Schema schema_;
   PageLayout layout_;
-  std::vector<std::unique_ptr<uint8_t[]>> pages_;
+  /// One entry per page; several may point at one image.
+  std::vector<const uint8_t*> pages_;
+  /// The distinct images `pages_` points into.
+  std::vector<std::unique_ptr<uint8_t[]>> images_;
+  /// The last page's image while rows may still go there; null once the
+  /// last page is a shared image.
+  uint8_t* tail_ = nullptr;
   uint64_t num_tuples_ = 0;
   std::vector<uint8_t> row_buf_;
 };

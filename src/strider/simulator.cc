@@ -6,11 +6,25 @@ namespace dana::strider {
 
 namespace {
 
-/// Machine state: 32 registers plus a writable copy-on-write page view.
+/// Machine state: 32 registers plus a copy-on-write page view.
 struct Machine {
   uint32_t regs[kNumRegisters] = {};
-  std::vector<uint8_t> page;  // local copy: writeB is page-buffer-local
+  /// The caller's page, read in place until the first writeB.
+  std::span<const uint8_t> page;
+  /// The page-buffer-local copy the first writeB makes (writeB never
+  /// reaches the caller's page).
+  std::vector<uint8_t> written;
+  bool copied = false;
   std::vector<size_t> loop_stack;
+
+  uint8_t* WritablePage() {
+    if (!copied) {
+      written.assign(page.begin(), page.end());
+      page = written;
+      copied = true;
+    }
+    return written.data();
+  }
 
   uint32_t Get(const Operand& o) const {
     return o.is_reg ? regs[o.value] : o.value;
@@ -33,7 +47,7 @@ Result<StriderRunResult> StriderSim::Run(const StriderProgram& program,
   for (uint32_t i = 0; i < kNumConfigRegisters; ++i) {
     m.regs[i] = program.config[i];
   }
-  m.page.assign(page.begin(), page.end());
+  m.page = page;
 
   StriderRunResult result;
   size_t pc = 0;
@@ -74,8 +88,9 @@ Result<StriderRunResult> StriderSim::Run(const StriderProgram& program,
         if (addr + n > m.page.size()) {
           return Status::OutOfRange("writeB past page end");
         }
+        uint8_t* dst = m.WritablePage() + addr;
         for (uint32_t i = 0; i < n; ++i) {
-          m.page[addr + i] = static_cast<uint8_t>((v >> (8 * i)) & 0xFF);
+          dst[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xFF);
         }
         break;
       }

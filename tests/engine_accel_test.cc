@@ -585,6 +585,63 @@ TEST(AcceleratorTest, TimingOnlyRunMatchesTrainBitForBit) {
   }
 }
 
+TEST(AcceleratorTest, SharedPageImagesTimeLikePrivateOnes) {
+  // A shape table's full pages share one image, which Time walks once and
+  // reuses; the same zero rows stored one image per page are walked page
+  // by page. Every time and count must agree, warm and cold.
+  auto f = AccelFixture::Make(ml::AlgoKind::kLogisticRegression, 54, 16,
+                              2000);
+  ml::DatasetSpec spec;
+  spec.kind = f.kind;
+  spec.dims = 54;
+  spec.tuples = 2000;
+  storage::PageLayout layout;
+  auto shared = std::move(ml::BuildShapeTable("z", spec, layout)).ValueOrDie();
+  storage::Table private_pages("z", shared->schema(), layout);
+  const std::vector<double> zeros(shared->schema().num_columns(), 0.0);
+  for (uint64_t i = 0; i < spec.tuples; ++i) {
+    ASSERT_TRUE(private_pages.AppendRow(zeros).ok());
+  }
+  ASSERT_GT(shared->num_pages(), 2u);
+  ASSERT_EQ(shared->num_pages(), private_pages.num_pages());
+  ASSERT_EQ(shared->PageData(1), shared->PageData(0));
+  ASSERT_NE(private_pages.PageData(1), private_pages.PageData(0));
+
+  accel::Accelerator acc(f.udf);
+  for (bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    auto time = [&](const storage::Table& table) {
+      f.pool->Clear();
+      if (warm) f.pool->Prewarm(table);
+      return std::move(acc.Time(table, f.pool.get(), {})).ValueOrDie();
+    };
+    const accel::RunReport a = time(*shared);
+    const accel::RunReport b = time(private_pages);
+    EXPECT_EQ(a.tuples_processed, a.epochs_run * spec.tuples);
+    EXPECT_EQ(a.epochs_run, b.epochs_run);
+    EXPECT_EQ(a.tuples_processed, b.tuples_processed);
+    EXPECT_EQ(a.fpga_cycles, b.fpga_cycles);
+    EXPECT_EQ(a.strider_instructions, b.strider_instructions);
+    EXPECT_EQ(a.total_time.nanos(), b.total_time.nanos());
+    EXPECT_EQ(a.io_time.nanos(), b.io_time.nanos());
+    EXPECT_EQ(a.fpga_time.nanos(), b.fpga_time.nanos());
+    EXPECT_EQ(a.shared_time.nanos(), b.shared_time.nanos());
+    EXPECT_EQ(a.per_query_time.nanos(), b.per_query_time.nanos());
+    ASSERT_EQ(a.epochs.size(), b.epochs.size());
+    for (size_t e = 0; e < a.epochs.size(); ++e) {
+      const accel::EpochBreakdown& x = a.epochs[e];
+      const accel::EpochBreakdown& y = b.epochs[e];
+      EXPECT_EQ(x.io.nanos(), y.io.nanos()) << "epoch " << e;
+      EXPECT_EQ(x.axi.nanos(), y.axi.nanos()) << "epoch " << e;
+      EXPECT_EQ(x.strider.nanos(), y.strider.nanos()) << "epoch " << e;
+      EXPECT_EQ(x.engine.nanos(), y.engine.nanos()) << "epoch " << e;
+      EXPECT_EQ(x.wall.nanos(), y.wall.nanos()) << "epoch " << e;
+      EXPECT_EQ(x.shared.nanos(), y.shared.nanos()) << "epoch " << e;
+      EXPECT_EQ(x.per_query.nanos(), y.per_query.nanos()) << "epoch " << e;
+    }
+  }
+}
+
 TEST(AcceleratorTest, TimingOnlyRunStillChecksTupleSize) {
   // A table whose rows are narrower than the program's tuple is corrupt
   // for Time exactly as for Train.

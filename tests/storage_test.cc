@@ -252,7 +252,7 @@ TEST(TableTest, PagesValidateAsPostgresPages) {
   std::vector<double> row(11, 2.0);
   for (int i = 0; i < 2000; ++i) ASSERT_TRUE(t.AppendRow(row).ok());
   for (uint64_t p = 0; p < t.num_pages(); ++p) {
-    Page page(const_cast<uint8_t*>(t.PageData(p)), t.layout());
+    PageView page(t.PageData(p), t.layout());
     EXPECT_TRUE(page.Validate().ok()) << "page " << p;
   }
 }
@@ -290,6 +290,99 @@ TEST(TableTest, ZeroRowsPlaceTuplesLikeAppendRow) {
                           layout.page_size),
               0)
         << "page " << p;
+  }
+}
+
+/// Page `p` of `t` with every tuple payload zeroed: what is left is the
+/// page header, the line pointers and the tuple headers.
+std::vector<uint8_t> MaskedPage(const Table& t, uint64_t p) {
+  const PageLayout& layout = t.layout();
+  std::vector<uint8_t> masked(t.PageData(p), t.PageData(p) + layout.page_size);
+  PageView page(masked.data(), layout);
+  for (uint32_t slot = 0; slot < page.ItemCount(); ++slot) {
+    auto item = page.GetItemId(slot);
+    EXPECT_TRUE(item.ok());
+    if (!item.ok()) break;
+    const auto [off, len] = *item;
+    std::memset(masked.data() + off + layout.tuple_header_size, 0,
+                len - layout.tuple_header_size);
+  }
+  return masked;
+}
+
+TEST(TableTest, ZeroRowsShareOneImageForFullPages) {
+  // Three full pages and one partial page of zero rows: the full pages
+  // are one image, the partial page has its own, and the table counts
+  // its tuples as AppendRow does.
+  const uint32_t per_page = SmallLayout().TuplesPerPage(101 * 4);
+  const uint32_t n = per_page * 3 + 1;
+  Table shape("t", Schema::Dense(100), SmallLayout());
+  ASSERT_TRUE(shape.AppendZeroRows(n).ok());
+  Table rows("t", Schema::Dense(100), SmallLayout());
+  const std::vector<double> zeros(101, 0.0);
+  for (uint32_t i = 0; i < n; ++i) ASSERT_TRUE(rows.AppendRow(zeros).ok());
+
+  ASSERT_EQ(shape.num_pages(), 4u);
+  EXPECT_EQ(shape.PageData(1), shape.PageData(0));
+  EXPECT_EQ(shape.PageData(2), shape.PageData(0));
+  EXPECT_NE(shape.PageData(3), shape.PageData(0));
+  EXPECT_EQ(shape.SizeBytes(), 4u * SmallLayout().page_size);
+  EXPECT_EQ(shape.num_tuples(), rows.num_tuples());
+  ASSERT_EQ(shape.num_pages(), rows.num_pages());
+  for (uint64_t p = 0; p < rows.num_pages(); ++p) {
+    EXPECT_EQ(shape.TuplesOnPage(p), rows.TuplesOnPage(p)) << "page " << p;
+    EXPECT_EQ(std::memcmp(shape.PageData(p), rows.PageData(p),
+                          SmallLayout().page_size),
+              0)
+        << "page " << p;
+  }
+}
+
+TEST(TableTest, ZeroRowsBetweenRealRowsPlaceTuplesLikeAppendRow) {
+  // Real rows, then zero rows, then a real row again, places every tuple
+  // as AppendRow alone does. With extra == 0 the zero rows end on a
+  // shared full page, so the last row must start a page of its own rather
+  // than write the shared image.
+  const uint32_t per_page = SmallLayout().TuplesPerPage(101 * 4);
+  const uint32_t k = per_page / 2;
+  for (uint32_t extra : {0u, 5u}) {
+    SCOPED_TRACE("extra " + std::to_string(extra));
+    const uint32_t n = (per_page - k) + per_page * 3 + extra;
+    Rng rng(11);
+    std::vector<std::vector<double>> real_rows(k + n + 1,
+                                               std::vector<double>(101));
+    for (auto& row : real_rows) {
+      for (double& v : row) v = rng.Gaussian();
+    }
+    Table real("t", Schema::Dense(100), SmallLayout());
+    for (const auto& row : real_rows) ASSERT_TRUE(real.AppendRow(row).ok());
+    Table mixed("t", Schema::Dense(100), SmallLayout());
+    for (uint32_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(mixed.AppendRow(real_rows[i]).ok());
+    }
+    ASSERT_TRUE(mixed.AppendZeroRows(n).ok());
+    ASSERT_TRUE(mixed.AppendRow(real_rows.back()).ok());
+
+    // Page 0 mixes real and zero rows; pages 1-3 are one zero image.
+    EXPECT_EQ(mixed.PageData(2), mixed.PageData(1));
+    EXPECT_EQ(mixed.PageData(3), mixed.PageData(1));
+    EXPECT_NE(mixed.PageData(4), mixed.PageData(1));
+    ASSERT_EQ(mixed.num_pages(), real.num_pages());
+    ASSERT_EQ(mixed.num_tuples(), real.num_tuples());
+    for (uint64_t p = 0; p < real.num_pages(); ++p) {
+      EXPECT_EQ(mixed.TuplesOnPage(p), real.TuplesOnPage(p)) << "page " << p;
+      EXPECT_EQ(MaskedPage(mixed, p), MaskedPage(real, p)) << "page " << p;
+    }
+    // The real rows read back as AppendRow alone stores them.
+    const uint64_t last = real.num_pages() - 1;
+    for (const auto& [page, slot] :
+         {std::pair<uint64_t, uint32_t>{0, k - 1},
+          {last, real.TuplesOnPage(last) - 1}}) {
+      std::vector<double> got, want;
+      ASSERT_TRUE(mixed.ReadRow(page, slot, &got).ok());
+      ASSERT_TRUE(real.ReadRow(page, slot, &want).ok());
+      EXPECT_EQ(got, want) << "page " << page << " slot " << slot;
+    }
   }
 }
 
