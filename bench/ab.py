@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Paired A/B runs of one bench/e2e workload: a base revision against this checkout.
 
-    python3 bench/ab.py --base <rev> --workload <name> --pairs N [--seconds S] [--align]
+    python3 bench/ab.py --base <rev> --workload <name> --pairs N [--seconds S]
+                        [--seed N] [--align]
 
 Exports <rev> with `git archive` into .bench_build/ab/base-src and builds
 bench_e2e (Release) from each side's own bench/e2e: the base from that
@@ -78,12 +79,14 @@ def build(src_root, build_dir, align):
     return os.path.join(build_dir, "bench_e2e")
 
 
-def run_once(binary, workload, seconds, out_dir):
+def run_once(binary, args, out_dir):
     """One bench_e2e run; returns its metrics as {name: value}."""
     os.makedirs(out_dir, exist_ok=True)
-    proc = subprocess.run(
-        [binary, "--workload", workload, "--seconds", str(seconds),
-         "--out-dir", out_dir], capture_output=True, text=True)
+    cmd = [binary, "--workload", args.workload, "--seconds", str(args.seconds),
+           "--out-dir", out_dir]
+    if args.seed is not None:
+        cmd += ["--seed", args.seed]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -91,7 +94,7 @@ def run_once(binary, workload, seconds, out_dir):
         raise HarnessError(f"{binary} printed no result line "
                            f"(exit {proc.returncode}): {proc.stderr.strip()}")
     if proc.returncode != 0 or not result.get("correct"):
-        raise HarnessError(f"{binary} --workload {workload}: incorrect result, "
+        raise HarnessError(f"{' '.join(cmd)}: incorrect result, "
                            f"{result.get('failed')} of "
                            f"{result.get('attempted')} ops failed")
     return {name: m["value"] for name, m in result["metrics"].items()}
@@ -146,6 +149,8 @@ def main():
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=None,
                         help="timed-rep seconds per run (bench_e2e --seconds)")
+    parser.add_argument("--seed", default=None,
+                        help="input seed for both sides (bench_e2e --seed)")
     parser.add_argument("--align", action="store_true",
                         help="build both sides with " + ALIGN_FLAGS)
     args = parser.parse_args()
@@ -179,8 +184,7 @@ def main():
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 runs[side].append(run_once(
-                    binaries[side], args.workload, args.seconds,
-                    os.path.join(WORK, "out-" + side)))
+                    binaries[side], args, os.path.join(WORK, "out-" + side)))
             log(f"ab: pair {i + 1}/{args.pairs} done ({order[0]} first)")
     except (HarnessError, OSError, subprocess.CalledProcessError) as e:
         log(f"ab: {e}")
@@ -190,7 +194,8 @@ def main():
         shutil.rmtree(base_build, ignore_errors=True)
 
     print(f"workload {args.workload}, {args.pairs} pairs, --seconds "
-          f"{args.seconds:g}, base {sha[:12]} vs this checkout"
+          f"{args.seconds:g}, seed {args.seed or 'default'}, "
+          f"base {sha[:12]} vs this checkout"
           f"{', aligned builds' if args.align else ''}")
     regressed = compare(metrics, runs["base"], runs["head"], args.pairs)
     if regressed:

@@ -17,12 +17,10 @@ namespace dana::storage {
 ///
 /// Tables are bulk-loaded once (the paper trains on static tables) and then
 /// read through the buffer pool or shipped page-by-page to the accelerator's
-/// page buffers. A page is immutable once a later page exists, and nothing
-/// reads a page until the load is done. Each page points at an image the
-/// table owns; the full pages of a shape table (AppendZeroRows) are
-/// byte-identical, so they share one image. Equal PageData pointers
-/// therefore mean equal bytes (unequal pointers need not mean unequal
-/// bytes).
+/// page buffers. Pages are immutable after the load. Each page points at an
+/// image the table owns, and the full pages of a shape table
+/// (AppendZeroRows) share one image, so equal PageData pointers mean equal
+/// bytes (unequal pointers need not mean unequal bytes).
 class Table {
  public:
   Table(std::string name, Schema schema, PageLayout layout)
