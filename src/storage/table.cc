@@ -3,16 +3,17 @@
 namespace dana::storage {
 
 void Table::AddPage() {
-  images_.push_back(std::make_unique<uint8_t[]>(layout_.page_size));
-  tail_ = images_.back().get();
-  pages_.push_back(tail_);
-  Page(tail_, layout_).InitEmpty();
+  pages_.push_back(std::make_unique<uint8_t[]>(layout_.page_size));
+  Page(pages_.back().get(), layout_).InitEmpty();
 }
 
 Result<uint64_t> Table::FillTail(uint64_t n) {
   uint64_t added = 0;
-  if (tail_ == nullptr) return added;
-  Page page(tail_, layout_);
+  // The shared image is full, and no row may be written into it anyway.
+  if (pages_.empty() || PageData(pages_.size() - 1) == zero_page_) {
+    return added;
+  }
+  Page page(pages_.back().get(), layout_);
   for (; added < n; ++added) {
     auto slot = page.AddTuple(row_buf_, schema_.num_columns());
     if (!slot.ok()) {
@@ -45,20 +46,22 @@ Status Table::AppendRow(const std::vector<double>& values) {
 
 Status Table::AppendZeroRows(uint64_t n) {
   row_buf_.assign(schema_.RowBytes(), 0);
-  // Rows go on the tail page one by one, then onto a fresh page.
+  // Rows go on the last page one by one, then onto a fresh page.
   DANA_ASSIGN_OR_RETURN(uint64_t added, FillTail(n));
   n -= added;
   if (n == 0) return Status::OK();
-  DANA_ASSIGN_OR_RETURN(const uint64_t per_page, FillNewPage(n));
-  n -= per_page;
-  // Rows are left over only if that page is full: it holds nothing but
-  // zero rows from its first byte, so every further full page is the same
-  // image.
-  const uint8_t* full = pages_.back();
+  if (zero_page_ == nullptr) {
+    DANA_ASSIGN_OR_RETURN(added, FillNewPage(n));
+    n -= added;
+    if (n == 0) return Status::OK();
+    // Rows are left over, so that page is full, and it holds nothing but
+    // zero rows from its first byte: every later full page is this image.
+    zero_page_ = pages_.back().get();
+  }
+  const uint32_t per_page = PageView(zero_page_, layout_).ItemCount();
   for (; n >= per_page; n -= per_page) {
-    pages_.push_back(full);
+    pages_.emplace_back();  // null: the page's image is zero_page_
     num_tuples_ += per_page;
-    tail_ = nullptr;
   }
   if (n == 0) return Status::OK();
   return FillNewPage(n).status();
@@ -70,7 +73,7 @@ Status Table::ReadRow(uint64_t page_no, uint32_t slot,
     return Status::OutOfRange("page " + std::to_string(page_no) +
                               " >= page count");
   }
-  PageView page(pages_[page_no], layout_);
+  PageView page(PageData(page_no), layout_);
   DANA_ASSIGN_OR_RETURN(auto payload, page.GetTuplePayload(slot));
   return schema_.DecodeRow(payload.data(),
                            static_cast<uint32_t>(payload.size()), out);
@@ -78,7 +81,7 @@ Status Table::ReadRow(uint64_t page_no, uint32_t slot,
 
 uint32_t Table::TuplesOnPage(uint64_t i) const {
   if (i >= pages_.size()) return 0;
-  return PageView(pages_[i], layout_).ItemCount();
+  return PageView(PageData(i), layout_).ItemCount();
 }
 
 Result<std::vector<std::vector<double>>> Table::ReadAllRows() const {

@@ -17,10 +17,10 @@ namespace dana::storage {
 ///
 /// Tables are bulk-loaded once (the paper trains on static tables) and then
 /// read through the buffer pool or shipped page-by-page to the accelerator's
-/// page buffers. Pages are immutable after the load. Each page points at an
-/// image the table owns, and the full pages of a shape table
-/// (AppendZeroRows) share one image, so equal PageData pointers mean equal
-/// bytes (unequal pointers need not mean unequal bytes).
+/// page buffers. Pages are immutable after the load. The full pages of a
+/// shape table (AppendZeroRows) are byte-identical, so they share one
+/// image; every other page owns its own. Equal PageData pointers therefore
+/// mean equal bytes (unequal pointers need not mean unequal bytes).
 class Table {
  public:
   Table(std::string name, Schema schema, PageLayout layout)
@@ -39,7 +39,10 @@ class Table {
 
   /// Raw image of page `i` (layout().page_size bytes), valid for the
   /// table's lifetime.
-  const uint8_t* PageData(uint64_t i) const { return pages_[i]; }
+  const uint8_t* PageData(uint64_t i) const {
+    const uint8_t* own = pages_[i].get();
+    return own != nullptr ? own : zero_page_;
+  }
 
   /// Appends a row, allocating a new page when the current one is full.
   dana::Status AppendRow(const std::vector<double>& values);
@@ -49,7 +52,7 @@ class Table {
   /// pointers and tuple headers) without encoding any value. A table built
   /// this way is a shape table: it prices a scan like the real one. The
   /// first page these rows fill from empty becomes the image of every
-  /// further full page; only a last, partial page gets an image of its own.
+  /// later page full of zero rows; a last, partial page has its own.
   dana::Status AppendZeroRows(uint64_t n);
 
   /// Decodes the tuple in (page, slot) into doubles.
@@ -64,10 +67,11 @@ class Table {
   dana::Result<std::vector<std::vector<double>>> ReadAllRows() const;
 
  private:
-  /// Appends a page with an empty image of its own and makes it the tail.
+  /// Appends a page with an empty image of its own.
   void AddPage();
-  /// Adds up to `n` copies of `row_buf_` to the tail page; returns how
-  /// many fit (0 when there is no writable tail page or it is full).
+  /// Adds up to `n` copies of `row_buf_` to the last page; returns how
+  /// many fit (0 when there is no page, it is full or it is the shared
+  /// image).
   dana::Result<uint64_t> FillTail(uint64_t n);
   /// Starts a page and adds up to `n` (>= 1) copies of `row_buf_` to it;
   /// fails when not even one fits an empty page.
@@ -76,13 +80,12 @@ class Table {
   std::string name_;
   Schema schema_;
   PageLayout layout_;
-  /// One entry per page; several may point at one image.
-  std::vector<const uint8_t*> pages_;
-  /// The distinct images `pages_` points into.
-  std::vector<std::unique_ptr<uint8_t[]>> images_;
-  /// The last page's image while rows may still go there; null once the
-  /// last page is a shared image.
-  uint8_t* tail_ = nullptr;
+  /// The image each page owns; null for a page whose image is
+  /// `zero_page_`.
+  std::vector<std::unique_ptr<uint8_t[]>> pages_;
+  /// A page full of zero rows, owned by the first page that held it and
+  /// shared by every null entry of `pages_`; null until one exists.
+  const uint8_t* zero_page_ = nullptr;
   uint64_t num_tuples_ = 0;
   std::vector<uint8_t> row_buf_;
 };
