@@ -11,15 +11,14 @@ export, the head from this checkout's working tree. `--align` adds
 code placement alone opens can be told from one the change makes.
 
 Each pair runs both sides once with the same arguments, alternating which
-side runs first. For every metric that BENCHMARK.json gives a direction,
+side runs first. For every end-to-end metric that BENCHMARK.json gates,
 the harness prints each side's median and interquartile range (IQR), the
 head/base median ratio and how many pairs the head won and lost (ties count
 for neither).
 
-Exit status: 0 when no gated end-to-end metric (BENCHMARK.json
-`end_to_end`) regressed; 1 when one did, that is, its head median is worse
-than the base median by more than the base IQR and the head lost at least
-80% of the pairs; 2 when a build or a run failed, or a run reported an
+Exit status: 0 when no gated metric regressed; 1 when one did, that is,
+its head median is worse than the base median by more than the base IQR
+and the head lost at least 80% of the pairs; 2 when a build or a run failed, or a run reported an
 incorrect result. The export and the base build are removed when the
 harness exits; the head build is kept for the next run.
 """
@@ -108,7 +107,7 @@ def quartiles(values):
 
 
 def compare(metrics, base_runs, head_runs, pairs):
-    """Prints the table; returns the gated metrics that regressed."""
+    """Prints the table; returns the metrics that regressed."""
     header = (f"{'metric':<26} {'base median':>12} {'base IQR':>10} "
               f"{'head median':>12} {'head IQR':>10} {'ratio':>7} "
               f"{'won':>4} {'lost':>4}")
@@ -135,7 +134,7 @@ def compare(metrics, base_runs, head_runs, pairs):
         print(f"{name:<26} {b_med:>12.6g} {b_iqr:>10.4g} {h_med:>12.6g} "
               f"{h_q3 - h_q1:>10.4g} {ratio:>7.3f} {won:>4} {lost:>4}")
         worse_by = (h_med - b_med) if lower else (b_med - h_med)
-        if spec["gated"] and worse_by > b_iqr and lost >= LOSS_SHARE * pairs:
+        if worse_by > b_iqr and lost >= LOSS_SHARE * pairs:
             regressed.append(name)
     return regressed
 
@@ -162,9 +161,6 @@ def main():
         args.seconds = bench["run_seconds"]
     if args.workload not in [w["name"] for w in bench["workloads"]]:
         parser.error(f"unknown workload {args.workload!r}")
-    metrics = ([dict(m, gated=True) for m in bench["end_to_end"]] +
-               [dict(m, gated=False) for m in bench["per_layer"]])
-
     suffix = "-align" if args.align else ""
     base_src = os.path.join(WORK, "base-src")
     base_build = os.path.join(WORK, "base" + suffix)
@@ -197,7 +193,8 @@ def main():
           f"{args.seconds:g}, seed {args.seed or 'default'}, "
           f"base {sha[:12]} vs this checkout"
           f"{', aligned builds' if args.align else ''}")
-    regressed = compare(metrics, runs["base"], runs["head"], args.pairs)
+    regressed = compare(bench["end_to_end"], runs["base"], runs["head"],
+                        args.pairs)
     if regressed:
         print(f"REGRESSED: {', '.join(regressed)} (head median worse than the "
               f"base median by more than the base IQR, and at least "
