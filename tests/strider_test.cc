@@ -170,6 +170,21 @@ TEST(SimulatorTest, ArithmeticOps) {
   EXPECT_EQ(v, 44u);
 }
 
+TEST(SimulatorTest, WriteBWritesAPageBufferCopy) {
+  // The walk reads the caller's page in place; writeB lands in a copy that
+  // keeps every byte it does not overwrite, and the caller's page is left
+  // as it was.
+  const std::vector<uint8_t> page = TestPage();
+  auto prog =
+      Assemble("readB %t0, 4, 4\nwriteB 0, %t0, 4\ncln 0, 8, 0").ValueOrDie();
+  StriderSim sim;
+  auto run = sim.Run(prog, page);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run->tuples.size(), 1u);
+  EXPECT_EQ(run->tuples[0], (std::vector<uint8_t>{4, 5, 6, 7, 4, 5, 6, 7}));
+  EXPECT_EQ(page, TestPage());
+}
+
 TEST(SimulatorTest, ExtrBiExtractsBitFields) {
   // Write a packed ItemId-like value and extract both fields.
   const uint32_t packed = storage::PackItemId(1234, 1, 56);
