@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -40,7 +41,8 @@ class Rng {
   /// Uniform integer in [0, n).
   uint64_t UniformInt(uint64_t n) { return n == 0 ? 0 : Next64() % n; }
 
-  /// Standard normal via Box-Muller.
+  /// Standard normal via Box-Muller; always exactly two Next64 draws
+  /// (ml::GenerateDataset positions its row blocks by this count).
   double Gaussian() {
     double u1 = Uniform();
     double u2 = Uniform();
@@ -48,10 +50,67 @@ class Rng {
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   }
 
-  /// Bernoulli with probability p.
+  /// Bernoulli with probability p; one Next64 draw.
   bool Bernoulli(double p) { return Uniform() < p; }
 
+  /// Leaves the generator where `n` calls to Next64 would, in O(log n) time.
+  /// The step is linear over GF(2), so n steps are the polynomial
+  /// x^n mod P(x), P the step's characteristic polynomial, evaluated at the
+  /// step: the XOR of the states after j steps for each coefficient j of it.
+  void Discard(uint64_t n) {
+    Poly r{{1, 0}};  // x^n mod P, by square-and-multiply over n's bits
+    for (int bit = static_cast<int>(std::bit_width(n)) - 1; bit >= 0; --bit) {
+      r = MulMod(r, r);
+      if ((n >> bit) & 1) r = TimesX(r);
+    }
+    uint64_t jumped[2] = {0, 0};
+    for (int j = 0; j < 128; ++j) {
+      if ((r.w[j / 64] >> (j % 64)) & 1) {
+        jumped[0] ^= s_[0];
+        jumped[1] ^= s_[1];
+      }
+      Next64();
+    }
+    s_[0] = jumped[0];
+    s_[1] = jumped[1];
+  }
+
  private:
+  /// A polynomial over GF(2) of degree < 128; bit j of w[j / 64] is the
+  /// coefficient of x^j.
+  struct Poly {
+    uint64_t w[2];
+  };
+
+  /// P(x) - x^128, for Next64's step (shifts 23, 17, 26). Found by
+  /// Berlekamp-Massey over the low bit of s_[0]; the minimal polynomial has
+  /// degree 128, the state's width, so it is the characteristic polynomial.
+  static constexpr Poly kStepPoly{
+      {0xbd82fd40e01730f9ull, 0x01f9f801f6fd0098ull}};
+
+  static Poly TimesX(Poly a) {
+    const bool carry = (a.w[1] >> 63) != 0;
+    a.w[1] = (a.w[1] << 1) | (a.w[0] >> 63);
+    a.w[0] <<= 1;
+    if (carry) {
+      a.w[0] ^= kStepPoly.w[0];
+      a.w[1] ^= kStepPoly.w[1];
+    }
+    return a;
+  }
+
+  static Poly MulMod(Poly a, Poly b) {
+    Poly r{{0, 0}};
+    for (int j = 127; j >= 0; --j) {
+      r = TimesX(r);
+      if ((b.w[j / 64] >> (j % 64)) & 1) {
+        r.w[0] ^= a.w[0];
+        r.w[1] ^= a.w[1];
+      }
+    }
+    return r;
+  }
+
   static uint64_t SplitMix(uint64_t x) {
     x += 0x9E3779B97F4A7C15ull;
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;

@@ -1,10 +1,105 @@
 #include "ml/datasets.h"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <span>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 #include "storage/schema.h"
 
 namespace dana::ml {
+
+namespace {
+
+/// A row block holds about this many doubles. Each block jumps into the
+/// stream at its own first row, so the rows depend on neither the block
+/// size nor the worker count.
+constexpr uint64_t kBlockValues = 1 << 16;
+
+/// Next64 draws one row takes: a Gaussian takes 2, a Bernoulli 1.
+uint64_t DrawsPerRow(const DatasetSpec& spec) {
+  const uint64_t d = spec.dims;
+  switch (spec.kind) {
+    case AlgoKind::kLinearRegression:
+    case AlgoKind::kSvm:
+      return 2 * (d + 1);
+    case AlgoKind::kLogisticRegression:
+      return 2 * d + 1;
+    case AlgoKind::kLowRankMF:
+      return 2 * (spec.rank + d);
+  }
+  return 0;
+}
+
+/// The CPUs in this thread's affinity mask; 1 if it cannot be read.
+uint64_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<uint64_t>(std::max(1, CPU_COUNT(&set)));
+}
+
+/// Appends `tuples` rows of `row_values` doubles to `rows` and fills them
+/// in blocks of rows, on up to one thread per CPU. `fill(rng, block,
+/// scratch)` writes the rows of `block` drawing from `rng`, which stands at
+/// the block's first draw; `scratch` is the thread's own `scratch_size`
+/// doubles. Each row takes `draws_per_row` draws from `start`.
+template <typename Fill>
+void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
+              uint64_t row_values, uint64_t draws_per_row, const Rng& start,
+              size_t scratch_size, const Fill& fill) {
+  const uint64_t block_rows =
+      std::max<uint64_t>(1, kBlockValues / std::max<uint64_t>(1, row_values));
+  const uint64_t blocks = (tuples + block_rows - 1) / block_rows;
+  const uint64_t workers = std::clamp<uint64_t>(blocks, 1, AffinityCpus());
+  // All allocation happens here, on the calling thread, in the order a
+  // one-thread generator allocates: the scratch, then every row in row
+  // order, zero-filled. The threads allocate nothing. Zero-filling here
+  // first touches the rows' pages in address order; rows whose first pages
+  // were touched apart from the rest read about 15% slower in BuildTable.
+  // Thread w's scratch starts at w * stride, a cache line of doubles clear
+  // of the next thread's.
+  const size_t stride = scratch_size == 0 ? 0 : scratch_size + 8;
+  std::vector<double> scratch(
+      scratch_size == 0 ? 0 : (workers - 1) * stride + scratch_size);
+  for (uint64_t t = 0; t < tuples; ++t) rows.emplace_back(row_values);
+  // Each thread takes the next unclaimed block, so a thread slowed by a
+  // busy CPU takes fewer. It reads only its own copies of `fill` and
+  // `start`: a reference into the caller's frame could share a cache line
+  // with this thread's Rng, which is written on every draw.
+  std::atomic<uint64_t> next_block{0};
+  auto run = [&next_block, fill, start, rows = rows.data(), tuples,
+              block_rows, blocks, draws_per_row, scratch = scratch.data(),
+              stride, scratch_size](uint64_t w) {
+    const std::span<double> mine(scratch + w * stride, scratch_size);
+    for (uint64_t b = next_block++; b < blocks; b = next_block++) {
+      const uint64_t first = b * block_rows;
+      Rng rng = start;
+      rng.Discard(first * draws_per_row);
+      fill(rng,
+           std::span(rows + first, std::min(block_rows, tuples - first)),
+           mine);
+    }
+  };
+  // Declared after everything the threads use, so it joins them first.
+  std::vector<std::jthread> threads;
+  threads.reserve(workers - 1);
+  for (uint64_t w = 1; w < workers; ++w) {
+    try {
+      threads.emplace_back(run, w);
+    } catch (const std::system_error&) {
+      break;  // no thread to be had: the running ones take its blocks
+    }
+  }
+  run(0);
+}
+
+}  // namespace
 
 Dataset GenerateDataset(const DatasetSpec& spec) {
   Rng rng(spec.seed);
@@ -12,56 +107,62 @@ Dataset GenerateDataset(const DatasetSpec& spec) {
   data.feature_dims = spec.dims;
   data.has_label = spec.kind != AlgoKind::kLowRankMF;
   data.rows.reserve(spec.tuples);
-
-  const double x_scale = 1.0 / std::sqrt(static_cast<double>(spec.dims));
+  const uint64_t row_values = spec.dims + (data.has_label ? 1 : 0);
+  const uint64_t draws = DrawsPerRow(spec);
 
   if (spec.kind == AlgoKind::kLowRankMF) {
     // Ratings from planted rank-`rank` factors: row_u = L_u * R^T + noise.
     const uint32_t k = spec.rank;
     std::vector<double> R(static_cast<size_t>(spec.dims) * k);
     for (auto& v : R) v = rng.Gaussian() / std::sqrt(static_cast<double>(k));
-    for (uint64_t u = 0; u < spec.tuples; ++u) {
-      std::vector<double> lu(k);
-      for (auto& v : lu) v = rng.Gaussian();
-      std::vector<double> row(spec.dims);
-      for (uint32_t i = 0; i < spec.dims; ++i) {
-        double s = 0;
-        for (uint32_t j = 0; j < k; ++j) s += lu[j] * R[i * k + j];
-        row[i] = s + spec.label_noise * rng.Gaussian();
+    auto fill = [R = R.data(), spec, k](Rng& r,
+                                        std::span<std::vector<double>> block,
+                                        std::span<double> lu) {
+      for (std::vector<double>& row : block) {
+        for (auto& v : lu) v = r.Gaussian();
+        for (uint32_t i = 0; i < spec.dims; ++i) {
+          double s = 0;
+          for (uint32_t j = 0; j < k; ++j) s += lu[j] * R[i * k + j];
+          row[i] = s + spec.label_noise * r.Gaussian();
+        }
       }
-      data.rows.push_back(std::move(row));
-    }
+    };
+    FillRows(data.rows, spec.tuples, row_values, draws, rng, k, fill);
     return data;
   }
 
   // Supervised families: planted weight vector.
+  const double x_scale = 1.0 / std::sqrt(static_cast<double>(spec.dims));
   std::vector<double> w(spec.dims);
   for (auto& v : w) v = rng.Gaussian();
-  for (uint64_t t = 0; t < spec.tuples; ++t) {
-    std::vector<double> row(spec.dims + 1);
-    double s = 0;
-    for (uint32_t i = 0; i < spec.dims; ++i) {
-      row[i] = rng.Gaussian() * x_scale;
-      s += row[i] * w[i];
-    }
-    switch (spec.kind) {
-      case AlgoKind::kLinearRegression:
-        row[spec.dims] = s + spec.label_noise * rng.Gaussian();
-        break;
-      case AlgoKind::kLogisticRegression: {
-        const double p = 1.0 / (1.0 + std::exp(-s));
-        row[spec.dims] = rng.Bernoulli(p) ? 1.0 : 0.0;
-        break;
+  auto fill = [w = w.data(), spec, x_scale](
+                  Rng& r, std::span<std::vector<double>> block,
+                  std::span<double> /*scratch*/) {
+    for (std::vector<double>& row : block) {
+      double s = 0;
+      for (uint32_t i = 0; i < spec.dims; ++i) {
+        row[i] = r.Gaussian() * x_scale;
+        s += row[i] * w[i];
       }
-      case AlgoKind::kSvm:
-        row[spec.dims] =
-            (s + spec.label_noise * rng.Gaussian()) >= 0 ? 1.0 : -1.0;
-        break;
-      case AlgoKind::kLowRankMF:
-        break;  // handled above
+      switch (spec.kind) {
+        case AlgoKind::kLinearRegression:
+          row[spec.dims] = s + spec.label_noise * r.Gaussian();
+          break;
+        case AlgoKind::kLogisticRegression: {
+          const double p = 1.0 / (1.0 + std::exp(-s));
+          row[spec.dims] = r.Bernoulli(p) ? 1.0 : 0.0;
+          break;
+        }
+        case AlgoKind::kSvm:
+          row[spec.dims] =
+              (s + spec.label_noise * r.Gaussian()) >= 0 ? 1.0 : -1.0;
+          break;
+        case AlgoKind::kLowRankMF:
+          break;  // handled above
+      }
     }
-    data.rows.push_back(std::move(row));
-  }
+  };
+  FillRows(data.rows, spec.tuples, row_values, draws, rng, 0, fill);
   return data;
 }
 

@@ -166,6 +166,17 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
+TEST(RngTest, DiscardEqualsThatManyDraws) {
+  for (uint64_t n : {0ull, 1ull, 2ull, 1000ull, (1ull << 20) + 3}) {
+    Rng jumped(17), stepped(17);
+    jumped.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) stepped.Next64();
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(jumped.Next64(), stepped.Next64()) << "n " << n << " i " << i;
+    }
+  }
+}
+
 TEST(RngTest, BernoulliRate) {
   Rng rng(13);
   int heads = 0;
