@@ -1,13 +1,13 @@
 // Scheduler microbenchmark: simulator throughput (sim_qps), scheduled
 // queries per wall second, of two kinds of point.
 //
-// The r<requests>.s<slots> sweep and the event point drive a synthetic
-// constant-cost stub executor (no cycle-level simulator, no pools), so
-// their wall time is the scheduler's own event loop: queue pushes/pops
-// under each policy, batching coalescing, compile charging, and stat
-// assembly. The arrival rate overloads the machine ~3x so queues grow
-// deep — exactly the regime where the pending-queue and slot-scan data
-// structures dominate. Every policy runs the same seeded stream; sim_qps
+// The r<requests>.s<slots> sweep and the event point drive the scheduler
+// tests' constant-cost SyntheticExecutor (no cycle-level simulator, no
+// pools), so their wall time is the scheduler's own event loop: queue
+// pushes/pops under each policy, batching coalescing, compile charging,
+// and stat assembly. The arrival rate overloads the machine ~3x so queues
+// grow deep — exactly the regime where the pending-queue and slot-scan
+// data structures dominate. Every policy runs the same seeded stream; sim_qps
 // for a point is scheduled-queries-per-wall-second across all three
 // policies, best of several repetitions (max over reps is the standard
 // microbenchmark noise filter; the simulated output itself is
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +41,7 @@
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
+#include "support/synthetic_executor.h"
 
 namespace {
 
@@ -49,40 +49,18 @@ using namespace dana;
 
 /// Deterministic synthetic costs, ascending with catalog rank so the
 /// Zipf-hottest algorithms are the short ones (as bench_sched ranks them).
-class StubExecutor : public sched::QueryExecutor {
- public:
-  explicit StubExecutor(const std::vector<std::string>& catalog) {
-    for (size_t i = 0; i < catalog.size(); ++i) {
-      const double rank = static_cast<double>(i);
-      Split s;
-      s.shared = 0.8 + 0.45 * rank;
-      s.per_query = 0.15 + 0.04 * rank;
-      s.estimate = s.shared + s.per_query;
-      costs_[catalog[i]] = s;
-    }
+void SetStubCosts(const std::vector<std::string>& catalog,
+                  sched::SyntheticExecutor& executor) {
+  for (size_t i = 0; i < catalog.size(); ++i) {
+    const double rank = static_cast<double>(i);
+    const double shared_s = 0.8 + 0.45 * rank;
+    const double per_query_s = 0.15 + 0.04 * rank;
+    executor.Set(catalog[i], {.shared_s = shared_s,
+                              .per_query_s = per_query_s,
+                              .estimate_s = shared_s + per_query_s,
+                              .compile_s = 0.4});
   }
-
-  Result<sched::BatchCost> Dispatch(const sched::QueryBatch& batch) override {
-    const Split& s = costs_.at(batch.workload_id);
-    sched::BatchCost cost;
-    cost.shared = dana::SimTime::Seconds(s.shared);
-    cost.per_query = dana::SimTime::Seconds(s.per_query);
-    cost.service = dana::SimTime::Seconds(
-        s.shared + s.per_query * static_cast<double>(batch.size()));
-    cost.compile = dana::SimTime::Seconds(0.4);
-    return cost;
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    return dana::SimTime::Seconds(costs_.at(id).estimate);
-  }
-
- private:
-  struct Split {
-    double shared, per_query, estimate;
-  };
-  std::map<std::string, Split> costs_;
-};
+}
 
 double Elapsed(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -189,7 +167,8 @@ int main() {
       return 1;
     }
 
-    StubExecutor executor(catalog);
+    sched::SyntheticExecutor executor;
+    SetStubCosts(catalog, executor);
     PointResult best;
     const auto point_start = std::chrono::steady_clock::now();
     while (best.reps < 5 && Elapsed(point_start) < 0.5) {

@@ -101,7 +101,9 @@ int main() {
   // the calibrated arrival rate is a warm one.
   for (uint32_t slot = 0; slot < 4; ++slot) {
     for (const std::string& id : catalog) {
-      auto warmed = executor.Dispatch(sched::QueryBatch::Single(id, 0, slot));
+      auto exec = executor.Begin(sched::QueryBatch::Single(id, 0, slot));
+      dana::Result<sched::SliceCost> warmed =
+          exec.ok() ? (*exec)->NextSlice(0) : exec.status();
       if (!warmed.ok()) {
         std::fprintf(stderr, "%s: %s\n", id.c_str(),
                      warmed.status().ToString().c_str());

@@ -151,7 +151,6 @@ Result<RunReport> Accelerator::Run(const storage::Table& table,
         walked_frame = frame;
       }
       strider_cycles += extraction.strider_cycles;
-      report.strider_instructions += extraction.tuples.size();
       for (const auto& payload : extraction.tuples) {
         DANA_RETURN_NOT_OK(functional
                                ? DecodeTuple(payload, &batch[batch_fill])

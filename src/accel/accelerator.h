@@ -65,7 +65,6 @@ struct RunReport {
   dana::SimTime shared_time;       ///< Σ epoch shared (one-pass streaming)
   dana::SimTime per_query_time;    ///< Σ epoch per_query (engine per model)
   uint64_t fpga_cycles = 0;
-  uint64_t strider_instructions = 0;
   std::vector<EpochBreakdown> epochs;
   /// Trained model values, one vector per model variable (empty after a
   /// timing-only run).

@@ -22,95 +22,7 @@ runtime::DanaSystem::Options MakeSystemOptions() {
   return o;
 }
 
-/// The default execution handle wrapping an executor that only knows whole
-/// runs: the entire batch is one indivisible slice, so there is no interior
-/// epoch boundary to preempt at.
-class SingleSliceExecution : public BatchExecution {
- public:
-  SingleSliceExecution(QueryBatch batch, BatchCost cost)
-      : BatchExecution(std::move(batch)), cost_(cost) {}
-
-  uint32_t total_epochs() const override { return 1; }
-  uint32_t epochs_run() const override { return done_ ? 1 : 0; }
-  dana::SimTime compile_cost() const override { return cost_.compile; }
-  double warm_fraction() const override { return cost_.warm_fraction; }
-  bool residency_modeled() const override { return cost_.residency_modeled; }
-  double os_warm_fraction() const override { return cost_.os_warm_fraction; }
-
-  dana::Result<SliceCost> NextSlice(uint32_t max_epochs) override {
-    (void)max_epochs;
-    if (done_) {
-      return Status::FailedPrecondition("execution already finished");
-    }
-    done_ = true;
-    SliceCost s;
-    s.service = cost_.service;
-    s.shared = cost_.shared;
-    s.per_query = cost_.per_query;
-    s.epochs = 1;
-    s.finished = true;
-    return s;
-  }
-
-  dana::Result<dana::SimTime> PeekService(uint32_t epochs) const override {
-    (void)epochs;
-    return done_ ? dana::SimTime::Zero() : cost_.service;
-  }
-
-  dana::Status Checkpoint() override {
-    return Status::Unimplemented(
-        "single-slice executions have no interior epoch boundary");
-  }
-
-  dana::Status Resume(uint32_t slot) override {
-    batch_.slot = slot;
-    return Status::OK();
-  }
-
- private:
-  BatchCost cost_;
-  bool done_ = false;
-};
-
 }  // namespace
-
-Result<BatchCost> QueryExecutor::Dispatch(const QueryBatch& batch) {
-  // Thin run-to-completion wrapper over the execution-handle ABI: open the
-  // run and drain it in one slice.
-  if (resolving_default_) {
-    return Status::Unimplemented(
-        "executor overrides neither Dispatch nor Begin");
-  }
-  resolving_default_ = true;
-  auto begun = Begin(batch);
-  resolving_default_ = false;
-  if (!begun.ok()) return begun.status();
-  std::unique_ptr<BatchExecution> exec = std::move(begun).ValueOrDie();
-  DANA_ASSIGN_OR_RETURN(SliceCost slice, exec->NextSlice(0));
-  BatchCost cost;
-  cost.service = slice.service;
-  cost.shared = slice.shared;
-  cost.per_query = slice.per_query;
-  cost.compile = exec->compile_cost();
-  cost.warm_fraction = exec->warm_fraction();
-  cost.residency_modeled = exec->residency_modeled();
-  cost.os_warm_fraction = exec->os_warm_fraction();
-  return cost;
-}
-
-Result<std::unique_ptr<BatchExecution>> QueryExecutor::Begin(
-    const QueryBatch& batch) {
-  if (resolving_default_) {
-    return Status::Unimplemented(
-        "executor overrides neither Dispatch nor Begin");
-  }
-  resolving_default_ = true;
-  auto dispatched = Dispatch(batch);
-  resolving_default_ = false;
-  if (!dispatched.ok()) return dispatched.status();
-  return std::unique_ptr<BatchExecution>(
-      new SingleSliceExecution(batch, *dispatched));
-}
 
 Result<WorkloadHandle> QueryExecutor::Resolve(const std::string& workload_id) {
   return WorkloadHandle{this, names_.Intern(workload_id)};
@@ -134,11 +46,11 @@ Result<dana::SimTime> QueryExecutor::EstimateAtWarmthOf(
 /// Epoch-sliced resumable execution over the measured epoch profiles. All
 /// slice costs derive from one cumulative cost curve per segment
 /// (Cum(e) = overheads + first + steady * (e - 1)), so slices telescope:
-/// any split reproduces the unsegmented service up to float round-off, and
-/// an uninterrupted Begin + NextSlice(0) equals the legacy Dispatch charge
-/// exactly. A Resume onto a slot whose residency differs from what the run
-/// left re-bases the remaining epochs as a fresh segment at that warmth —
-/// the first resumed epoch re-pays the evicted share of the transient.
+/// any split reproduces the run-to-completion slice (NextSlice(0)) up to
+/// float round-off. A Resume onto a slot whose residency differs from what
+/// the run left re-bases the remaining epochs as a fresh segment at that
+/// warmth — the first resumed epoch re-pays the evicted share of the
+/// transient.
 class DanaBatchExecution : public BatchExecution {
  public:
   DanaBatchExecution(DanaQueryExecutor* owner,

@@ -61,40 +61,13 @@ struct QueryBatch {
   }
 };
 
-/// Costs of running one batch on one accelerator slot.
-struct BatchCost {
-  /// Slot occupancy of the whole batched run (query overheads included).
-  dana::SimTime service;
-  /// Residency of the workload's table on the dispatch slot when the run
-  /// started, in [0, 1]: 0 is a genuinely cold pool (first use of the slot
-  /// for this table, or fully evicted since), 1 a fully warm repeat.
-  /// Executors without a residency model report their static cache state.
-  double warm_fraction = 0.0;
-  /// Fraction of the workload's table held by the dispatch slot's modeled
-  /// OS page-cache tier when the run started, exclusive of
-  /// `warm_fraction`'s pool share. Always 0 unless the executor runs with
-  /// an OS tier (Options::os_frames > 0 under lru/promotional eviction).
-  double os_warm_fraction = 0.0;
-  /// True when `warm_fraction` comes from a tracked residency model; false
-  /// for executors that report a static cache state (their constant value
-  /// says nothing about placement and must not skew warm-hit rates).
-  bool residency_modeled = false;
-  /// Attribution of `service`: `shared` is the one page-streaming sweep
-  /// every co-batched query amortizes; `per_query` is the incremental
-  /// engine-merge time each co-trained model adds. For a batch of 1 the
-  /// two sum to approximately `service`.
-  dana::SimTime shared;
-  dana::SimTime per_query;
-  /// Additional one-time compile latency a compile-cache miss pays; the
-  /// scheduler charges it on the first dispatch of each algorithm and
-  /// skips it on every repeat.
-  dana::SimTime compile;
-};
-
 /// Cost of one contiguous run of epochs (a slice) of a batch execution.
-/// Attribution follows BatchCost: `service` is the slot occupancy of just
-/// this slice; summed over any split of a run, slices reproduce the
-/// unsegmented BatchCost::service bit for bit (the costs telescope).
+/// `service` is the slot occupancy of just this slice; summed over any
+/// split of a run, slices reproduce the run-to-completion slice's service
+/// (the costs telescope). `shared` is the part of it spent in the one
+/// page-streaming sweep every co-batched query amortizes, `per_query` the
+/// incremental engine-merge time each co-trained model adds; for a batch
+/// of 1 the two sum to approximately `service`.
 struct SliceCost {
   dana::SimTime service;
   dana::SimTime shared;
@@ -103,10 +76,9 @@ struct SliceCost {
   bool finished = false; ///< no epochs remain after this slice
 };
 
-/// A resumable in-flight batch run: the execution-handle half of the
-/// scheduler/executor ABI. `Begin` creates one; the scheduler then either
-/// drains it in one `NextSlice(0)` call (run to completion — what the
-/// `Dispatch` wrapper does) or advances it quantum by quantum, checkpoints
+/// A resumable in-flight batch run, the only way a batch runs: `Begin`
+/// creates one; the caller then either drains it in one `NextSlice(0)`
+/// call (run to completion) or advances it quantum by quantum, checkpoints
 /// it at an epoch boundary, and resumes the remainder later, possibly on a
 /// different slot. All costs are deterministic in (workload, batch size,
 /// slot residency), so peeking never perturbs the schedule.
@@ -118,21 +90,27 @@ class BatchExecution {
   const QueryBatch& batch() const { return batch_; }
   uint32_t slot() const { return batch_.slot; }
 
-  /// Total epochs this run executes; executions without epoch structure
-  /// (the default single-slice wrapper) report 1 and are not preemptible.
+  /// Total epochs this run executes; a run of 1 epoch has no interior
+  /// boundary and is not preemptible.
   virtual uint32_t total_epochs() const = 0;
   virtual uint32_t epochs_run() const = 0;
   bool finished() const { return epochs_run() >= total_epochs(); }
 
-  /// One-time compile latency on a compile-cache miss (BatchCost::compile).
+  /// Additional one-time compile latency a compile-cache miss pays; the
+  /// scheduler charges it on the first dispatch of each algorithm and
+  /// skips it on every repeat.
   virtual dana::SimTime compile_cost() const = 0;
-  /// Residency of the table on the dispatch slot when the run began
-  /// (BatchCost::warm_fraction), and whether a model tracked it.
+  /// Residency of the table on the dispatch slot when the run began, in
+  /// [0, 1]: 0 is a genuinely cold pool (first use of the slot for this
+  /// table, or fully evicted since), 1 a fully warm repeat.
   virtual double warm_fraction() const = 0;
+  /// True when `warm_fraction` comes from a tracked residency model; false
+  /// for executors that report a static cache state (their constant value
+  /// says nothing about placement and must not skew warm-hit rates).
   virtual bool residency_modeled() const = 0;
-  /// OS-tier share of the table when the run began
-  /// (BatchCost::os_warm_fraction); 0 for executors without a tiered
-  /// hierarchy.
+  /// Fraction of the table held by the dispatch slot's modeled OS
+  /// page-cache tier when the run began, exclusive of `warm_fraction`'s
+  /// pool share; 0 for executors without a tiered hierarchy.
   virtual double os_warm_fraction() const { return 0.0; }
 
   /// Advances up to `max_epochs` further epochs (0 = all remaining) and
@@ -167,15 +145,9 @@ class BatchExecution {
 /// batched service costs at dispatch time and cheap estimates for
 /// shortest-job-first admission ordering. Estimates must not run the query.
 ///
-/// The ABI is the execution-handle model: `Begin` opens a resumable
-/// `BatchExecution` which the scheduler advances in epoch slices.
-/// `Dispatch` is the thin run-to-completion wrapper over it, kept so
-/// callers that never preempt (and the golden scheduler suite) stay valid.
-/// A concrete executor must override at least one of the two — each
-/// default is implemented in terms of the other: executors with epoch
-/// structure override `Begin` (and inherit run-to-completion `Dispatch`);
-/// simple cost models override `Dispatch` (and `Begin` wraps the whole run
-/// in one indivisible slice).
+/// There is one way to run a batch: `Begin` opens a resumable
+/// `BatchExecution`, which the scheduler advances in epoch slices; running
+/// it to completion is one `NextSlice(0)`.
 ///
 /// Workloads are named by string at the boundary and by handle inside a
 /// run: the scheduler calls `Resolve` once per distinct workload before
@@ -195,16 +167,11 @@ class QueryExecutor {
   /// may not run, measure or build anything. Default: accepts every name.
   virtual dana::Result<WorkloadHandle> Resolve(const std::string& workload_id);
 
-  /// The true cost of running `batch` once (invoked at dispatch). All
-  /// queries in the batch share one pass; implementations must be
-  /// deterministic in (workload_id, batch size). Default: Begin + one
-  /// full slice.
-  virtual dana::Result<BatchCost> Dispatch(const QueryBatch& batch);
-
-  /// Opens a resumable execution handle for `batch`. Default: wraps
-  /// `Dispatch`'s cost in a single indivisible slice (not preemptible).
+  /// Opens a resumable execution of `batch` (invoked at dispatch). All
+  /// queries in the batch share one pass; its costs must be deterministic
+  /// in (workload, batch size, slot residency).
   virtual dana::Result<std::unique_ptr<BatchExecution>> Begin(
-      const QueryBatch& batch);
+      const QueryBatch& batch) = 0;
 
   /// A-priori service estimate of a single query for queue ordering (SJF).
   /// May be coarse but must be deterministic and cheap.
@@ -213,7 +180,7 @@ class QueryExecutor {
 
   /// Residency-aware estimate: the expected service of a single query
   /// dispatched while `warm_fraction` of its table is resident,
-  /// interpolated the same way Dispatch charges it. The scheduler's
+  /// interpolated the same way Begin prices it. The scheduler's
   /// affinity SJF orders the queue by this instead of a weight-tuned
   /// discount. Default ignores warmth (static executors).
   virtual dana::Result<dana::SimTime> EstimateAtWarmth(
@@ -247,10 +214,6 @@ class QueryExecutor {
   virtual void PrepareSlots(uint32_t slots) { (void)slots; }
 
  private:
-  /// Detects a subclass overriding neither Dispatch nor Begin: the two
-  /// defaults are implemented in terms of each other, and this flag turns
-  /// the would-be infinite recursion into an Unimplemented status.
-  bool resolving_default_ = false;
   /// Names the default `Resolve` issued handles for, by handle index.
   dana::Interner names_;
 };

@@ -73,16 +73,16 @@ struct QueryStat {
   dana::SimTime shared_service;
   dana::SimTime private_service;
   /// Residency of the workload's table on the dispatch slot when this
-  /// query's batch started (BatchCost::warm_fraction): 0 = genuinely cold
-  /// pool, 1 = fully warm repeat.
+  /// query's batch started (BatchExecution::warm_fraction): 0 = genuinely
+  /// cold pool, 1 = fully warm repeat.
   double warm_fraction = 0.0;
   /// OS-tier share of the table at the same instant
-  /// (BatchCost::os_warm_fraction), exclusive of `warm_fraction`. Always 0
-  /// unless the executor runs a tiered hierarchy.
+  /// (BatchExecution::os_warm_fraction), exclusive of `warm_fraction`.
+  /// Always 0 unless the executor runs a tiered hierarchy.
   double os_warm_fraction = 0.0;
   /// True when `warm_fraction` came from a tracked residency model (see
-  /// BatchCost::residency_modeled); static-cache executors report false
-  /// and are excluded from warm-hit rates.
+  /// BatchExecution::residency_modeled); static-cache executors report
+  /// false and are excluded from warm-hit rates.
   bool residency_modeled = false;
   /// Times this query's run was preempted at an epoch boundary, and the
   /// summed context-switch cost those preemptions charged.

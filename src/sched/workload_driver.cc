@@ -1,6 +1,7 @@
 #include "sched/workload_driver.h"
 
 #include <cmath>
+#include <memory>
 
 #include "common/random.h"
 
@@ -38,10 +39,11 @@ Result<double> WeightedMeanServiceSeconds(QueryExecutor& executor,
   }
   double weighted = 0, total = 0;
   for (size_t rank = 0; rank < catalog.size(); ++rank) {
-    DANA_ASSIGN_OR_RETURN(BatchCost cost,
-                          executor.Dispatch(QueryBatch::Single(catalog[rank])));
+    DANA_ASSIGN_OR_RETURN(std::unique_ptr<BatchExecution> exec,
+                          executor.Begin(QueryBatch::Single(catalog[rank])));
+    DANA_ASSIGN_OR_RETURN(SliceCost run, exec->NextSlice(0));
     const double w = PopularityWeight(popularity, rank, exponent);
-    weighted += w * cost.service.seconds();
+    weighted += w * run.service.seconds();
     total += w;
   }
   return weighted / total;

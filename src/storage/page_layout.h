@@ -80,11 +80,6 @@ struct PageLayout {
     return l;
   }
 
-  /// Legacy aliases for the PostgreSQL field offsets.
-  static constexpr uint32_t kLowerOffset = 12;
-  static constexpr uint32_t kUpperOffset = 14;
-  static constexpr uint32_t kSpecialOffset = 16;
-
   /// Offset of the attribute-count (infomask2) field within a tuple header.
   uint32_t AttrCountOffset() const { return tuple_header_size - 6; }
   /// Offset of the hoff byte (user-data start) within a tuple header.

@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "sched/executor.h"
 #include "sched/scheduler.h"
+#include "support/synthetic_executor.h"
 
 namespace dana::obs {
 namespace {
@@ -151,38 +152,17 @@ TEST(MetricRegistryTest, HistogramPercentileAgreesWithStatsPercentile) {
 }
 
 // A two-workload fake: "short" costs 1 s, "long" costs 10 s, both always
-// cold. Enough schedule structure (queueing, batching, a compile) to
-// exercise every registry family.
-class ObsFakeExecutor : public sched::QueryExecutor {
- public:
-  Result<sched::BatchCost> Dispatch(const sched::QueryBatch& batch) override {
-    sched::BatchCost cost;
-    cost.shared = dana::SimTime::Seconds(0.5);
-    cost.per_query = Service(batch.workload_id);
-    cost.service = cost.shared +
-                   cost.per_query * static_cast<double>(batch.size());
-    if (!compiled_.count(batch.workload_id)) {
-      compiled_.insert(batch.workload_id);
-      cost.compile = dana::SimTime::Seconds(0.25);
+// cold (modelled, with warmth 0). Enough schedule structure (queueing,
+// batching, a compile) to exercise every registry family.
+struct ObsFakeExecutor : sched::SyntheticExecutor {
+  ObsFakeExecutor() {
+    for (const auto& [id, service_s] : {std::pair{"short", 1.0},
+                                        std::pair{"long", 10.0}}) {
+      Set(id, {.shared_s = 0.5, .per_query_s = service_s,
+               .estimate_s = service_s, .compile_s = 0.25});
+      SetWarm(id, 0, 0.0);
     }
-    cost.warm_fraction = 0.0;
-    cost.residency_modeled = true;
-    return cost;
   }
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    return Service(id);
-  }
-  Result<dana::SimTime> EstimateAtWarmth(const std::string& id,
-                                         double) override {
-    return Service(id);
-  }
-  double WarmFraction(const std::string&, uint32_t) override { return 0.0; }
-
- private:
-  static dana::SimTime Service(const std::string& id) {
-    return dana::SimTime::Seconds(id == "long" ? 10.0 : 1.0);
-  }
-  std::set<std::string> compiled_;
 };
 
 std::vector<sched::QueryRequest> ObsStream() {

@@ -4,7 +4,7 @@
 // accelerator itself always runs whole: preemption is priced from the
 // executor's measured epoch profiles, never by resuming a simulator run):
 //  - the executor slice ABI: DanaQueryExecutor's slice costs telescope to
-//    the unsegmented Dispatch charge, and Resume re-prices the remainder
+//    the run-to-completion charge, and Resume re-prices the remainder
 //    from the new slot's residency;
 //  - the scheduler's preemptive knobs: priority classes, epoch-boundary
 //    preemption with a bounded interactive latency (open stream and
@@ -12,18 +12,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
 #include "storage/buffer_pool.h"
+#include "support/synthetic_executor.h"
 
 namespace dana {
 namespace {
@@ -32,9 +28,10 @@ namespace {
 // DanaQueryExecutor slice ABI
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorSliceTest, SlicesTelescopeToTheDispatchCharge) {
+TEST(ExecutorSliceTest, SlicesTelescopeToTheWholeRunCharge) {
   sched::DanaQueryExecutor executor;
-  auto whole = executor.Dispatch(sched::QueryBatch::Single("wlan", 0, 0));
+  auto whole =
+      sched::RunWhole(executor, sched::QueryBatch::Single("wlan", 0, 0));
   ASSERT_TRUE(whole.ok());
 
   // A fresh cold machine again: slicing epoch by epoch must charge the
@@ -54,7 +51,7 @@ TEST(ExecutorSliceTest, SlicesTelescopeToTheDispatchCharge) {
     ++slices;
   }
   EXPECT_EQ(slices, total_epochs);
-  EXPECT_NEAR(sum.nanos(), whole->service.nanos(), 1.0);
+  EXPECT_NEAR(sum.nanos(), whole->slice.service.nanos(), 1.0);
 
   // Draining an already-finished execution is a contract violation.
   EXPECT_TRUE((*exec)->NextSlice(1).status().IsFailedPrecondition());
@@ -118,143 +115,6 @@ TEST(ExecutorSliceTest, SliceUpdatesResidencyPerSweep) {
 // Scheduler preemptive path (synthetic epoch-sliced executor)
 // ---------------------------------------------------------------------------
 
-/// Deterministic synthetic epoch-sliced execution: every epoch of `id`
-/// costs shared_s + size * per_query_s seconds of slot occupancy, over
-/// `epochs` epochs. Warmth is static unless pinned with SetWarm (Resume
-/// never re-prices either way); pinned warmth marks the run
-/// residency-modeled so the scheduler's cold-resume-loss tie-break sees
-/// it.
-class SlicedExecutor : public sched::QueryExecutor {
- public:
-  void Set(const std::string& id, uint32_t epochs, double epoch_shared_s,
-           double epoch_per_query_s, double estimate_s,
-           double compile_s = 0.0) {
-    specs_[id] = {epochs, epoch_shared_s, epoch_per_query_s, compile_s};
-    estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  /// Pins `id`'s warmth on `slot` (and marks its runs residency-modeled):
-  /// the victim tie-break prices what a cold resume of it would forfeit.
-  void SetWarm(const std::string& id, uint32_t slot, double fraction) {
-    warmth_[{id, slot}] = fraction;
-    modeled_.insert(id);
-  }
-
-  /// Pins the fully-warm estimate; EstimateAtWarmth then interpolates
-  /// between Estimate() (cold) and this, like the Dana executor's own
-  /// cold/warm pricing. Unset ids estimate warmth-blind.
-  void SetWarmEstimate(const std::string& id, double estimate_s) {
-    warm_estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  double WarmFraction(const std::string& id, uint32_t slot) override {
-    auto it = warmth_.find({id, slot});
-    return it == warmth_.end() ? 0.0 : it->second;
-  }
-
-  Result<dana::SimTime> EstimateAtWarmth(const std::string& id,
-                                         double warm_fraction) override {
-    auto warm = warm_estimates_.find(id);
-    if (warm == warm_estimates_.end()) return Estimate(id);
-    DANA_ASSIGN_OR_RETURN(dana::SimTime cold, Estimate(id));
-    return warm->second + (cold - warm->second) * (1.0 - warm_fraction);
-  }
-
-  Result<std::unique_ptr<sched::BatchExecution>> Begin(
-      const sched::QueryBatch& batch) override {
-    auto it = specs_.find(batch.workload_id);
-    if (it == specs_.end()) return Status::NotFound(batch.workload_id);
-    begun_.push_back(batch);
-    return std::unique_ptr<sched::BatchExecution>(new Execution(
-        batch, it->second, WarmFraction(batch.workload_id, batch.slot),
-        modeled_.count(batch.workload_id) > 0));
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    auto it = estimates_.find(id);
-    if (it == estimates_.end()) return Status::NotFound(id);
-    return it->second;
-  }
-
-  const std::vector<sched::QueryBatch>& begun() const { return begun_; }
-
- private:
-  struct Spec {
-    uint32_t epochs;
-    double shared_s;
-    double per_query_s;
-    double compile_s;
-  };
-
-  class Execution : public sched::BatchExecution {
-   public:
-    Execution(sched::QueryBatch batch, Spec spec, double warm = 0.0,
-              bool modeled = false)
-        : BatchExecution(std::move(batch)),
-          spec_(spec),
-          warm_(warm),
-          modeled_(modeled) {}
-
-    uint32_t total_epochs() const override { return spec_.epochs; }
-    uint32_t epochs_run() const override { return done_; }
-    dana::SimTime compile_cost() const override {
-      return dana::SimTime::Seconds(spec_.compile_s);
-    }
-    double warm_fraction() const override { return warm_; }
-    bool residency_modeled() const override { return modeled_; }
-
-    dana::SimTime EpochCost() const {
-      return dana::SimTime::Seconds(
-          spec_.shared_s + spec_.per_query_s * batch_.size());
-    }
-
-    Result<sched::SliceCost> NextSlice(uint32_t max_epochs) override {
-      const uint32_t remaining = spec_.epochs - done_;
-      if (remaining == 0) {
-        return Status::FailedPrecondition("already finished");
-      }
-      const uint32_t n =
-          max_epochs == 0 ? remaining : std::min(max_epochs, remaining);
-      sched::SliceCost s;
-      s.epochs = n;
-      s.service = EpochCost() * static_cast<double>(n);
-      s.shared = dana::SimTime::Seconds(spec_.shared_s) *
-                 static_cast<double>(n);
-      s.per_query = dana::SimTime::Seconds(spec_.per_query_s) *
-                    static_cast<double>(n);
-      done_ += n;
-      s.finished = done_ == spec_.epochs;
-      return s;
-    }
-
-    Result<dana::SimTime> PeekService(uint32_t epochs) const override {
-      const uint32_t remaining = spec_.epochs - done_;
-      const uint32_t n =
-          epochs == 0 ? remaining : std::min(epochs, remaining);
-      return EpochCost() * static_cast<double>(n);
-    }
-
-    Status Checkpoint() override { return Status::OK(); }
-    Status Resume(uint32_t slot) override {
-      batch_.slot = slot;
-      return Status::OK();
-    }
-
-   private:
-    Spec spec_;
-    double warm_;
-    bool modeled_;
-    uint32_t done_ = 0;
-  };
-
-  std::map<std::string, Spec> specs_;
-  std::map<std::string, dana::SimTime> estimates_;
-  std::map<std::string, dana::SimTime> warm_estimates_;
-  std::map<std::pair<std::string, uint32_t>, double> warmth_;
-  std::set<std::string> modeled_;
-  std::vector<sched::QueryBatch> begun_;
-};
-
 sched::QueryRequest Req(uint64_t id, const std::string& workload,
                         double arrival_s,
                         sched::QueryClass cls = sched::QueryClass::kBatch) {
@@ -267,11 +127,9 @@ sched::QueryRequest Req(uint64_t id, const std::string& workload,
 }
 
 TEST(PreemptionTest, InteractiveLatencyBoundedByQuantumPlusContextSwitch) {
-  SlicedExecutor exec;
-  exec.Set("training", /*epochs=*/100, /*shared=*/1.0, /*pq=*/0.0,
-           /*estimate=*/100);
-  exec.Set("lookup", /*epochs=*/1, /*shared=*/2.0, /*pq=*/0.0,
-           /*estimate=*/2);
+  sched::SyntheticExecutor exec;
+  exec.Set("training", {.epochs = 100, .shared_s = 1.0, .estimate_s = 100});
+  exec.Set("lookup", {.shared_s = 2.0, .estimate_s = 2});
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "training", 0),
       Req(1, "lookup", 10.5, sched::QueryClass::kInteractive)};
@@ -313,10 +171,10 @@ TEST(PreemptionTest, InteractiveLatencyBoundedByQuantumPlusContextSwitch) {
 }
 
 TEST(PreemptionTest, LongestRemainingRunIsTheVictim) {
-  SlicedExecutor exec;
-  exec.Set("long", 100, 1.0, 0.0, 100);
-  exec.Set("short_train", 20, 1.0, 0.0, 20);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("long", {.epochs = 100, .shared_s = 1.0, .estimate_s = 100});
+  exec.Set("short_train", {.epochs = 20, .shared_s = 1.0, .estimate_s = 20});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "long", 0), Req(1, "short_train", 0),
       Req(2, "lookup", 5.5, sched::QueryClass::kInteractive)};
@@ -344,10 +202,10 @@ TEST(PreemptionTest, BoundarylessLongestRunYieldsToNextCandidate) {
   // The longest-remaining run (by completion time) has too few epochs
   // left for a quantum boundary; the next-longest run still offers one,
   // and the arming must fall through to it instead of giving up.
-  SlicedExecutor exec;
-  exec.Set("fat", /*epochs=*/2, /*shared=*/10.0, /*pq=*/0.0, 20);
-  exec.Set("thin", /*epochs=*/12, /*shared=*/1.0, /*pq=*/0.0, 12);
-  exec.Set("lookup", 1, 2.0, 0.0, 2);
+  sched::SyntheticExecutor exec;
+  exec.Set("fat", {.epochs = 2, .shared_s = 10.0, .estimate_s = 20});
+  exec.Set("thin", {.epochs = 12, .shared_s = 1.0, .estimate_s = 12});
+  exec.Set("lookup", {.shared_s = 2.0, .estimate_s = 2});
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "fat", 0), Req(1, "thin", 0),
       Req(2, "lookup", 1, sched::QueryClass::kInteractive)};
@@ -382,10 +240,10 @@ TEST(PreemptionTest, EqualRemainingTiesBreakByBoundaryDistance) {
   // tie-break checkpointed "wide" and made the lookup wait until t=8 while
   // the nearer boundary sat unused; the checkpoint-to-boundary tie-break
   // must take "late" at t=6.
-  SlicedExecutor exec;
-  exec.Set("wide", /*epochs=*/10, /*shared=*/1.0, /*pq=*/0.0, 10);
-  exec.Set("late", /*epochs=*/8, /*shared=*/1.0, /*pq=*/0.0, 8);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("wide", {.epochs = 10, .shared_s = 1.0, .estimate_s = 10});
+  exec.Set("late", {.epochs = 8, .shared_s = 1.0, .estimate_s = 8});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "wide", 0), Req(1, "late", 2),
       Req(2, "lookup", 4.5, sched::QueryClass::kInteractive)};
@@ -418,14 +276,14 @@ TEST(PreemptionTest, FullTiesBreakByExpectedResidencyLoss) {
   // resume forfeits 0.9 of the 6 s warm/cold spread), slot 1's only 10%:
   // the scheduler must checkpoint the run with less to lose, not default
   // to slot 0.
-  SlicedExecutor exec;
-  exec.Set("hotrun", /*epochs=*/12, /*shared=*/1.0, /*pq=*/0.0, 12);
-  exec.Set("coldrun", /*epochs=*/12, /*shared=*/1.0, /*pq=*/0.0, 12);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("hotrun", {.epochs = 12, .shared_s = 1.0, .estimate_s = 12,
+                      .warm_estimate_s = 6});
+  exec.Set("coldrun", {.epochs = 12, .shared_s = 1.0, .estimate_s = 12,
+                       .warm_estimate_s = 6});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   exec.SetWarm("hotrun", /*slot=*/0, 0.9);
   exec.SetWarm("coldrun", /*slot=*/1, 0.1);
-  exec.SetWarmEstimate("hotrun", 6);
-  exec.SetWarmEstimate("coldrun", 6);
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "hotrun", 0), Req(1, "coldrun", 0),
       Req(2, "lookup", 1.5, sched::QueryClass::kInteractive)};
@@ -457,14 +315,14 @@ TEST(PreemptionTest, ResidencyLossWeighsTableSizeNotBareWarmth) {
   // "hotsmall" is 100% warm but re-streams in 0.2 s (loss 0.2 s);
   // "coldhuge" is only 30% warm but its cold resume costs 18 s more than
   // its current warmth — the scheduler must sacrifice hotsmall.
-  SlicedExecutor exec;
-  exec.Set("hotsmall", /*epochs=*/12, /*shared=*/1.0, /*pq=*/0.0, 4);
-  exec.Set("coldhuge", /*epochs=*/12, /*shared=*/1.0, /*pq=*/0.0, 100);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("hotsmall", {.epochs = 12, .shared_s = 1.0, .estimate_s = 4,
+                        .warm_estimate_s = 3.8});
+  exec.Set("coldhuge", {.epochs = 12, .shared_s = 1.0, .estimate_s = 100,
+                        .warm_estimate_s = 40});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   exec.SetWarm("hotsmall", /*slot=*/0, 1.0);
   exec.SetWarm("coldhuge", /*slot=*/1, 0.3);
-  exec.SetWarmEstimate("hotsmall", 3.8);
-  exec.SetWarmEstimate("coldhuge", 40);
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "hotsmall", 0), Req(1, "coldhuge", 0),
       Req(2, "lookup", 1.5, sched::QueryClass::kInteractive)};
@@ -494,9 +352,9 @@ TEST(PreemptionTest, ResumedRunKeepsItsGlobalBoundaryPhase) {
   // second interactive arrival must cut it at global epoch 8 — t=10, four
   // *global* epochs on from the checkpoint — with the run's full 20-epoch
   // service preserved across the three segments.
-  SlicedExecutor exec;
-  exec.Set("training", /*epochs=*/20, /*shared=*/1.0, /*pq=*/0.0, 20);
-  exec.Set("lookup", 1, 2.0, 0.0, 2);
+  sched::SyntheticExecutor exec;
+  exec.Set("training", {.epochs = 20, .shared_s = 1.0, .estimate_s = 20});
+  exec.Set("lookup", {.shared_s = 2.0, .estimate_s = 2});
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "training", 0),
       Req(1, "lookup", 1.5, sched::QueryClass::kInteractive),
@@ -524,32 +382,10 @@ TEST(PreemptionTest, ResumedRunKeepsItsGlobalBoundaryPhase) {
   }
 }
 
-TEST(PreemptionTest, ExecutorOverridingNeitherDispatchNorBeginErrors) {
-  // Dispatch and Begin are defaulted in terms of each other; a subclass
-  // implementing neither must get a status, not a stack overflow.
-  class NeitherExecutor : public sched::QueryExecutor {
-   public:
-    Result<dana::SimTime> Estimate(const std::string&) override {
-      return dana::SimTime::Seconds(1);
-    }
-  };
-  NeitherExecutor exec;
-  EXPECT_TRUE(exec.Dispatch(sched::QueryBatch::Single("a"))
-                  .status()
-                  .IsUnimplemented());
-  EXPECT_TRUE(exec.Begin(sched::QueryBatch::Single("a"))
-                  .status()
-                  .IsUnimplemented());
-  // The guard resets: repeated calls keep reporting cleanly.
-  EXPECT_TRUE(exec.Dispatch(sched::QueryBatch::Single("a"))
-                  .status()
-                  .IsUnimplemented());
-}
-
 TEST(BatchWindowTest, InteractiveArrivalPrefersAFreeSlotOverSeizingTheHold) {
-  SlicedExecutor exec;
-  exec.Set("train", 1, 10.0, 2.0, 12);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("train", {.shared_s = 10.0, .per_query_s = 2.0, .estimate_s = 12});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   // Two slots: the batch head holds slot 0 collecting riders; slot 1 is
   // idle. The interactive arrival must run on the free slot and leave the
   // hold (and its window) untouched.
@@ -579,9 +415,9 @@ TEST(BatchWindowTest, InteractiveArrivalPrefersAFreeSlotOverSeizingTheHold) {
 }
 
 TEST(PreemptionTest, NoInteractiveWaitersMeansNoPreemptions) {
-  SlicedExecutor exec;
-  exec.Set("a", 10, 1.0, 0.0, 10);
-  exec.Set("b", 4, 1.0, 0.0, 4);
+  sched::SyntheticExecutor exec;
+  exec.Set("a", {.epochs = 10, .shared_s = 1.0, .estimate_s = 10});
+  exec.Set("b", {.epochs = 4, .shared_s = 1.0, .estimate_s = 4});
   std::vector<sched::QueryRequest> reqs;
   for (int i = 0; i < 10; ++i) {
     reqs.push_back(Req(static_cast<uint64_t>(i), i % 2 ? "a" : "b", 1.5 * i));
@@ -610,10 +446,12 @@ TEST(PreemptionTest, PreemptiveScheduleIsDeterministic) {
        {sched::Policy::kFcfs, sched::Policy::kSjf,
         sched::Policy::kRoundRobin}) {
     auto run = [&] {
-      SlicedExecutor exec;
-      exec.Set("hot", 1, 2.0, 0.5, 3);
-      exec.Set("mid", 6, 1.5, 0.5, 10);
-      exec.Set("tail", 20, 2.0, 0.5, 45);
+      sched::SyntheticExecutor exec;
+      exec.Set("hot", {.shared_s = 2.0, .per_query_s = 0.5, .estimate_s = 3});
+      exec.Set("mid", {.epochs = 6, .shared_s = 1.5, .per_query_s = 0.5,
+                       .estimate_s = 10});
+      exec.Set("tail", {.epochs = 20, .shared_s = 2.0, .per_query_s = 0.5,
+                        .estimate_s = 45});
       return sched::Scheduler(
                  {.slots = 2,
                   .policy = policy,
@@ -646,8 +484,8 @@ TEST(PreemptionTest, ClosedLoopRejectsPreemptiveKnobs) {
   // submit from, so it still fails with an actionable Status naming the
   // offending option — never an abort — and the knobs-off run on the same
   // scheduler options must still work.
-  SlicedExecutor exec;
-  exec.Set("a", 2, 1.0, 0.0, 2);
+  sched::SyntheticExecutor exec;
+  exec.Set("a", {.epochs = 2, .shared_s = 1.0, .estimate_s = 2});
   sched::Scheduler preemptive({.slots = 1,
                                .policy = sched::Policy::kFcfs,
                                .preemption_quantum_epochs = 1},
@@ -672,10 +510,12 @@ TEST(PreemptionTest, ClosedLoopRejectsPreemptiveKnobs) {
 
 /// Closed-loop catalog: a one-epoch interactive lookup and a 12-epoch
 /// batch training (3 s per epoch at batch size 1) with pinned warmth.
-SlicedExecutor ClosedLoopExecutor() {
-  SlicedExecutor e;
-  e.Set("lookup", 1, 1.5, 0.5, 2.0, 0.2);
-  e.Set("train", 12, 2.0, 1.0, 26.0, 1.0);
+sched::SyntheticExecutor ClosedLoopExecutor() {
+  sched::SyntheticExecutor e;
+  e.Set("lookup", {.shared_s = 1.5, .per_query_s = 0.5, .estimate_s = 2.0,
+                   .compile_s = 0.2});
+  e.Set("train", {.epochs = 12, .shared_s = 2.0, .per_query_s = 1.0,
+                  .estimate_s = 26.0, .compile_s = 1.0});
   e.SetWarm("train", 0, 0.6);
   return e;
 }
@@ -690,7 +530,7 @@ TEST(ClosedLoopPreemptionTest, InteractiveSessionPreemptsBatchTraining) {
   };
   const std::vector<sched::QueryClass> classes = {
       sched::QueryClass::kBatch, sched::QueryClass::kInteractive};
-  SlicedExecutor exec = ClosedLoopExecutor();
+  sched::SyntheticExecutor exec = ClosedLoopExecutor();
   sched::Scheduler scheduler(
       {.slots = 1,
        .policy = sched::Policy::kFcfs,
@@ -716,7 +556,7 @@ TEST(ClosedLoopPreemptionTest, BatchWindowIsStillRejected) {
   // The batch-formation window is the one open-stream-only knob; its
   // rejection must be actionable (InvalidArgument naming the option),
   // while the quantum composes with sessions.
-  SlicedExecutor exec = ClosedLoopExecutor();
+  sched::SyntheticExecutor exec = ClosedLoopExecutor();
   sched::Scheduler windowed({.slots = 1,
                              .policy = sched::Policy::kFcfs,
                              .max_batch = 2,
@@ -740,8 +580,8 @@ TEST(ClosedLoopPreemptionTest, BatchWindowIsStillRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchWindowTest, HeldSlotCoalescesArrivalsUpToTheWindow) {
-  SlicedExecutor exec;
-  exec.Set("a", 1, 10.0, 2.0, 12);
+  sched::SyntheticExecutor exec;
+  exec.Set("a", {.shared_s = 10.0, .per_query_s = 2.0, .estimate_s = 12});
   // q0 frees the slot at t=0 with nothing else queued: a windowless
   // scheduler dispatches it alone; the window holds the slot and q1, q2
   // (arriving inside the window) ride the same pass, dispatched the
@@ -766,8 +606,8 @@ TEST(BatchWindowTest, HeldSlotCoalescesArrivalsUpToTheWindow) {
 }
 
 TEST(BatchWindowTest, ExpiredWindowDispatchesThePartialBatch) {
-  SlicedExecutor exec;
-  exec.Set("a", 1, 10.0, 2.0, 12);
+  sched::SyntheticExecutor exec;
+  exec.Set("a", {.shared_s = 10.0, .per_query_s = 2.0, .estimate_s = 12});
   // The rider arrives past the window: the head dispatches alone at the
   // expiry, the rider dispatches behind it (then waits out the pass).
   std::vector<sched::QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 9)};
@@ -785,9 +625,9 @@ TEST(BatchWindowTest, ExpiredWindowDispatchesThePartialBatch) {
 }
 
 TEST(BatchWindowTest, InteractiveArrivalSeizesTheHeldSlot) {
-  SlicedExecutor exec;
-  exec.Set("train", 1, 10.0, 2.0, 12);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("train", {.shared_s = 10.0, .per_query_s = 2.0, .estimate_s = 12});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   // The batch head's hold starts at t=0; the interactive arrival at t=1
   // takes the slot instead, and the head goes back to the queue.
   std::vector<sched::QueryRequest> reqs = {
@@ -808,9 +648,11 @@ TEST(BatchWindowTest, InteractiveArrivalSeizesTheHeldSlot) {
 }
 
 TEST(BatchWindowTest, ZeroWindowMatchesTheLegacySchedule) {
-  SlicedExecutor exec;
-  exec.Set("x", 2, 3.0, 1.0, 8);
-  exec.Set("y", 3, 2.0, 0.5, 7);
+  sched::SyntheticExecutor exec;
+  exec.Set("x", {.epochs = 2, .shared_s = 3.0, .per_query_s = 1.0,
+                 .estimate_s = 8});
+  exec.Set("y", {.epochs = 3, .shared_s = 2.0, .per_query_s = 0.5,
+                 .estimate_s = 7});
   sched::DriverOptions opts;
   opts.num_queries = 50;
   opts.arrival_rate_qps = 0.3;
@@ -842,9 +684,9 @@ TEST(BatchWindowTest, ZeroWindowMatchesTheLegacySchedule) {
 // ---------------------------------------------------------------------------
 
 TEST(SloAccountingTest, PerClassPercentilesSplitTheStream) {
-  SlicedExecutor exec;
-  exec.Set("train", 4, 2.5, 0.0, 10);
-  exec.Set("lookup", 1, 1.0, 0.0, 1);
+  sched::SyntheticExecutor exec;
+  exec.Set("train", {.epochs = 4, .shared_s = 2.5, .estimate_s = 10});
+  exec.Set("lookup", {.shared_s = 1.0, .estimate_s = 1});
   std::vector<sched::QueryRequest> reqs = {
       Req(0, "train", 0), Req(1, "lookup", 1, sched::QueryClass::kInteractive),
       Req(2, "train", 2), Req(3, "lookup", 3, sched::QueryClass::kInteractive)};

@@ -27,9 +27,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -41,122 +39,12 @@
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
 #include "storage/eviction_policy.h"
+#include "support/synthetic_executor.h"
 
 namespace dana::sched {
 namespace {
 
 using obs::Json;
-
-// ---------------------------------------------------------------------------
-// The stub executor: epoch-sliced synthetic costs read from the file
-// ---------------------------------------------------------------------------
-
-/// One epoch of `id` occupies shared_s + batch_size * per_query_s seconds,
-/// over `epochs` epochs. Warmth is pinned per (id, slot), so affinity
-/// placement and the cold-resume-loss tie-break have something to read.
-class CorpusExecutor : public QueryExecutor {
- public:
-  struct Spec {
-    uint32_t epochs = 1;
-    double shared_s = 0, per_query_s = 0, compile_s = 0;
-  };
-
-  void Set(const std::string& id, Spec spec, double estimate_s) {
-    specs_[id] = spec;
-    estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  void SetWarm(const std::string& id, uint32_t slot, double fraction) {
-    warmth_[{id, slot}] = fraction;
-    modeled_.insert(id);
-  }
-
-  double WarmFraction(const std::string& id, uint32_t slot) override {
-    auto it = warmth_.find({id, slot});
-    return it == warmth_.end() ? 0.0 : it->second;
-  }
-
-  Result<std::unique_ptr<BatchExecution>> Begin(
-      const QueryBatch& batch) override {
-    auto it = specs_.find(batch.workload_id);
-    if (it == specs_.end()) return Status::NotFound(batch.workload_id);
-    return std::unique_ptr<BatchExecution>(new Execution(
-        batch, it->second, WarmFraction(batch.workload_id, batch.slot),
-        modeled_.count(batch.workload_id) > 0));
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    auto it = estimates_.find(id);
-    if (it == estimates_.end()) return Status::NotFound(id);
-    return it->second;
-  }
-
- private:
-  class Execution : public BatchExecution {
-   public:
-    Execution(QueryBatch batch, Spec spec, double warm, bool modeled)
-        : BatchExecution(std::move(batch)),
-          spec_(spec),
-          warm_(warm),
-          modeled_(modeled) {}
-
-    uint32_t total_epochs() const override { return spec_.epochs; }
-    uint32_t epochs_run() const override { return done_; }
-    dana::SimTime compile_cost() const override {
-      return dana::SimTime::Seconds(spec_.compile_s);
-    }
-    double warm_fraction() const override { return warm_; }
-    bool residency_modeled() const override { return modeled_; }
-
-    Result<SliceCost> NextSlice(uint32_t max_epochs) override {
-      const uint32_t remaining = spec_.epochs - done_;
-      if (remaining == 0) {
-        return Status::FailedPrecondition("already finished");
-      }
-      const uint32_t n =
-          max_epochs == 0 ? remaining : std::min(max_epochs, remaining);
-      SliceCost s;
-      s.epochs = n;
-      s.service = EpochCost() * static_cast<double>(n);
-      s.shared =
-          dana::SimTime::Seconds(spec_.shared_s) * static_cast<double>(n);
-      s.per_query =
-          dana::SimTime::Seconds(spec_.per_query_s) * static_cast<double>(n);
-      done_ += n;
-      s.finished = done_ == spec_.epochs;
-      return s;
-    }
-
-    Result<dana::SimTime> PeekService(uint32_t epochs) const override {
-      const uint32_t remaining = spec_.epochs - done_;
-      const uint32_t n =
-          epochs == 0 ? remaining : std::min(epochs, remaining);
-      return EpochCost() * static_cast<double>(n);
-    }
-
-    Status Checkpoint() override { return Status::OK(); }
-    Status Resume(uint32_t slot) override {
-      batch_.slot = slot;
-      return Status::OK();
-    }
-
-   private:
-    dana::SimTime EpochCost() const {
-      return dana::SimTime::Seconds(spec_.shared_s +
-                                    spec_.per_query_s * batch_.size());
-    }
-
-    Spec spec_;
-    double warm_;
-    bool modeled_;
-    uint32_t done_ = 0;
-  };
-
-  std::map<std::string, Spec> specs_;
-  std::map<std::string, dana::SimTime> estimates_;
-  std::map<std::pair<std::string, uint32_t>, double> warmth_;
-  std::set<std::string> modeled_;
-};
 
 // ---------------------------------------------------------------------------
 // Document rendering and replay
@@ -247,14 +135,14 @@ Result<Json> Replay(const Json& inputs) {
     eopts.os_frames = static_cast<uint64_t>(Num(scenario, "os_frames"));
     executor = std::make_unique<DanaQueryExecutor>(eopts);
   } else {
-    auto stub = std::make_unique<CorpusExecutor>();
+    auto stub = std::make_unique<SyntheticExecutor>();
     for (const Json& e : Member(inputs, "catalog").items()) {
       stub->Set(Str(e, "id"),
                 {.epochs = static_cast<uint32_t>(Num(e, "epochs")),
                  .shared_s = Num(e, "shared_s"),
                  .per_query_s = Num(e, "per_query_s"),
-                 .compile_s = Num(e, "compile_s")},
-                Num(e, "estimate_s"));
+                 .estimate_s = Num(e, "estimate_s"),
+                 .compile_s = Num(e, "compile_s")});
     }
     for (const Json& w : Member(inputs, "warmth").items()) {
       stub->SetWarm(Str(w, "id"), static_cast<uint32_t>(Num(w, "slot")),

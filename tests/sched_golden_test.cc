@@ -19,44 +19,23 @@
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
+#include "support/synthetic_executor.h"
 
 namespace dana::sched {
 namespace {
 
 /// Deterministic synthetic costs: batch of K occupies shared + K*per_query.
-class GoldenExecutor : public QueryExecutor {
- public:
+struct GoldenExecutor : SyntheticExecutor {
   GoldenExecutor() {
-    Set("hot", 2, 0.5, 3, 1);
-    Set("warm", 4, 1, 6, 1);
-    Set("mid", 8, 2, 11, 2);
-    Set("tail", 20, 5, 26, 3);
+    Set("hot", {.shared_s = 2, .per_query_s = 0.5, .estimate_s = 3,
+                .compile_s = 1});
+    Set("warm", {.shared_s = 4, .per_query_s = 1, .estimate_s = 6,
+                 .compile_s = 1});
+    Set("mid", {.shared_s = 8, .per_query_s = 2, .estimate_s = 11,
+                .compile_s = 2});
+    Set("tail", {.shared_s = 20, .per_query_s = 5, .estimate_s = 26,
+                 .compile_s = 3});
   }
-
-  Result<BatchCost> Dispatch(const QueryBatch& batch) override {
-    const Split& s = costs_.at(batch.workload_id);
-    BatchCost cost;
-    cost.shared = dana::SimTime::Seconds(s.shared);
-    cost.per_query = dana::SimTime::Seconds(s.per_query);
-    cost.service = dana::SimTime::Seconds(
-        s.shared + s.per_query * static_cast<double>(batch.size()));
-    cost.compile = dana::SimTime::Seconds(s.compile);
-    return cost;
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    return dana::SimTime::Seconds(costs_.at(id).estimate);
-  }
-
- private:
-  struct Split {
-    double shared, per_query, estimate, compile;
-  };
-  void Set(const std::string& id, double shared, double per_query,
-           double estimate, double compile) {
-    costs_[id] = {shared, per_query, estimate, compile};
-  }
-  std::map<std::string, Split> costs_;
 };
 
 /// The one seeded stream every golden run schedules: Zipfian (s = 1.1)

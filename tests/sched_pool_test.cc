@@ -36,6 +36,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/schema.h"
 #include "storage/table.h"
+#include "support/synthetic_executor.h"
 
 namespace dana::sched {
 namespace {
@@ -88,10 +89,10 @@ TEST(NormalizedPagesTest, PreservesPaperRatiosScaleFree) {
 TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
   DanaQueryExecutor executor;  // defaults: physical pools on
   // Fresh slot: the pool is empty, the charge is genuinely cold.
-  auto cold = executor.Dispatch(QueryBatch::Single("wlan", 0, 0));
+  auto cold = RunWhole(executor, QueryBatch::Single("wlan", 0, 0));
   ASSERT_TRUE(cold.ok());
-  EXPECT_DOUBLE_EQ(cold->warm_fraction, 0.0);
-  EXPECT_TRUE(cold->residency_modeled);
+  EXPECT_DOUBLE_EQ(cold->exec->warm_fraction(), 0.0);
+  EXPECT_TRUE(cold->exec->residency_modeled());
   // The run's sweep is physically visible: the workload's normalized
   // footprint resident, the pool's last_table names it.
   const ml::Workload* w = ml::FindWorkload("wlan");
@@ -104,10 +105,10 @@ TEST(PhysicalPoolTest, ChargesAndIntrospectionComeFromThePool) {
   EXPECT_EQ(pool->last_table(), "wlan");
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 1.0);
   // The warm repeat charges the measured warm endpoint, strictly faster.
-  auto warm = executor.Dispatch(QueryBatch::Single("wlan", 1, 0));
+  auto warm = RunWhole(executor, QueryBatch::Single("wlan", 1, 0));
   ASSERT_TRUE(warm.ok());
-  EXPECT_DOUBLE_EQ(warm->warm_fraction, 1.0);
-  EXPECT_LT(warm->service.nanos(), cold->service.nanos());
+  EXPECT_DOUBLE_EQ(warm->exec->warm_fraction(), 1.0);
+  EXPECT_LT(warm->slice.service.nanos(), cold->slice.service.nanos());
   // Other slots' pools are independent — still cold.
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 1), 0.0);
   // ResetResidency clears the physical pools.
@@ -132,7 +133,7 @@ TEST(PhysicalPoolTest, TableSweptAloneKeepsAPoolSizedWindow) {
   DanaQueryExecutor executor;
   for (int repeat = 0; repeat < 3; ++repeat) {
     ASSERT_TRUE(
-        executor.Dispatch(QueryBatch::Single("se_logistic", 0, 0)).ok());
+        RunWhole(executor, QueryBatch::Single("se_logistic", 0, 0)).ok());
     EXPECT_NEAR(executor.WarmFraction("se_logistic", 0), window,
                 1.0 / pages);
   }
@@ -145,7 +146,7 @@ TEST(PhysicalPoolTest, TableSweptAloneKeepsAPoolSizedWindow) {
 /// spread the loss evenly over both.
 void DriveDivergence(DanaQueryExecutor& executor) {
   for (const char* id : {"sn_lrmf", "sn_linear", "se_lrmf"}) {
-    auto cost = executor.Dispatch(QueryBatch::Single(id, 0, 0));
+    auto cost = RunWhole(executor, QueryBatch::Single(id, 0, 0));
     ASSERT_TRUE(cost.ok()) << id;
   }
 }
@@ -175,10 +176,10 @@ TEST(DivergenceTest, RepeatRunsAreBitForBit) {
     std::vector<double> out;
     for (const char* id : {"sn_lrmf", "sn_linear", "se_lrmf"}) {
       out.push_back(executor.WarmFraction(id, 0));
-      auto cost = executor.Dispatch(QueryBatch::Single(id, 1, 0));
+      auto cost = RunWhole(executor, QueryBatch::Single(id, 1, 0));
       EXPECT_TRUE(cost.ok());
-      out.push_back(cost->warm_fraction);
-      out.push_back(cost->service.nanos());
+      out.push_back(cost->exec->warm_fraction());
+      out.push_back(cost->slice.service.nanos());
     }
     return out;
   };
@@ -197,9 +198,9 @@ TEST(DivergenceTest, PropertyChargesAlwaysMatchPoolState) {
     const std::string& id = ids[seq.UniformInt(ids.size())];
     const uint32_t slot = static_cast<uint32_t>(seq.UniformInt(2));
     const double expected = executor.WarmFraction(id, slot);
-    auto cost = executor.Dispatch(QueryBatch::Single(id, next_query++, slot));
+    auto cost = RunWhole(executor, QueryBatch::Single(id, next_query++, slot));
     ASSERT_TRUE(cost.ok());
-    EXPECT_DOUBLE_EQ(cost->warm_fraction, expected);
+    EXPECT_DOUBLE_EQ(cost->exec->warm_fraction(), expected);
     for (uint32_t s = 0; s < 2; ++s) {
       const storage::BufferPool* pool = executor.slot_pool(s);
       uint64_t per_table = 0;
@@ -240,8 +241,8 @@ TEST(MultiEpochSliceTest, OversizedTableChargesTheSteadyStateSweep) {
   ASSERT_EQ(small_w->params.epochs, 1u);
 
   DanaQueryExecutor executor;
-  ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("sn_lrmf", 0, 0)).ok());
-  ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("se_logistic", 1, 0)).ok());
+  ASSERT_TRUE(RunWhole(executor, QueryBatch::Single("sn_lrmf", 0, 0)).ok());
+  ASSERT_TRUE(RunWhole(executor, QueryBatch::Single("se_logistic", 1, 0)).ok());
   const storage::BufferPool* pool = executor.slot_pool(0);
 
   // Replay the charged sweep sequence on a bare pool of the executor's
@@ -293,7 +294,7 @@ TEST(MultiEpochSliceTest, FittingTableSecondSweepIsANoOp) {
   ASSERT_GE(w->params.epochs, 2u);
 
   DanaQueryExecutor executor;
-  ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("sn_linear", 0, 0)).ok());
+  ASSERT_TRUE(RunWhole(executor, QueryBatch::Single("sn_linear", 0, 0)).ok());
   const storage::BufferPool* pool = executor.slot_pool(0);
   const uint64_t pages = (*instance)->NormalizedPages(4096);
 
@@ -472,7 +473,7 @@ TEST(SlotPoolTest, GrowsOnDemandAndSlotsAreIndependent) {
 
   // A run on slot 2 fills only slot 2's pool: no slot aliases another's
   // residency or counters.
-  ASSERT_TRUE(executor.Dispatch(QueryBatch::Single("wlan", 0, 2)).ok());
+  ASSERT_TRUE(RunWhole(executor, QueryBatch::Single("wlan", 0, 2)).ok());
   for (uint32_t s = 0; s < 4; ++s) {
     const storage::BufferPool* pool = executor.slot_pool(s);
     if (s == 2) {

@@ -14,6 +14,7 @@
 #include "sched/executor.h"
 #include "sched/scheduler.h"
 #include "sched/workload_driver.h"
+#include "support/synthetic_executor.h"
 
 namespace dana::sched {
 namespace {
@@ -211,89 +212,6 @@ TEST(CompileCacheTest, FailedBuildIsNotCached) {
 // Scheduler policies (driven by a synthetic executor)
 // ---------------------------------------------------------------------------
 
-class FakeExecutor : public QueryExecutor {
- public:
-  /// Legacy per-query cost: every second is private, so a batch of K costs
-  /// K * service and batching brings no benefit.
-  void Set(const std::string& id, double service_s, double estimate_s,
-           double compile_s = 0.0) {
-    SetSplit(id, /*shared_s=*/0.0, /*per_query_s=*/service_s, estimate_s,
-             compile_s);
-  }
-
-  /// Batched cost model: a batch of K queries occupies the slot for
-  /// shared + K * per_query.
-  void SetSplit(const std::string& id, double shared_s, double per_query_s,
-                double estimate_s, double compile_s = 0.0) {
-    costs_[id] = {dana::SimTime::Seconds(shared_s),
-                  dana::SimTime::Seconds(per_query_s),
-                  dana::SimTime::Seconds(compile_s)};
-    estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  /// Pins `id`'s warmth on `slot` for affinity tests; WarmFraction reports
-  /// zero for anything not set (a cold machine).
-  void SetWarm(const std::string& id, uint32_t slot, double fraction) {
-    warmth_[{id, slot}] = fraction;
-  }
-
-  /// Pins the fully-warm estimate for residency-aware SJF ordering;
-  /// EstimateAtWarmth interpolates between Estimate() (cold) and this.
-  /// Unset ids estimate warmth-blind, like an executor without endpoints.
-  void SetWarmEstimate(const std::string& id, double estimate_s) {
-    warm_estimates_[id] = dana::SimTime::Seconds(estimate_s);
-  }
-
-  Result<BatchCost> Dispatch(const QueryBatch& batch) override {
-    auto it = costs_.find(batch.workload_id);
-    if (it == costs_.end()) return Status::NotFound(batch.workload_id);
-    dispatched_.push_back(batch);
-    BatchCost cost;
-    cost.shared = it->second.shared;
-    cost.per_query = it->second.per_query;
-    cost.service =
-        it->second.shared +
-        it->second.per_query * static_cast<double>(batch.size());
-    cost.compile = it->second.compile;
-    cost.warm_fraction = WarmFraction(batch.workload_id, batch.slot);
-    cost.residency_modeled = true;
-    return cost;
-  }
-
-  Result<dana::SimTime> Estimate(const std::string& id) override {
-    auto it = estimates_.find(id);
-    if (it == estimates_.end()) return Status::NotFound(id);
-    return it->second;
-  }
-
-  Result<dana::SimTime> EstimateAtWarmth(const std::string& id,
-                                         double warm_fraction) override {
-    auto warm = warm_estimates_.find(id);
-    if (warm == warm_estimates_.end()) return Estimate(id);
-    DANA_ASSIGN_OR_RETURN(dana::SimTime cold, Estimate(id));
-    return warm->second + (cold - warm->second) * (1.0 - warm_fraction);
-  }
-
-  double WarmFraction(const std::string& id, uint32_t slot) override {
-    auto it = warmth_.find({id, slot});
-    return it == warmth_.end() ? 0.0 : it->second;
-  }
-
-  const std::vector<QueryBatch>& dispatched() const { return dispatched_; }
-
- private:
-  struct Split {
-    dana::SimTime shared;
-    dana::SimTime per_query;
-    dana::SimTime compile;
-  };
-  std::map<std::string, Split> costs_;
-  std::map<std::string, dana::SimTime> estimates_;
-  std::map<std::string, dana::SimTime> warm_estimates_;
-  std::map<std::pair<std::string, uint32_t>, double> warmth_;
-  std::vector<QueryBatch> dispatched_;
-};
-
 QueryRequest Req(uint64_t id, const std::string& workload, double arrival_s) {
   QueryRequest r;
   r.id = id;
@@ -309,9 +227,9 @@ std::vector<uint64_t> DispatchOrder(const ScheduleReport& report) {
 }
 
 TEST(SchedulerTest, FcfsDispatchesInArrivalOrder) {
-  FakeExecutor exec;
-  exec.Set("long", 100, 100);
-  exec.Set("short", 1, 1);
+  SyntheticExecutor exec;
+  exec.Set("long", {.per_query_s = 100, .estimate_s = 100});
+  exec.Set("short", {.per_query_s = 1, .estimate_s = 1});
   // All queued behind the long job on one slot.
   std::vector<QueryRequest> reqs = {Req(0, "long", 0), Req(1, "long", 1),
                                     Req(2, "short", 2), Req(3, "long", 3)};
@@ -322,11 +240,11 @@ TEST(SchedulerTest, FcfsDispatchesInArrivalOrder) {
 }
 
 TEST(SchedulerTest, SjfPicksSmallestEstimateAmongQueued) {
-  FakeExecutor exec;
-  exec.Set("huge", 100, 100);
-  exec.Set("mid", 30, 30);
-  exec.Set("small", 10, 10);
-  exec.Set("tiny", 5, 5);
+  SyntheticExecutor exec;
+  exec.Set("huge", {.per_query_s = 100, .estimate_s = 100});
+  exec.Set("mid", {.per_query_s = 30, .estimate_s = 30});
+  exec.Set("small", {.per_query_s = 10, .estimate_s = 10});
+  exec.Set("tiny", {.per_query_s = 5, .estimate_s = 5});
   // "huge" occupies the slot; the rest queue up and must run in estimate
   // order, not arrival order.
   std::vector<QueryRequest> reqs = {Req(0, "huge", 0), Req(1, "mid", 1),
@@ -338,9 +256,9 @@ TEST(SchedulerTest, SjfPicksSmallestEstimateAmongQueued) {
 }
 
 TEST(SchedulerTest, RoundRobinAlternatesAcrossAlgorithms) {
-  FakeExecutor exec;
-  exec.Set("x", 10, 10);
-  exec.Set("y", 10, 10);
+  SyntheticExecutor exec;
+  exec.Set("x", {.per_query_s = 10, .estimate_s = 10});
+  exec.Set("y", {.per_query_s = 10, .estimate_s = 10});
   // Three x queries then one y, all arriving while the slot is busy: RR
   // must interleave y after the first x instead of draining x first.
   std::vector<QueryRequest> reqs = {Req(0, "x", 0), Req(1, "x", 1),
@@ -352,9 +270,9 @@ TEST(SchedulerTest, RoundRobinAlternatesAcrossAlgorithms) {
 }
 
 TEST(SchedulerTest, CompileChargedOnlyOnFirstDispatchOfEachAlgorithm) {
-  FakeExecutor exec;
-  exec.Set("a", 10, 10, /*compile_s=*/5);
-  exec.Set("b", 10, 10, /*compile_s=*/5);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 10, .estimate_s = 10, .compile_s = 5});
+  exec.Set("b", {.per_query_s = 10, .estimate_s = 10, .compile_s = 5});
   std::vector<QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 0),
                                     Req(2, "b", 0), Req(3, "a", 0)};
   Scheduler sched({.slots = 1, .policy = Policy::kFcfs}, &exec);
@@ -373,8 +291,8 @@ TEST(SchedulerTest, CompileChargedOnlyOnFirstDispatchOfEachAlgorithm) {
 }
 
 TEST(SchedulerTest, ConcurrentDispatchWaitsForInFlightCompile) {
-  FakeExecutor exec;
-  exec.Set("a", 10, 10, /*compile_s=*/5);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 10, .estimate_s = 10, .compile_s = 5});
   // Both queries arrive at t=0 on 2 slots: the second is a cache hit but
   // must wait out the first's in-flight compile instead of starting a
   // training run with a design that does not exist until t=5.
@@ -397,9 +315,9 @@ TEST(SchedulerTest, ConcurrentDispatchWaitsForInFlightCompile) {
 }
 
 TEST(SchedulerTest, SlotsNeverOverlapAndStartAfterArrival) {
-  FakeExecutor exec;
-  exec.Set("a", 7, 7);
-  exec.Set("b", 3, 3);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 7, .estimate_s = 7});
+  exec.Set("b", {.per_query_s = 3, .estimate_s = 3});
   std::vector<QueryRequest> reqs;
   for (int i = 0; i < 40; ++i) {
     reqs.push_back(Req(static_cast<uint64_t>(i), i % 3 ? "a" : "b", 0.5 * i));
@@ -429,8 +347,8 @@ TEST(SchedulerTest, SlotsNeverOverlapAndStartAfterArrival) {
 }
 
 TEST(SchedulerTest, SimultaneousArrivalsOnIdleSlotsStartAtArrival) {
-  FakeExecutor exec;
-  exec.Set("a", 5, 5);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 5, .estimate_s = 5});
   // Both slots idle since t=0; both queries arrive at t=10. The second
   // dispatch must not ride slot 1's stale free time back to t=0 and start
   // before its own arrival (negative wait, early completion).
@@ -446,8 +364,8 @@ TEST(SchedulerTest, SimultaneousArrivalsOnIdleSlotsStartAtArrival) {
 }
 
 TEST(SchedulerTest, MoreSlotsFinishNoLater) {
-  FakeExecutor exec;
-  exec.Set("a", 10, 10);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 10, .estimate_s = 10});
   std::vector<QueryRequest> reqs;
   for (int i = 0; i < 16; ++i) reqs.push_back(Req(i, "a", 0));
   Scheduler one({.slots = 1, .policy = Policy::kFcfs}, &exec);
@@ -463,10 +381,10 @@ TEST(SchedulerTest, SjfBeatsFcfsOnMeanLatencyForSkewedMix) {
   // A Zipfian mix over classes whose service times span 100x: the long jobs
   // head-of-line-block FCFS while SJF lets the swarm of short queries
   // through first.
-  FakeExecutor exec;
-  exec.Set("hot_short", 2, 2);
-  exec.Set("warm_mid", 20, 20);
-  exec.Set("cold_long", 200, 200);
+  SyntheticExecutor exec;
+  exec.Set("hot_short", {.per_query_s = 2, .estimate_s = 2});
+  exec.Set("warm_mid", {.per_query_s = 20, .estimate_s = 20});
+  exec.Set("cold_long", {.per_query_s = 200, .estimate_s = 200});
   DriverOptions opts;
   opts.num_queries = 120;
   opts.arrival_rate_qps = 0.12;  // keeps one slot saturated
@@ -498,9 +416,9 @@ TEST(SchedulerTest, PolicyNamesRoundTrip) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchingTest, CoalescesCoResidentSameAlgorithmQueries) {
-  FakeExecutor exec;
+  SyntheticExecutor exec;
   // One pass streams for 10 s; each co-trained model adds 2 s of engine.
-  exec.SetSplit("a", /*shared=*/10, /*per_query=*/2, /*estimate=*/12);
+  exec.Set("a", {.shared_s = 10, .per_query_s = 2, .estimate_s = 12});
   // Query 0 dispatches alone at t=0 (nothing else is queued yet); 1..3
   // arrive while the slot is busy and coalesce into one batched pass.
   std::vector<QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 1),
@@ -530,9 +448,9 @@ TEST(BatchingTest, CoalescesCoResidentSameAlgorithmQueries) {
 }
 
 TEST(BatchingTest, OnlyCoalescesMatchingAlgorithmUpToMaxBatch) {
-  FakeExecutor exec;
-  exec.SetSplit("a", 10, 2, 12);
-  exec.SetSplit("b", 10, 2, 12);
+  SyntheticExecutor exec;
+  exec.Set("a", {.shared_s = 10, .per_query_s = 2, .estimate_s = 12});
+  exec.Set("b", {.shared_s = 10, .per_query_s = 2, .estimate_s = 12});
   // Queued while busy: a, b, a, a, a. Batch limit 3: the head "a" takes
   // two more "a"s, skipping the interleaved "b".
   std::vector<QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 1),
@@ -543,7 +461,7 @@ TEST(BatchingTest, OnlyCoalescesMatchingAlgorithmUpToMaxBatch) {
   auto report = sched.Run(reqs);
   ASSERT_TRUE(report.ok());
   // Dispatches: {0}, {1,3,4} (batch of 3 "a"s), {2} ("b"), {5}.
-  ASSERT_EQ(exec.dispatched().size(), 4u);
+  ASSERT_EQ(exec.begun(), 4u);
   EXPECT_EQ(DispatchOrder(*report), (std::vector<uint64_t>{0, 1, 3, 4, 2, 5}));
   EXPECT_EQ(report->queries[1].batch_size, 3u);
   EXPECT_EQ(report->queries[4].workload_id, "b");
@@ -551,9 +469,9 @@ TEST(BatchingTest, OnlyCoalescesMatchingAlgorithmUpToMaxBatch) {
 }
 
 TEST(BatchingTest, MaxBatchOneReproducesPerQueryScheduleBitForBit) {
-  FakeExecutor exec;
-  exec.SetSplit("hot", 1, 0.5, 1.5);
-  exec.SetSplit("cold", 4, 3, 7);
+  SyntheticExecutor exec;
+  exec.Set("hot", {.shared_s = 1, .per_query_s = 0.5, .estimate_s = 1.5});
+  exec.Set("cold", {.shared_s = 4, .per_query_s = 3, .estimate_s = 7});
   DriverOptions opts;
   opts.num_queries = 60;
   opts.arrival_rate_qps = 0.7;
@@ -581,9 +499,9 @@ TEST(BatchingTest, MaxBatchOneReproducesPerQueryScheduleBitForBit) {
 }
 
 TEST(BatchingTest, BatchedScheduleIsDeterministic) {
-  FakeExecutor exec;
-  exec.SetSplit("x", 5, 1, 2);
-  exec.SetSplit("y", 8, 2, 6);
+  SyntheticExecutor exec;
+  exec.Set("x", {.shared_s = 5, .per_query_s = 1, .estimate_s = 2});
+  exec.Set("y", {.shared_s = 8, .per_query_s = 2, .estimate_s = 6});
   DriverOptions opts;
   opts.num_queries = 80;
   opts.arrival_rate_qps = 2.0;
@@ -606,8 +524,9 @@ TEST(BatchingTest, BatchedScheduleIsDeterministic) {
 }
 
 TEST(BatchingTest, BatchCompileMissChargedOncePerBatch) {
-  FakeExecutor exec;
-  exec.SetSplit("a", 10, 2, 12, /*compile_s=*/5);
+  SyntheticExecutor exec;
+  exec.Set("a", {.shared_s = 10, .per_query_s = 2, .estimate_s = 12,
+                 .compile_s = 5});
   std::vector<QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 0),
                                     Req(2, "a", 0)};
   Scheduler sched({.slots = 1, .policy = Policy::kFcfs, .max_batch = 4},
@@ -639,9 +558,9 @@ std::vector<QueryRequest> StarvationStream() {
 }
 
 TEST(SjfAgingTest, PureSjfStarvesTheLongJob) {
-  FakeExecutor exec;
-  exec.Set("long", 50, 50);
-  exec.Set("short", 1, 1);
+  SyntheticExecutor exec;
+  exec.Set("long", {.per_query_s = 50, .estimate_s = 50});
+  exec.Set("short", {.per_query_s = 1, .estimate_s = 1});
   Scheduler sched({.slots = 1, .policy = Policy::kSjf}, &exec);
   auto report = sched.Run(StarvationStream());
   ASSERT_TRUE(report.ok());
@@ -652,9 +571,9 @@ TEST(SjfAgingTest, PureSjfStarvesTheLongJob) {
 }
 
 TEST(SjfAgingTest, AgingBonusBoundsTheLongJobsWait) {
-  FakeExecutor exec;
-  exec.Set("long", 50, 50);
-  exec.Set("short", 1, 1);
+  SyntheticExecutor exec;
+  exec.Set("long", {.per_query_s = 50, .estimate_s = 50});
+  exec.Set("short", {.per_query_s = 1, .estimate_s = 1});
   Scheduler aged(
       {.slots = 1, .policy = Policy::kSjf, .sjf_aging_weight = 4.0}, &exec);
   auto report = aged.Run(StarvationStream());
@@ -679,8 +598,8 @@ TEST(SjfAgingTest, AgingBonusBoundsTheLongJobsWait) {
 // ---------------------------------------------------------------------------
 
 TEST(ClosedLoopTest, SingleSessionSerializesWithThinkTime) {
-  FakeExecutor exec;
-  exec.Set("a", 2, 2);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 2, .estimate_s = 2});
   Scheduler sched({.slots = 1, .policy = Policy::kFcfs}, &exec);
   auto report = sched.RunClosedLoop({{"a", "a", "a"}},
                                     dana::SimTime::Seconds(3));
@@ -697,8 +616,8 @@ TEST(ClosedLoopTest, SingleSessionSerializesWithThinkTime) {
 }
 
 TEST(ClosedLoopTest, ZeroThinkKeepsOneSlotSaturated) {
-  FakeExecutor exec;
-  exec.Set("a", 2, 2);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 2, .estimate_s = 2});
   Scheduler sched({.slots = 1, .policy = Policy::kFcfs}, &exec);
   // Two sessions with zero think time on one slot: the slot never idles,
   // so the makespan is exactly the summed service.
@@ -713,9 +632,9 @@ TEST(ClosedLoopTest, ZeroThinkKeepsOneSlotSaturated) {
 }
 
 TEST(ClosedLoopTest, DeterministicAndBatchable) {
-  FakeExecutor exec;
-  exec.SetSplit("a", 4, 1, 5);
-  exec.SetSplit("b", 6, 2, 8);
+  SyntheticExecutor exec;
+  exec.Set("a", {.shared_s = 4, .per_query_s = 1, .estimate_s = 5});
+  exec.Set("b", {.shared_s = 6, .per_query_s = 2, .estimate_s = 8});
   std::vector<std::vector<std::string>> sessions = {
       {"a", "b", "a"}, {"a", "a"}, {"b", "a", "a"}};
   Scheduler s1({.slots = 1, .policy = Policy::kFcfs, .max_batch = 4}, &exec);
@@ -768,8 +687,8 @@ TEST(ClosedLoopTest, RejectsZeroSessions) {
 // ---------------------------------------------------------------------------
 
 TEST(AffinityTest, DispatchesToTheWarmSlot) {
-  FakeExecutor exec;
-  exec.Set("a", 10, 10);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 10, .estimate_s = 10});
   exec.SetWarm("a", /*slot=*/1, 1.0);
   std::vector<QueryRequest> reqs = {Req(0, "a", 0)};
   // Affinity-blind: earliest-free = lowest index = slot 0, a cold run.
@@ -791,8 +710,8 @@ TEST(AffinityTest, DispatchesToTheWarmSlot) {
 }
 
 TEST(AffinityTest, WarmSlotTiesBreakLikeTheBlindRule) {
-  FakeExecutor exec;
-  exec.Set("a", 5, 5);
+  SyntheticExecutor exec;
+  exec.Set("a", {.per_query_s = 5, .estimate_s = 5});
   // No warmth anywhere: affinity on must still pick the blind slot.
   std::vector<QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 6)};
   auto report = Scheduler(
@@ -808,9 +727,9 @@ TEST(AffinityTest, WarmSlotTiesBreakLikeTheBlindRule) {
 }
 
 TEST(AffinityTest, FcfsKeepsArrivalOrderUnderAffinity) {
-  FakeExecutor exec;
-  exec.Set("cold", 10, 10);
-  exec.Set("warm", 10, 10);
+  SyntheticExecutor exec;
+  exec.Set("cold", {.per_query_s = 10, .estimate_s = 10});
+  exec.Set("warm", {.per_query_s = 10, .estimate_s = 10});
   exec.SetWarm("warm", 0, 1.0);
   // Both queue behind the first query on one slot; FCFS with affinity must
   // not jump the warm candidate past the earlier cold arrival.
@@ -826,14 +745,14 @@ TEST(AffinityTest, FcfsKeepsArrivalOrderUnderAffinity) {
 }
 
 TEST(AffinityTest, SjfOrdersByResidencyAwareEstimate) {
-  FakeExecutor exec;
-  exec.Set("blocker", 100, 100);
-  exec.Set("coldshort", 10, 10);
-  exec.Set("warmlong", 12, 12);
-  exec.SetWarm("warmlong", 0, 1.0);
+  SyntheticExecutor exec;
+  exec.Set("blocker", {.per_query_s = 100, .estimate_s = 100});
+  exec.Set("coldshort", {.per_query_s = 10, .estimate_s = 10});
   // The executor's own cold/warm interpolation: a fully warm "warmlong"
   // run is expected to take 6 s, not its cold 12 s estimate.
-  exec.SetWarmEstimate("warmlong", 6);
+  exec.Set("warmlong",
+           {.per_query_s = 12, .estimate_s = 12, .warm_estimate_s = 6});
+  exec.SetWarm("warmlong", 0, 1.0);
   std::vector<QueryRequest> reqs = {Req(0, "blocker", 0),
                                     Req(1, "coldshort", 1),
                                     Req(2, "warmlong", 2)};
@@ -863,12 +782,12 @@ TEST(AffinityTest, WeightZeroNeverConsultsWarmthBitForBit) {
   auto stream = driver.Generate();
   ASSERT_TRUE(stream.ok());
   for (Policy policy : {Policy::kFcfs, Policy::kSjf, Policy::kRoundRobin}) {
-    FakeExecutor with_warmth;
-    FakeExecutor without;
-    for (FakeExecutor* e : {&with_warmth, &without}) {
-      e->SetSplit("x", 2, 1, 3);
-      e->SetSplit("y", 5, 2, 7);
-      e->SetSplit("z", 9, 3, 12);
+    SyntheticExecutor with_warmth;
+    SyntheticExecutor without;
+    for (SyntheticExecutor* e : {&with_warmth, &without}) {
+      e->Set("x", {.shared_s = 2, .per_query_s = 1, .estimate_s = 3});
+      e->Set("y", {.shared_s = 5, .per_query_s = 2, .estimate_s = 7});
+      e->Set("z", {.shared_s = 9, .per_query_s = 3, .estimate_s = 12});
     }
     with_warmth.SetWarm("x", 0, 1.0);
     with_warmth.SetWarm("z", 1, 0.7);
@@ -891,28 +810,14 @@ TEST(AffinityTest, WeightZeroNeverConsultsWarmthBitForBit) {
   }
 }
 
-/// Executor with no residency model: it reports a static warm fraction
-/// (a fixed-cache cost model), which says nothing about placement.
-class StaticCacheExecutor : public QueryExecutor {
- public:
-  Result<BatchCost> Dispatch(const QueryBatch& batch) override {
-    (void)batch;
-    BatchCost cost;
-    cost.service = dana::SimTime::Seconds(5);
-    cost.warm_fraction = 1.0;       // static: every run "warm"
-    cost.residency_modeled = false; // ...but nothing tracked it
-    return cost;
-  }
-  Result<dana::SimTime> Estimate(const std::string&) override {
-    return dana::SimTime::Seconds(5);
-  }
-};
-
 TEST(WarmHitAccountingTest, UnmodeledExecutorsAreExcludedNotCold) {
   // A static-cache executor must not skew warm-hit rates: with no
   // residency-modeled query in the report, the rate is NaN ("-"), not 0%
   // (all-cold) and not 100% (its static fraction).
-  StaticCacheExecutor unmodeled;
+  SyntheticExecutor unmodeled;
+  unmodeled.Set("a", {.per_query_s = 5, .estimate_s = 5});
+  // Static: every run "warm", but nothing tracked it.
+  unmodeled.SetWarm("a", 0, 1.0, /*modeled=*/false);
   std::vector<QueryRequest> reqs = {Req(0, "a", 0), Req(1, "a", 1)};
   auto report = Scheduler({.slots = 1, .policy = Policy::kFcfs}, &unmodeled)
                     .Run(reqs);
@@ -921,8 +826,8 @@ TEST(WarmHitAccountingTest, UnmodeledExecutorsAreExcludedNotCold) {
   EXPECT_TRUE(std::isnan(report->MeanWarmFraction()));
 
   // A residency-modeled executor keeps reporting real rates.
-  FakeExecutor modeled;
-  modeled.Set("a", 5, 5);
+  SyntheticExecutor modeled;
+  modeled.Set("a", {.per_query_s = 5, .estimate_s = 5});
   modeled.SetWarm("a", 0, 1.0);
   auto tracked = Scheduler({.slots = 1, .policy = Policy::kFcfs}, &modeled)
                      .Run(reqs);
@@ -938,20 +843,20 @@ TEST(WarmHitAccountingTest, UnmodeledExecutorsAreExcludedNotCold) {
 TEST(ColdStartTest, FreshSlotPaysColdThenWarmRepeat) {
   DanaQueryExecutor executor;
   // First query on a fresh slot: genuinely cold, no silent re-prepare.
-  auto first = executor.Dispatch(QueryBatch::Single("wlan", 0, /*slot=*/0));
+  auto first = RunWhole(executor, QueryBatch::Single("wlan", 0, /*slot=*/0));
   ASSERT_TRUE(first.ok());
-  EXPECT_DOUBLE_EQ(first->warm_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(first->exec->warm_fraction(), 0.0);
   // A repeat on the same slot finds the table resident and runs strictly
   // faster.
-  auto repeat = executor.Dispatch(QueryBatch::Single("wlan", 1, /*slot=*/0));
+  auto repeat = RunWhole(executor, QueryBatch::Single("wlan", 1, /*slot=*/0));
   ASSERT_TRUE(repeat.ok());
-  EXPECT_DOUBLE_EQ(repeat->warm_fraction, 1.0);
-  EXPECT_LT(repeat->service.nanos(), first->service.nanos());
+  EXPECT_DOUBLE_EQ(repeat->exec->warm_fraction(), 1.0);
+  EXPECT_LT(repeat->slice.service.nanos(), first->slice.service.nanos());
   // Another fresh slot is cold again — pools do not share residency.
-  auto other = executor.Dispatch(QueryBatch::Single("wlan", 2, /*slot=*/1));
+  auto other = RunWhole(executor, QueryBatch::Single("wlan", 2, /*slot=*/1));
   ASSERT_TRUE(other.ok());
-  EXPECT_DOUBLE_EQ(other->warm_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(other->service.nanos(), first->service.nanos());
+  EXPECT_DOUBLE_EQ(other->exec->warm_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(other->slice.service.nanos(), first->slice.service.nanos());
   // WarmFraction mirrors the model without running anything.
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 0), 1.0);
   EXPECT_DOUBLE_EQ(executor.WarmFraction("wlan", 2), 0.0);
@@ -968,17 +873,17 @@ TEST(EndpointMemoTest, SameEndpointRunsTheSimulatorOnce) {
   // Two fresh slots price the same (workload, batch size, cold endpoint):
   // the first measures it through the simulator, the second reuses the
   // memoized profile.
-  auto first = executor.Dispatch(QueryBatch::Single("wlan", 0, /*slot=*/0));
+  auto first = RunWhole(executor, QueryBatch::Single("wlan", 0, /*slot=*/0));
   ASSERT_TRUE(first.ok());
-  auto second = executor.Dispatch(QueryBatch::Single("wlan", 1, /*slot=*/1));
+  auto second = RunWhole(executor, QueryBatch::Single("wlan", 1, /*slot=*/1));
   ASSERT_TRUE(second.ok());
-  EXPECT_DOUBLE_EQ(first->warm_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(second->warm_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(first->exec->warm_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(second->exec->warm_fraction(), 0.0);
   EXPECT_DOUBLE_EQ(metrics.counter("exec.endpoint_measurements")->value(),
                    1.0);
-  EXPECT_EQ(second->service.nanos(), first->service.nanos());
-  EXPECT_EQ(second->shared.nanos(), first->shared.nanos());
-  EXPECT_EQ(second->per_query.nanos(), first->per_query.nanos());
+  EXPECT_EQ(second->slice.service.nanos(), first->slice.service.nanos());
+  EXPECT_EQ(second->slice.shared.nanos(), first->slice.shared.nanos());
+  EXPECT_EQ(second->slice.per_query.nanos(), first->slice.per_query.nanos());
 }
 
 // ---------------------------------------------------------------------------
@@ -1038,10 +943,13 @@ TEST(ResolveTest, HandlesAreStablePerExecutor) {
 }
 
 TEST(SchedulerTest, ShuffledStreamWithArrivalTiesMatchesTheSortedStream) {
-  FakeExecutor exec;
-  exec.SetSplit("a", 2, 1, 3, 0.5);
-  exec.SetSplit("b", 4, 1, 5, 0.5);
-  exec.SetSplit("c", 1, 0.5, 1.5, 0.5);
+  SyntheticExecutor exec;
+  exec.Set("a", {.shared_s = 2, .per_query_s = 1, .estimate_s = 3,
+                 .compile_s = 0.5});
+  exec.Set("b", {.shared_s = 4, .per_query_s = 1, .estimate_s = 5,
+                 .compile_s = 0.5});
+  exec.Set("c", {.shared_s = 1, .per_query_s = 0.5, .estimate_s = 1.5,
+                 .compile_s = 0.5});
   // Arrivals on a coarse grid, so most instants hold several requests and
   // only the id orders them.
   std::vector<QueryRequest> sorted;

@@ -545,18 +545,20 @@ int CmdSched(int argc, char** argv) {
     // pool-sized tables is the warmest repeat they can ever achieve.
     double weighted = 0, total_weight = 0;
     for (size_t rank = 0; rank < catalog.size(); ++rank) {
-      Result<sched::BatchCost> repeat =
-          executor.Dispatch(sched::QueryBatch::Single(catalog[rank]));
-      if (repeat.ok()) {
-        repeat = executor.Dispatch(sched::QueryBatch::Single(catalog[rank]));
-      }
-      if (!repeat.ok()) {
-        std::fprintf(stderr, "%s\n", repeat.status().ToString().c_str());
-        return 1;
+      sched::SliceCost repeat;
+      for (int run = 0; run < 2; ++run) {
+        auto exec = executor.Begin(sched::QueryBatch::Single(catalog[rank]));
+        Result<sched::SliceCost> slice =
+            exec.ok() ? (*exec)->NextSlice(0) : exec.status();
+        if (!slice.ok()) {
+          std::fprintf(stderr, "%s\n", slice.status().ToString().c_str());
+          return 1;
+        }
+        repeat = *slice;
       }
       const double w = sched::PopularityWeight(
           driver_opts.popularity, rank, driver_opts.zipf_exponent);
-      weighted += w * repeat->service.seconds();
+      weighted += w * repeat.service.seconds();
       total_weight += w;
     }
     driver_opts.arrival_rate_qps =
