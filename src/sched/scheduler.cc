@@ -96,6 +96,11 @@ class PendingQueue {
         affinity_estimate_(std::move(affinity_estimate)) {
     use_sjf_set_ = policy_ == Policy::kSjf && aging_weight_ == 0.0 &&
                    affinity_estimate_ == nullptr;
+    // An open stream's size is known: allocate the links once, beside the
+    // run's other per-request arrays, instead of through a chain of
+    // doubling reallocations whose freed blocks fragment the heap.
+    next_.reserve(requests.size());
+    prev_.reserve(requests.size());
   }
 
   bool empty() const { return count_ == 0; }
