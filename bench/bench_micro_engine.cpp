@@ -3,11 +3,16 @@
 // fp32 engine evaluator, the simulator's hottest loop.
 //
 // The gated scoreboard is tuples_per_s.d{54,2000,8000}: logistic regression
-// at merge_coef 64, one seeded 64-tuple batch evaluated repeatedly. A rep
-// evaluates about 2^24 scalar ops; reps repeat until the point has 5 reps
-// or ~0.5 s of wall time, and the best rep wins (max over reps is the
-// standard microbenchmark noise filter; the trained model itself is
-// deterministic). Lowering and scheduling times are recorded as info.
+// at merge_coef 64, one seeded 64-tuple batch evaluated repeatedly; and
+// tuples_per_s.lrmf450: LRMF over 450 items at rank 10 and merge_coef 4,
+// whose tuple program is hundreds of short reduction trees evaluated in
+// 4-tuple batches (the S/E LRMF shape). A rep evaluates about 2^24 scalar
+// ops; reps repeat until the point has 5 reps or ~0.5 s of wall time, and
+// the best rep wins (max over reps is the standard microbenchmark noise
+// filter; the trained model itself is deterministic). Programs of at least
+// ScalarEvaluator::kParallelTupleOps ops evaluate a batch's tuples on one
+// thread per CPU (d2000, d8000, lrmf450), so those points read the host's
+// core count too. Lowering and scheduling times are recorded as info.
 //
 // Emits BENCH_micro_engine.json; the CI bench-telemetry job compares it
 // against bench/baselines/BENCH_micro_engine.json. Each gated metric carries
@@ -38,13 +43,26 @@ using namespace dana;
 constexpr uint32_t kMergeCoef = 64;
 constexpr uint64_t kOpsPerRep = uint64_t{1} << 24;
 
-Result<hdfg::Graph> Translate(uint32_t dims) {
+/// One evaluator sweep point.
+struct EvalPoint {
+  std::string label;
+  ml::AlgoKind kind;
+  uint32_t dims;
+  uint32_t merge_coef;
+};
+
+Result<hdfg::Graph> Translate(ml::AlgoKind kind, uint32_t dims,
+                              uint32_t merge_coef) {
   ml::AlgoParams p;
   p.dims = dims;
-  p.merge_coef = kMergeCoef;
-  DANA_ASSIGN_OR_RETURN(auto algo,
-                        ml::BuildAlgo(ml::AlgoKind::kLogisticRegression, p));
+  p.rank = 10;
+  p.merge_coef = merge_coef;
+  DANA_ASSIGN_OR_RETURN(auto algo, ml::BuildAlgo(kind, p));
   return hdfg::Translator::Translate(*algo);
+}
+
+Result<hdfg::Graph> Translate(uint32_t dims) {
+  return Translate(ml::AlgoKind::kLogisticRegression, dims, kMergeCoef);
 }
 
 /// "d<dims>", the metric-name suffix of one sweep point.
@@ -65,6 +83,7 @@ int main() {
   stats.SetConfig("algo", "logistic");
   stats.SetConfig("merge_coef", static_cast<double>(kMergeCoef));
   stats.SetConfig("eval_dims", "54,2000,8000");
+  stats.SetConfig("eval_lrmf", "450 items, rank 10, merge_coef 4");
   stats.SetConfig("compile_dims", "54,520,2000");
   stats.SetConfig("ops_per_rep", static_cast<double>(kOpsPerRep));
 
@@ -99,31 +118,48 @@ int main() {
     stats.Add("schedule_s." + d, *schedule_s, obs::Direction::kInfo);
   }
 
-  TablePrinter eval_table(
-      {"dims", "ops / tuple", "batches / rep", "best wall (s)", "tuples/s"});
-  for (uint32_t dims : {54u, 2000u, 8000u}) {
-    auto graph = Translate(dims);
+  TablePrinter eval_table({"point", "ops / tuple", "batch", "batches / rep",
+                           "best wall (s)", "tuples/s"});
+  const EvalPoint points[] = {
+      {PointLabel(54), ml::AlgoKind::kLogisticRegression, 54, kMergeCoef},
+      {PointLabel(2000), ml::AlgoKind::kLogisticRegression, 2000, kMergeCoef},
+      {PointLabel(8000), ml::AlgoKind::kLogisticRegression, 8000, kMergeCoef},
+      {"lrmf450", ml::AlgoKind::kLowRankMF, 450, 4},
+  };
+  for (const EvalPoint& point : points) {
+    auto graph = Translate(point.kind, point.dims, point.merge_coef);
     if (!graph.ok()) return fail("translate", graph.status());
     auto prog = compiler::LowerGraph(*graph);
     if (!prog.ok()) return fail("lower", prog.status());
 
     ml::DatasetSpec spec;
-    spec.kind = ml::AlgoKind::kLogisticRegression;
-    spec.dims = dims;
-    spec.tuples = kMergeCoef;
+    spec.kind = point.kind;
+    spec.dims = point.dims;
+    spec.rank = 10;
+    spec.tuples = point.merge_coef;
     const ml::Dataset data = ml::GenerateDataset(spec);
-    std::vector<engine::TupleData> batch(kMergeCoef);
+    std::vector<engine::TupleData> batch(point.merge_coef);
     for (size_t t = 0; t < batch.size(); ++t) {
       const std::vector<double>& row = data.rows[t];
-      batch[t].inputs = {std::vector<float>(row.begin(), row.begin() + dims)};
-      batch[t].outputs = {{static_cast<float>(row[dims])}};
+      batch[t].inputs = {
+          std::vector<float>(row.begin(), row.begin() + point.dims)};
+      if (data.has_label) {
+        batch[t].outputs = {{static_cast<float>(row[point.dims])}};
+      }
     }
 
     const uint64_t ops_per_batch =
-        kMergeCoef * prog->tuple_ops.size() + prog->batch_ops.size();
+        point.merge_coef * prog->tuple_ops.size() + prog->batch_ops.size();
     const uint64_t batches =
         std::max<uint64_t>(1, kOpsPerRep / ops_per_batch);
     engine::ScalarEvaluator evaluator(*prog);
+    if (point.kind == ml::AlgoKind::kLowRankMF) {
+      ml::AlgoParams p;
+      p.dims = point.dims;
+      p.rank = 10;
+      auto st = evaluator.SetModel(0, ml::InitialModel(point.kind, p));
+      if (!st.ok()) return fail("model", st);
+    }
     auto wall = bench::BestRep([&]() -> Status {
       for (uint64_t b = 0; b < batches; ++b) {
         DANA_RETURN_NOT_OK(evaluator.EvalBatch(batch));
@@ -132,16 +168,15 @@ int main() {
     });
     if (!wall.ok()) return fail("evaluate", wall.status());
     const double tuples_per_s =
-        static_cast<double>(batches * kMergeCoef) / *wall;
+        static_cast<double>(batches * point.merge_coef) / *wall;
 
-    const std::string d = PointLabel(dims);
-    eval_table.AddRow({std::to_string(dims),
-                       std::to_string(prog->tuple_ops.size()),
+    eval_table.AddRow({point.label, std::to_string(prog->tuple_ops.size()),
+                       std::to_string(point.merge_coef),
                        std::to_string(batches), TablePrinter::Fmt(*wall, 4),
                        TablePrinter::Fmt(tuples_per_s, 0)});
-    stats.Add("tuples_per_s." + d, tuples_per_s,
+    stats.Add("tuples_per_s." + point.label, tuples_per_s,
               obs::Direction::kHigherIsBetter, 0.75);
-    stats.Add("eval_wall_s." + d, *wall, obs::Direction::kInfo);
+    stats.Add("eval_wall_s." + point.label, *wall, obs::Direction::kInfo);
   }
 
   compile_table.Print();

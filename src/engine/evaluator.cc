@@ -1,14 +1,17 @@
 #include "engine/evaluator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "hdfg/graph.h"
 
 namespace dana::engine {
@@ -80,6 +83,22 @@ constexpr auto kSubFn = [](float x, float y) { return x - y; };
 constexpr auto kMulFn = [](float x, float y) { return x * y; };
 constexpr auto kMovFn = [](float x, float) { return x; };
 
+/// d[i] = op(d[i], a[i*sa]) for i in [0, n).
+void Accumulate(AluOp op, uint32_t n, float* d, const float* a, int64_t sa) {
+  switch (op) {
+    case AluOp::kAdd:
+      AccumulateStrip(kAddFn, n, d, a, sa);
+      break;
+    case AluOp::kMul:
+      AccumulateStrip(kMulFn, n, d, a, sa);
+      break;
+    default:
+      AccumulateStrip([op](float x, float y) { return ApplyAluOp(op, x, y); },
+                      n, d, a, sa);
+      break;
+  }
+}
+
 /// True when `slot` lies within the hull of the `count` reads starting at
 /// `first` with stride `stride`.
 bool WithinReads(uint32_t slot, int64_t first, int64_t stride,
@@ -105,9 +124,9 @@ std::vector<ScalarEvaluator::Strip> ScalarEvaluator::BuildStrips(
       const int64_t n = s.n;
       const int64_t sa = s.n == 1 ? int64_t{op.a} - s.a : s.sa;
       const int64_t sb = s.n == 1 ? int64_t{op.b} - s.b : s.sb;
-      bool joins = op.op == s.op && int64_t{op.dst} == s.dst + n &&
-                   FitsInt32(sa) && FitsInt32(sb) &&
-                   int64_t{op.a} == s.a + n * sa &&
+      bool joins = s.rows == 1 && op.op == s.op &&
+                   int64_t{op.dst} == s.dst + n && FitsInt32(sa) &&
+                   FitsInt32(sb) && int64_t{op.a} == s.a + n * sa &&
                    int64_t{op.b} == s.b + n * sb;
       if (joins && dst_in_arena) {
         const auto written = [&](uint32_t slot) {
@@ -124,10 +143,50 @@ std::vector<ScalarEvaluator::Strip> ScalarEvaluator::BuildStrips(
         continue;
       }
     }
-    strips.push_back({op.op, 1, op.dst, op.a, op.b, 0, 0});
+    strips.push_back({op.op, 1, 1, op.dst, op.a, op.b, 0, 0, 0, 0, 0});
   }
-  return strips;
+
+  // Stack runs of one shape into rows. Rows run in program order, so a row
+  // may read what an earlier row wrote.
+  std::vector<Strip> stacked;
+  for (const Strip& s : strips) {
+    if (!stacked.empty()) {
+      Strip& t = stacked.back();
+      const int64_t rows = t.rows;
+      const int64_t rd = t.rows == 1 ? int64_t{s.dst} - t.dst : t.rd;
+      const int64_t ra = t.rows == 1 ? int64_t{s.a} - t.a : t.ra;
+      const int64_t rb = t.rows == 1 ? int64_t{s.b} - t.b : t.rb;
+      if (s.op == t.op && s.n == t.n && s.sa == t.sa && s.sb == t.sb &&
+          FitsInt32(rd) && FitsInt32(ra) && FitsInt32(rb) &&
+          int64_t{s.dst} == t.dst + rows * rd &&
+          int64_t{s.a} == t.a + rows * ra && int64_t{s.b} == t.b + rows * rb) {
+        t.rd = static_cast<int32_t>(rd);
+        t.ra = static_cast<int32_t>(ra);
+        t.rb = static_cast<int32_t>(rb);
+        ++t.rows;
+        continue;
+      }
+    }
+    stacked.push_back(s);
+  }
+  return stacked;
 }
+
+namespace {
+
+/// Runs every row of strip `s` with `f`.
+template <typename F, typename S>
+void MapRows(F f, const S& s, float* d, const float* a, const float* b) {
+  if (s.rows == 1) {
+    MapStrip(f, s.n, d, a, b, s.sa, s.sb);
+    return;
+  }
+  for (int64_t r = 0; r < s.rows; ++r) {
+    MapStrip(f, s.n, d + r * s.rd, a + r * s.ra, b + r * s.rb, s.sa, s.sb);
+  }
+}
+
+}  // namespace
 
 void ScalarEvaluator::RunStrips(const std::vector<Strip>& strips,
                                 float* dst_base, const float* src) {
@@ -137,22 +196,22 @@ void ScalarEvaluator::RunStrips(const std::vector<Strip>& strips,
     const float* b = src + s.b;
     switch (s.op) {
       case AluOp::kAdd:
-        MapStrip(kAddFn, s.n, d, a, b, s.sa, s.sb);
+        MapRows(kAddFn, s, d, a, b);
         break;
       case AluOp::kSub:
-        MapStrip(kSubFn, s.n, d, a, b, s.sa, s.sb);
+        MapRows(kSubFn, s, d, a, b);
         break;
       case AluOp::kMul:
-        MapStrip(kMulFn, s.n, d, a, b, s.sa, s.sb);
+        MapRows(kMulFn, s, d, a, b);
         break;
       case AluOp::kNop:
       case AluOp::kMov:
-        MapStrip(kMovFn, s.n, d, a, b, s.sa, s.sb);
+        MapRows(kMovFn, s, d, a, b);
         break;
       default: {
         const AluOp op = s.op;
-        MapStrip([op](float x, float y) { return ApplyAluOp(op, x, y); },
-                 s.n, d, a, b, s.sa, s.sb);
+        MapRows([op](float x, float y) { return ApplyAluOp(op, x, y); }, s,
+                d, a, b);
         break;
       }
     }
@@ -162,32 +221,22 @@ void ScalarEvaluator::RunStrips(const std::vector<Strip>& strips,
 void ScalarEvaluator::RunAccumulate(const std::vector<Strip>& strips,
                                     float* arena) {
   for (const Strip& s : strips) {
-    float* d = arena + s.dst;
-    const float* a = arena + s.a;
-    switch (s.op) {
-      case AluOp::kAdd:
-        AccumulateStrip(kAddFn, s.n, d, a, s.sa);
-        break;
-      case AluOp::kMul:
-        AccumulateStrip(kMulFn, s.n, d, a, s.sa);
-        break;
-      default: {
-        const AluOp op = s.op;
-        AccumulateStrip([op](float x, float y) { return ApplyAluOp(op, x, y); },
-                        s.n, d, a, s.sa);
-        break;
-      }
+    for (int64_t r = 0; r < s.rows; ++r) {
+      Accumulate(s.op, s.n, arena + s.dst + r * s.rd, arena + s.a + r * s.ra,
+                 s.sa);
     }
   }
 }
 
 ScalarEvaluator::ScalarEvaluator(const compiler::ScalarProgram& prog)
     : has_convergence_(prog.has_convergence),
+      max_batch_(std::max<uint32_t>(prog.merge_coef, 1)),
+      merge_count_(static_cast<uint32_t>(prog.merge_slots.size())),
       tuple_op_count_(prog.tuple_ops.size()),
       batch_op_count_(prog.batch_ops.size()),
       epoch_op_count_(prog.epoch_ops.size()) {
-  // Arena layout: model | inputs | outputs | merge | tuple | batch | epoch,
-  // then the interned constants.
+  // Arena layout: model | inputs | outputs | tuple | constants | merge |
+  // batch | epoch. A worker's arena is everything before the merge slots.
   uint64_t next = 0;
   auto reserve = [&](uint64_t n) {
     const uint64_t offset = next;
@@ -204,37 +253,100 @@ ScalarEvaluator::ScalarEvaluator(const compiler::ScalarProgram& prog)
   lay_out(prog.model_vars, &model_slots_);
   lay_out(prog.input_vars, &input_slots_);
   lay_out(prog.output_vars, &output_slots_);
-  const uint32_t merge_base = reserve(prog.merge_slots.size());
-  const uint32_t region_base[] = {reserve(prog.tuple_ops.size()),
-                                  reserve(prog.batch_ops.size()),
+  const uint32_t tuple_base = reserve(prog.tuple_ops.size());
+
+  // Constants and meta values are stored as fp32 once, deduplicated by
+  // their bit pattern, in order of first use.
+  std::vector<float> constants;
+  std::map<uint32_t, uint32_t> interned;
+  auto intern = [&](float v) {
+    auto [it, inserted] = interned.try_emplace(
+        std::bit_cast<uint32_t>(v), static_cast<uint32_t>(constants.size()));
+    if (inserted) constants.push_back(v);
+    return it->second;
+  };
+  using K = compiler::ValueRef::Kind;
+  auto constant = [&](const compiler::ValueRef& ref) -> std::optional<float> {
+    switch (ref.kind) {
+      case K::kNone:
+        return 0.0f;
+      case K::kMeta:
+        return static_cast<float>(prog.meta_vars[ref.var_id]->meta_value);
+      case K::kConst:
+        return static_cast<float>(ref.constant);
+      default:
+        return std::nullopt;
+    }
+  };
+  intern(0.0f);
+  auto note = [&](const compiler::ValueRef& ref) {
+    if (auto v = constant(ref)) intern(*v);
+  };
+  for (const auto* ops : {&prog.tuple_ops, &prog.batch_ops, &prog.epoch_ops}) {
+    for (const compiler::ScalarOp& op : *ops) {
+      note(op.a);
+      note(op.b);
+    }
+  }
+  for (const compiler::MergeSlot& m : prog.merge_slots) note(m.src);
+  for (const compiler::ModelWrite& w : prog.model_writes) {
+    for (const compiler::ValueRef& e : w.elems) note(e);
+  }
+  if (has_convergence_) note(prog.convergence);
+  const uint32_t const_base = reserve(constants.size());
+  worker_span_ = static_cast<uint32_t>(next);
+  merge_base_ = reserve(prog.merge_slots.size());
+  const uint32_t merge_base = merge_base_;
+  const uint32_t region_base[] = {tuple_base, reserve(prog.batch_ops.size()),
                                   reserve(prog.epoch_ops.size())};
   DANA_CHECK(next < std::numeric_limits<uint32_t>::max())
       << "scalar program too large for the register arena";
   arena_.assign(next, 0.0f);
+  std::copy(constants.begin(), constants.end(), arena_.begin() + const_base);
+  const uint32_t zero_slot =
+      const_base + interned.at(std::bit_cast<uint32_t>(0.0f));
 
   model_.resize(model_slots_.size());
   for (size_t m = 0; m < model_slots_.size(); ++m) {
     model_[m].assign(model_slots_[m].size, 0.0f);
   }
 
-  // Constants and meta values are stored as fp32 once, deduplicated by
-  // their bit pattern.
-  std::map<uint32_t, uint32_t> interned;
-  auto intern = [&](float v) {
-    auto [it, inserted] = interned.try_emplace(
-        std::bit_cast<uint32_t>(v), static_cast<uint32_t>(arena_.size()));
-    if (inserted) arena_.push_back(v);
-    return it->second;
-  };
-  const uint32_t zero_slot = intern(0.0f);
+  using compiler::ValueRegion;
+  const std::vector<compiler::ScalarOp>* region_ops[] = {
+      &prog.tuple_ops, &prog.batch_ops, &prog.epoch_ops};
+  // order[r] lists region r's ops in evaluation order; position[r][i] is
+  // op i's place in it, and so its slot's offset from the region's base.
+  std::vector<uint32_t> order[3];
+  std::vector<uint32_t> position[3];
+  for (int r = 0; r < 3; ++r) {
+    const std::vector<compiler::ScalarOp>& ops = *region_ops[r];
+    std::vector<uint32_t> level(ops.size(), 0);
+    for (size_t i = 0; i < ops.size(); ++i) {
+      for (const compiler::ValueRef* v : {&ops[i].a, &ops[i].b}) {
+        if (v->kind == K::kSub && static_cast<int>(v->region) == r) {
+          level[i] = std::max(level[i], level[v->index] + 1);
+        }
+      }
+    }
+    order[r].resize(ops.size());
+    for (uint32_t i = 0; i < ops.size(); ++i) order[r][i] = i;
+    std::stable_sort(order[r].begin(), order[r].end(),
+                     [&](uint32_t x, uint32_t y) {
+                       return std::pair(level[x], ops[x].op) <
+                              std::pair(level[y], ops[y].op);
+                     });
+    position[r].resize(ops.size());
+    for (uint32_t k = 0; k < ops.size(); ++k) position[r][order[r][k]] = k;
+  }
 
-  using K = compiler::ValueRef::Kind;
   auto slot = [&](const compiler::ValueRef& ref) -> uint32_t {
     switch (ref.kind) {
       case K::kNone:
         return zero_slot;
-      case K::kSub:
-        return region_base[static_cast<int>(ref.region)] + ref.index;
+      case K::kSub: {
+        const int r = static_cast<int>(ref.region);
+        return region_base[r] + position[r][ref.index];
+      }
       case K::kModel:
         return model_slots_[ref.var_id].offset + ref.index;
       case K::kInput:
@@ -242,41 +354,61 @@ ScalarEvaluator::ScalarEvaluator(const compiler::ScalarProgram& prog)
       case K::kOutput:
         return output_slots_[ref.var_id].offset + ref.index;
       case K::kMeta:
-        return intern(
-            static_cast<float>(prog.meta_vars[ref.var_id]->meta_value));
       case K::kConst:
-        return intern(static_cast<float>(ref.constant));
+        return const_base +
+               interned.at(std::bit_cast<uint32_t>(*constant(ref)));
       case K::kMergeOut:
         return merge_base + ref.index;
     }
     return zero_slot;
   };
 
-  auto compile_region = [&](const std::vector<compiler::ScalarOp>& ops,
-                            compiler::ValueRegion region) {
-    const uint32_t base = region_base[static_cast<int>(region)];
+  auto compile_region = [&](ValueRegion region) {
+    const int r = static_cast<int>(region);
+    const std::vector<compiler::ScalarOp>& ops = *region_ops[r];
     std::vector<FlatOp> flat;
     flat.reserve(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      flat.push_back({ops[i].op, base + static_cast<uint32_t>(i),
-                      slot(ops[i].a), slot(ops[i].b)});
+    for (uint32_t k = 0; k < ops.size(); ++k) {
+      const compiler::ScalarOp& op = ops[order[r][k]];
+      flat.push_back({op.op, region_base[r] + k, slot(op.a), slot(op.b)});
     }
     return BuildStrips(flat, /*dst_in_arena=*/true);
   };
-  tuple_strips_ = compile_region(prog.tuple_ops, compiler::ValueRegion::kTuple);
-  batch_strips_ = compile_region(prog.batch_ops, compiler::ValueRegion::kBatch);
-  epoch_strips_ = compile_region(prog.epoch_ops, compiler::ValueRegion::kEpoch);
+  tuple_strips_ = compile_region(ValueRegion::kTuple);
+  batch_strips_ = compile_region(ValueRegion::kBatch);
+  epoch_strips_ = compile_region(ValueRegion::kEpoch);
+
+  // A worker's arena holds the model, the tuple and the constants: the
+  // per-tuple ops and the merge sources must read nothing else.
+  auto in_span = [&](const compiler::ValueRef& ref) {
+    return slot(ref) < worker_span_;
+  };
+  parallel_ = prog.tuple_ops.size() >= kParallelTupleOps;
+  for (const compiler::ScalarOp& op : prog.tuple_ops) {
+    parallel_ = parallel_ && in_span(op.a) && in_span(op.b);
+  }
+  for (const compiler::MergeSlot& m : prog.merge_slots) {
+    parallel_ = parallel_ && in_span(m.src);
+  }
 
   std::vector<FlatOp> init;
   std::vector<FlatOp> combine;
-  for (size_t m = 0; m < prog.merge_slots.size(); ++m) {
-    const uint32_t dst = merge_base + static_cast<uint32_t>(m);
+  std::vector<FlatOp> stage;
+  for (uint32_t m = 0; m < merge_count_; ++m) {
+    const uint32_t dst = merge_base + m;
     const uint32_t src = slot(prog.merge_slots[m].src);
+    const AluOp op = prog.merge_slots[m].combine;
     init.push_back({AluOp::kMov, dst, src, zero_slot});
-    combine.push_back({prog.merge_slots[m].combine, dst, src, zero_slot});
+    combine.push_back({op, dst, src, zero_slot});
+    stage.push_back({AluOp::kMov, m, src, zero_slot});
+    if (combine_runs_.empty() || combine_runs_.back().op != op) {
+      combine_runs_.push_back({op, m, 0});
+    }
+    ++combine_runs_.back().count;
   }
   merge_init_strips_ = BuildStrips(init, /*dst_in_arena=*/true);
   merge_strips_ = BuildStrips(combine, /*dst_in_arena=*/true);
+  stage_strips_ = BuildStrips(stage, /*dst_in_arena=*/false);
 
   for (const compiler::ModelWrite& write : prog.model_writes) {
     DANA_CHECK(write.elems.size() == model_[write.model_var].size())
@@ -293,6 +425,35 @@ ScalarEvaluator::ScalarEvaluator(const compiler::ScalarProgram& prog)
   }
   if (has_convergence_) convergence_slot_ = slot(prog.convergence);
 }
+
+/// The worker pool of parallel batches and what its workers share.
+struct ScalarEvaluator::Team {
+  /// Each worker's arena starts as a copy of `arena`.
+  Team(uint32_t workers, std::span<const float> arena, uint32_t merge_count)
+      : pool(workers),
+        arenas(pool.size() - 1,
+               std::vector<float>(arena.begin(), arena.end())),
+        ring_rows(2 * pool.size()),
+        staged(size_t{ring_rows} * merge_count),
+        row_tuple(new std::atomic<uint32_t>[ring_rows]),
+        folded(new Folded[pool.size()]) {}
+
+  WorkerPool pool;
+  /// Worker w >= 1 evaluates in arenas[w - 1].
+  std::vector<std::vector<float>> arenas;
+  /// Staged merge sources: tuple t's in row t % ring_rows, which
+  /// row_tuple[t % ring_rows] marks t + 1 once they are there.
+  uint32_t ring_rows;
+  std::vector<float> staged;
+  std::unique_ptr<std::atomic<uint32_t>[]> row_tuple;
+  /// Rows worker w has folded into its merge slots, a cache line apiece.
+  struct alignas(64) Folded {
+    std::atomic<uint32_t> rows{0};
+  };
+  std::unique_ptr<Folded[]> folded;
+};
+
+ScalarEvaluator::~ScalarEvaluator() = default;
 
 Status ScalarEvaluator::SetModel(uint32_t model_var,
                                  std::span<const float> values) {
@@ -336,23 +497,17 @@ Status ScalarEvaluator::EvalBatch(std::span<const TupleData> batch) {
     }
   }
 
-  float* arena = arena_.data();
-  for (size_t t = 0; t < batch.size(); ++t) {
-    for (size_t i = 0; i < input_slots_.size(); ++i) {
-      std::memcpy(arena + input_slots_[i].offset, batch[t].inputs[i].data(),
-                  sizeof(float) * input_slots_[i].size);
-    }
-    for (size_t i = 0; i < output_slots_.size(); ++i) {
-      std::memcpy(arena + output_slots_[i].offset, batch[t].outputs[i].data(),
-                  sizeof(float) * output_slots_[i].size);
-    }
-    RunStrips(tuple_strips_, arena, arena);
-    if (t == 0) {
-      RunStrips(merge_init_strips_, arena, arena);
-    } else {
-      RunAccumulate(merge_strips_, arena);
-    }
+  if (parallel_ && batch.size() > 1 && !team_) {
+    team_ = std::make_unique<Team>(
+        std::min(AffinityCpus(), max_batch_),
+        std::span<const float>(arena_.data(), worker_span_), merge_count_);
   }
+  if (team_ && team_->pool.size() > 1 && batch.size() > 1) {
+    RunTuplesParallel(batch);
+  } else {
+    RunTuples(batch);
+  }
+  float* arena = arena_.data();
   // The arena now holds the last tuple's inputs, outputs and per-tuple
   // results: what per-batch ops see of unmerged tuple values.
   RunStrips(batch_strips_, arena, arena);
@@ -367,6 +522,112 @@ Status ScalarEvaluator::EvalBatch(std::span<const TupleData> batch) {
                 sizeof(float) * model_slots_[w.var].size);
   }
   return Status::OK();
+}
+
+void ScalarEvaluator::LoadTuple(const TupleData& t, float* arena) const {
+  for (size_t i = 0; i < input_slots_.size(); ++i) {
+    std::memcpy(arena + input_slots_[i].offset, t.inputs[i].data(),
+                sizeof(float) * input_slots_[i].size);
+  }
+  for (size_t i = 0; i < output_slots_.size(); ++i) {
+    std::memcpy(arena + output_slots_[i].offset, t.outputs[i].data(),
+                sizeof(float) * output_slots_[i].size);
+  }
+}
+
+void ScalarEvaluator::RunTuples(std::span<const TupleData> batch) {
+  float* arena = arena_.data();
+  for (size_t t = 0; t < batch.size(); ++t) {
+    LoadTuple(batch[t], arena);
+    RunStrips(tuple_strips_, arena, arena);
+    if (t == 0) {
+      RunStrips(merge_init_strips_, arena, arena);
+    } else {
+      RunAccumulate(merge_strips_, arena);
+    }
+  }
+}
+
+void ScalarEvaluator::RunTuplesParallel(std::span<const TupleData> batch) {
+  Team& team = *team_;
+  const auto workers = static_cast<uint32_t>(
+      std::min<size_t>(team.pool.size(), batch.size()));
+  for (uint32_t r = 0; r < team.ring_rows; ++r) {
+    team.row_tuple[r].store(0, std::memory_order_relaxed);
+  }
+  for (uint32_t w = 0; w < workers; ++w) {
+    team.folded[w].rows.store(0, std::memory_order_relaxed);
+  }
+  team.pool.Run(workers,
+                [&](uint32_t w) { RunWorker(batch, w, workers); });
+}
+
+void ScalarEvaluator::RunWorker(std::span<const TupleData> batch, uint32_t w,
+                                uint32_t workers) {
+  Team& team = *team_;
+  const auto tuples = static_cast<uint32_t>(batch.size());
+  const uint32_t ring = team.ring_rows;
+  const auto lo = static_cast<uint32_t>(uint64_t{merge_count_} * w / workers);
+  const auto hi =
+      static_cast<uint32_t>(uint64_t{merge_count_} * (w + 1) / workers);
+  float* acc = arena_.data() + merge_base_;
+  float* arena = arena_.data();
+  if (w > 0) {
+    arena = team.arenas[w - 1].data();
+    for (const VarSlots& m : model_slots_) {
+      std::memcpy(arena + m.offset, arena_.data() + m.offset,
+                  sizeof(float) * m.size);
+    }
+  }
+
+  // Folds every staged row that is ready, in tuple order, into this
+  // worker's merge slots [lo, hi); returns the rows folded so far.
+  std::atomic<uint32_t>& folded = team.folded[w].rows;
+  auto fold = [&] {
+    uint32_t t = folded.load(std::memory_order_relaxed);
+    for (; t < tuples && team.row_tuple[t % ring].load(
+                             std::memory_order_acquire) == t + 1;
+         ++t) {
+      const float* src = team.staged.data() + size_t{t % ring} * merge_count_;
+      if (t == 0) {
+        std::memcpy(acc + lo, src + lo, sizeof(float) * (hi - lo));
+      } else {
+        for (const CombineRun& run : combine_runs_) {
+          const uint32_t first = std::max(lo, run.first);
+          const uint32_t last = std::min(hi, run.first + run.count);
+          if (first < last) {
+            Accumulate(run.op, last - first, acc + first, src + first, 1);
+          }
+        }
+      }
+      folded.store(t + 1, std::memory_order_release);
+    }
+    return t;
+  };
+  // Evaluates tuple t and stages its merge sources in ring row t % ring,
+  // once every worker has folded the tuple that row held before.
+  auto run_tuple = [&](uint32_t t) {
+    for (Backoff backoff;; backoff.Pause()) {
+      uint32_t least = tuples;
+      for (uint32_t v = 0; v < workers; ++v) {
+        least = std::min(
+            least, team.folded[v].rows.load(std::memory_order_acquire));
+      }
+      if (t < least + ring) break;
+      fold();
+    }
+    LoadTuple(batch[t], arena);
+    RunStrips(tuple_strips_, arena, arena);
+    RunStrips(stage_strips_,
+              team.staged.data() + size_t{t % ring} * merge_count_, arena);
+    team.row_tuple[t % ring].store(t + 1, std::memory_order_release);
+  };
+  // Tuple t goes to worker (tuples - 1 - t) % workers, so the caller's
+  // arena ends up holding the last tuple.
+  for (uint32_t t = (tuples - 1 - w) % workers; t < tuples; t += workers) {
+    run_tuple(t);
+  }
+  for (Backoff backoff; fold() < tuples;) backoff.Pause();
 }
 
 Result<bool> ScalarEvaluator::EvalConvergence() {

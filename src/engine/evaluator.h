@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,16 +24,46 @@ struct TupleData {
 /// float64 reference, and the accelerator uses it to actually train models.
 ///
 /// The constructor compiles the program once. Every ValueRef becomes a slot
-/// in one contiguous fp32 register arena (model, inputs, outputs, merge
-/// slots, the per-tuple/batch/epoch op results, and interned constants),
-/// and each region's ops are grouped into strips: maximal runs of one ALU
-/// op with consecutive destinations and constant operand strides, none
-/// reading a slot the strip itself writes. A strip runs as one loop. Every
-/// op is still its own fp32 operation in program order (no reassociation,
-/// no fusion), so results are bit-identical to evaluating op by op.
+/// in one contiguous fp32 register arena (model, inputs, outputs, the
+/// per-tuple op results, interned constants, merge slots, then the
+/// per-batch and per-epoch op results). Each region's ops are first put in
+/// dependency-level order (an op's level is one more than its deepest
+/// operand's in the same region), stably by opcode within a level, and the
+/// region's arena slots are numbered in that order. Alike ops of one level
+/// then sit side by side, so the 450 ten-leaf reduction trees of an LRMF
+/// row run as one strip per tree level instead of one per tree. The ops are
+/// then grouped into strips: runs of one ALU op with consecutive
+/// destinations and constant operand strides, none reading a slot the strip
+/// itself writes, stacked into rows when consecutive runs have the same
+/// shape and constant row strides. A strip runs as one loop per row, rows
+/// in order. Every op is still its own fp32 operation after its operands
+/// (no reassociation, no fusion), so results are bit-identical to
+/// evaluating op by op in program order.
+///
+/// A batch of a large tuple program (kParallelTupleOps or more ops) runs its
+/// tuples on a worker pool the evaluator starts at its first such batch: W
+/// workers, one per CPU of the affinity mask and at most one per tuple of a
+/// batch (merge_coef), fewer if the system refuses a thread. Worker w takes
+/// the tuples t with (B - 1 - t) mod W = w, in its own copy of the arena up
+/// to the merge slots, into which the model is copied at the start of every
+/// batch; the calling thread is worker 0 and so takes the last tuple, in
+/// the main arena, where per-batch ops still see it. Each tuple's merge
+/// sources are staged in a ring of 2W rows, and every worker folds the rows
+/// in tuple order (src_0, then combine(acc, src_t) for t = 1, 2, ...) into
+/// its own range of merge slots; a row is reused once every worker has
+/// folded it. The float combine order is the sequential one, so the model
+/// bits do not depend on the thread count.
 class ScalarEvaluator {
  public:
   explicit ScalarEvaluator(const compiler::ScalarProgram& prog);
+  ~ScalarEvaluator();
+
+  /// Tuple programs at least this long run a batch's tuples in parallel.
+  /// Measured evaluator-only on a 4-core x86 VM (min of 5 runs, 4 CPUs
+  /// against 1): threading raised the ns/op of `blog` (840 ops), `patient`
+  /// (1152) and `wlan` (1561) by 1.3x, whose tuples end before the workers
+  /// are all busy, and halved that of `sn_logistic` (6001).
+  static constexpr size_t kParallelTupleOps = 4096;
 
   /// Overrides a model variable's current value (initialization).
   dana::Status SetModel(uint32_t model_var, std::span<const float> values);
@@ -56,17 +87,22 @@ class ScalarEvaluator {
   uint64_t ops_executed() const { return ops_executed_; }
 
  private:
-  /// dst[i] = op(src[a + i*sa], src[b + i*sb]) for i in [0, n), where dst
-  /// and src are the arena unless stated otherwise. Unary ops read the
+  /// Row r, lane i: dst[r*rd + i] = op(src[a + r*ra + i*sa],
+  /// src[b + r*rb + i*sb]) for r in [0, rows), i in [0, n), rows in order.
+  /// dst and src are the arena unless stated otherwise. Unary ops read the
   /// arena's zero slot as b.
   struct Strip {
     AluOp op = AluOp::kNop;
     uint32_t n = 0;
+    uint32_t rows = 1;
     uint32_t dst = 0;
     uint32_t a = 0;
     uint32_t b = 0;
     int32_t sa = 0;
     int32_t sb = 0;
+    int32_t rd = 0;
+    int32_t ra = 0;
+    int32_t rb = 0;
   };
   /// A variable's element range in the arena.
   struct VarSlots {
@@ -79,6 +115,12 @@ class ScalarEvaluator {
     uint32_t var = 0;
     std::vector<Strip> strips;
   };
+  /// Merge slots [first, first + count) combine with `op`.
+  struct CombineRun {
+    AluOp op = AluOp::kAdd;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
 
   /// One scalar op with its operands resolved to slots.
   struct FlatOp {
@@ -89,14 +131,24 @@ class ScalarEvaluator {
   };
 
   /// Groups consecutive ops into strips. With `dst_in_arena`, an op joins
-  /// a strip only if it reads no slot the strip writes and no earlier op
-  /// of the strip reads its destination.
+  /// a row only if it reads no slot the row writes and no earlier op of
+  /// the row reads its destination.
   static std::vector<Strip> BuildStrips(const std::vector<FlatOp>& ops,
                                         bool dst_in_arena);
   static void RunStrips(const std::vector<Strip>& strips, float* dst_base,
                         const float* src);
   /// Merge combination: dst[i] = op(dst[i], src[a + i*sa]).
   static void RunAccumulate(const std::vector<Strip>& strips, float* arena);
+
+  /// Copies tuple `t`'s inputs and outputs into `arena`.
+  void LoadTuple(const TupleData& t, float* arena) const;
+  /// The per-tuple ops and merge of `batch`, one tuple after another.
+  void RunTuples(std::span<const TupleData> batch);
+  /// The same on the worker pool, with staged merge sources.
+  void RunTuplesParallel(std::span<const TupleData> batch);
+  /// Worker w's part of RunTuplesParallel.
+  void RunWorker(std::span<const TupleData> batch, uint32_t w,
+                 uint32_t workers);
 
   std::vector<float> arena_;
   std::vector<VarSlots> model_slots_;
@@ -113,6 +165,22 @@ class ScalarEvaluator {
   std::vector<Strip> merge_init_strips_;
   std::vector<Strip> merge_strips_;
   std::vector<WriteBack> writes_;
+
+  /// Parallel batches (kParallelTupleOps). A worker's arena is the arena's
+  /// first `worker_span_` slots: model, inputs, outputs, the per-tuple
+  /// results and the constants. Stage strips copy a tuple's merge sources
+  /// to a staged row (dst indexes the row).
+  bool parallel_ = false;
+  uint32_t max_batch_ = 1;
+  uint32_t worker_span_ = 0;
+  uint32_t merge_base_ = 0;
+  uint32_t merge_count_ = 0;
+  std::vector<Strip> stage_strips_;
+  std::vector<CombineRun> combine_runs_;
+  /// The worker pool and what it shares; started at the first parallel
+  /// batch.
+  struct Team;
+  std::unique_ptr<Team> team_;
 
   /// Staged model values: write-back fills these from the arena, then
   /// copies them into the arena's model slots. Model() reads them.

@@ -1,15 +1,12 @@
 #include "ml/datasets.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <span>
-#include <system_error>
-#include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "storage/schema.h"
 
 namespace dana::ml {
@@ -34,14 +31,6 @@ uint64_t DrawsPerRow(const DatasetSpec& spec) {
       return 2 * (spec.rank + d);
   }
   return 0;
-}
-
-/// The CPUs in this thread's affinity mask; 1 if it cannot be read.
-uint64_t AffinityCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
-  return static_cast<uint64_t>(std::max(1, CPU_COUNT(&set)));
 }
 
 /// Appends `tuples` rows of `row_values` doubles to `rows` and fills them
@@ -69,9 +58,9 @@ void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
       scratch_size == 0 ? 0 : (workers - 1) * stride + scratch_size);
   for (uint64_t t = 0; t < tuples; ++t) rows.emplace_back(row_values);
   // Each thread takes the next unclaimed block, so a thread slowed by a
-  // busy CPU takes fewer. It reads only its own copies of `fill` and
-  // `start`: a reference into the caller's frame could share a cache line
-  // with this thread's Rng, which is written on every draw.
+  // busy CPU takes fewer. It copies `run` first and then reads only its
+  // own copies of `fill` and `start`: the shared one could share a cache
+  // line with another thread's Rng, which is written on every draw.
   std::atomic<uint64_t> next_block{0};
   auto run = [&next_block, fill, start, rows = rows.data(), tuples,
               block_rows, blocks, draws_per_row, scratch = scratch.data(),
@@ -86,17 +75,11 @@ void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
            mine);
     }
   };
-  // Declared after everything the threads use, so it joins them first.
-  std::vector<std::jthread> threads;
-  threads.reserve(workers - 1);
-  for (uint64_t w = 1; w < workers; ++w) {
-    try {
-      threads.emplace_back(run, w);
-    } catch (const std::system_error&) {
-      break;  // no thread to be had: the running ones take its blocks
-    }
-  }
-  run(0);
+  WorkerPool pool(static_cast<uint32_t>(workers));
+  pool.Run(pool.size(), [&run](uint32_t w) {
+    auto own = run;
+    own(w);
+  });
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <sched.h>
 
 #include <cstring>
 #include <ostream>
@@ -7,6 +6,7 @@
 #include "ml/algorithms.h"
 #include "ml/datasets.h"
 #include "ml/workloads.h"
+#include "support/affinity.h"
 
 namespace dana::ml {
 namespace {
@@ -121,29 +121,10 @@ TEST_P(EdgeDatasetGolden, RowsAreBitExact) {
   EXPECT_EQ(h, GetParam().digest) << "got 0x" << std::hex << h;
 }
 
-/// GenerateDataset(spec) with this thread's affinity narrowed to one CPU
-/// of its mask, so that one thread fills every block.
-Dataset GenerateOnOneCpu(const DatasetSpec& spec) {
-  cpu_set_t all;
-  CPU_ZERO(&all);
-  EXPECT_EQ(sched_getaffinity(0, sizeof(all), &all), 0);
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &all)) {
-      CPU_SET(cpu, &one);
-      break;
-    }
-  }
-  EXPECT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
-  Dataset data = GenerateDataset(spec);
-  EXPECT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
-  return data;
-}
-
 TEST_P(EdgeDatasetGolden, OneThreadWritesTheSameRows) {
   const DatasetSpec spec = EdgeSpec(GetParam());
-  const uint64_t h = CheckedDigest(spec, GenerateOnOneCpu(spec));
+  const uint64_t h =
+      CheckedDigest(spec, OnOneCpu([&] { return GenerateDataset(spec); }));
   EXPECT_EQ(h, GetParam().digest) << "got 0x" << std::hex << h;
 }
 

@@ -13,6 +13,7 @@
 #include "runtime/query.h"
 #include "runtime/systems.h"
 #include "storage/page.h"
+#include "support/affinity.h"
 
 namespace dana::runtime {
 namespace {
@@ -316,7 +317,8 @@ void ExpectShapeTimesEqualFunctional(const DanaSystem& dana,
 /// functional grid is about 18 s of single-core work, so up to four
 /// threads each take whole workloads, costliest first (generated values
 /// times functional runs); each thread owns its instances and shares only
-/// the const system.
+/// the const system. Each thread is pinned to its own CPU, so the training
+/// it runs does not start a thread per CPU within it.
 TEST(ShapeInstanceTest, TimingOnlyEndpointsEqualFunctionalRunsBitForBit) {
   CpuCostModel cm;
   DanaSystem::Options options;
@@ -333,7 +335,9 @@ TEST(ShapeInstanceTest, TimingOnlyEndpointsEqualFunctionalRunsBitForBit) {
                      return cost(a) > cost(b);
                    });
   std::atomic<size_t> next{0};
-  const auto drain = [&] {
+  const cpu_set_t mask = AffinityMask();
+  const auto drain = [&](int k) {
+    PinToCpu(mask, k);
     for (size_t i = next++; i < order.size(); i = next++) {
       ExpectShapeTimesEqualFunctional(dana, *order[i]);
     }
@@ -341,7 +345,9 @@ TEST(ShapeInstanceTest, TimingOnlyEndpointsEqualFunctionalRunsBitForBit) {
   const unsigned threads =
       std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
   std::vector<std::thread> workers;
-  for (unsigned t = 0; t < threads; ++t) workers.emplace_back(drain);
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back(drain, static_cast<int>(t));
+  }
   for (std::thread& worker : workers) worker.join();
 }
 
