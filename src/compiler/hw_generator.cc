@@ -137,6 +137,8 @@ Result<DesignPoint> HardwareGenerator::Generate(
   DANA_ASSIGN_OR_RETURN(Schedule epoch_schedule,
                         batch_scheduler.Run(prog.epoch_ops));
 
+  // Every candidate schedules the same tuple ops: analyze them once.
+  const OpGraph tuple_graph(prog.tuple_ops);
   std::vector<DesignPoint> candidates;
   for (uint32_t t = first_threads; t <= max_threads; t *= 2) {
     DesignPoint d;
@@ -158,8 +160,7 @@ Result<DesignPoint> HardwareGenerator::Generate(
 
     Scheduler tuple_scheduler(SchedulerConfig{
         .num_acs = d.acs_per_thread, .selective_simd = !options_.mimd_only});
-    DANA_ASSIGN_OR_RETURN(d.tuple_schedule,
-                          tuple_scheduler.Run(prog.tuple_ops));
+    DANA_ASSIGN_OR_RETURN(d.tuple_schedule, tuple_scheduler.Run(tuple_graph));
     d.batch_schedule = batch_schedule;
     d.epoch_schedule = epoch_schedule;
     const uint64_t pb_bram = std::min<uint64_t>(

@@ -116,6 +116,8 @@ class HardwareGenerator {
       : fpga_(fpga), options_(options) {}
 
   /// Generates the best design point for `prog` over `layout`/`shape`.
+  /// The candidate thread counts share one OpGraph of the tuple ops, built
+  /// here and dropped on return: nothing carries over to the next call.
   dana::Result<DesignPoint> Generate(const ScalarProgram& prog,
                                      const storage::PageLayout& layout,
                                      const WorkloadShape& shape) const;

@@ -224,6 +224,22 @@ TEST(SchedulerTest, MakespanAtLeastCriticalPath) {
   EXPECT_GE(s.makespan, 32u);  // latency 1 each, serial
 }
 
+TEST(SchedulerTest, RejectsForwardReferenceAfterConfigCheck) {
+  // Op 0 reads op 1: not topologically ordered.
+  const std::vector<ScalarOp> ops = {
+      {engine::AluOp::kAdd, ValueRef::Sub(ValueRegion::kTuple, 1),
+       ValueRef::Const(1.0)},
+      {engine::AluOp::kAdd, ValueRef::Const(1.0), ValueRef::Const(2.0)}};
+  EXPECT_FALSE(OpGraph(ops).ordered());
+  auto s = Scheduler(Cfg(2)).Run(ops);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.status().IsInternal());
+  // An invalid configuration is reported first, as for any program.
+  auto bad = Scheduler(Cfg(0)).Run(ops);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument());
+}
+
 TEST(SchedulerTest, UtilizationBounded) {
   ScalarProgram prog =
       Lower(ml::AlgoKind::kLinearRegression, SmallParams(128));
