@@ -6,22 +6,22 @@
 // runtime::DanaSystem::Compile, that is UdfCompiler::Compile (translate,
 // lower, generate with its thread-count exploration and list scheduling,
 // emit) over the workload's shape instance with the default options; a
-// rep compiles all fourteen, reps repeat as below and the best wins. Every
-// bench_e2e setup compiles its workloads this way, so this is the point
-// that sees a slower scheduler.
+// rep compiles all fourteen, reps repeat as below and the best wins.
+// bench_e2e's setups compile their workloads through the same call, so
+// this is the point that sees a slower scheduler.
 //
-// The other gated points are tuples_per_s.d{54,2000,8000}: logistic regression
-// at merge_coef 64, one seeded 64-tuple batch evaluated repeatedly; and
-// tuples_per_s.lrmf450: LRMF over 450 items at rank 10 and merge_coef 4,
-// whose tuple program is hundreds of short reduction trees evaluated in
-// 4-tuple batches (the S/E LRMF shape). A rep evaluates about 2^24 scalar
-// ops; reps repeat until the point has 5 reps or ~0.5 s of wall time, and
-// the best rep wins (max over reps is the standard microbenchmark noise
-// filter; the trained model itself is deterministic). Programs of at least
-// ScalarEvaluator::kParallelTupleOps ops evaluate a batch's tuples on one
-// thread per CPU (d2000, d8000, lrmf450), so those points read the host's
-// core count too. Lowering and scheduling times of single logistic tuple
-// programs are recorded as info.
+// The other gated points are tuples_per_s.d{54,2000,8000}: logistic
+// regression at merge_coef 64, one seeded 64-tuple batch evaluated
+// repeatedly; and tuples_per_s.lrmf450: LRMF over 450 items at rank 10 and
+// merge_coef 4, whose tuple program is hundreds of short reduction trees
+// evaluated in 4-tuple batches (the S/E LRMF shape). A rep evaluates about
+// 2^24 scalar ops; reps repeat until the point has 5 reps or ~0.5 s of wall
+// time, and the best rep wins (max over reps is the standard microbenchmark
+// noise filter; the trained model itself is deterministic). Programs of at
+// least ScalarEvaluator::kParallelTupleOps ops evaluate a batch's tuples on
+// one thread per CPU (d2000, d8000, lrmf450), so those points read the
+// host's core count too. Lowering and scheduling times of single logistic
+// tuple programs are recorded as info.
 //
 // Emits BENCH_micro_engine.json; the CI bench-telemetry job compares it
 // against bench/baselines/BENCH_micro_engine.json. Each gated metric carries

@@ -10,7 +10,6 @@ OpGraph::OpGraph(const std::vector<ScalarOp>& ops) {
   // Dependency extraction: same-region kSub references.
   opcode_.resize(n);
   deps_.assign(n, {kNoDep, kNoDep});
-  indegree_.assign(n, 0);
   dependents_start_.assign(n + 1, 0);
   for (uint32_t i = 0; i < n; ++i) {
     opcode_[i] = ops[i].op;
@@ -22,7 +21,6 @@ OpGraph::OpGraph(const std::vector<ScalarOp>& ops) {
         return;
       }
       deps_[i][d++] = ref->index;
-      ++indegree_[i];
       ++dependents_start_[ref->index + 1];
     }
   }
@@ -156,10 +154,12 @@ Result<Schedule> Scheduler::Run(const OpGraph& graph) const {
     return Status::Internal("scalar program not topologically ordered");
   }
 
+  // Same-region operands not yet scheduled (an op reading one value
+  // twice waits for it twice).
   std::vector<uint32_t> indegree(n);
   RankSet ready(n);
   for (uint32_t i = 0; i < n; ++i) {
-    indegree[i] = graph.indegree(i);
+    for (uint32_t dep : graph.deps(i)) indegree[i] += dep != OpGraph::kNoDep;
     if (indegree[i] == 0) ready.Insert(graph.rank(i));
   }
 

@@ -91,8 +91,6 @@ class OpGraph {
   const std::array<uint32_t, 2>& deps(uint32_t op) const {
     return deps_[op];
   }
-  /// Same-region operands (an op reading one value twice counts it twice).
-  uint32_t indegree(uint32_t op) const { return indegree_[op]; }
   /// The ops reading `op`'s result, one entry per operand, ascending.
   std::span<const uint32_t> dependents(uint32_t op) const {
     return std::span<const uint32_t>(dependents_)
@@ -107,7 +105,6 @@ class OpGraph {
   bool ordered_ = true;
   std::vector<engine::AluOp> opcode_;
   std::vector<std::array<uint32_t, 2>> deps_;
-  std::vector<uint32_t> indegree_;
   std::vector<uint32_t> dependents_start_;  // size() + 1 offsets
   std::vector<uint32_t> dependents_;
   std::vector<uint32_t> rank_;
