@@ -19,8 +19,8 @@
 // time, and the best rep wins (max over reps is the standard microbenchmark
 // noise filter; the trained model itself is deterministic). Programs of at
 // least ScalarEvaluator::kParallelTupleOps ops evaluate a batch's tuples on
-// one thread per CPU (d2000, d8000, lrmf450), so those points read the
-// host's core count too. Lowering and scheduling times of single logistic
+// the process's worker team, a thread per CPU (d2000, d8000, lrmf450), so
+// those points read the host's core count too. Lowering and scheduling times of single logistic
 // tuple programs are recorded as info.
 //
 // Emits BENCH_micro_engine.json; the CI bench-telemetry job compares it

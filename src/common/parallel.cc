@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <system_error>
 
+#include "common/logging.h"
+
 namespace dana {
 
 namespace {
+
+/// Set while a TeamLease holds the team.
+std::atomic<bool> team_held{false};
 
 /// Returns once `a` no longer holds `old` and the caller may read what the
 /// writer published before changing it. Polls first: a worker's next job,
@@ -20,14 +25,15 @@ void AwaitChange(const std::atomic<uint32_t>& a, uint32_t old) {
   while (a.load(std::memory_order_acquire) == old) a.wait(old);
 }
 
-}  // namespace
-
+/// The CPUs in this thread's affinity mask; 1 if it cannot be read.
 uint32_t AffinityCpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
   return static_cast<uint32_t>(std::max(1, CPU_COUNT(&set)));
 }
+
+}  // namespace
 
 WorkerPool::WorkerPool(uint32_t workers) {
   threads_.reserve(workers > 1 ? workers - 1 : 0);
@@ -48,7 +54,8 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::Run(uint32_t n, const std::function<void(uint32_t)>& fn) {
-  if (threads_.empty() || n <= 1) {
+  DANA_CHECK(n <= size()) << n << " workers asked of a pool of " << size();
+  if (n <= 1) {
     if (n > 0) fn(0);
     return;
   }
@@ -78,6 +85,27 @@ void WorkerPool::Loop(uint32_t w) {
       pending_.notify_one();
     }
   }
+}
+
+TeamLease::TeamLease(uint64_t wanted) {
+  if (wanted <= 1 || team_held.exchange(true, std::memory_order_acquire)) {
+    return;
+  }
+  // Never destroyed, so that no exit waits for its threads (a forked
+  // death-test child has none).
+  static WorkerPool* const team = new WorkerPool(AffinityCpus());
+  team_ = team;
+  width_ = static_cast<uint32_t>(std::min<uint64_t>(wanted, team->size()));
+}
+
+TeamLease::~TeamLease() {
+  if (team_ != nullptr) team_held.store(false, std::memory_order_release);
+}
+
+void TeamLease::Run(uint32_t n, const std::function<void(uint32_t)>& fn) {
+  DANA_CHECK(n <= width_) << n << " workers asked of a lease of " << width_;
+  if (team_ != nullptr) return team_->Run(n, fn);
+  if (n == 1) fn(0);
 }
 
 }  // namespace dana

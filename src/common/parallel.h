@@ -8,9 +8,6 @@
 
 namespace dana {
 
-/// The CPUs in this thread's affinity mask; 1 if it cannot be read.
-uint32_t AffinityCpus();
-
 /// Tells the CPU that the caller is polling (x86 `pause`).
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -24,9 +21,9 @@ inline void CpuRelax() {
 class Backoff {
  public:
   /// About 40 us of `pause` on a 4-core Sapphire Rapids VM (~20 ns each).
-  /// WorkerPool's threads poll this long for their next job before they
-  /// sleep: with 256 polls (about 5 us) they fell asleep within an S/E LRMF
-  /// batch's per-batch ops, which cost that batch about 40% more time.
+  /// The worker team (TeamLease) polls this long for its holder's next job
+  /// before it sleeps: with 256 polls (about 5 us) it fell asleep within an
+  /// S/E LRMF batch's per-batch ops, which made that batch about 40% slower.
   static constexpr int kPolls = 2048;
 
   void Pause() {
@@ -44,7 +41,8 @@ class Backoff {
 
 /// A fixed team of threads that runs one job at a time together with the
 /// calling thread, which is worker 0. The threads start with the pool and
-/// sleep between jobs, so a job costs a wake-up, not a thread start.
+/// sleep between jobs, so a job costs a wake-up, not a thread start. Host
+/// code borrows the process's one pool through TeamLease.
 ///
 /// Results must not depend on the worker count: callers give each worker
 /// disjoint outputs and combine them in a fixed order afterwards.
@@ -80,6 +78,31 @@ class WorkerPool {
   /// Declared last, so the destructor joins the threads before anything
   /// they read goes away.
   std::vector<std::jthread> threads_;
+};
+
+/// The process's one worker team, borrowed by one caller at a time: a
+/// WorkerPool with a worker per CPU of the first borrower's affinity mask,
+/// started then and kept until exit. A lease made while another is held (by
+/// another thread, or from inside a team job, whose caller holds one) has
+/// width 1: its jobs run on its caller alone.
+class TeamLease {
+ public:
+  /// Borrows the team for up to `wanted` workers; wanting one leaves it free.
+  explicit TeamLease(uint64_t wanted);
+  ~TeamLease();
+
+  TeamLease(const TeamLease&) = delete;
+  TeamLease& operator=(const TeamLease&) = delete;
+
+  /// min(wanted, team size) while this lease holds the team, else 1.
+  uint32_t width() const { return width_; }
+
+  /// WorkerPool::Run on the team. Requires n <= width().
+  void Run(uint32_t n, const std::function<void(uint32_t)>& fn);
+
+ private:
+  WorkerPool* team_ = nullptr;  // null unless this lease holds the team
+  uint32_t width_ = 1;
 };
 
 }  // namespace dana

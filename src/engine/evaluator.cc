@@ -426,19 +426,16 @@ ScalarEvaluator::ScalarEvaluator(const compiler::ScalarProgram& prog)
   if (has_convergence_) convergence_slot_ = slot(prog.convergence);
 }
 
-/// The worker pool of parallel batches and what its workers share.
+/// What the workers of parallel batches share.
 struct ScalarEvaluator::Team {
   /// Each worker's arena starts as a copy of `arena`.
   Team(uint32_t workers, std::span<const float> arena, uint32_t merge_count)
-      : pool(workers),
-        arenas(pool.size() - 1,
-               std::vector<float>(arena.begin(), arena.end())),
-        ring_rows(2 * pool.size()),
+      : arenas(workers - 1, std::vector<float>(arena.begin(), arena.end())),
+        ring_rows(2 * workers),
         staged(size_t{ring_rows} * merge_count),
         row_tuple(new std::atomic<uint32_t>[ring_rows]),
-        folded(new Folded[pool.size()]) {}
+        folded(new Folded[workers]) {}
 
-  WorkerPool pool;
   /// Worker w >= 1 evaluates in arenas[w - 1].
   std::vector<std::vector<float>> arenas;
   /// Staged merge sources: tuple t's in row t % ring_rows, which
@@ -497,12 +494,7 @@ Status ScalarEvaluator::EvalBatch(std::span<const TupleData> batch) {
     }
   }
 
-  if (parallel_ && batch.size() > 1 && !team_) {
-    team_ = std::make_unique<Team>(
-        std::min(AffinityCpus(), max_batch_),
-        std::span<const float>(arena_.data(), worker_span_), merge_count_);
-  }
-  if (team_ && team_->pool.size() > 1 && batch.size() > 1) {
+  if (parallel_ && batch.size() > 1) {
     RunTuplesParallel(batch);
   } else {
     RunTuples(batch);
@@ -549,17 +541,24 @@ void ScalarEvaluator::RunTuples(std::span<const TupleData> batch) {
 }
 
 void ScalarEvaluator::RunTuplesParallel(std::span<const TupleData> batch) {
+  TeamLease lease(max_batch_);
+  if (lease.width() == 1) return RunTuples(batch);
+  // Every lease wider than 1 has the same width: the team's size is fixed.
+  if (!team_) {
+    team_ = std::make_unique<Team>(
+        lease.width(), std::span<const float>(arena_.data(), worker_span_),
+        merge_count_);
+  }
   Team& team = *team_;
-  const auto workers = static_cast<uint32_t>(
-      std::min<size_t>(team.pool.size(), batch.size()));
+  const auto workers =
+      static_cast<uint32_t>(std::min<size_t>(lease.width(), batch.size()));
   for (uint32_t r = 0; r < team.ring_rows; ++r) {
     team.row_tuple[r].store(0, std::memory_order_relaxed);
   }
   for (uint32_t w = 0; w < workers; ++w) {
     team.folded[w].rows.store(0, std::memory_order_relaxed);
   }
-  team.pool.Run(workers,
-                [&](uint32_t w) { RunWorker(batch, w, workers); });
+  lease.Run(workers, [&](uint32_t w) { RunWorker(batch, w, workers); });
 }
 
 void ScalarEvaluator::RunWorker(std::span<const TupleData> batch, uint32_t w,

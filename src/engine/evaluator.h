@@ -41,9 +41,9 @@ struct TupleData {
 /// evaluating op by op in program order.
 ///
 /// A batch of a large tuple program (kParallelTupleOps or more ops) runs its
-/// tuples on a worker pool the evaluator starts at its first such batch: W
-/// workers, one per CPU of the affinity mask and at most one per tuple of a
-/// batch (merge_coef), fewer if the system refuses a thread. Worker w takes
+/// tuples on the process's worker team (dana::TeamLease), borrowed for the
+/// batch: W workers, at most one per tuple of a batch (merge_coef); a batch
+/// whose lease has width 1 runs on its caller alone. Worker w takes
 /// the tuples t with (B - 1 - t) mod W = w, in its own copy of the arena up
 /// to the merge slots, into which the model is copied at the start of every
 /// batch; the calling thread is worker 0 and so takes the last tuple, in
@@ -144,7 +144,7 @@ class ScalarEvaluator {
   void LoadTuple(const TupleData& t, float* arena) const;
   /// The per-tuple ops and merge of `batch`, one tuple after another.
   void RunTuples(std::span<const TupleData> batch);
-  /// The same on the worker pool, with staged merge sources.
+  /// The same on the worker team (RunTuples if another caller holds it).
   void RunTuplesParallel(std::span<const TupleData> batch);
   /// Worker w's part of RunTuplesParallel.
   void RunWorker(std::span<const TupleData> batch, uint32_t w,
@@ -177,8 +177,8 @@ class ScalarEvaluator {
   uint32_t merge_count_ = 0;
   std::vector<Strip> stage_strips_;
   std::vector<CombineRun> combine_runs_;
-  /// The worker pool and what it shares; started at the first parallel
-  /// batch.
+  /// The workers' arenas, ring and fold counters (no threads); made at the
+  /// first parallel batch.
   struct Team;
   std::unique_ptr<Team> team_;
 

@@ -34,7 +34,7 @@ uint64_t DrawsPerRow(const DatasetSpec& spec) {
 }
 
 /// Appends `tuples` rows of `row_values` doubles to `rows` and fills them
-/// in blocks of rows, on up to one thread per CPU. `fill(rng, block,
+/// in blocks of rows, on the process's worker team. `fill(rng, block,
 /// scratch)` writes the rows of `block` drawing from `rng`, which stands at
 /// the block's first draw; `scratch` is the thread's own `scratch_size`
 /// doubles. Each row takes `draws_per_row` draws from `start`.
@@ -45,7 +45,7 @@ void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
   const uint64_t block_rows =
       std::max<uint64_t>(1, kBlockValues / std::max<uint64_t>(1, row_values));
   const uint64_t blocks = (tuples + block_rows - 1) / block_rows;
-  const uint64_t workers = std::clamp<uint64_t>(blocks, 1, AffinityCpus());
+  TeamLease team(blocks);
   // All allocation happens here, on the calling thread, in the order a
   // one-thread generator allocates: the scratch, then every row in row
   // order, zero-filled. The threads allocate nothing. Zero-filling here
@@ -55,7 +55,7 @@ void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
   // of the next thread's.
   const size_t stride = scratch_size == 0 ? 0 : scratch_size + 8;
   std::vector<double> scratch(
-      scratch_size == 0 ? 0 : (workers - 1) * stride + scratch_size);
+      scratch_size == 0 ? 0 : (team.width() - 1) * stride + scratch_size);
   for (uint64_t t = 0; t < tuples; ++t) rows.emplace_back(row_values);
   // Each thread takes the next unclaimed block, so a thread slowed by a
   // busy CPU takes fewer. It copies `run` first and then reads only its
@@ -75,8 +75,7 @@ void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
            mine);
     }
   };
-  WorkerPool pool(static_cast<uint32_t>(workers));
-  pool.Run(pool.size(), [&run](uint32_t w) {
+  team.Run(team.width(), [&run](uint32_t w) {
     auto own = run;
     own(w);
   });

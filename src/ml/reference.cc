@@ -120,7 +120,7 @@ namespace {
 /// sums them in row order: 256 KB of doubles, where every term of the S/E
 /// LRMF set at once would take 10 MB (2800 rows of 450).
 constexpr uint64_t kStepTerms = 1 << 15;
-/// One worker per this many row values, at most one per CPU, as in
+/// One worker per this many row values, at most one per team worker, as in
 /// GenerateDataset: a smaller set is not worth a thread.
 constexpr uint64_t kValuesPerWorker = 1 << 16;
 
@@ -185,21 +185,19 @@ double ReferenceTrainer::Loss(const Dataset& data,
   const uint64_t step_rows =
       std::min(rows, std::max<uint64_t>(1, kStepTerms / row_terms_n));
   const uint64_t values = rows * data.rows[0].size();
-  WorkerPool pool(static_cast<uint32_t>(std::clamp<uint64_t>(
-      values / kValuesPerWorker, 1, std::min<uint64_t>(step_rows,
-                                                       AffinityCpus()))));
+  TeamLease team(std::min(values / kValuesPerWorker, step_rows));
   // Allocated here, so that the threads allocate nothing. Worker w's LRMF
   // scratch starts at w * stride, a cache line of doubles clear of the
   // next worker's.
   std::vector<double> terms(step_rows * row_terms_n);
   const size_t stride = k + 8;
-  std::vector<double> scratch(size_t{pool.size()} * stride);
+  std::vector<double> scratch(size_t{team.width()} * stride);
   double total = 0;
   for (uint64_t first = 0; first < rows; first += step_rows) {
     const uint64_t n = std::min(step_rows, rows - first);
     const auto workers =
-        static_cast<uint32_t>(std::min<uint64_t>(pool.size(), n));
-    pool.Run(workers, [&](uint32_t w) {
+        static_cast<uint32_t>(std::min<uint64_t>(team.width(), n));
+    team.Run(workers, [&](uint32_t w) {
       const std::span<double> lu(scratch.data() + w * stride, k);
       for (uint64_t r = n * w / workers; r < n * (w + 1) / workers; ++r) {
         row_terms(data.rows[first + r], terms.data() + r * row_terms_n, lu);

@@ -41,9 +41,9 @@ class ReferenceTrainer {
   /// Loss of `model` on `data`: MSE (linear), log-loss (logistic),
   /// regularized hinge (SVM), reconstruction MSE (LRMF).
   ///
-  /// Each row's terms (one per row, d per row for LRMF) are computed in
-  /// parallel, one thread per CPU of the affinity mask and at most one per
-  /// 2^16 row values, a step of about 2^15 terms at a time. The total then
+  /// Each row's terms (one per row, d per row for LRMF) are computed on the
+  /// process's worker team (dana::TeamLease), at most one worker per 2^16
+  /// row values, a step of about 2^15 terms at a time. The total then
   /// adds them in row order, as a one-row-at-a-time loop does, so the loss
   /// bits do not depend on the thread count.
   double Loss(const Dataset& data, const std::vector<double>& model) const;

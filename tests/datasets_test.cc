@@ -3,10 +3,10 @@
 #include <cstring>
 #include <ostream>
 
+#include "common/parallel.h"
 #include "ml/algorithms.h"
 #include "ml/datasets.h"
 #include "ml/workloads.h"
-#include "support/affinity.h"
 
 namespace dana::ml {
 namespace {
@@ -123,8 +123,11 @@ TEST_P(EdgeDatasetGolden, RowsAreBitExact) {
 
 TEST_P(EdgeDatasetGolden, OneThreadWritesTheSameRows) {
   const DatasetSpec spec = EdgeSpec(GetParam());
-  const uint64_t h =
-      CheckedDigest(spec, OnOneCpu([&] { return GenerateDataset(spec); }));
+  // While this thread holds the worker team, every other lease has width 1,
+  // so GenerateDataset runs on this thread alone.
+  const TeamLease held(2);
+  ASSERT_EQ(TeamLease(2).width(), 1u);
+  const uint64_t h = CheckedDigest(spec, GenerateDataset(spec));
   EXPECT_EQ(h, GetParam().digest) << "got 0x" << std::hex << h;
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <ostream>
 #include <thread>
@@ -13,13 +15,13 @@
 #include "ml/algorithms.h"
 #include "ml/datasets.h"
 #include "ml/reference.h"
-#include "support/affinity.h"
 
-// The threaded host code beside the dataset generator: the worker pool, the
-// evaluator's parallel batches and the reference loss. Each result must be
-// the same bit for bit whatever the thread count, so each case runs once
-// with this thread's affinity narrowed to one CPU (everything on the
-// calling thread) and once with the full mask.
+// The threaded host code beside the dataset generator: the worker pool and
+// its one team per process, the evaluator's parallel batches and the
+// reference loss. Each result must be the same bit for bit whatever the
+// worker count, so each case runs once while this thread holds the team
+// (every lease the code takes has width 1: everything on the calling
+// thread) and once with the team free.
 
 namespace dana {
 namespace ml {
@@ -64,6 +66,46 @@ TEST(WorkerPoolTest, OneWorkerRunsOnTheCaller) {
   std::thread::id seen;
   pool.Run(1, [&](uint32_t) { seen = std::this_thread::get_id(); });
   EXPECT_EQ(seen, caller);
+}
+
+TEST(WorkerPoolDeathTest, RunningMoreWorkersThanThePoolHasDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  WorkerPool pool(1);
+  EXPECT_DEATH(pool.Run(2, [](uint32_t) {}),
+               "2 workers asked of a pool of 1");
+}
+
+// ---------------------------------------------------------------------------
+// TeamLease
+// ---------------------------------------------------------------------------
+
+TEST(TeamLeaseTest, OneLeaseHoldsTheTeamAndJobsRunAlone) {
+  const uint32_t size = TeamLease(UINT32_MAX).width();
+  EXPECT_EQ(TeamLease(2).width(), std::min(size, 2u));
+  {
+    // Wanting one worker leaves the team free.
+    const TeamLease solo(1);
+    EXPECT_EQ(solo.width(), 1u);
+    EXPECT_EQ(TeamLease(UINT32_MAX).width(), size);
+  }
+  TeamLease team(UINT32_MAX);
+  ASSERT_EQ(team.width(), size);
+  EXPECT_EQ(TeamLease(2).width(), 1u);
+  std::vector<uint32_t> nested(team.width(), 0);
+  team.Run(team.width(),
+           [&](uint32_t w) { nested[w] = TeamLease(2).width(); });
+  for (uint32_t w = 0; w < team.width(); ++w) {
+    EXPECT_EQ(nested[w], 1u) << "worker " << w;
+  }
+}
+
+/// fn() while this thread holds the team: every lease fn takes has width
+/// 1, so fn runs on this thread alone.
+template <typename F>
+auto OnOneWorker(F&& fn) {
+  const TeamLease held(2);
+  EXPECT_EQ(TeamLease(2).width(), 1u);
+  return fn();
 }
 
 // ---------------------------------------------------------------------------
@@ -129,16 +171,19 @@ Trained Train(const EvalCase& c) {
   return {ev.Model(0), ev.ops_executed()};
 }
 
-class EvalThreadCount : public ::testing::TestWithParam<EvalCase> {};
-
-TEST_P(EvalThreadCount, ModelBitsDoNotDependOnTheThreadCount) {
-  const Trained one = OnOneCpu([&] { return Train(GetParam()); });
-  const Trained all = Train(GetParam());
+void ExpectSameBits(const Trained& one, const Trained& all) {
   ASSERT_EQ(one.model.size(), all.model.size());
   EXPECT_EQ(std::memcmp(one.model.data(), all.model.data(),
                         sizeof(float) * one.model.size()),
             0);
   EXPECT_EQ(one.ops, all.ops);
+}
+
+class EvalThreadCount : public ::testing::TestWithParam<EvalCase> {};
+
+TEST_P(EvalThreadCount, ModelBitsDoNotDependOnTheThreadCount) {
+  const Trained one = OnOneWorker([&] { return Train(GetParam()); });
+  ExpectSameBits(one, Train(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -152,34 +197,45 @@ INSTANTIATE_TEST_SUITE_P(
 // ReferenceTrainer::Loss
 // ---------------------------------------------------------------------------
 
-class LossThreadCount : public ::testing::TestWithParam<ml::AlgoKind> {};
+/// A model of `kind` and a dataset to compute its loss on.
+struct LossInput {
+  ml::AlgoParams params;
+  ml::Dataset data;
+  std::vector<double> model;
+};
 
-TEST_P(LossThreadCount, LossBitsDoNotDependOnTheThreadCount) {
-  const ml::AlgoKind kind = GetParam();
-  ml::AlgoParams p;
-  p.dims = kind == ml::AlgoKind::kLowRankMF ? 450 : 2000;
-  p.rank = 10;
+LossInput MakeLossInput(ml::AlgoKind kind) {
+  LossInput in;
+  in.params.dims = kind == ml::AlgoKind::kLowRankMF ? 450 : 2000;
+  in.params.rank = 10;
   ml::DatasetSpec spec;
   spec.kind = kind;
-  spec.dims = p.dims;
-  spec.rank = p.rank;
+  spec.dims = in.params.dims;
+  spec.rank = in.params.rank;
   // Enough rows for every CPU, and for LRMF several steps of terms. (At
   // 300 rows, summing per-worker partial sums happened to give the linear
   // loss's bits too.)
   spec.tuples = 1000;
   spec.seed = 5;
-  const ml::Dataset data = ml::GenerateDataset(spec);
-  std::vector<double> model(kind == ml::AlgoKind::kLowRankMF
-                                ? size_t{p.dims} * p.rank
-                                : p.dims);
+  in.data = ml::GenerateDataset(spec);
+  in.model.resize(kind == ml::AlgoKind::kLowRankMF
+                      ? size_t{in.params.dims} * in.params.rank
+                      : in.params.dims);
   Rng rng(17);
-  for (double& v : model) v = rng.Uniform(-0.1, 0.1);
+  for (double& v : in.model) v = rng.Uniform(-0.1, 0.1);
+  return in;
+}
 
-  const ml::ReferenceTrainer trainer(kind, p);
-  const double one = OnOneCpu([&] { return trainer.Loss(data, model); });
-  const double all = trainer.Loss(data, model);
+class LossThreadCount : public ::testing::TestWithParam<ml::AlgoKind> {};
+
+TEST_P(LossThreadCount, LossBitsDoNotDependOnTheThreadCount) {
+  const LossInput in = MakeLossInput(GetParam());
+  const ml::ReferenceTrainer trainer(GetParam(), in.params);
+  const double one =
+      OnOneWorker([&] { return trainer.Loss(in.data, in.model); });
+  const double all = trainer.Loss(in.data, in.model);
   EXPECT_EQ(std::memcmp(&one, &all, sizeof(double)), 0)
-      << "one CPU " << one << ", all CPUs " << all;
+      << "one worker " << one << ", the team " << all;
   EXPECT_GT(all, 0.0);
 }
 
@@ -188,6 +244,71 @@ INSTANTIATE_TEST_SUITE_P(Algos, LossThreadCount,
                                            ml::AlgoKind::kLogisticRegression,
                                            ml::AlgoKind::kSvm,
                                            ml::AlgoKind::kLowRankMF));
+
+// ---------------------------------------------------------------------------
+// Contention and nesting
+// ---------------------------------------------------------------------------
+
+void ExpectSameBits(const ml::Dataset& one, const ml::Dataset& all) {
+  ASSERT_EQ(one.rows.size(), all.rows.size());
+  for (size_t r = 0; r < one.rows.size(); ++r) {
+    ASSERT_EQ(one.rows[r].size(), all.rows[r].size());
+    ASSERT_EQ(std::memcmp(one.rows[r].data(), all.rows[r].data(),
+                          sizeof(double) * one.rows[r].size()),
+              0)
+        << "row " << r;
+  }
+}
+
+/// Four threads train a large program and compute a loss at once, so the
+/// team goes to one of them at a time and the rest run alone; a dataset is
+/// generated inside a team job. Every result equals the one-worker result
+/// bit for bit.
+TEST(TeamContentionTest, ConcurrentAndNestedCallsMatchOneWorker) {
+  const EvalCase eval{ml::AlgoKind::kSvm, 1740, 10, 64};
+  const LossInput in = MakeLossInput(ml::AlgoKind::kLowRankMF);
+  const ml::ReferenceTrainer trainer(ml::AlgoKind::kLowRankMF, in.params);
+  ml::DatasetSpec spec;
+  spec.kind = ml::AlgoKind::kLinearRegression;
+  spec.dims = 2000;
+  spec.tuples = 1000;  // 32 blocks of rows
+  spec.seed = 23;
+  const Trained one_model = OnOneWorker([&] { return Train(eval); });
+  const double one_loss =
+      OnOneWorker([&] { return trainer.Loss(in.data, in.model); });
+  const ml::Dataset one_data =
+      OnOneWorker([&] { return ml::GenerateDataset(spec); });
+
+  ml::Dataset nested;
+  {
+    TeamLease team(2);
+    team.Run(team.width(), [&](uint32_t w) {
+      if (w + 1 < team.width()) return;  // the last worker generates
+      EXPECT_EQ(TeamLease(2).width(), 1u);
+      nested = ml::GenerateDataset(spec);
+    });
+  }
+  ExpectSameBits(one_data, nested);
+
+  constexpr int kThreads = 4;
+  std::vector<Trained> models(kThreads);
+  std::vector<double> losses(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Half train first and half compute the loss first.
+      if (t % 2 == 0) models[t] = Train(eval);
+      losses[t] = trainer.Loss(in.data, in.model);
+      if (t % 2 == 1) models[t] = Train(eval);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    ExpectSameBits(one_model, models[t]);
+    EXPECT_EQ(std::memcmp(&one_loss, &losses[t], sizeof(double)), 0);
+  }
+}
 
 }  // namespace
 }  // namespace dana

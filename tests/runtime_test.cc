@@ -4,16 +4,15 @@
 #include <atomic>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "compiler/serialization.h"
 #include "ml/workloads.h"
 #include "runtime/cost_model.h"
 #include "runtime/query.h"
 #include "runtime/systems.h"
 #include "storage/page.h"
-#include "support/affinity.h"
 
 namespace dana::runtime {
 namespace {
@@ -315,10 +314,10 @@ void ExpectShapeTimesEqualFunctional(const DanaSystem& dana,
 /// Every registry workload, with the DanaSystem options the scheduler's
 /// executor prices with (the Table 4 FPGA, two functional epochs). The
 /// functional grid is about 18 s of single-core work, so up to four
-/// threads each take whole workloads, costliest first (generated values
-/// times functional runs); each thread owns its instances and shares only
-/// the const system. Each thread is pinned to its own CPU, so the training
-/// it runs does not start a thread per CPU within it.
+/// workers of the process's team each take whole workloads, costliest
+/// first (generated values times functional runs); each worker owns its
+/// instances and shares only the const system. Inside a team job every
+/// lease has width 1, so each workload trains on its worker alone.
 TEST(ShapeInstanceTest, TimingOnlyEndpointsEqualFunctionalRunsBitForBit) {
   CpuCostModel cm;
   DanaSystem::Options options;
@@ -335,23 +334,17 @@ TEST(ShapeInstanceTest, TimingOnlyEndpointsEqualFunctionalRunsBitForBit) {
                      return cost(a) > cost(b);
                    });
   std::atomic<size_t> next{0};
-  const cpu_set_t mask = AffinityMask();
-  const auto drain = [&](int k) {
-    PinToCpu(mask, k);
+  TeamLease team(4);
+  team.Run(team.width(), [&](uint32_t) {
     for (size_t i = next++; i < order.size(); i = next++) {
       ExpectShapeTimesEqualFunctional(dana, *order[i]);
     }
-  };
-  const unsigned threads =
-      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
-  std::vector<std::thread> workers;
-  for (unsigned t = 0; t < threads; ++t) {
-    workers.emplace_back(drain, static_cast<int>(t));
-  }
-  for (std::thread& worker : workers) worker.join();
+  });
 }
 
 TEST(ShapeInstanceTest, ShapeInstanceHasNoDataset) {
+  // Earlier cases start the worker team, whose threads a forked child lacks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const ml::Workload* w = ml::FindWorkload("wlan");
   ASSERT_NE(w, nullptr);
   auto shape = std::move(WorkloadInstance::CreateShape(*w)).ValueOrDie();
