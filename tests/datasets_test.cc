@@ -2,11 +2,15 @@
 
 #include <cstring>
 #include <ostream>
+#include <span>
+#include <vector>
 
 #include "common/parallel.h"
 #include "ml/algorithms.h"
 #include "ml/datasets.h"
 #include "ml/workloads.h"
+#include "storage/page_layout.h"
+#include "storage/table.h"
 
 namespace dana::ml {
 namespace {
@@ -152,6 +156,174 @@ INSTANTIATE_TEST_SUITE_P(
         EdgeCase{AlgoKind::kLowRankMF, 1, 0x39c98de880514751ull},
         EdgeCase{AlgoKind::kLowRankMF, 2000, 0x1d32a964ab40406cull},
         EdgeCase{AlgoKind::kLowRankMF, 45000, 0x67b4cefeb341b028ull}));
+
+// ---------------------------------------------------------------------------
+// The heap pages, pinned. Each constant is the FNV-1a digest of every page
+// image of BuildTable(GenerateDataset(spec)) (32 KB pages), in page order,
+// recorded from the row-by-row build (one AppendRow per row, on one
+// thread). Every Strider walk and every functional training run reads these
+// bytes, so however the table is loaded they must not move. The digest
+// folds a page's 64-bit words, a multiply per word rather than per byte:
+// the S/E tables hold about 200 MB of pages each.
+// ---------------------------------------------------------------------------
+
+uint64_t PagesDigest(const storage::Table& table) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const uint32_t page_size = table.layout().page_size;
+  for (uint64_t p = 0; p < table.num_pages(); ++p) {
+    const uint8_t* data = table.PageData(p);
+    for (uint32_t i = 0; i + 8 <= page_size; i += 8) {
+      uint64_t word = 0;
+      std::memcpy(&word, data + i, sizeof(word));
+      h ^= word;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+/// Builds `data`'s table and returns its page digest, checking its size.
+uint64_t BuiltPagesDigest(const Dataset& data) {
+  auto table = BuildTable("t", data, storage::PageLayout{});
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  if (!table.ok()) return 0;
+  EXPECT_EQ((*table)->num_tuples(), data.rows.size());
+  return PagesDigest(**table);
+}
+
+class WorkloadTableGolden : public ::testing::TestWithParam<WorkloadCase> {
+ protected:
+  Dataset Generate() const {
+    const Workload* w = FindWorkload(GetParam().id);
+    EXPECT_NE(w, nullptr);
+    return w == nullptr ? Dataset{} : GenerateDataset(w->dataset_spec());
+  }
+};
+
+TEST_P(WorkloadTableGolden, TablePagesAreBitExact) {
+  const uint64_t h = BuiltPagesDigest(Generate());
+  EXPECT_EQ(h, GetParam().digest) << "got 0x" << std::hex << h;
+}
+
+TEST_P(WorkloadTableGolden, OneThreadBuildsTheSamePages) {
+  const Dataset data = Generate();
+  // While this thread holds the worker team, every other lease has width 1,
+  // so BuildTable runs on this thread alone.
+  const TeamLease held(2);
+  ASSERT_EQ(TeamLease(2).width(), 1u);
+  const uint64_t h = BuiltPagesDigest(data);
+  EXPECT_EQ(h, GetParam().digest) << "got 0x" << std::hex << h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, WorkloadTableGolden,
+    ::testing::Values(WorkloadCase{"rs_lr", 0x6b18a1caab2d2227ull},
+                      WorkloadCase{"wlan", 0xd643ccd4228d7101ull},
+                      WorkloadCase{"rs_svm", 0x4cbd59b9bea145d4ull},
+                      WorkloadCase{"netflix", 0x17084dddbfb68297ull},
+                      WorkloadCase{"patient", 0x6ee716ffbad83f07ull},
+                      WorkloadCase{"blog", 0x46a0346408f913efull},
+                      WorkloadCase{"sn_logistic", 0x7b36b420a49c6fffull},
+                      WorkloadCase{"sn_svm", 0x5594b19cd97b9b5bull},
+                      WorkloadCase{"sn_lrmf", 0xb6da6c0f77c1ff73ull},
+                      WorkloadCase{"sn_linear", 0xd6ebd3dcad07789aull},
+                      WorkloadCase{"se_logistic", 0x128d6fbda5ccd383ull},
+                      WorkloadCase{"se_svm", 0x830ff10e85e1ed80ull},
+                      WorkloadCase{"se_lrmf", 0x222ca263df5d0ba2ull},
+                      WorkloadCase{"se_linear", 0x11061b0fb2cf6163ull}));
+
+// ---------------------------------------------------------------------------
+// Edge tables: linear-regression rows of 100 features and a label (404
+// payload bytes, kRowsPerPage to a 32 KB page), on every CPU of the mask
+// and on one.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kRowsPerPage = 75;
+
+Dataset EdgeRows(uint64_t tuples) {
+  return GenerateDataset(
+      EdgeSpec(EdgeCase{AlgoKind::kLinearRegression, tuples, 0}));
+}
+
+struct TableCase {
+  const char* name;
+  uint64_t tuples;
+  uint64_t pages;
+  uint64_t digest;
+};
+
+void PrintTo(const TableCase& c, std::ostream* os) { *os << c.name; }
+
+class EdgeTableGolden : public ::testing::TestWithParam<TableCase> {
+ protected:
+  void Check(const Dataset& data) const {
+    auto table = BuildTable("t", data, storage::PageLayout{});
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ((*table)->num_tuples(), GetParam().tuples);
+    EXPECT_EQ((*table)->num_pages(), GetParam().pages);
+    const uint64_t h = PagesDigest(**table);
+    EXPECT_EQ(h, GetParam().digest) << "got 0x" << std::hex << h;
+  }
+};
+
+TEST_P(EdgeTableGolden, PagesAreBitExact) {
+  Check(EdgeRows(GetParam().tuples));
+}
+
+TEST_P(EdgeTableGolden, OneThreadBuildsTheSamePages) {
+  const Dataset data = EdgeRows(GetParam().tuples);
+  const TeamLease held(2);
+  ASSERT_EQ(TeamLease(2).width(), 1u);
+  Check(data);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EdgeTableGolden,
+    ::testing::Values(
+        TableCase{"no_rows", 0, 0, kEmpty},
+        TableCase{"one_row", 1, 1, 0xe5ca129a98e866bbull},
+        TableCase{"one_full_page", kRowsPerPage, 1, 0x0fc0d547848d922cull},
+        TableCase{"full_pages_and_a_partial_one", 4 * kRowsPerPage + 17, 5,
+                  0xc35309e9ad740e3cull}));
+
+TEST(EdgeTable, RowsPerPage) {
+  auto table = BuildTable("t", EdgeRows(kRowsPerPage + 1),
+                          storage::PageLayout{});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ((*table)->num_pages(), 2u);
+  EXPECT_EQ((*table)->TuplesOnPage(0), kRowsPerPage);
+  EXPECT_EQ((*table)->TuplesOnPage(1), 1u);
+}
+
+/// Appends `rows` to `table`.
+dana::Status Append(storage::Table& table,
+                    std::span<const std::vector<double>> rows) {
+  for (const auto& row : rows) DANA_RETURN_NOT_OK(table.AppendRow(row));
+  return dana::Status::OK();
+}
+
+TEST(EdgeTable, FillingAPartlyFilledTailPageGivesTheSamePages) {
+  // 30 rows leave the first page partly filled; the rest go on it first.
+  const Dataset data = EdgeRows(4 * kRowsPerPage + 17);
+  Dataset head = data;
+  head.rows.resize(30);
+  auto table = BuildTable("t", head, storage::PageLayout{});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ((*table)->num_pages(), 1u);
+  ASSERT_TRUE(Append(**table, std::span(data.rows).subspan(30)).ok());
+  EXPECT_EQ((*table)->num_tuples(), data.rows.size());
+  EXPECT_EQ(PagesDigest(**table), BuiltPagesDigest(data));
+}
+
+TEST(EdgeTable, ARowOfTheWrongWidthFailsTheBuild) {
+  Dataset data = EdgeRows(4 * kRowsPerPage + 17);
+  data.rows[200].pop_back();
+  auto table = BuildTable("t", data, storage::PageLayout{});
+  ASSERT_FALSE(table.ok());
+  EXPECT_TRUE(table.status().IsInvalidArgument());
+  EXPECT_EQ(table.status().message(),
+            "row has 100 values, schema has 101 columns");
+}
 
 }  // namespace
 }  // namespace dana::ml
