@@ -27,6 +27,7 @@
 // so DANA_BENCH_FAST does not change its shape.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,10 +56,10 @@ constexpr uint64_t kPagesPerRep = 4096;
 constexpr uint64_t kRowsPerRep = uint64_t{1} << 17;
 
 /// A 54-feature table of at least `pages` pages.
-Table MakeTable(uint64_t pages, const PageLayout& layout) {
-  Table table("t", Schema::Dense(54), layout);
+std::unique_ptr<Table> MakeTable(uint64_t pages, const PageLayout& layout) {
+  auto table = std::make_unique<Table>("t", Schema::Dense(54), layout);
   const std::vector<double> row(55, 1.0);
-  while (table.num_pages() < pages) (void)table.AppendRow(row);
+  while (table->num_pages() < pages) (void)table->AppendRow(row);
   return table;
 }
 
@@ -154,7 +155,8 @@ int main() {
   }
 
   TablePrinter fetch_table({"point", "pool frames", "hit rate", "fetches/s"});
-  const Table table = MakeTable(64, layout);
+  const std::unique_ptr<Table> owned = MakeTable(64, layout);
+  const Table& table = *owned;
   {
     BufferPool warm(128ull * layout.page_size, layout.page_size, DiskModel{});
     warm.Prewarm(table);

@@ -31,7 +31,9 @@ struct DatasetSpec {
 Dataset GenerateDataset(const DatasetSpec& spec);
 
 /// Encodes `data` into a heap table named `name` (float4 columns:
-/// features then label; LRMF rows have no label column).
+/// features then label; LRMF rows have no label column), in one
+/// Table::AppendRows: its pages are formatted and filled on the process's
+/// worker team.
 dana::Result<std::unique_ptr<storage::Table>> BuildTable(
     const std::string& name, const Dataset& data,
     const storage::PageLayout& layout);

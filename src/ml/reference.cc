@@ -133,6 +133,12 @@ double ReferenceTrainer::Loss(const Dataset& data,
   const uint64_t rows = data.rows.size();
   if (rows == 0) return 0.0;
 
+  // SVM's regularizer depends on the model alone: summed once, in the
+  // order a per-row sum would take, it is that sum bit for bit.
+  double reg = 0;
+  if (kind_ == AlgoKind::kSvm) {
+    for (uint32_t i = 0; i < d; ++i) reg += model[i] * model[i];
+  }
   // Writes row's terms to `out`: one, or d for LRMF. Each is the amount
   // a one-row-at-a-time loop adds to the total (a subtraction adds the
   // negated term, which is the same IEEE operation).
@@ -156,11 +162,8 @@ double ReferenceTrainer::Loss(const Dataset& data,
         break;
       }
       case AlgoKind::kSvm: {
-        double s = 0, reg = 0;
-        for (uint32_t i = 0; i < d; ++i) {
-          s += model[i] * row[i];
-          reg += model[i] * model[i];
-        }
+        double s = 0;
+        for (uint32_t i = 0; i < d; ++i) s += model[i] * row[i];
         *out = std::max(0.0, 1.0 - row[d] * s) + 0.5 * params_.lambda * reg;
         break;
       }

@@ -57,7 +57,7 @@ Result<const uint8_t*> BufferPool::FetchPage(const Table& table,
                               " past end of table " + table.name());
   }
 
-  const uint32_t tid = InternTable(table.name());
+  const uint32_t tid = TableId(table);
   const PageKey key{tid, page_no};
   last_table_id_ = tid;
   const uint32_t hit = pool_.Find(key);
@@ -252,7 +252,7 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
   const uint64_t want = static_cast<uint64_t>(
       fraction * static_cast<double>(table.num_pages()) + 0.5);
   const uint64_t n = std::min<uint64_t>(want, pool_.capacity());
-  const uint32_t tid = InternTable(table.name());
+  const uint32_t tid = TableId(table);
   last_table_id_ = tid;
   pool_.WithCursor([&](auto& pool) {
     for (uint64_t p = 0; p < n; ++p) {
@@ -268,7 +268,7 @@ void BufferPool::Prewarm(const Table& table, double fraction) {
 }
 
 void BufferPool::MarkOsCached(const Table& table) {
-  const uint32_t tid = InternTable(table.name());
+  const uint32_t tid = TableId(table);
   const bool inclusive = eviction_ == EvictionKind::kClock;
   bool changed = false;
   for (uint64_t p = 0; p < table.num_pages() && os_tier_.enabled(); ++p) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/intern.h"
@@ -76,7 +77,9 @@ struct BufferPoolStats {
 /// nothing; the index grows to the highest page number touched per table.
 /// The string-facing APIs remain as thin shims that intern (mutating calls)
 /// or look up (const calls) the name once per call; per-page loops like
-/// ScanTable pay the string exactly once per sweep. Ids are stable for the
+/// ScanTable pay the string exactly once per sweep. The Table-taking calls
+/// (FetchPage, Prewarm, MarkOsCached) resolve the id through TableId, which
+/// hashes a table's name once per pool. Ids are stable for the
 /// pool's lifetime — Clear() drops pages, not the name table — so callers
 /// may cache them across runs.
 ///
@@ -122,6 +125,18 @@ class BufferPool {
   /// skip the per-call name lookup entirely.
   uint32_t InternTable(std::string_view name) {
     return names_.Intern(name);
+  }
+
+  /// InternTable(table.name()), cached under the table's serial: after
+  /// the first call for a table, a call hashes no string, and a repeat
+  /// call for the table of the previous one looks nothing up.
+  uint32_t TableId(const Table& table) {
+    if (table.serial() == last_serial_) return last_serial_id_;
+    auto [it, fresh] = serial_ids_.try_emplace(table.serial());
+    if (fresh) it->second = InternTable(table.name());
+    last_serial_ = table.serial();
+    last_serial_id_ = it->second;
+    return last_serial_id_;
   }
 
   /// References page `page_no` of `table`, installing it (and charging its
@@ -296,6 +311,11 @@ class BufferPool {
   BufferPoolStats stats_;
   /// Interned table names; ids key both tiers' pages and counts.
   dana::Interner names_;
+  /// TableId's cache: the id of every table it has seen, by serial (which,
+  /// unlike an address, no later table reuses), and the last one's.
+  std::unordered_map<uint64_t, uint32_t> serial_ids_;
+  uint64_t last_serial_ = 0;  // no table has serial 0
+  uint32_t last_serial_id_ = dana::Interner::kInvalidId;
   uint32_t last_table_id_ = dana::Interner::kInvalidId;
   uint64_t version_ = 0;
   /// The buffer pool's frames (always evicting).

@@ -38,13 +38,18 @@ Schema Schema::Dense(uint32_t width, ColumnType type, bool with_label) {
   return Schema(std::move(cols));
 }
 
-Status Schema::EncodeRow(const std::vector<double>& values,
-                         uint8_t* out) const {
+Status Schema::CheckRow(const std::vector<double>& values) const {
   if (values.size() != columns_.size()) {
     return Status::InvalidArgument(
         "row has " + std::to_string(values.size()) + " values, schema has " +
         std::to_string(columns_.size()) + " columns");
   }
+  return Status::OK();
+}
+
+Status Schema::EncodeRow(const std::vector<double>& values,
+                         uint8_t* out) const {
+  DANA_RETURN_NOT_OK(CheckRow(values));
   for (size_t i = 0; i < columns_.size(); ++i) {
     uint8_t* dst = out + offsets_[i];
     switch (columns_[i].type) {

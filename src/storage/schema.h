@@ -49,6 +49,9 @@ class Schema {
   /// Byte offset of column `i` within the row payload.
   uint32_t ColumnOffset(uint32_t i) const { return offsets_[i]; }
 
+  /// OK when `values` holds one double per column; else EncodeRow's error.
+  dana::Status CheckRow(const std::vector<double>& values) const;
+
   /// Encodes `values` (one double per column, converted per column type)
   /// into `out` which must have RowBytes() capacity.
   dana::Status EncodeRow(const std::vector<double>& values,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <vector>
@@ -295,24 +296,25 @@ TEST(EdgeTable, RowsPerPage) {
   EXPECT_EQ((*table)->TuplesOnPage(1), 1u);
 }
 
-/// Appends `rows` to `table`.
-dana::Status Append(storage::Table& table,
-                    std::span<const std::vector<double>> rows) {
-  for (const auto& row : rows) DANA_RETURN_NOT_OK(table.AppendRow(row));
-  return dana::Status::OK();
+/// The table of the first `head` rows of `data`.
+std::unique_ptr<storage::Table> HeadTable(const Dataset& data,
+                                          uint64_t head) {
+  Dataset rows = data;
+  rows.rows.resize(head);
+  auto table = BuildTable("t", rows, storage::PageLayout{});
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? std::move(table).ValueOrDie() : nullptr;
 }
 
 TEST(EdgeTable, FillingAPartlyFilledTailPageGivesTheSamePages) {
   // 30 rows leave the first page partly filled; the rest go on it first.
   const Dataset data = EdgeRows(4 * kRowsPerPage + 17);
-  Dataset head = data;
-  head.rows.resize(30);
-  auto table = BuildTable("t", head, storage::PageLayout{});
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  ASSERT_EQ((*table)->num_pages(), 1u);
-  ASSERT_TRUE(Append(**table, std::span(data.rows).subspan(30)).ok());
-  EXPECT_EQ((*table)->num_tuples(), data.rows.size());
-  EXPECT_EQ(PagesDigest(**table), BuiltPagesDigest(data));
+  const auto table = HeadTable(data, 30);
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->num_pages(), 1u);
+  ASSERT_TRUE(table->AppendRows(std::span(data.rows).subspan(30)).ok());
+  EXPECT_EQ(table->num_tuples(), data.rows.size());
+  EXPECT_EQ(PagesDigest(*table), BuiltPagesDigest(data));
 }
 
 TEST(EdgeTable, ARowOfTheWrongWidthFailsTheBuild) {
@@ -323,6 +325,21 @@ TEST(EdgeTable, ARowOfTheWrongWidthFailsTheBuild) {
   EXPECT_TRUE(table.status().IsInvalidArgument());
   EXPECT_EQ(table.status().message(),
             "row has 100 values, schema has 101 columns");
+}
+
+TEST(EdgeTable, ARowOfTheWrongWidthLeavesTheTableAsItWas) {
+  Dataset data = EdgeRows(4 * kRowsPerPage + 17);
+  data.rows[200].pop_back();
+  const auto table = HeadTable(data, 30);
+  ASSERT_NE(table, nullptr);
+  const uint64_t before = PagesDigest(*table);
+  const dana::Status bulk =
+      table->AppendRows(std::span(data.rows).subspan(30));
+  EXPECT_TRUE(bulk.IsInvalidArgument());
+  EXPECT_EQ(bulk.message(), "row has 100 values, schema has 101 columns");
+  EXPECT_EQ(table->num_tuples(), 30u);
+  EXPECT_EQ(table->num_pages(), 1u);
+  EXPECT_EQ(PagesDigest(*table), before);
 }
 
 }  // namespace
