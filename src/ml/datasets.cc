@@ -50,14 +50,13 @@ void FillRows(std::vector<std::vector<double>>& rows, uint64_t tuples,
   // one-thread generator allocates: the scratch, then every row in row
   // order. The threads allocate nothing. A row is only reserved here; the
   // thread that claims its block sizes it, so the zero-fill and the first
-  // touch of the row's pages run on the team too. Rows first touched out
-  // of address order were once about 15% slower to encode in a serial
-  // BuildTable; with the table built on the team that no longer shows.
-  // Traced train_wide, six alternating runs each on a 4-CPU VM, rows
-  // zero-filled here against rows sized on the team: ml.build_table_s
-  // 0.089 s against 0.082 s, ml.generate_s 0.60 s against 0.42 s
-  // (medians). Thread w's scratch starts at w * stride, a cache line of
-  // doubles clear of the next thread's.
+  // touch of the row's pages run on the team too. The rows' pages are then
+  // first touched out of address order, which BuildTable, itself on the
+  // team, reads no slower: traced train_wide on a 4-CPU VM, six
+  // alternating runs each, medians of rows zero-filled here against rows
+  // sized on the team were ml.build_table_s 0.089 s against 0.082 s and
+  // ml.generate_s 0.60 s against 0.42 s. Thread w's scratch starts at
+  // w * stride, a cache line of doubles clear of the next thread's.
   const size_t stride = scratch_size == 0 ? 0 : scratch_size + 8;
   std::vector<double> scratch(
       scratch_size == 0 ? 0 : (team.width() - 1) * stride + scratch_size);

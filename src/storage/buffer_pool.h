@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/intern.h"
@@ -79,9 +78,9 @@ struct BufferPoolStats {
 /// or look up (const calls) the name once per call; per-page loops like
 /// ScanTable pay the string exactly once per sweep. The Table-taking calls
 /// (FetchPage, Prewarm, MarkOsCached) resolve the id through TableId, which
-/// hashes a table's name once per pool. Ids are stable for the
-/// pool's lifetime — Clear() drops pages, not the name table — so callers
-/// may cache them across runs.
+/// hashes a table's name only when the table differs from the last one's.
+/// Ids are stable for the pool's lifetime — Clear() drops pages, not the
+/// name table — so callers may cache them across runs.
 ///
 /// Sequential sweeps (ScanTable) leave the tiers in a few long runs — one
 /// table's consecutive pages in consecutive replacement positions — and
@@ -127,15 +126,13 @@ class BufferPool {
     return names_.Intern(name);
   }
 
-  /// InternTable(table.name()), cached under the table's serial: after
-  /// the first call for a table, a call hashes no string, and a repeat
-  /// call for the table of the previous one looks nothing up.
+  /// InternTable(table.name()), remembered for the last table asked
+  /// about: a run of calls for one table hashes its name once.
   uint32_t TableId(const Table& table) {
-    if (table.serial() == last_serial_) return last_serial_id_;
-    auto [it, fresh] = serial_ids_.try_emplace(table.serial());
-    if (fresh) it->second = InternTable(table.name());
-    last_serial_ = table.serial();
-    last_serial_id_ = it->second;
+    if (table.serial() != last_serial_) {
+      last_serial_ = table.serial();
+      last_serial_id_ = InternTable(table.name());
+    }
     return last_serial_id_;
   }
 
@@ -311,9 +308,8 @@ class BufferPool {
   BufferPoolStats stats_;
   /// Interned table names; ids key both tiers' pages and counts.
   dana::Interner names_;
-  /// TableId's cache: the id of every table it has seen, by serial (which,
-  /// unlike an address, no later table reuses), and the last one's.
-  std::unordered_map<uint64_t, uint32_t> serial_ids_;
+  /// TableId's cache: the last table's serial (which, unlike its address,
+  /// no later table reuses) and id.
   uint64_t last_serial_ = 0;  // no table has serial 0
   uint32_t last_serial_id_ = dana::Interner::kInvalidId;
   uint32_t last_table_id_ = dana::Interner::kInvalidId;

@@ -82,9 +82,7 @@ Result<uint64_t> Table::FillTail(uint64_t n, const Row& row) {
 
 Result<uint64_t> Table::FillNewPage(uint64_t n) {
   AddPage();
-  DANA_ASSIGN_OR_RETURN(
-      const uint64_t added,
-      FillTail(n, Copies(row_buf_)));
+  DANA_ASSIGN_OR_RETURN(const uint64_t added, FillTail(n, Copies(row_buf_)));
   if (added == 0) return DoesNotFit(schema_);
   return added;
 }
